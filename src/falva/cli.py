@@ -3,22 +3,24 @@
 Subcommands: deriv | action | residual | solve-ivp | solve-bvp | minimize |
 sweep.  Problem parameters come from a flat key=value spec file (--spec)
 and/or flags; flags override file keys.  Axis-specific keys carry .x/.y/.z
-suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.
+suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A sweep runs
+its alpha values serially, in the order given.
 
 All output is CSV: one leading comment line with the tool version and the
 order-pair convention, optional further comment lines with scalar results,
-a header row, then data rows.  Floats are printed with 17 significant
-digits and LF line endings, so identical specs produce byte-identical
-files.  Failures print a single "FALVA-ERR <code>: ..." line on stderr and
+a header row, then data rows.  Each runner returns its library result as
+comments and columns, and one formatter writes every float with 17
+significant digits and LF line endings, so identical specs produce
+byte-identical files.  Failures print a single "FALVA-ERR <code>: ..." line on stderr and
 exit with status 2 (validation) or 3 (numerical).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,21 +250,18 @@ class Spec:
             if nk not in self.table and "n.x" in self.table:
                 nk = "n.x"  # one n serves all axes unless overridden
             n = self.scalar(nk)
-            if n != int(n):
+            if not math.isfinite(n) or n != int(n):
                 raise SpecError(f"key {nk!r} must be an integer")
             grids.append(Grid1D(lo, hi, int(n)))
         return tuple(grids)
 
 
-def _orders_for(spec: Spec, dim: int, alpha_override=None) -> OrderSet:
-    if alpha_override is not None:
-        alphas = [float(alpha_override)] * dim
-    else:
-        alphas = spec.floats("alpha")
-        if len(alphas) == 1:
-            alphas = alphas * dim
-        if len(alphas) != dim:
-            raise SpecError(f"'alpha' needs 1 or {dim} entries for dimension {dim}")
+def _orders_for(spec: Spec, dim: int) -> OrderSet:
+    alphas = spec.floats("alpha")
+    if len(alphas) == 1:
+        alphas = alphas * dim
+    if len(alphas) != dim:
+        raise SpecError(f"'alpha' needs 1 or {dim} entries for dimension {dim}")
     gamma_w = spec.gamma_w(default=-1j)
     if dim == 1:
         beta = spec.scalar("beta", default=alphas[0])
@@ -305,13 +304,21 @@ def _read_field_file(path: str, grids) -> np.ndarray:
         raise SpecError(f"cannot read field file {path!r}: {err}") from None
     if not lines or not lines[0].lower().startswith("shape"):
         raise SpecError(f"field file {path!r} must start with a 'shape,...' line")
-    shape = tuple(int(p) for p in lines[0].split(",")[1:])
+    try:
+        shape = tuple(int(p) for p in lines[0].split(",")[1:])
+    except ValueError:
+        raise SpecError(
+            f"field file {path!r}: shape line {lines[0]!r} must list integers"
+        ) from None
     expected = tuple(g.n + 1 for g in grids)
     if shape != expected:
         raise SpecError(
             f"field file shape {shape} does not match the grid shape {expected}"
         )
-    values = np.array([float(v) for v in lines[1:]])
+    try:
+        values = np.array([float(v) for v in lines[1:]])
+    except ValueError as err:
+        raise SpecError(f"field file {path!r}: {err}") from None
     if values.size != int(np.prod(shape)):
         raise SpecError(
             f"field file holds {values.size} values, expected {int(np.prod(shape))}"
@@ -352,30 +359,65 @@ def _variant_for(spec: Spec, dim: int) -> str:
 # output
 
 
+class _Table(NamedTuple):
+    """One CSV output: comment (key, value) pairs, a header and its columns.
+
+    A column is a numpy array (floats, or integers such as 0/1 flags; ND
+    arrays are written in row-major order) or a list of floats and strings.
+    ``failure`` is raised after the file is written.
+    """
+
+    comments: list
+    header: list
+    columns: list
+    failure: Exception = None
+
+
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
-def _write_csv(path: str, comments, header, rows) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+def _comment_value(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
+    return _fmt(value)
+
+
+def _cells(column):
+    """Row-template field and cell values of one output column."""
+    if isinstance(column, np.ndarray):
+        field = "%d" if column.dtype.kind in "biu" else "%.17g"
+        return field, column.ravel().tolist()
+    return "%s", [c if isinstance(c, str) else _fmt(c) for c in column]
+
+
+def _write_csv(path: str, kind: str, table: _Table) -> None:
+    lead = f"falva {__version__} kind={kind} orders[{ORDER_CONVENTION}]"
+    head = [f"# {lead}\n"]
+    head += [f"# {key}={_comment_value(value)}\n" for key, value in table.comments]
+    head.append(",".join(table.header) + "\n")
+    fields, cells = zip(*map(_cells, table.columns))
+    template = ",".join(fields) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(head)
+            fh.writelines(template % row for row in zip(*cells))
     except OSError as err:
         raise SpecError(f"cannot write output file {path!r}: {err}") from None
 
 
-def _lead_comment(kind: str) -> str:
-    return f"falva {__version__} kind={kind} orders[{ORDER_CONVENTION}]"
-
-
 # ---------------------------------------------------------------------------
-# runners
+# runners: each computes a library result and returns it as a _Table
 
 
-def _run_deriv(spec: Spec):
+def _meshes(grids):
+    return np.meshgrid(*[g.nodes for g in grids], indexing="ij")
+
+
+def _derivative(spec: Spec):
+    """(grids, sampled field, derivative) for a deriv spec."""
     grids = spec.grids()
     dim = len(grids)
     values = _field_for(spec, grids)
@@ -388,15 +430,7 @@ def _run_deriv(spec: Spec):
             out = rl_right(f, spec.scalar("beta", default=spec.scalar("alpha")))
         else:
             out = cresson(f, _orders_for(spec, 1))
-        header = ["tau", "f_re", "f_im", "deriv_re", "deriv_im", "flagged"]
-        nodes = grids[0].nodes
-        rows = [
-            [_fmt(nodes[j]), _fmt(np.real(values[j])), _fmt(np.imag(values[j])),
-             _fmt(np.real(out.values[j])), _fmt(np.imag(out.values[j])),
-             "1" if out.flags[j] else "0"]
-            for j in range(grids[0].n + 1)
-        ]
-        return [], header, rows
+        return grids, values, out
     field = GridFunctionND(grids, values)
     axis_name = spec.get("axis", "x")
     axis = _AXES.index(axis_name)
@@ -404,22 +438,18 @@ def _run_deriv(spec: Spec):
         raise SpecError(f"axis {axis_name!r} out of range for dimension {dim}")
     if operator != "cresson":
         raise SpecError("ND deriv supports only the cresson operator")
-    out = axis_cresson(field, axis, _orders_for(spec, dim))
-    coords = _COORD_SLOTS[dim]
-    header = list(coords) + ["f_re", "f_im", "deriv_re", "deriv_im", "flagged"]
-    meshes = field.node_meshes()
-    rows = []
-    for idx in np.ndindex(*values.shape):
-        rows.append(
-            [_fmt(meshes[k][idx]) for k in range(dim)]
-            + [_fmt(np.real(values[idx])), _fmt(np.imag(values[idx])),
-               _fmt(np.real(out.values[idx])), _fmt(np.imag(out.values[idx])),
-               "1" if out.flags[idx] else "0"]
-        )
-    return [], header, rows
+    return grids, values, axis_cresson(field, axis, _orders_for(spec, dim))
 
 
-def _action_value(spec: Spec, alpha_override=None):
+def _run_deriv(spec: Spec) -> _Table:
+    grids, values, out = _derivative(spec)
+    header = [*_COORD_SLOTS[len(grids)], "f_re", "f_im", "deriv_re", "deriv_im",
+              "flagged"]
+    return _Table([], header, [*_meshes(grids), values.real, values.imag,
+                               out.values.real, out.values.imag, out.flags])
+
+
+def _action_value(spec: Spec):
     grids = spec.grids()
     dim = len(grids)
     expr = parse(spec.req("lagrangian"))
@@ -427,33 +457,29 @@ def _action_value(spec: Spec, alpha_override=None):
     if dim == 1:
         q = GridFunction(grids[0], values)
         if _variant_for(spec, dim) == "classic":
-            alpha = float(alpha_override) if alpha_override is not None \
-                else spec.scalar("alpha")
-            return action_1d(expr, q, alpha, qdot=_qdot_for(spec, grids[0]))
-        return action_1d_cresson(expr, q, _orders_for(spec, dim, alpha_override))
+            return action_1d(expr, q, spec.scalar("alpha"),
+                             qdot=_qdot_for(spec, grids[0]))
+        return action_1d_cresson(expr, q, _orders_for(spec, dim))
     field = GridFunctionND(grids, values)
-    orders = _orders_for(spec, dim, alpha_override)
+    orders = _orders_for(spec, dim)
     observer = tuple(g.t for g in grids)
     if dim == 2:
         return action_2d(expr, field, orders, observer)
     return action_nd(expr, field, orders, observer)
 
 
-def _run_action(spec: Spec):
+def _run_action(spec: Spec) -> _Table:
     av = _action_value(spec)
-    comments = [
-        "observer=" + ",".join(_fmt(v) for v in av.observer),
-        "weight_orders=" + ",".join(_fmt(v) for v in av.weight_orders),
-    ]
+    comments = [("observer", av.observer), ("weight_orders", av.weight_orders)]
     if av.qdot_source:
-        comments.append(f"qdot_source={av.qdot_source}")
-    header = ["value_re", "value_im", "singular_excluded"]
-    rows = [[_fmt(av.value.real), _fmt(av.value.imag),
-             str(av.singular_nodes_excluded)]]
-    return comments, header, rows
+        comments.append(("qdot_source", av.qdot_source))
+    return _Table(comments, ["value_re", "value_im", "singular_excluded"],
+                  [[av.value.real], [av.value.imag],
+                   np.array([av.singular_nodes_excluded])])
 
 
 def _residual_field(spec: Spec):
+    """(residual field, grids, sampled path) for a residual spec."""
     grids = spec.grids()
     dim = len(grids)
     expr = parse(spec.req("lagrangian"))
@@ -461,143 +487,127 @@ def _residual_field(spec: Spec):
     if dim == 1:
         q = GridFunction(grids[0], values)
         if _variant_for(spec, dim) == "classic":
-            return el_residual_1d(expr, q, spec.scalar("alpha"),
-                                  qdot=_qdot_for(spec, grids[0])), grids
-        return el_residual_1d_cresson(expr, q, _orders_for(spec, dim)), grids
+            rf = el_residual_1d(expr, q, spec.scalar("alpha"),
+                                qdot=_qdot_for(spec, grids[0]))
+        else:
+            rf = el_residual_1d_cresson(expr, q, _orders_for(spec, dim))
+        return rf, grids, values
     field = GridFunctionND(grids, values)
     orders = _orders_for(spec, dim)
     observer = tuple(g.t for g in grids)
     if dim == 2:
-        return el_residual_2d(expr, field, orders, observer), grids
-    return el_residual_nd(expr, field, orders, observer), grids
+        return el_residual_2d(expr, field, orders, observer), grids, values
+    return el_residual_nd(expr, field, orders, observer), grids, values
 
 
-def _run_residual(spec: Spec):
-    rf, grids = _residual_field(spec)
-    dim = len(grids)
-    field = _field_for(spec, grids)
-    comments = [
-        f"sup_norm={_fmt(rf.sup_norm)}",
-        "epsilon_margin=" + ",".join(_fmt(e) for e in rf.epsilon_margin),
-    ]
-    coords = _COORD_SLOTS[dim]
-    header = list(coords) + ["q", "residual_re", "residual_im", "excluded"]
-    vals = rf.residual.values
-    if dim == 1:
-        meshes = [grids[0].nodes]
-    else:
-        meshes = rf.residual.node_meshes()
-    rows = []
-    for idx in np.ndindex(*vals.shape):
-        rows.append(
-            [_fmt(meshes[k][idx]) for k in range(dim)]
-            + [_fmt(field[idx]),
-               _fmt(np.real(vals[idx])), _fmt(np.imag(vals[idx])),
-               "1" if rf.excluded[idx] else "0"]
-        )
-    return comments, header, rows
+def _run_residual(spec: Spec) -> _Table:
+    rf, grids, values = _residual_field(spec)
+    residual = rf.residual.values
+    comments = [("sup_norm", rf.sup_norm), ("epsilon_margin", rf.epsilon_margin)]
+    header = [*_COORD_SLOTS[len(grids)], "q", "residual_re", "residual_im",
+              "excluded"]
+    return _Table(comments, header, [*_meshes(grids), values, residual.real,
+                                     residual.imag, rf.excluded])
 
 
-def _run_solve_ivp(spec: Spec):
+def _line_grid(spec: Spec) -> Grid1D:
     grids = spec.grids()
     if len(grids) != 1:
-        raise SpecError("solve-ivp is one-dimensional")
-    g = grids[0]
-    expr = parse(spec.req("lagrangian"))
-    q, qdot = solve_el_ivp(expr, g.a, g.t, spec.scalar("q0"),
-                           spec.scalar("v0"), spec.scalar("alpha"), g.n)
-    comments = [f"truncated_t={_fmt(q.grid.t)}"]
-    header = ["tau", "q", "qdot"]
-    nodes = q.grid.nodes
-    rows = [[_fmt(nodes[j]), _fmt(q.values[j]), _fmt(qdot.values[j])]
-            for j in range(q.grid.n + 1)]
-    return comments, header, rows
+        raise SpecError(f"{spec.kind} is one-dimensional")
+    return grids[0]
 
 
-def _run_solve_bvp(spec: Spec):
-    grids = spec.grids()
-    if len(grids) != 1:
-        raise SpecError("solve-bvp is one-dimensional")
-    g = grids[0]
+def _boundary(spec: Spec, g: Grid1D) -> BoundaryData1D:
     qa, qb = spec.pair("boundary")
-    bd = BoundaryData1D(g.a, g.t, qa, qb)
+    return BoundaryData1D(g.a, g.t, qa, qb)
+
+
+def _ivp(spec: Spec):
+    g = _line_grid(spec)
+    expr = parse(spec.req("lagrangian"))
+    return solve_el_ivp(expr, g.a, g.t, spec.scalar("q0"), spec.scalar("v0"),
+                        spec.scalar("alpha"), g.n)
+
+
+def _run_solve_ivp(spec: Spec) -> _Table:
+    q, qdot = _ivp(spec)
+    return _Table([("truncated_t", q.grid.t)], ["tau", "q", "qdot"],
+                  [q.grid.nodes, q.values, qdot.values])
+
+
+def _bvp(spec: Spec):
+    g = _line_grid(spec)
+    bd = _boundary(spec, g)
     target = None
     if "margin_target" in spec.table:
         target = spec.scalar("margin_target")
-    result = solve_el_bvp(parse(spec.req("lagrangian")), bd,
-                          spec.scalar("alpha"), g.n, qb_at_margin=target)
+    return solve_el_bvp(parse(spec.req("lagrangian")), bd,
+                        spec.scalar("alpha"), g.n, qb_at_margin=target)
+
+
+def _run_solve_bvp(spec: Spec) -> _Table:
+    result = _bvp(spec)
+    comments = [("v0", result.v0), ("matched_time", result.matched_time),
+                ("target", result.target)]
+    return _Table(comments, ["tau", "q", "qdot"],
+                  [result.q.grid.nodes, result.q.values, result.qdot.values])
+
+
+def _minimized(spec: Spec):
+    g = _line_grid(spec)
+    bd = _boundary(spec, g)
+    return direct_minimize(parse(spec.req("lagrangian")), bd,
+                           spec.scalar("alpha"), g.n)
+
+
+def _run_minimize(spec: Spec) -> _Table:
+    result = _minimized(spec)
     comments = [
-        f"v0={_fmt(result.v0)}",
-        f"matched_time={_fmt(result.matched_time)}",
-        f"target={_fmt(result.target)}",
+        ("converged", "true" if result.converged else "false"),
+        ("iterations", str(result.iterations)),
+        ("grad_norm", result.grad_norm),
+        ("action_value", result.action_value),
     ]
-    header = ["tau", "q", "qdot"]
-    nodes = result.q.grid.nodes
-    rows = [[_fmt(nodes[j]), _fmt(result.q.values[j]), _fmt(result.qdot.values[j])]
-            for j in range(result.q.grid.n + 1)]
-    return comments, header, rows
+    failure = None
+    if not result.converged:
+        failure = NonConvergedError(
+            f"minimizer hit its iteration cap (grad_norm={result.grad_norm:g}); "
+            f"partial result written to {spec.req('out')}"
+        )
+    return _Table(comments, ["tau", "q"], [result.q.grid.nodes, result.q.values],
+                  failure)
 
 
-def _run_minimize(spec: Spec):
-    grids = spec.grids()
-    if len(grids) != 1:
-        raise SpecError("minimize is one-dimensional")
-    g = grids[0]
-    qa, qb = spec.pair("boundary")
-    bd = BoundaryData1D(g.a, g.t, qa, qb)
-    result = direct_minimize(parse(spec.req("lagrangian")), bd,
-                             spec.scalar("alpha"), g.n)
-    comments = [
-        f"converged={'true' if result.converged else 'false'}",
-        f"iterations={result.iterations}",
-        f"grad_norm={_fmt(result.grad_norm)}",
-        f"action_value={_fmt(result.action_value)}",
-    ]
-    header = ["tau", "q"]
-    nodes = result.q.grid.nodes
-    rows = [[_fmt(nodes[j]), _fmt(result.q.values[j])]
-            for j in range(result.q.grid.n + 1)]
-    return comments, header, rows, result
-
-
-def _sweep_summary(spec: Spec, kind: str, alpha: float):
-    """Scalar summary of one sweep entry: (complex value, classical_ref)."""
+def _sweep_value(spec: Spec):
+    """Scalar summary of one sweep entry, read from the library result:
+    (complex value, classical_ref or None)."""
+    kind = spec.kind
     if kind == "action":
-        av = _action_value(spec, alpha_override=alpha)
-        classical = None
-        if spec.dimension() == 1:
-            grids = spec.grids()
-            q = GridFunction(grids[0], _field_for(spec, grids))
-            classical = trapezoid_action(parse(spec.req("lagrangian")), q,
-                                         qdot=_qdot_for(spec, grids[0]))
-        return av.value, classical
-    sub = Spec(kind, dict(spec.table))
-    sub.table["alpha"] = _fmt(alpha)
+        value = _action_value(spec).value
+        if spec.dimension() != 1:
+            return value, None
+        grids = spec.grids()
+        q = GridFunction(grids[0], _field_for(spec, grids))
+        return value, trapezoid_action(parse(spec.req("lagrangian")), q,
+                                       qdot=_qdot_for(spec, grids[0]))
     if kind == "deriv":
-        _, _, rows = _run_deriv(sub)
-        return complex(float(rows[-1][-3]), float(rows[-1][-2])), None
+        return complex(_derivative(spec)[2].values.flat[-1]), None
     if kind == "residual":
-        rf, _ = _residual_field(sub)
-        return complex(rf.sup_norm, 0.0), None
+        return complex(_residual_field(spec)[0].sup_norm), None
     if kind == "solve-ivp":
-        _, _, rows = _run_solve_ivp(sub)
-        return complex(float(rows[-1][1]), 0.0), None
+        return complex(_ivp(spec)[0].values[-1]), None
     if kind == "solve-bvp":
-        comments, _, _ = _run_solve_bvp(sub)
-        v0 = float(comments[0].split("=", 1)[1])
-        return complex(v0, 0.0), None
+        return complex(_bvp(spec).v0), None
     if kind == "minimize":
-        *_, result = _run_minimize(sub)
+        result = _minimized(spec)
         if not result.converged:
             raise NonConvergedError("minimizer hit its iteration cap")
-        return complex(result.action_value, 0.0), None
+        return complex(result.action_value), None
     raise SpecError(f"sweep cannot run kind {kind!r}")
 
 
-def _run_sweep(spec: Spec):
+def _run_sweep(spec: Spec) -> _Table:
     alphas = spec.floats("alpha")
-    if not alphas:
-        raise SpecError("sweep needs a nonempty alpha list")
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise SpecError(f"sweep alpha {a!r} outside (0,1)")
@@ -605,33 +615,38 @@ def _run_sweep(spec: Spec):
     if kind not in KINDS or kind == "sweep":
         raise SpecError(f"unknown sweep_kind {kind!r}")
 
-    def entry(alpha):
+    value_re, value_im, status, classical = [], [], [], []
+    for alpha in alphas:
         try:
-            value, classical = _sweep_summary(spec, kind, alpha)
-            return value, classical, "ok"
+            value, ref = _sweep_value(Spec(kind, dict(spec.table, alpha=_fmt(alpha))))
         except FalvaError as err:
-            return None, None, f"FALVA-ERR {err.code}"
+            value_re.append("")
+            value_im.append("")
+            status.append(f"FALVA-ERR {err.code}")
+            classical.append("")
+            continue
+        value_re.append(value.real)
+        value_im.append(value.imag)
+        status.append("ok")
+        classical.append("" if ref is None else ref)
 
-    threads = max(1, int(os.environ.get("FALVA_THREADS", "1") or "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(entry, alphas))
-    else:
-        results = [entry(a) for a in alphas]
-
-    with_classic = kind == "action" and spec.dimension() == 1
     header = ["alpha", "value_re", "value_im", "status"]
-    if with_classic:
+    columns = [np.array(alphas), value_re, value_im, status]
+    if kind == "action" and spec.dimension() == 1:
         header.append("classical_ref")
-    rows = []
-    for alpha, (value, classical, status) in zip(alphas, results):
-        row = [_fmt(alpha)]
-        row += ["", ""] if value is None else [_fmt(value.real), _fmt(value.imag)]
-        row.append(status)
-        if with_classic:
-            row.append("" if classical is None else _fmt(classical))
-        rows.append(row)
-    return [f"sweep_kind={kind}"], header, rows
+        columns.append(classical)
+    return _Table([("sweep_kind", kind)], header, columns)
+
+
+_RUNNERS = {
+    "deriv": _run_deriv,
+    "action": _run_action,
+    "residual": _run_residual,
+    "solve-ivp": _run_solve_ivp,
+    "solve-bvp": _run_solve_bvp,
+    "minimize": _run_minimize,
+    "sweep": _run_sweep,
+}
 
 
 def _dispatch(spec: Spec) -> int:
@@ -639,29 +654,10 @@ def _dispatch(spec: Spec) -> int:
     fmt = spec.get("format", "csv")
     if fmt != "csv":
         raise SpecError(f"unsupported output format {fmt!r}")
-    nonconverged = None
-    if spec.kind == "deriv":
-        comments, header, rows = _run_deriv(spec)
-    elif spec.kind == "action":
-        comments, header, rows = _run_action(spec)
-    elif spec.kind == "residual":
-        comments, header, rows = _run_residual(spec)
-    elif spec.kind == "solve-ivp":
-        comments, header, rows = _run_solve_ivp(spec)
-    elif spec.kind == "solve-bvp":
-        comments, header, rows = _run_solve_bvp(spec)
-    elif spec.kind == "minimize":
-        comments, header, rows, result = _run_minimize(spec)
-        if not result.converged:
-            nonconverged = NonConvergedError(
-                f"minimizer hit its iteration cap (grad_norm={result.grad_norm:g}); "
-                f"partial result written to {out}"
-            )
-    else:
-        comments, header, rows = _run_sweep(spec)
-    _write_csv(out, [_lead_comment(spec.kind)] + comments, header, rows)
-    if nonconverged is not None:
-        raise nonconverged
+    table = _RUNNERS[spec.kind](spec)
+    _write_csv(out, spec.kind, table)
+    if table.failure is not None:
+        raise table.failure
     return 0
 
 

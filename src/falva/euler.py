@@ -36,11 +36,14 @@ as ``qb_at_margin`` to remove the defect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .action import (
+    MAX_DIMENSION,
+    _check_observer,
     _check_slots,
     _eval_field,
     _partial_field,
@@ -81,7 +84,6 @@ __all__ = [
     "direct_minimize",
 ]
 
-MAX_DIMENSION = 3
 RESIDUAL_MARGIN_FRACTION = 0.05
 IVP_MARGIN_FRACTION = 0.02
 BVP_SCAN_SLOPES = 32
@@ -113,6 +115,8 @@ class BoundaryData1D:
     qb: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.t, self.qa, self.qb))):
+            raise DomainError("boundary data must be finite")
         if not self.t > self.a:
             raise DomainError("boundary data needs t > a")
 
@@ -313,7 +317,7 @@ def el_residual_2d(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
     the sign orientation shared with the 1D variant."""
     if q.ndim != 2:
         raise UnsupportedDimensionError("el_residual_2d needs a two-axis field")
-    _check_observer_nd(q, observer)
+    _check_observer(q, observer)
     return _el_residual_core(L, q, orders, ("qx", "qy"), ("x", "y"))
 
 
@@ -325,20 +329,9 @@ def el_residual_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
         raise UnsupportedDimensionError(
             f"dimension {q.ndim} unsupported (max {MAX_DIMENSION})"
         )
-    _check_observer_nd(q, observer)
+    _check_observer(q, observer)
     deriv, coord = nd_slots(q.ndim)
     return _el_residual_core(L, q, orders, deriv, coord)
-
-
-def _check_observer_nd(q: GridFunctionND, observer) -> None:
-    obs = tuple(float(v) for v in np.atleast_1d(observer))
-    uppers = tuple(g.t for g in q.grids)
-    if len(obs) != len(uppers) or any(
-        abs(o - u) > 1e-12 * max(1.0, abs(u)) for o, u in zip(obs, uppers)
-    ):
-        raise DomainError(
-            f"observer {obs} does not match the field's upper corners {uppers}"
-        )
 
 
 # ---------------------------------------------------------------------------
