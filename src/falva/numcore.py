@@ -38,41 +38,18 @@ __all__ = [
 ]
 
 
-# Lanczos approximation, g = 7 with 9 coefficients: relative error below
-# 1e-13 on the positive real axis.  Reflection handles x < 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
-    """Euler gamma function for real, non-pole arguments.
+    """Euler gamma function for real, non-pole arguments (``math.gamma``).
 
-    Raises DomainError at the poles 0, -1, -2, ...
+    Raises DomainError at the poles 0, -1, -2, ... and for non-finite x.
     """
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"gamma: non-finite argument {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma: pole at x = {x:g}")
-    if x < 0.5:
-        # gamma(x) * gamma(1 - x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    s = _LANCZOS_COEFS[0]
-    for k in range(1, len(_LANCZOS_COEFS)):
-        s += _LANCZOS_COEFS[k] / (z + k)
-    w = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * w ** (z + 0.5) * math.exp(-w) * s
+    try:
+        return math.gamma(x)
+    except ValueError:
+        raise DomainError(f"gamma: pole at x = {x:g}") from None
 
 
 @dataclass(frozen=True)
