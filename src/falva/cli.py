@@ -11,8 +11,8 @@ order-pair convention, optional further comment lines with scalar results,
 a header row, then data rows.  Each runner returns its library result as
 comments and columns, and one formatter writes every float with 17
 significant digits and LF line endings, so identical specs produce
-byte-identical files.  Failures print a single "FALVA-ERR <code>: ..." line on stderr and
-exit with status 2 (validation) or 3 (numerical).
+byte-identical files.  Failures print a single "FALVA-ERR <code>: ..."
+line on stderr and exit with status 2 (validation) or 3 (numerical).
 """
 
 from __future__ import annotations
@@ -282,6 +282,10 @@ def _orders_for(spec: Spec, dim: int) -> OrderSet:
     return OrderSet.for_nd(alphas, deltas, gamma_w)
 
 
+def _meshes(grids):
+    return np.meshgrid(*[g.nodes for g in grids], indexing="ij")
+
+
 def _sample_expression(expr_text: str, slot_names, grids) -> np.ndarray:
     expr = parse(expr_text)
     extra = set(expr.free_vars) - set(slot_names)
@@ -290,8 +294,7 @@ def _sample_expression(expr_text: str, slot_names, grids) -> np.ndarray:
             f"path expression uses {sorted(extra)}; allowed coordinates "
             f"are {list(slot_names)}"
         )
-    meshes = np.meshgrid(*[g.nodes for g in grids], indexing="ij")
-    env = dict(zip(slot_names, meshes))
+    env = dict(zip(slot_names, _meshes(grids)))
     shape = tuple(g.n + 1 for g in grids)
     return np.broadcast_to(np.asarray(evaluate(expr, env)), shape).copy()
 
@@ -362,8 +365,8 @@ def _variant_for(spec: Spec, dim: int) -> str:
 class _Table(NamedTuple):
     """One CSV output: comment (key, value) pairs, a header and its columns.
 
-    A column is a numpy array (floats, or integers such as 0/1 flags; ND
-    arrays are written in row-major order) or a list of floats and strings.
+    A column is a numpy array of floats or integers (0/1 flags, counts),
+    written in row-major order, or a sequence of floats and strings.
     ``failure`` is raised after the file is written.
     """
 
@@ -373,16 +376,14 @@ class _Table(NamedTuple):
     failure: Exception = None
 
 
-def _fmt(x) -> str:
-    return "%.17g" % x
-
-
-def _comment_value(value) -> str:
+def _text(value) -> str:
+    """A float, or a tuple of floats, with 17 significant digits; a string
+    as it is."""
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):
-        return ",".join(map(_fmt, value))
-    return _fmt(value)
+        return ",".join(map(_text, value))
+    return "%.17g" % value
 
 
 def _cells(column):
@@ -390,13 +391,13 @@ def _cells(column):
     if isinstance(column, np.ndarray):
         field = "%d" if column.dtype.kind in "biu" else "%.17g"
         return field, column.ravel().tolist()
-    return "%s", [c if isinstance(c, str) else _fmt(c) for c in column]
+    return "%s", list(map(_text, column))
 
 
 def _write_csv(path: str, kind: str, table: _Table) -> None:
     lead = f"falva {__version__} kind={kind} orders[{ORDER_CONVENTION}]"
     head = [f"# {lead}\n"]
-    head += [f"# {key}={_comment_value(value)}\n" for key, value in table.comments]
+    head += [f"# {key}={_text(value)}\n" for key, value in table.comments]
     head.append(",".join(table.header) + "\n")
     fields, cells = zip(*map(_cells, table.columns))
     template = ",".join(fields) + "\n"
@@ -410,10 +411,6 @@ def _write_csv(path: str, kind: str, table: _Table) -> None:
 
 # ---------------------------------------------------------------------------
 # runners: each computes a library result and returns it as a _Table
-
-
-def _meshes(grids):
-    return np.meshgrid(*[g.nodes for g in grids], indexing="ij")
 
 
 def _derivative(spec: Spec):
@@ -449,7 +446,12 @@ def _run_deriv(spec: Spec) -> _Table:
                                out.values.real, out.values.imag, out.flags])
 
 
-def _action_value(spec: Spec):
+def _functional(spec: Spec, classic, cresson_1d, axes_2, axes_n):
+    """Apply an action or residual functional to the spec's sampled field.
+
+    The four functionals cover the 1D classic and Cresson variants and the
+    2D and ND fields; returns (result, grids, sampled field).
+    """
     grids = spec.grids()
     dim = len(grids)
     expr = parse(spec.req("lagrangian"))
@@ -457,15 +459,18 @@ def _action_value(spec: Spec):
     if dim == 1:
         q = GridFunction(grids[0], values)
         if _variant_for(spec, dim) == "classic":
-            return action_1d(expr, q, spec.scalar("alpha"),
-                             qdot=_qdot_for(spec, grids[0]))
-        return action_1d_cresson(expr, q, _orders_for(spec, dim))
+            return classic(expr, q, spec.scalar("alpha"),
+                           qdot=_qdot_for(spec, grids[0])), grids, values
+        return cresson_1d(expr, q, _orders_for(spec, dim)), grids, values
     field = GridFunctionND(grids, values)
     orders = _orders_for(spec, dim)
     observer = tuple(g.t for g in grids)
-    if dim == 2:
-        return action_2d(expr, field, orders, observer)
-    return action_nd(expr, field, orders, observer)
+    functional = axes_2 if dim == 2 else axes_n
+    return functional(expr, field, orders, observer), grids, values
+
+
+def _action_value(spec: Spec):
+    return _functional(spec, action_1d, action_1d_cresson, action_2d, action_nd)[0]
 
 
 def _run_action(spec: Spec) -> _Table:
@@ -479,25 +484,8 @@ def _run_action(spec: Spec) -> _Table:
 
 
 def _residual_field(spec: Spec):
-    """(residual field, grids, sampled path) for a residual spec."""
-    grids = spec.grids()
-    dim = len(grids)
-    expr = parse(spec.req("lagrangian"))
-    values = _field_for(spec, grids)
-    if dim == 1:
-        q = GridFunction(grids[0], values)
-        if _variant_for(spec, dim) == "classic":
-            rf = el_residual_1d(expr, q, spec.scalar("alpha"),
-                                qdot=_qdot_for(spec, grids[0]))
-        else:
-            rf = el_residual_1d_cresson(expr, q, _orders_for(spec, dim))
-        return rf, grids, values
-    field = GridFunctionND(grids, values)
-    orders = _orders_for(spec, dim)
-    observer = tuple(g.t for g in grids)
-    if dim == 2:
-        return el_residual_2d(expr, field, orders, observer), grids, values
-    return el_residual_nd(expr, field, orders, observer), grids, values
+    return _functional(spec, el_residual_1d, el_residual_1d_cresson,
+                       el_residual_2d, el_residual_nd)
 
 
 def _run_residual(spec: Spec) -> _Table:
@@ -538,9 +526,7 @@ def _run_solve_ivp(spec: Spec) -> _Table:
 def _bvp(spec: Spec):
     g = _line_grid(spec)
     bd = _boundary(spec, g)
-    target = None
-    if "margin_target" in spec.table:
-        target = spec.scalar("margin_target")
+    target = spec.scalar("margin_target") if "margin_target" in spec.table else None
     return solve_el_bvp(parse(spec.req("lagrangian")), bd,
                         spec.scalar("alpha"), g.n, qb_at_margin=target)
 
@@ -603,7 +589,6 @@ def _sweep_value(spec: Spec):
         if not result.converged:
             raise NonConvergedError("minimizer hit its iteration cap")
         return complex(result.action_value), None
-    raise SpecError(f"sweep cannot run kind {kind!r}")
 
 
 def _run_sweep(spec: Spec) -> _Table:
@@ -615,20 +600,15 @@ def _run_sweep(spec: Spec) -> _Table:
     if kind not in KINDS or kind == "sweep":
         raise SpecError(f"unknown sweep_kind {kind!r}")
 
-    value_re, value_im, status, classical = [], [], [], []
+    rows = []
     for alpha in alphas:
         try:
-            value, ref = _sweep_value(Spec(kind, dict(spec.table, alpha=_fmt(alpha))))
+            value, ref = _sweep_value(Spec(kind, dict(spec.table, alpha=_text(alpha))))
         except FalvaError as err:
-            value_re.append("")
-            value_im.append("")
-            status.append(f"FALVA-ERR {err.code}")
-            classical.append("")
-            continue
-        value_re.append(value.real)
-        value_im.append(value.imag)
-        status.append("ok")
-        classical.append("" if ref is None else ref)
+            rows.append(("", "", f"FALVA-ERR {err.code}", ""))
+        else:
+            rows.append((value.real, value.imag, "ok", "" if ref is None else ref))
+    value_re, value_im, status, classical = zip(*rows)
 
     header = ["alpha", "value_re", "value_im", "status"]
     columns = [np.array(alphas), value_re, value_im, status]

@@ -232,7 +232,8 @@ def test_every_cell_round_trips_the_library_result(case, tmp_path):
     assert got_comments == comments
     assert header == list(columns)
     for name, got, expected in zip(header, got_columns, columns.values()):
-        assert got == [_cell(x) for x in np.ravel(np.asarray(expected, dtype=object))], name
+        cells = np.asarray(expected, dtype=object).ravel()
+        assert got == [_cell(x) for x in cells], name
     if case == "sweep-solve-ivp":
         assert got_columns[3] == ["ok", "FALVA-ERR eval"]
 
