@@ -60,6 +60,10 @@ KINDS = ("deriv", "action", "residual", "solve-ivp", "solve-bvp",
 
 _AXES = ("x", "y", "z")
 
+# cap on the total node count prod(n + 1) of a grid, checked before any
+# node array is allocated
+_MAX_NODES = 2**22
+
 _KNOWN_KEYS = {
     "kind", "lagrangian", "alpha", "beta", "delta", "chi", "gamma",
     "path", "path_file", "qdot", "boundary", "margin_target", "q0", "v0",
@@ -253,6 +257,10 @@ class Spec:
             if not math.isfinite(n) or n != int(n):
                 raise SpecError(f"key {nk!r} must be an integer")
             grids.append(Grid1D(lo, hi, int(n)))
+        nodes = math.prod(g.n + 1 for g in grids)
+        if nodes > _MAX_NODES:
+            raise SpecError(f"the grid has {nodes} nodes; at most {_MAX_NODES} "
+                            "are allowed")
         return tuple(grids)
 
 

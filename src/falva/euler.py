@@ -56,6 +56,7 @@ from .errors import (
     GridError,
     SingularLagrangianError,
     SingularNodeError,
+    StepFailure,
     UnsupportedDimensionError,
 )
 from .exprdsl import LagrangianExpr, second_partials
@@ -344,8 +345,9 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
         qddot = (dL/dq - (1-alpha)/(t-tau) dL/dqdot
                  - d2L/dqdot dq * qdot - d2L/dqdot dtau) / d2L/dqdot^2
 
-    with all second partials from nested dual evaluation.  Works on scalar
-    or batched (array) states.
+    with the partials evaluated from the Lagrangian's derivative trees.
+    Works on scalar or batched (array) states.  A non-finite d2L/dqdot^2
+    raises StepFailure and a zero one SingularLagrangianError.
     """
 
     def accel(qv, vv, tau):
@@ -353,8 +355,11 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
         _, l_qd, _, l_qdqd = second_partials(L, "qdot", "qdot", env)
         _, _, l_q, l_qdq = second_partials(L, "qdot", "q", env)
         _, _, _, l_qdtau = second_partials(L, "qdot", "tau", env)
-        bad = np.asarray(l_qdqd) == 0
-        if np.any(bad) or not np.all(np.isfinite(np.asarray(l_qdqd, dtype=float))):
+        curvature = np.asarray(l_qdqd, dtype=float)
+        if not np.all(np.isfinite(curvature)):
+            at = float(np.min(tau))
+            raise StepFailure(f"d2L/dqdot^2 is not finite at tau = {at:g}", tau=at)
+        if np.any(curvature == 0):
             raise SingularLagrangianError(
                 f"d2L/dqdot^2 vanished at tau = {float(np.min(tau)):g}"
             )
@@ -390,9 +395,11 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     vs = np.empty((grid.n + 1, m))
     qs[0], vs[0] = q0, v0
     y = np.concatenate([q0, v0])
-    for k in range(grid.n):
-        y = ode_step_rk4(y, field, nodes[k], grid.h)
-        qs[k + 1], vs[k + 1] = y[:m], y[m:]
+    # a state that blows up ends in ode_step_rk4's StepFailure, not in warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(grid.n):
+            y = ode_step_rk4(y, field, nodes[k], grid.h)
+            qs[k + 1], vs[k + 1] = y[:m], y[m:]
     return grid, qs, vs
 
 

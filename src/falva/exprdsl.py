@@ -21,19 +21,20 @@ silently switching branches; complex mode uses principal branches.
 Bindings may be numpy arrays, in which case evaluation is elementwise and
 errors carry the flat index of the first offending node.
 
-Exact first partial derivatives come from forward-mode dual numbers;
-nesting duals (``second_partials``) gives exact second partials.
+Partial derivatives are exact: differentiating the expression tree gives a
+derivative tree, built once per parse and variable, that the same
+evaluator runs.  Domain checks and node indices therefore mean the same
+for a derivative as for the value.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dual
-from .dual import Dual
 from .errors import EvalError, ExprSyntaxError, UnknownFunctionError
 
 __all__ = [
@@ -83,10 +84,14 @@ class Call:
 
 @dataclass(frozen=True)
 class LagrangianExpr:
-    """Parsed expression tree plus the exact set of identifiers it uses."""
+    """Parsed expression tree plus the exact set of identifiers it uses.
+
+    ``_derivatives`` caches the derivative trees by variable tuple.
+    """
 
     ast: object
     free_vars: frozenset
+    _derivatives: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +254,6 @@ def _ser(node) -> str:
 
 
 def _is_complex_binding(v):
-    v = dual.primal(v)
     return isinstance(v, complex) or np.iscomplexobj(v)
 
 
@@ -280,10 +284,30 @@ def _int_literal(node):
     return None
 
 
+def _intpow(x, n: int):
+    """x**n by repeated multiplication (n a Python int, possibly negative)."""
+    if n == 0:
+        return 1.0
+    if n < 0:
+        return 1.0 / _intpow(x, -n)
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+# ``sign`` only occurs in derivative trees, as the derivative of ``abs``
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+              "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign}
+
+
 class _Evaluator:
-    def __init__(self, env, complex_mode):
+    def __init__(self, env):
         self.env = env
-        self.complex_mode = complex_mode
+        self.complex_mode = any(_is_complex_binding(v) for v in env.values())
 
     def eval(self, node):
         if isinstance(node, Num):
@@ -307,69 +331,45 @@ class _Evaluator:
             return self._power(node)
         a = self.eval(node.lhs)
         b = self.eval(node.rhs)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
         if op == "/":
-            _check(dual.primal(b) == 0, "division by zero")
-            return a / b
-        raise TypeError(f"unknown operator {op!r}")
+            _check(b == 0, "division by zero")
+        return _ARITH[op](a, b)
 
     def _power(self, node):
         base = self.eval(node.lhs)
         n = _int_literal(node.rhs)
         if n is not None:
             if n < 0:
-                _check(dual.primal(base) == 0, "zero base under a negative power")
-            return dual.intpow(base, n)
+                _check(base == 0, "zero base under a negative power")
+            return _intpow(base, n)
         expo = self.eval(node.rhs)
-        bp = dual.primal(base)
         if self.complex_mode:
-            _check(bp == 0, "zero base under a general power")
+            _check(base == 0, "zero base under a general power")
         else:
-            _check(np.real(bp) < 0,
+            _check(np.real(base) < 0,
                    "negative base under a fractional power in real mode")
-            zero = np.asarray(np.real(bp) == 0)
+            zero = np.asarray(np.real(base) == 0)
             if np.any(zero):
-                ep = np.real(dual.primal(expo))
-                _check(zero & np.asarray(ep <= 0),
+                _check(zero & np.asarray(np.real(expo) <= 0),
                        "zero base under a non-positive power")
-                if isinstance(base, Dual) or isinstance(expo, Dual):
-                    raise EvalError(
-                        "cannot differentiate a fractional power at a zero base",
-                        index=_bad_index(zero),
-                    )
                 return np.power(base, expo)  # 0^positive = 0, elementwise
-        return dual.exp(expo * dual.log(base))
+        return np.exp(expo * np.log(base))
 
     def _call(self, node):
         arg = self.eval(node.arg)
         fn = node.fn
-        ap = dual.primal(arg)
-        if fn == "sin":
-            return dual.sin(arg)
-        if fn == "cos":
-            return dual.cos(arg)
-        if fn == "exp":
-            return dual.exp(arg)
         if fn == "log":
             if self.complex_mode:
-                _check(ap == 0, "log of zero")
+                _check(arg == 0, "log of zero")
             else:
-                _check(np.real(ap) <= 0, "log of a non-positive value in real mode")
-            return dual.log(arg)
-        if fn == "sqrt":
-            if not self.complex_mode:
-                _check(np.real(ap) < 0, "sqrt of a negative value in real mode")
-            return dual.sqrt(arg)
-        if fn == "abs":
-            if isinstance(arg, Dual) and _is_complex_binding(arg):
-                raise EvalError("abs is not differentiable for complex values")
-            return dual.absval(arg)
-        raise UnknownFunctionError(f"unknown function {fn!r}", 1)
+                _check(np.real(arg) <= 0, "log of a non-positive value in real mode")
+        elif fn == "sqrt" and not self.complex_mode:
+            _check(np.real(arg) < 0, "sqrt of a negative value in real mode")
+        elif fn == "sign" and _is_complex_binding(arg):
+            raise EvalError("abs is not differentiable for complex values")
+        if fn not in _FUNCTIONS:
+            raise UnknownFunctionError(f"unknown function {fn!r}", 1)
+        return _FUNCTIONS[fn](arg)
 
 
 def evaluate(expr: LagrangianExpr, env: dict):
@@ -379,57 +379,147 @@ def evaluate(expr: LagrangianExpr, env: dict):
     the bindings.  Unbound free variables, division by zero and real-mode
     domain violations raise EvalError.
     """
-    complex_mode = any(_is_complex_binding(v) for v in env.values())
-    return _Evaluator(env, complex_mode).eval(expr.ast)
+    return _Evaluator(env).eval(expr.ast)
 
 
-def _unit(value, active: bool):
-    """A derivative seed (1 or 0) shaped like the binding's primal value."""
-    p = dual.primal(value)
-    if isinstance(p, np.ndarray):
-        s = np.ones(p.shape) if active else np.zeros(p.shape)
-        return s
-    return 1.0 if active else 0.0
+# ---------------------------------------------------------------------------
+# Differentiation
+#
+# The constructors fold 0*x, 1*x, 0/x, x+-0 and x^1, and compute an operator
+# on two literals once, with the float operation the evaluator would do.  A
+# structurally zero derivative is therefore never evaluated, so an overflow
+# in a term that does not depend on the variable cannot poison it (inf*0).
+
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
 
 
-def _seed(value, active: bool):
-    return Dual(value, _unit(value, active))
+def _is(node, value) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _bin(op, a, b):
+    if isinstance(a, Num) and isinstance(b, Num) and not (op == "/" and b.value == 0):
+        return Num(_ARITH[op](a.value, b.value))
+    return Bin(op, a, b)
+
+
+def _neg(a):
+    return Num(-a.value) if isinstance(a, Num) else Neg(a)
+
+
+def _add(a, b):
+    if _is(a, 0):
+        return b
+    if _is(b, 0):
+        return a
+    return _bin("+", a, b)
+
+
+def _sub(a, b):
+    if _is(b, 0):
+        return a
+    if _is(a, 0):
+        return _neg(b)
+    return _bin("-", a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0) or _is(b, 0):
+        return _ZERO
+    if _is(a, 1):
+        return b
+    if _is(b, 1):
+        return a
+    return _bin("*", a, b)
+
+
+def _div(a, b):
+    return _ZERO if _is(a, 0) else _bin("/", a, b)
+
+
+def _pow(a, n: int):
+    if n == 0:
+        return _ONE
+    return a if n == 1 else Bin("^", a, Num(float(n)))
+
+
+def _d(node, var):
+    """Derivative tree of ``node`` with respect to the variable ``var``."""
+    if isinstance(node, Num):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.name == var else _ZERO
+    if isinstance(node, Neg):
+        return _neg(_d(node.child, var))
+    if isinstance(node, Call):
+        a = node.arg
+        da = _d(a, var)
+        fn = node.fn
+        if fn == "sign" or _is(da, 0):  # sign is piecewise constant
+            return _ZERO
+        if fn == "sin":
+            return _mul(Call("cos", a), da)
+        if fn == "cos":
+            return _mul(Neg(Call("sin", a)), da)
+        if fn == "exp":
+            return _mul(node, da)
+        if fn == "log":
+            return _div(da, a)
+        if fn == "sqrt":
+            return _div(da, _mul(Num(2.0), node))
+        if fn == "abs":
+            return _mul(Call("sign", a), da)
+        raise UnknownFunctionError(f"unknown function {fn!r}", 1)
+    a, b = node.lhs, node.rhs
+    da, db = _d(a, var), _d(b, var)
+    if node.op == "+":
+        return _add(da, db)
+    if node.op == "-":
+        return _sub(da, db)
+    if node.op == "*":
+        return _add(_mul(a, db), _mul(da, b))
+    if node.op == "/":
+        if _is(db, 0):
+            return _div(da, b)
+        return _div(_sub(_mul(da, b), _mul(a, db)), _mul(b, b))
+    n = _int_literal(b)
+    if n is not None:
+        return _mul(_mul(Num(float(n)), _pow(a, n - 1)), da) if n else _ZERO
+    # a^b = exp(b log a), so that a zero base fails in da/a or in log(a)
+    return _mul(node, _add(_mul(b, _div(da, a)), _mul(db, Call("log", a))))
+
+
+def _derivative(expr: LagrangianExpr, variables: tuple):
+    """Tree of the partial of ``expr`` by ``variables[0]``, then by each
+    following variable; built on first use and kept on ``expr``."""
+    tree = expr._derivatives.get(variables)
+    if tree is None:
+        inner = expr.ast if len(variables) == 1 else _derivative(expr, variables[:-1])
+        tree = expr._derivatives[variables] = _d(inner, variables[-1])
+    return tree
 
 
 def partial(expr: LagrangianExpr, var: str, env: dict):
     """Exact first partial derivative of ``expr`` with respect to ``var``.
 
-    Returns exactly 0.0 when ``var`` does not occur in the expression.
+    The value is evaluated first, so its domain errors are raised as by
+    ``evaluate``.  Returns exactly 0.0 when ``var`` does not occur in the
+    expression; like ``evaluate``, a derivative that depends on no binding
+    is a scalar.
     """
     if var not in expr.free_vars:
         return 0.0
-    complex_mode = any(_is_complex_binding(v) for v in env.values())
-    dual_env = {name: _seed(v, name == var) for name, v in env.items()}
-    result = _Evaluator(dual_env, complex_mode).eval(expr.ast)
-    if isinstance(result, Dual):
-        return result.dot
-    return 0.0
-
-
-def _part(x):
-    return x.val if isinstance(x, Dual) else x
-
-
-def _dot(x):
-    return x.dot if isinstance(x, Dual) else 0.0
+    ev = _Evaluator(env)
+    ev.eval(expr.ast)
+    return ev.eval(_derivative(expr, (var,)))
 
 
 def second_partials(expr: LagrangianExpr, var_a: str, var_b: str, env: dict):
-    """Nested-dual evaluation returning (value, dL/da, dL/db, d2L/dadb)."""
-    complex_mode = any(_is_complex_binding(v) for v in env.values())
-    nested = {}
-    for name, v in env.items():
-        inner = Dual(v, _unit(v, name == var_b))
-        d_inner_da = Dual(_unit(v, name == var_a), _unit(v, False))
-        nested[name] = Dual(inner, d_inner_da)
-    result = _Evaluator(nested, complex_mode).eval(expr.ast)
-    value = dual.primal(result)
-    d_a = _part(_dot(result))
-    d_b = _dot(_part(result))
-    d_ab = _dot(_dot(result))
+    """Return (value, dL/da, dL/db, d2L/dadb), the last as d/da of dL/db."""
+    ev = _Evaluator(env)
+    value = ev.eval(expr.ast)
+    d_b = ev.eval(_derivative(expr, (var_b,)))
+    d_a = d_b if var_a == var_b else ev.eval(_derivative(expr, (var_a,)))
+    d_ab = ev.eval(_derivative(expr, (var_b, var_a)))
     return value, d_a, d_b, d_ab

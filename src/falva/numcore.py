@@ -197,7 +197,8 @@ def ode_step_rk4(state, field, tau: float, h: float) -> np.ndarray:
     def eval_field(yy, tt):
         d = np.asarray(field(yy, tt), dtype=np.float64)
         if not np.all(np.isfinite(d)):
-            raise StepFailure(f"non-finite derivative at tau = {tt!r}", tau=tt)
+            raise StepFailure(f"non-finite derivative at tau = {float(tt)!r}",
+                              tau=float(tt))
         return d
 
     k1 = eval_field(y, tau)

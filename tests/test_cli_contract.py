@@ -25,6 +25,7 @@ from falva import (
     GridFunctionND,
     NonConvergedError,
     OrderSet,
+    SpecError,
     action_1d,
     axis_cresson,
     cresson,
@@ -37,7 +38,7 @@ from falva import (
     solve_el_ivp,
     trapezoid_action,
 )
-from falva.cli import main
+from falva.cli import Spec, main
 
 UNIT = ["--domain", "0,1"]
 GAMMA = complex(0.3, -0.7)
@@ -278,6 +279,7 @@ def _assert_one_error_line(argv, out):
     assert status in (2, 3), (argv, stderr)
     assert ERR_LINE.fullmatch(stderr), (argv, stderr)
     assert not caught, (argv, [str(w.message) for w in caught])
+    return stderr
 
 
 def _fails(parse_as, text) -> bool:
@@ -356,10 +358,37 @@ def test_malformed_boundary(tmp_path_factory, kind, value):
 
 @pytest.mark.parametrize("kind, key, value", [
     ("action", "n", "nan"), ("action", "n", "inf"), ("action", "n", "1e400"),
+    ("action", "n", "1e12"),
     ("solve-bvp", "boundary", "0,inf"), ("minimize", "boundary", "0,inf"),
 ])
 def test_inputs_that_once_crashed(tmp_path, kind, key, value):
     _assert_one_error_line(_argv(kind, **{key: value}), tmp_path / "out.csv")
+
+
+QUARTIC_BVP = ["solve-bvp", "--lagrangian", "qdot^2/2 + q^4/4", "--alpha", "0.5",
+               "--domain", "0,1", "--n", "400", "--boundary", "0,1"]
+# d sqrt(q)/dq is infinite at the first node, where q = tau = 0
+SQRT_RESIDUAL = ["residual", "--variant", "classic", "--lagrangian",
+                 "sqrt(q)+qdot^2", "--path", "tau", "--alpha", "0.5",
+                 "--domain", "0,1", "--n", "8"]
+
+
+@pytest.mark.parametrize("argv", [QUARTIC_BVP, SQRT_RESIDUAL],
+                         ids=["quartic-bvp", "sqrt-residual"])
+def test_blow_ups_end_in_one_error_line(tmp_path, argv):
+    stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    # d2L/dqdot^2 of the quartic is 1 everywhere
+    assert "vanished" not in stderr
+
+
+@pytest.mark.parametrize("table", [
+    {"n.x": "2048", "domain.y": "0,1"},
+    {"n.x": "200", "domain.y": "0,1", "domain.z": "0,1"},
+], ids=["2d", "3d"])
+def test_grid_size_cap_counts_every_axis(table):
+    spec = Spec("action", {"domain.x": "0,1", **table})
+    with pytest.raises(SpecError, match="nodes"):
+        spec.grids()
 
 
 def _shape(tokens):

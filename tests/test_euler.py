@@ -12,6 +12,7 @@ from falva import (
     OrderSet,
     SingularLagrangianError,
     SingularNodeError,
+    StepFailure,
     direct_minimize,
     el_residual_1d,
     el_residual_1d_cresson,
@@ -255,6 +256,12 @@ class TestSolveIvp:
     def test_degenerate_lagrangian(self):
         with pytest.raises(SingularLagrangianError):
             solve_el_ivp(parse("q"), 0.0, 1.0, 0.0, 1.0, 0.5, 100)
+
+    def test_overflowing_curvature_is_not_reported_as_vanished(self):
+        # d2L/dqdot^2 = exp(q) overflows at q = 800
+        with pytest.raises(StepFailure, match="not finite") as info:
+            solve_el_ivp(parse("exp(q)*qdot^2/2"), 0.0, 1.0, 800.0, 0.0, 0.5, 50)
+        assert info.value.tau == 0.0
 
 
 class TestSolveBvp:
