@@ -53,6 +53,7 @@ from .exprdsl import (
     evaluate,
     parse,
     partial,
+    partials,
     second_partials,
     serialize,
 )
@@ -87,7 +88,7 @@ __all__ = [
     "ode_step_rk4", "find_root", "observed_order",
     # exprdsl
     "LagrangianExpr", "parse", "serialize", "evaluate", "partial",
-    "second_partials",
+    "partials", "second_partials",
     # fracops
     "OrderSet", "GridFunctionND", "rl_left", "rl_right", "cresson",
     "axis_cresson", "as_nd", "as_1d", "ORDER_CONVENTION",

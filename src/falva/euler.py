@@ -46,6 +46,7 @@ from .action import (
     _check_observer,
     _check_slots,
     _eval_field,
+    _locate,
     _partial_field,
     _qdot_samples,
     nd_slots,
@@ -53,13 +54,14 @@ from .action import (
 from .errors import (
     BracketingError,
     DomainError,
+    EvalError,
     GridError,
     SingularLagrangianError,
     SingularNodeError,
     StepFailure,
     UnsupportedDimensionError,
 )
-from .exprdsl import LagrangianExpr, second_partials
+from .exprdsl import LagrangianExpr, partials, second_partials
 from .fracops import GridFunctionND, OrderSet, as_nd, axis_cresson
 from .numcore import (
     Grid1D,
@@ -89,6 +91,12 @@ RESIDUAL_MARGIN_FRACTION = 0.05
 IVP_MARGIN_FRACTION = 0.02
 BVP_SCAN_SLOPES = 32
 BVP_SCAN_SPAN = 10.0
+
+# the partials of the acceleration field; the order fixes which error a
+# Lagrangian that fails in several trees reports: dL/dqdot first, then each
+# partial by q or tau followed by its qdot-derivative
+_ACCEL_PARTIALS = (("qdot",), ("qdot", "qdot"), ("q",), ("q", "qdot"),
+                   ("tau",), ("tau", "qdot"))
 
 
 @dataclass(frozen=True)
@@ -345,16 +353,15 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
         qddot = (dL/dq - (1-alpha)/(t-tau) dL/dqdot
                  - d2L/dqdot dq * qdot - d2L/dqdot dtau) / d2L/dqdot^2
 
-    with the partials evaluated from the Lagrangian's derivative trees.
+    with the value and the six partials of ``_ACCEL_PARTIALS`` evaluated in
+    one pass over the Lagrangian's derivative trees (dL/dtau is unused).
     Works on scalar or batched (array) states.  A non-finite d2L/dqdot^2
     raises StepFailure and a zero one SingularLagrangianError.
     """
 
     def accel(qv, vv, tau):
         env = {"qdot": vv, "q": qv, "tau": tau}
-        _, l_qd, _, l_qdqd = second_partials(L, "qdot", "qdot", env)
-        _, _, l_q, l_qdq = second_partials(L, "qdot", "q", env)
-        _, _, _, l_qdtau = second_partials(L, "qdot", "tau", env)
+        _, l_qd, l_qdqd, l_q, l_qdq, _, l_qdtau = partials(L, _ACCEL_PARTIALS, env)
         curvature = np.asarray(l_qdqd, dtype=float)
         if not np.all(np.isfinite(curvature)):
             at = float(np.min(tau))
@@ -425,7 +432,8 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
 
     The shooting slope is bracketed by scanning 32 slopes across
     [-10, 10] * (qb - qa)/(t - a); when qb == qa the scan scale falls back
-    to 1/(t - a).
+    to 1/(t - a).  A slope whose trajectory blows up gets no gap and bounds
+    no bracket; if no bracket is left, its StepFailure is raised.
     """
     target = float(bd.qb if qb_at_margin is None else qb_at_margin)
     scale = (bd.qb - bd.qa) / (bd.t - bd.a)
@@ -434,28 +442,57 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     slopes = np.linspace(-BVP_SCAN_SPAN * scale, BVP_SCAN_SPAN * scale,
                          BVP_SCAN_SLOPES)
 
-    def endpoint_gap(v0):
-        _, qs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
-        return float(qs[-1, 0]) - target
+    runs = {}  # v0 -> (grid, Q, V), so the root is not integrated again
 
-    # one batched integration evaluates the whole scan
-    _, qs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, n)
-    gaps = qs[-1, :] - target
+    def endpoint_gap(v0):
+        runs[v0] = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
+        return float(runs[v0][1][-1, 0]) - target
+
+    gaps, failure = _scan_gaps(L, bd, slopes, alpha, n, target)
     bracket = None
     for i in range(len(slopes) - 1):
-        if gaps[i] * gaps[i + 1] <= 0.0:
+        pair = gaps[i:i + 2]
+        if np.all(np.isfinite(pair)) and pair[0] * pair[1] <= 0.0:
             bracket = (slopes[i], slopes[i + 1])
             break
     if bracket is None:
+        if failure is not None:
+            raise failure
         raise BracketingError(
             f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
             f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
             "to have no solution in the scanned family"
         )
     v0 = find_root(endpoint_gap, bracket[0], bracket[1], tol=root_tol)
-    q, qdot = solve_el_ivp(L, bd.a, bd.t, bd.qa, v0, alpha, n)
-    return BvpResult(q=q, qdot=qdot, v0=float(v0),
-                     matched_time=q.grid.t, target=target)
+    grid, qs, vs = runs[v0]  # find_root returns a point it evaluated
+    return BvpResult(q=GridFunction(grid, qs[:, 0]),
+                     qdot=GridFunction(grid, vs[:, 0]), v0=float(v0),
+                     matched_time=grid.t, target=target)
+
+
+def _scan_gaps(L, bd, slopes, alpha, n, target):
+    """Endpoint gaps of the scan slopes and the first StepFailure, if any.
+
+    One batched integration evaluates the whole scan.  If a slope blows up,
+    the slopes are integrated one at a time and each failing one gets a
+    NaN gap.
+    """
+    try:
+        _, qs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, n)
+        return qs[-1, :] - target, None
+    except StepFailure:
+        pass
+    gaps = np.full(len(slopes), np.nan)
+    failure = None
+    for i, v0 in enumerate(slopes):
+        try:
+            _, qs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
+        except StepFailure as err:
+            if failure is None:
+                failure = err
+            continue
+        gaps[i] = qs[-1, 0] - target
+    return gaps, failure
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +511,16 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
     sublattices decoupled near the singular weight and shifts the
     minimizer by O(h); the cell sampling is free of that.)  The gradient
     is assembled exactly from the expression partials and the adjoint of
-    the quadrature, and minimized by Polak-Ribiere conjugate gradient with
-    a curvature-probe line search.  Endpoints stay fixed at (qa, qb).
-    Termination: gradient sup-norm below ``grad_tol`` or ``max_iter``
-    iterations, in which case the result is flagged non-converged.
+    the quadrature.  The objective couples neighbouring nodes only, so its
+    Hessian is tridiagonal; it is assembled exactly from the second partials
+    and the minimization is damped Newton (Nocedal & Wright, Numerical
+    Optimization, ch. 3 and 6): a tridiagonal solve, with the diagonal
+    shifted until every pivot is positive where the Hessian is not positive
+    definite, and Armijo backtracking from the full step.  Endpoints stay
+    fixed at (qa, qb).  Termination: gradient sup-norm below ``grad_tol``
+    or ``max_iter`` iterations, in which case the result is flagged
+    non-converged; so is a run whose line search or tridiagonal solve
+    fails.
     """
     _check_slots(L, ("qdot", "q", "tau"))
     if not 0.0 < alpha < 1.0:
@@ -508,6 +551,26 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         out[1:] += cell_w * (0.5 * lq + lqd / h)
         return out / norm
 
+    def hessian(qv):
+        """Diagonal and off-diagonal of the Hessian in the interior nodes.
+        Cell c couples nodes c and c+1 through dqdot = (-1/h, 1/h) and
+        dq = (1/2, 1/2)."""
+        env = cell_env(qv)
+        try:
+            _, _, _, l_qdqd = second_partials(L, "qdot", "qdot", env)
+            _, _, _, l_qdq = second_partials(L, "qdot", "q", env)
+            _, _, _, l_qq = second_partials(L, "q", "q", env)
+        except EvalError as err:
+            raise _locate(err, mids.shape, None) from None
+        vv = cell_w * l_qdqd / (h * h)
+        vq = cell_w * l_qdq / h
+        qq = cell_w * l_qq / 4.0
+        diag = np.zeros_like(qv)
+        diag[:-1] += vv - vq + qq
+        diag[1:] += vv + vq + qq
+        off = qq - vv
+        return diag[1:-1] / norm, off[1:-1] / norm
+
     if start is None:
         qv = bd.qa + (bd.qb - bd.qa) * (nodes - bd.a) / (bd.t - bd.a)
     else:
@@ -518,27 +581,17 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         qv[0], qv[-1] = bd.qa, bd.qb
 
     s_val = objective(qv)
-    g_full = grad(qv)
-    gf = g_full[1:-1]
-    d = -gf
+    gf = grad(qv)[1:-1]
     iterations = 0
     converged = float(np.max(np.abs(gf))) < grad_tol
     while not converged and iterations < max_iter:
         iterations += 1
+        d = _solve_tridiagonal(*hessian(qv), -gf)
+        if d is None:
+            break
         g0d = float(np.dot(gf, d))
-        if g0d >= 0.0:  # not a descent direction: restart on steepest descent
-            d = -gf
-            g0d = float(np.dot(gf, d))
-            if g0d == 0.0:
-                break
-        # curvature probe along d gives the exact step for quadratic models
-        dnorm = float(np.max(np.abs(d)))
-        sigma = 1e-7 * (1.0 + float(np.max(np.abs(qv)))) / max(dnorm, 1e-30)
-        probe = qv.copy()
-        probe[1:-1] += sigma * d
-        curv = (float(np.dot(grad(probe)[1:-1], d)) - g0d) / sigma
-        step = -g0d / curv if curv > 0.0 else 1.0 / max(dnorm, 1.0)
-        # Armijo backtracking safeguards the probe step
+        # Armijo backtracking from the Newton step
+        step = 1.0
         accepted = False
         for _ in range(40):
             trial = qv.copy()
@@ -552,11 +605,7 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
             break
         qv = trial
         s_val = s_trial
-        g_new = grad(qv)[1:-1]
-        beta = float(np.dot(g_new, g_new - gf)) / max(float(np.dot(gf, gf)), 1e-300)
-        beta = max(beta, 0.0)
-        d = -g_new + beta * d
-        gf = g_new
+        gf = grad(qv)[1:-1]
         converged = float(np.max(np.abs(gf))) < grad_tol
     return MinimizeResult(
         q=GridFunction(grid, qv),
@@ -565,3 +614,52 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         grad_norm=float(np.max(np.abs(gf))),
         action_value=s_val,
     )
+
+
+def _solve_tridiagonal(diag, off, rhs):
+    """Solve (T + s I) x = rhs for the symmetric tridiagonal T with the
+    given diagonal and off-diagonal, by LDL^T (Thomas) elimination.
+
+    s is 0 when every pivot of T is positive.  Otherwise it grows through
+    1e-3, 1e-2, ... 10 times the largest entry of T, until every pivot is
+    positive (Nocedal & Wright, section 3.4); at 10 times, T + s I is
+    diagonally dominant.  Returns None if no shift works, which happens
+    only for non-finite or all-zero entries.
+    """
+    scale = float(np.max(np.abs(np.concatenate([diag, off]))))
+    if not 0.0 < scale < math.inf:
+        return None
+    d, e, b = diag.tolist(), off.tolist(), rhs.tolist()
+    for factor in (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
+        factors = _ldl_tridiagonal(d, e, factor * scale)
+        if factors is not None:
+            break
+    else:
+        return None
+    pivots, mults = factors
+    y = [b[0]]
+    for bi, li in zip(b[1:], mults):
+        y.append(bi - li * y[-1])
+    x = [y[-1] / pivots[-1]]
+    for yi, pi, li in zip(y[-2::-1], pivots[-2::-1], mults[::-1]):
+        x.append(yi / pi - li * x[-1])
+    return np.array(x[::-1])
+
+
+def _ldl_tridiagonal(d, e, shift):
+    """Pivots and multipliers of T + shift I = L D L^T, or None as soon as
+    a pivot is not positive."""
+    pivots = []
+    mults = []
+    p = d[0] + shift
+    for di, ei in zip(d[1:], e):
+        if not p > 0.0:
+            return None
+        pivots.append(p)
+        li = ei / p
+        mults.append(li)
+        p = di + shift - li * ei
+    if not p > 0.0:
+        return None
+    pivots.append(p)
+    return pivots, mults

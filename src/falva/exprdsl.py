@@ -43,6 +43,7 @@ __all__ = [
     "serialize",
     "evaluate",
     "partial",
+    "partials",
     "second_partials",
     "KNOWN_FUNCTIONS",
 ]
@@ -510,16 +511,23 @@ def partial(expr: LagrangianExpr, var: str, env: dict):
     """
     if var not in expr.free_vars:
         return 0.0
+    return partials(expr, [(var,)], env)[1]
+
+
+def partials(expr: LagrangianExpr, variable_tuples, env: dict) -> list:
+    """Return [value, d1, d2, ...]: the value, then the partial of ``expr``
+    by each variable tuple in the order given (``(b, a)`` is d/da of dL/db).
+
+    One evaluator runs the value first, so its domain errors come first,
+    and then each cached derivative tree once, in order.
+    """
     ev = _Evaluator(env)
-    ev.eval(expr.ast)
-    return ev.eval(_derivative(expr, (var,)))
+    return [ev.eval(expr.ast)] + [ev.eval(_derivative(expr, v))
+                                  for v in variable_tuples]
 
 
 def second_partials(expr: LagrangianExpr, var_a: str, var_b: str, env: dict):
     """Return (value, dL/da, dL/db, d2L/dadb), the last as d/da of dL/db."""
-    ev = _Evaluator(env)
-    value = ev.eval(expr.ast)
-    d_b = ev.eval(_derivative(expr, (var_b,)))
-    d_a = d_b if var_a == var_b else ev.eval(_derivative(expr, (var_a,)))
-    d_ab = ev.eval(_derivative(expr, (var_b, var_a)))
+    value, d_b, d_a, d_ab = partials(expr, [(var_b,), (var_a,), (var_b, var_a)],
+                                     env)
     return value, d_a, d_b, d_ab

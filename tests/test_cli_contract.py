@@ -365,18 +365,21 @@ def test_inputs_that_once_crashed(tmp_path, kind, key, value):
     _assert_one_error_line(_argv(kind, **{key: value}), tmp_path / "out.csv")
 
 
+# every slope of the scan blows up before the match time
 QUARTIC_BVP = ["solve-bvp", "--lagrangian", "qdot^2/2 + q^4/4", "--alpha", "0.5",
-               "--domain", "0,1", "--n", "400", "--boundary", "0,1"]
+               "--domain", "0,1", "--n", "400", "--boundary", "0,50"]
 # d sqrt(q)/dq is infinite at the first node, where q = tau = 0
 SQRT_RESIDUAL = ["residual", "--variant", "classic", "--lagrangian",
                  "sqrt(q)+qdot^2", "--path", "tau", "--alpha", "0.5",
                  "--domain", "0,1", "--n", "8"]
 
 
-@pytest.mark.parametrize("argv", [QUARTIC_BVP, SQRT_RESIDUAL],
+@pytest.mark.parametrize("argv, code", [(QUARTIC_BVP, "step"),
+                                        (SQRT_RESIDUAL, "eval")],
                          ids=["quartic-bvp", "sqrt-residual"])
-def test_blow_ups_end_in_one_error_line(tmp_path, argv):
+def test_blow_ups_end_in_one_error_line(tmp_path, argv, code):
     stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    assert stderr.startswith(f"FALVA-ERR {code}:")
     # d2L/dqdot^2 of the quartic is 1 everywhere
     assert "vanished" not in stderr
 

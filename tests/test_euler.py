@@ -24,9 +24,12 @@ from falva import (
     solve_el_bvp,
     solve_el_ivp,
 )
+from falva.euler import _solve_tridiagonal
 
 FREE = "qdot^2/2"
 OSC = "qdot^2/2 - q^2/2"
+QUARTIC = "qdot^2/2 + q^4/4"
+LENGTH = "sqrt(1+qdot^2)"
 
 
 def _free_particle_path(grid, alpha, qa=0.0, v0=1.5):
@@ -295,6 +298,21 @@ class TestSolveBvp:
         assert abs(res.v0) < 1e-9
         assert np.max(np.abs(res.q.values)) < 1e-9
 
+    def test_quartic_matches_minimizer(self):
+        # the outermost slopes of the scan blow up; the finite gaps still
+        # bracket the root, and the two routes agree as in criterion 6
+        n = 200
+        eps = max(0.02, 2.0 / n)
+        bd = BoundaryData1D(0.0, 1.0, 0.0, 1.0)
+        L = parse(QUARTIC)
+        dm = direct_minimize(L, bd, 0.5, n)
+        assert dm.converged
+        target = float(np.interp(1.0 - eps, dm.q.grid.nodes, dm.q.values))
+        res = solve_el_bvp(L, bd, 0.5, n, qb_at_margin=target)
+        bn = res.q.grid.nodes
+        gap = np.abs(np.interp(bn, dm.q.grid.nodes, dm.q.values) - res.q.values)
+        assert np.max(gap[bn <= 1.0 - 5.0 * eps]) < 1e-3
+
     def test_no_bracket_diagnostic(self):
         # conjugate point: q(tau) = v0 sin(tau) vanishes at pi regardless of
         # v0, so q = 1 there is unreachable and the scan finds no bracket
@@ -334,7 +352,59 @@ class TestDirectMinimize:
         assert np.max(np.abs(dm1.q.values - dm2.q.values)) < 1e-6
 
     def test_iteration_cap_flagged(self):
+        # a quadratic converges in one Newton step, this one does not
         bd = BoundaryData1D(0.0, 1.0, 0.0, 1.0)
-        dm = direct_minimize(parse(OSC), bd, 0.5, 200, max_iter=3)
+        dm = direct_minimize(parse(LENGTH), bd, 0.5, 200, max_iter=2)
         assert not dm.converged
-        assert dm.iterations == 3
+        assert dm.iterations == 2
+
+    @pytest.mark.parametrize("n", [400, 1600, 6400])
+    @pytest.mark.parametrize("source", [FREE, OSC, QUARTIC, LENGTH])
+    def test_converges_on_fine_grids(self, source, n):
+        bd = BoundaryData1D(0.0, 1.0, 0.0, 1.0)
+        dm = direct_minimize(parse(source), bd, 0.5, n)
+        assert dm.converged
+        assert dm.grad_norm < 1e-9
+        if source in (FREE, OSC):
+            # one Newton step solves a quadratic only with the exact Hessian
+            assert dm.iterations == 1
+
+
+class TestTridiagonalSolve:
+    def _matrix(self, diag, off):
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64])
+    def test_positive_definite_matches_dense_solve(self, m):
+        rng = np.random.default_rng(m)
+        diag = rng.uniform(2.5, 4.0, m)
+        off = rng.uniform(-1.0, 1.0, m - 1)
+        rhs = rng.normal(size=m)
+        x = _solve_tridiagonal(diag, off, rhs)
+        expected = np.linalg.solve(self._matrix(diag, off), rhs)
+        assert np.allclose(x, expected, rtol=1e-13, atol=1e-13)
+
+    def test_indefinite_matrix_gets_the_smallest_shift(self):
+        rng = np.random.default_rng(5)
+        m = 40
+        diag = rng.uniform(-1.0, 3.0, m)
+        off = rng.uniform(-1.0, 1.0, m - 1)
+        rhs = rng.normal(size=m)
+        T = self._matrix(diag, off)
+        lowest = np.linalg.eigvalsh(T)[0]
+        assert lowest < 0.0
+        scale = np.max(np.abs(T))
+        # the first shift of the sequence that makes T + s I positive definite
+        shift = next(f * scale for f in (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+                     if lowest + f * scale > 0.0)
+        x = _solve_tridiagonal(diag, off, rhs)
+        expected = np.linalg.solve(T + shift * np.eye(m), rhs)
+        assert np.allclose(x, expected, rtol=1e-12, atol=1e-12)
+        # a positive definite system keeps the Newton direction a descent one
+        assert float(np.dot(rhs, x)) > 0.0
+
+    def test_non_finite_or_zero_matrix_is_refused(self):
+        rhs = np.ones(3)
+        assert _solve_tridiagonal(np.zeros(3), np.zeros(2), rhs) is None
+        diag = np.array([1.0, np.nan, 1.0])
+        assert _solve_tridiagonal(diag, np.zeros(2), rhs) is None
