@@ -26,6 +26,19 @@ including their flags.
 N-dimensional fields live in row-major (C-order) storage; applying the
 operator along an axis is a gather of every 1D line parallel to that axis,
 a batched 1D apply, and a scatter back.
+
+The slope integral is a discrete convolution of each line's slopes with
+the product-integration weights.  It is evaluated for all lines at once
+by a zero-padded real FFT, O(n log n) per line.  Each line is transformed
+on its own, so a line gives the same bits alone as inside any batch (the
+dimensional parity of 1D, 2D and 3D results rests on this).  A line holding
+a non-finite slope (inf or NaN at a flagged node) keeps the direct O(n^2)
+sum, where the value only reaches later nodes; a transform would spread it
+over the whole line.  Against the direct sum the FFT's rounding is
+relative to the line's scale: below 1e-14 of 1 + max|D f| on smooth paths
+and random data at n = 16384.  A node much smaller than the line's maximum
+(an early-time value) can carry a node-wise relative error near 1e-11,
+far below the scheme's O(h^(2-al)) discretisation error there.
 """
 
 from __future__ import annotations
@@ -189,6 +202,11 @@ def as_1d(f: GridFunctionND) -> GridFunction:
 # ---------------------------------------------------------------------------
 # batched 1D kernels; ``vals`` has one line per row
 
+# Transform entries per FFT batch: lines go through the transform at most
+# _FFT_BLOCK // size at a time, which keeps the temporaries of wide fields
+# small.
+_FFT_BLOCK = 2**16
+
 
 def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     """Left derivative along the last axis of a (lines, nodes) array.
@@ -196,6 +214,17 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     Returns (out, start_flags): ``out`` holds the boundary term plus the
     product-integrated slope convolution; row starts with a nonzero first
     value are flagged and keep only the integral part (zero) there.
+
+    The convolution runs as a real FFT of power-of-two size >= 2 nseg - 1,
+    so nothing wraps around, and only its first nseg terms are kept.  Each
+    row is transformed on its own, so its bits do not depend on the batch.
+    A complex row is transformed as its real and imaginary parts, written
+    straight into the views ``out.real`` and ``out.imag``.  Rows holding a
+    non-finite slope keep the direct ``np.convolve`` sum, which keeps the
+    value local to later nodes; only finite rows reach the transform.  The
+    FFT's rounding against the direct sum is below 1e-14 of 1 + max|out|
+    on smooth and random lines up to n = 16384; see the module notes for
+    small early-time values.
     """
     g1 = gamma(1.0 - order)
     nseg = vals.shape[1] - 1
@@ -204,8 +233,22 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     pw = mh ** (1.0 - order)
     kern = (pw[1:] - pw[:-1]) / ((1.0 - order) * g1)
     out = np.zeros(vals.shape, dtype=np.result_type(vals.dtype, np.float64))
-    for i in range(vals.shape[0]):
-        out[i, 1:] = np.convolve(slopes[i], kern)[:nseg]
+    conv = out[:, 1:]
+    finite = np.isfinite(slopes).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        conv[i] = np.convolve(slopes[i], kern)[:nseg]
+    rows = np.flatnonzero(finite)
+    size = 1 << (2 * nseg - 2).bit_length()
+    spec = np.fft.rfft(kern, size)
+    parts = [(slopes, conv)]
+    if np.iscomplexobj(slopes):
+        parts = [(slopes.real, conv.real), (slopes.imag, conv.imag)]
+    step = max(1, _FFT_BLOCK // size)
+    for lo in range(0, rows.size, step):
+        sel = rows[lo:lo + step]
+        for src, dst in parts:
+            prod = np.fft.rfft(src[sel], size, axis=1) * spec
+            dst[sel] = np.fft.irfft(prod, size, axis=1)[:, :nseg]
     bpow = np.zeros(nseg + 1)
     bpow[1:] = mh[1:] ** (-order)
     out += vals[:, :1] * (bpow / g1)[None, :]

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,24 @@ from falva import (
 
 def _grid(n=128, a=0.0, t=1.0):
     return Grid1D(a, t, n)
+
+
+def _direct_rl_left(values, h, alpha):
+    """Reference left derivative: the boundary term plus the direct O(n^2)
+    sum of slopes against the product-integration weights, term for term
+    as the operator's notes define it."""
+    g1 = math.gamma(1.0 - alpha)
+    n = values.size - 1
+    slopes = np.diff(values) / h
+    mh = h * np.arange(n + 1)
+    pw = mh ** (1.0 - alpha)
+    kern = (pw[1:] - pw[:-1]) / ((1.0 - alpha) * g1)
+    out = np.zeros(n + 1, dtype=np.result_type(values.dtype, np.float64))
+    out[1:] = np.convolve(slopes, kern)[:n]
+    bpow = np.zeros(n + 1)
+    bpow[1:] = mh[1:] ** (-alpha)
+    out += values[0] * (bpow / g1)
+    return out
 
 
 class TestOrderSet:
@@ -245,3 +265,85 @@ class TestAxisCresson:
         out = axis_cresson(field, 0, orders)
         assert out.flags[0, :].all() and out.flags[-1, :].all()
         assert not out.flags[1:-1, :].any()
+
+
+class TestLineKernel:
+    """The batched line kernel against the direct sum and single lines."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_rows_match_single_lines_across_batches(self, complex_field):
+        # 300 lines of 257 nodes span several transform batches
+        rng = np.random.default_rng(17)
+        gx, gy = _grid(299), _grid(256)
+        vals = rng.normal(size=(300, 257))
+        if complex_field:
+            vals = vals + 1j * rng.normal(size=(300, 257))
+        orders = OrderSet.for_2d(0.3, 0.45, 0.6, 0.8, 0.4 - 0.7j)
+        out = axis_cresson(GridFunctionND((gx, gy), vals), 1, orders)
+        yorders = OrderSet.for_1d(0.45, 0.8, 0.4 - 0.7j)
+        for i in range(300):
+            ref = cresson(GridFunction(gy, vals[i]), yorders)
+            assert np.array_equal(out.values[i], ref.values), i
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    @pytest.mark.parametrize("path", ["smooth", "random"])
+    def test_accuracy_against_direct_sum(self, alpha, path):
+        g = _grid(16384)
+        if path == "smooth":
+            vals, tol = 1.2 * g.nodes**1.6, 1e-14
+        else:
+            slopes = np.random.default_rng(23).normal(size=g.n)
+            vals, tol = np.concatenate(([0.0], np.cumsum(slopes) * g.h)), 1e-13
+        out = rl_left(GridFunction(g, vals), alpha).values
+        ref = _direct_rl_left(vals, g.h, alpha)
+        assert np.max(np.abs(out - ref)) / (1.0 + np.max(np.abs(ref))) < tol
+
+    def test_inf_at_flagged_end_stays_local_left(self):
+        g = _grid(64)
+        vals = np.sin(3 * g.nodes) + 0.5
+        vals[-1] = np.inf
+        flags = np.zeros(g.n + 1, dtype=bool)
+        flags[-1] = True
+        out = rl_left(GridFunction(g, vals, flags), 0.4)
+        assert np.array_equal(out.values, _direct_rl_left(vals, g.h, 0.4))
+        assert np.isfinite(out.values[:-1]).all()
+
+    def test_inf_at_flagged_start_stays_local_right(self):
+        g = _grid(64)
+        vals = np.sin(3 * g.nodes) + 0.5
+        vals[0] = np.inf
+        flags = np.zeros(g.n + 1, dtype=bool)
+        flags[0] = True
+        out = rl_right(GridFunction(g, vals, flags), 0.6)
+        ref = _direct_rl_left(vals[::-1], g.h, 0.6)[::-1]
+        assert np.array_equal(out.values, ref)
+        assert np.isfinite(out.values[1:]).all()
+
+    def test_inf_line_among_finite_lines(self):
+        gx, gy = _grid(6), _grid(64)
+        X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
+        vals = np.sin(X + 2 * Y)
+        vals[2, -1] = np.inf
+        flags = np.zeros(vals.shape, dtype=bool)
+        flags[2, -1] = True
+        # gamma = -i keeps only the left operator; its unit complex weight
+        # turns the inf into inf + nan i, which numpy reports as invalid
+        with np.errstate(invalid="ignore"):
+            out = axis_cresson(
+                GridFunctionND((gx, gy), vals, flags), 1,
+                OrderSet.for_2d(0.5, 0.35, 0.5, 0.7, -1j),
+            )
+            ref = (1.0 + 0j) * _direct_rl_left(vals[2], gy.h, 0.35)
+        assert np.array_equal(out.values[2], ref, equal_nan=True)
+        assert np.isfinite(out.values[2, :-1]).all()
+        assert np.isfinite(np.delete(out.values, 2, axis=0)).all()
+
+    def test_import_leaves_fft_unloaded(self):
+        code = (
+            "import sys, falva, falva.cli\n"
+            "falva.cli._build_parser()\n"
+            "assert 'numpy.fft' not in sys.modules, 'numpy.fft was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
