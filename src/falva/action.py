@@ -8,7 +8,9 @@ derivative of the path instead of a time derivative; ``action_2d`` and
 factor (xi_i - x_i)^(alpha_i - 1) / gamma(alpha_i) per axis.
 
 All three fractional-derivative variants share one core, so the 1D and 2D
-entry points agree with ``action_nd`` bit for bit.  Quadrature is the
+entry points agree with ``action_nd`` bit for bit.  Their slot names come
+from one table, ``SLOTS``, and one helper binds the slots for both this
+core and the Euler-Lagrange residual core.  Quadrature is the
 product rule on the piecewise-(multi)linear interpolant of the integrand
 samples; when an operator flags an endpoint of the grid as singular, the
 quadrature range is shrunk by one cell on that side while the weight stays
@@ -192,41 +194,56 @@ def _trim_slices(flags: np.ndarray):
     return slices, int(flags.sum())
 
 
-def _weighted_action_core(L: LagrangianExpr, field: GridFunctionND,
-                          orders: OrderSet, deriv_slots, coord_slots,
-                          q_slot="q") -> ActionValue:
+def nd_slots(ndim: int):
+    """Reserved slot names for the N-dimensional functional."""
+    deriv = tuple(f"qx{i + 1}" for i in range(ndim))
+    coord = tuple(f"x{i + 1}" for i in range(ndim))
+    return deriv, coord
+
+
+# The slot names of the fractional functionals by dimension: the derivative
+# slots, then the coordinate slots; the field itself is always "q".  The 1D
+# and 2D entry points and the command line read them here.
+SLOTS = {1: (("qdot",), ("tau",)), 2: (("qx", "qy"), ("x", "y")), 3: nd_slots(3)}
+
+
+def _fractional_env(L: LagrangianExpr, field: GridFunctionND, orders: OrderSet,
+                    slots):
+    """(env, flags) of a fractional functional: q, the forward combined
+    operator along each axis and the node meshes bound to their slots, and
+    the field's flags or-ed with every derivative's."""
     ndim = field.ndim
     if orders.ndim != ndim:
         raise DomainError(f"OrderSet has {orders.ndim} axes, field has {ndim}")
-    _check_slots(L, tuple(deriv_slots) + tuple(coord_slots) + (q_slot,))
-    derivs = [axis_cresson(field, ax, orders) for ax in range(ndim)]
+    deriv_slots, coord_slots = slots
+    _check_slots(L, deriv_slots + coord_slots + ("q",))
+    env = {"q": field.values}
     flags = field.flags.copy()
-    for d in derivs:
+    for ax, name in enumerate(deriv_slots):
+        d = axis_cresson(field, ax, orders)
+        env[name] = d.values
         flags |= d.flags
+    env.update(zip(coord_slots, field.node_meshes()))
+    return env, flags
+
+
+def _weighted_action_core(L: LagrangianExpr, field: GridFunctionND,
+                          orders: OrderSet, slots) -> ActionValue:
+    env, flags = _fractional_env(L, field, orders, slots)
     slices, excluded = _trim_slices(flags)
-    env = {q_slot: field.values[slices]}
-    for ax in range(ndim):
-        env[deriv_slots[ax]] = derivs[ax].values[slices]
-    meshes = field.node_meshes()
-    for ax in range(ndim):
-        env[coord_slots[ax]] = meshes[ax][slices]
-    shape = env[q_slot].shape
-    offsets = tuple(s.start for s in slices)
-    g = _eval_field(L, env, shape, offsets)
+    env = {name: v[slices] for name, v in env.items()}
+    g = _eval_field(L, env, env["q"].shape, tuple(s.start for s in slices))
     norm = 1.0
     value = g
-    for ax in range(ndim):
-        w = _weights_from_nodes(
-            field.grids[ax].nodes[slices[ax]],
-            orders.weight_order(ax),
-            field.grids[ax].t,
-        )
+    for ax, grid in enumerate(field.grids):
+        alpha = orders.weight_order(ax)
+        w = _weights_from_nodes(grid.nodes[slices[ax]], alpha, grid.t)
         value = np.tensordot(w, value, axes=(0, 0))
-        norm *= gamma(orders.weight_order(ax))
+        norm *= gamma(alpha)
     return ActionValue(
         value=complex(value) / norm,
         observer=tuple(g_.t for g_ in field.grids),
-        weight_orders=tuple(orders.weight_order(ax) for ax in range(ndim)),
+        weight_orders=tuple(orders.weight_order(ax) for ax in range(field.ndim)),
         orders=orders,
         n_per_axis=tuple(g_.n for g_ in field.grids),
         singular_nodes_excluded=excluded,
@@ -237,7 +254,7 @@ def action_1d_cresson(L: LagrangianExpr, q: GridFunction,
                       orders: OrderSet) -> ActionValue:
     """Weighted action with the velocity slot fed by the combined
     fractional derivative of the path; complex-valued in general."""
-    return _weighted_action_core(L, as_nd(q), orders, ("qdot",), ("tau",))
+    return _weighted_action_core(L, as_nd(q), orders, SLOTS[1])
 
 
 def action_2d(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
@@ -247,14 +264,7 @@ def action_2d(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
     if q.ndim != 2:
         raise UnsupportedDimensionError("action_2d needs a two-axis field")
     _check_observer(q, observer)
-    return _weighted_action_core(L, q, orders, ("qx", "qy"), ("x", "y"))
-
-
-def nd_slots(ndim: int):
-    """Reserved slot names for the N-dimensional functional."""
-    deriv = tuple(f"qx{i + 1}" for i in range(ndim))
-    coord = tuple(f"x{i + 1}" for i in range(ndim))
-    return deriv, coord
+    return _weighted_action_core(L, q, orders, SLOTS[2])
 
 
 def action_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
@@ -265,8 +275,7 @@ def action_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
             f"dimension {q.ndim} unsupported (max {MAX_DIMENSION})"
         )
     _check_observer(q, observer)
-    deriv, coord = nd_slots(q.ndim)
-    return _weighted_action_core(L, q, orders, deriv, coord)
+    return _weighted_action_core(L, q, orders, nd_slots(q.ndim))
 
 
 def _check_observer(q: GridFunctionND, observer) -> None:

@@ -2,9 +2,11 @@
 
 Subcommands: deriv | action | residual | solve-ivp | solve-bvp | minimize |
 sweep.  Problem parameters come from a flat key=value spec file (--spec)
-and/or flags; flags override file keys.  Axis-specific keys carry .x/.y/.z
-suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A sweep runs
-its alpha values serially, in the order given.
+and/or flags; flags override file keys.  One key table (``_KEYS``) makes
+the flags and the spec-file keys, and ``Spec`` checks the allowed values
+of every choice key whichever way it came.  Axis-specific keys carry
+.x/.y/.z suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A
+sweep runs its alpha values serially, in the order given.
 
 All output is CSV: one leading comment line with the tool version and the
 order-pair convention, optional further comment lines with scalar results,
@@ -26,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .action import (
+    SLOTS,
     action_1d,
     action_1d_cresson,
     action_2d,
@@ -64,14 +67,37 @@ _AXES = ("x", "y", "z")
 # node array is allocated
 _MAX_NODES = 2**22
 
-_KNOWN_KEYS = {
-    "kind", "lagrangian", "alpha", "beta", "delta", "chi", "gamma",
-    "path", "path_file", "qdot", "boundary", "margin_target", "q0", "v0",
-    "operator", "axis", "variant", "out", "format", "sweep_kind",
-    "domain", "n",
-} | {f"domain.{a}" for a in _AXES} | {f"n.{a}" for a in _AXES}
+# Every problem key: its help text and its allowed values (None: free
+# text).  The flags, the spec-file keys and the flag merge come from here,
+# and Spec checks the allowed values wherever a value came from.  The
+# per-axis keys take one flag per axis and spec-file keys with .x/.y/.z.
+_KEYS = {
+    "lagrangian": ("Lagrangian expression", None),
+    "alpha": ("order(s), scalar or comma list", None),
+    "beta": ("order(s)", None),
+    "delta": ("order(s)", None),
+    "chi": ("order(s)", None),
+    "gamma": ("complex weight: RE,IM or i or -i", None),
+    "domain": ("LO,HI per axis (repeat for y, z)", None),
+    "n": ("intervals per axis (repeat for y, z)", None),
+    "path": ("path/field expression over the coordinates", None),
+    "path_file": ("CSV field file with a shape header line", None),
+    "qdot": ("analytic velocity expression (1D)", None),
+    "boundary": ("qa,qb endpoint values", None),
+    "margin_target": ("boundary value at the truncated match time", None),
+    "q0": ("initial position (solve-ivp)", None),
+    "v0": ("initial velocity (solve-ivp)", None),
+    "operator": ("deriv operator (default cresson)", ("left", "right", "cresson")),
+    "axis": ("deriv axis for ND fields", _AXES),
+    "variant": ("1D action/residual variant", ("classic", "cresson")),
+    "sweep_kind": ("underlying kind for sweep (default action)",
+                   tuple(k for k in KINDS if k != "sweep")),
+    "out": ("output file path", None),
+    "format": ("output format", ("csv",)),
+}
+_AXIS_KEYS = ("domain", "n")
 
-_COORD_SLOTS = {1: ("tau",), 2: ("x", "y"), 3: ("x1", "x2", "x3")}
+_KNOWN_KEYS = {"kind", *_KEYS} | {f"{k}.{a}" for k in _AXIS_KEYS for a in _AXES}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -83,34 +109,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", help="key=value problem spec file")
-    common.add_argument("--lagrangian", help="Lagrangian expression")
-    common.add_argument("--alpha", help="order(s), scalar or comma list")
-    common.add_argument("--beta", help="order(s)")
-    common.add_argument("--delta", help="order(s)")
-    common.add_argument("--chi", help="order(s)")
-    common.add_argument("--gamma", help="complex weight: RE,IM or i or -i")
-    common.add_argument("--domain", action="append",
-                        help="LO,HI per axis (repeat for y, z)")
-    common.add_argument("--n", action="append",
-                        help="intervals per axis (repeat for y, z)")
-    common.add_argument("--path", help="path/field expression over the coordinates")
-    common.add_argument("--path-file", dest="path_file",
-                        help="CSV field file with a shape header line")
-    common.add_argument("--qdot", help="analytic velocity expression (1D)")
-    common.add_argument("--boundary", help="qa,qb endpoint values")
-    common.add_argument("--margin-target", dest="margin_target",
-                        help="boundary value at the truncated match time")
-    common.add_argument("--q0", help="initial position (solve-ivp)")
-    common.add_argument("--v0", help="initial velocity (solve-ivp)")
-    common.add_argument("--operator", choices=("left", "right", "cresson"),
-                        help="deriv operator (default cresson)")
-    common.add_argument("--axis", choices=_AXES, help="deriv axis for ND fields")
-    common.add_argument("--variant", choices=("classic", "cresson"),
-                        help="1D action/residual variant")
-    common.add_argument("--sweep-kind", dest="sweep_kind",
-                        help="underlying kind for sweep (default action)")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--format", dest="format", help="output format (csv)")
+    for key, (text, allowed) in _KEYS.items():
+        common.add_argument(
+            "--" + key.replace("_", "-"), dest=key, help=text,
+            action="append" if key in _AXIS_KEYS else "store",
+            metavar=None if allowed is None else "{%s}" % ",".join(allowed))
 
     parser = _ArgumentParser(prog="falva",
                              description="fractional action-like variational toolkit")
@@ -151,25 +154,21 @@ def _merge(args) -> "Spec":
         raise SpecError(
             f"spec file kind {table['kind']!r} conflicts with subcommand {args.kind!r}"
         )
-    scalar_flags = ("lagrangian", "alpha", "beta", "delta", "chi", "gamma",
-                    "path", "path_file", "qdot", "boundary", "margin_target",
-                    "q0", "v0", "operator", "axis", "variant", "sweep_kind",
-                    "out", "format")
-    for name in scalar_flags:
-        value = getattr(args, name, None)
-        if value is not None:
-            table[name] = value
-    for name in ("domain", "n"):
-        values = getattr(args, name, None)
-        if values:
-            if len(values) > len(_AXES):
-                raise SpecError(f"too many --{name} axes (max {len(_AXES)})")
-            for key in [name] + [f"{name}.{a}" for a in _AXES]:
-                table.pop(key, None)
-            for i, v in enumerate(values):
-                table[f"{name}.{_AXES[i]}"] = v
+    for name in _KEYS:
+        values = getattr(args, name)
+        if values is None:
+            continue
+        if name not in _AXIS_KEYS:
+            table[name] = values
+            continue
+        if len(values) > len(_AXES):
+            raise SpecError(f"too many --{name} axes (max {len(_AXES)})")
+        for key in [name] + [f"{name}.{a}" for a in _AXES]:
+            table.pop(key, None)
+        for i, v in enumerate(values):
+            table[f"{name}.{_AXES[i]}"] = v
     # bare keys are the x axis
-    for name in ("domain", "n"):
+    for name in _AXIS_KEYS:
         if name in table:
             table.setdefault(f"{name}.x", table.pop(name))
     return Spec(args.kind, table)
@@ -181,6 +180,10 @@ class Spec:
     def __init__(self, kind: str, table: dict):
         if kind not in KINDS:
             raise SpecError(f"unknown kind {kind!r}")
+        for key, (_, allowed) in _KEYS.items():
+            if allowed is not None and key in table and table[key] not in allowed:
+                raise SpecError(f"key {key!r}: expected one of "
+                                f"{', '.join(allowed)}, got {table[key]!r}")
         self.kind = kind
         self.table = table
 
@@ -342,7 +345,7 @@ def _field_for(spec: Spec, grids) -> np.ndarray:
     if "path" in spec.table and "path_file" in spec.table:
         raise SpecError("give either 'path' or 'path_file', not both")
     if "path" in spec.table:
-        return _sample_expression(spec.table["path"], _COORD_SLOTS[dim], grids)
+        return _sample_expression(spec.table["path"], SLOTS[dim][1], grids)
     if "path_file" in spec.table:
         return _read_field_file(spec.table["path_file"], grids)
     raise SpecError("missing required key 'path' (or 'path_file')")
@@ -351,19 +354,15 @@ def _field_for(spec: Spec, grids) -> np.ndarray:
 def _qdot_for(spec: Spec, grid: Grid1D):
     if "qdot" not in spec.table:
         return None
-    return _sample_expression(spec.table["qdot"], ("tau",), (grid,))
+    return _sample_expression(spec.table["qdot"], SLOTS[1][1], (grid,))
 
 
 def _variant_for(spec: Spec, dim: int) -> str:
     if dim > 1:
         return "cresson"
-    variant = spec.get("variant")
-    if variant is None:
-        variant = "cresson" if ("gamma" in spec.table or "beta" in spec.table) \
-            else "classic"
-    if variant not in ("classic", "cresson"):
-        raise SpecError(f"unknown variant {variant!r}")
-    return variant
+    implied = "cresson" if ("gamma" in spec.table or "beta" in spec.table) \
+        else "classic"
+    return spec.get("variant", implied)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +447,7 @@ def _derivative(spec: Spec):
 
 def _run_deriv(spec: Spec) -> _Table:
     grids, values, out = _derivative(spec)
-    header = [*_COORD_SLOTS[len(grids)], "f_re", "f_im", "deriv_re", "deriv_im",
+    header = [*SLOTS[len(grids)][1], "f_re", "f_im", "deriv_re", "deriv_im",
               "flagged"]
     return _Table([], header, [*_meshes(grids), values.real, values.imag,
                                out.values.real, out.values.imag, out.flags])
@@ -500,7 +499,7 @@ def _run_residual(spec: Spec) -> _Table:
     rf, grids, values = _residual_field(spec)
     residual = rf.residual.values
     comments = [("sup_norm", rf.sup_norm), ("epsilon_margin", rf.epsilon_margin)]
-    header = [*_COORD_SLOTS[len(grids)], "q", "residual_re", "residual_im",
+    header = [*SLOTS[len(grids)][1], "q", "residual_re", "residual_im",
               "excluded"]
     return _Table(comments, header, [*_meshes(grids), values, residual.real,
                                      residual.imag, rf.excluded])
@@ -605,9 +604,6 @@ def _run_sweep(spec: Spec) -> _Table:
         if not 0.0 < a < 1.0:
             raise SpecError(f"sweep alpha {a!r} outside (0,1)")
     kind = spec.get("sweep_kind", "action")
-    if kind not in KINDS or kind == "sweep":
-        raise SpecError(f"unknown sweep_kind {kind!r}")
-
     rows = []
     for alpha in alphas:
         try:
@@ -639,9 +635,6 @@ _RUNNERS = {
 
 def _dispatch(spec: Spec) -> int:
     out = spec.req("out")
-    fmt = spec.get("format", "csv")
-    if fmt != "csv":
-        raise SpecError(f"unsupported output format {fmt!r}")
     table = _RUNNERS[spec.kind](spec)
     _write_csv(out, spec.kind, table)
     if table.failure is not None:

@@ -8,8 +8,8 @@ orientation,
 where Adj_i is the combined fractional operator along axis i with the
 order pair swapped and gamma negated (in the plain 1D variant the middle
 term is d/dtau of the sampled partial instead).  The 1D, 2D and ND
-fractional variants share one core, so they agree bit for bit where they
-overlap.
+fractional variants share one core, which binds its slots like the
+action's (``action.SLOTS``), so they agree bit for bit where they overlap.
 
 Singular margin.  The damping coefficient (1 - alpha)/(t - tau) diverges
 at the observer time, so residuals exclude an epsilon margin below each
@@ -43,9 +43,11 @@ import numpy as np
 
 from .action import (
     MAX_DIMENSION,
+    SLOTS,
     _check_observer,
     _check_slots,
     _eval_field,
+    _fractional_env,
     _locate,
     _partial_field,
     _qdot_samples,
@@ -62,7 +64,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .exprdsl import LagrangianExpr, partials, second_partials
-from .fracops import GridFunctionND, OrderSet, as_nd, axis_cresson
+from .fracops import GridFunctionND, OrderSet, as_1d, as_nd, axis_cresson
 from .numcore import (
     Grid1D,
     GridFunction,
@@ -242,69 +244,41 @@ def _fix_flagged_line_ends(p: np.ndarray, flags: np.ndarray, axis: int) -> np.nd
 
 
 def _el_residual_core(L: LagrangianExpr, field: GridFunctionND,
-                      orders: OrderSet, deriv_slots, coord_slots,
-                      q_slot="q") -> ResidualField:
+                      orders: OrderSet, slots) -> ResidualField:
+    env, flags = _fractional_env(L, field, orders, slots)
     ndim = field.ndim
-    if orders.ndim != ndim:
-        raise DomainError(f"OrderSet has {orders.ndim} axes, field has {ndim}")
-    _check_slots(L, tuple(deriv_slots) + tuple(coord_slots) + (q_slot,))
-    derivs = [axis_cresson(field, ax, orders) for ax in range(ndim)]
-    flags = field.flags.copy()
-    for d in derivs:
-        flags |= d.flags
-    env = {q_slot: field.values}
-    for ax in range(ndim):
-        env[deriv_slots[ax]] = derivs[ax].values
-    meshes = field.node_meshes()
-    for ax in range(ndim):
-        env[coord_slots[ax]] = meshes[ax]
     shape = field.values.shape
-    lq = _partial_field(L, q_slot, env, shape)
-    momenta = [_partial_field(L, deriv_slots[ax], env, shape)
-               for ax in range(ndim)]
+    lq = _partial_field(L, "q", env, shape)
+    momenta = [_partial_field(L, name, env, shape) for name in slots[0]]
 
     excluded = flags.copy()
     eps = []
     adjoint_orders = orders.adjoint()
     total = np.zeros(shape, dtype=np.complex128)
-    for ax in range(ndim):
-        grid = field.grids[ax]
+    for ax, grid in enumerate(field.grids):
+        # per-axis vectors, shaped to broadcast along axis ax
+        along = (-1,) + (1,) * (ndim - 1 - ax)
+        line = grid.nodes
         e = _margin(grid.a, grid.t, grid.h)
         eps.append(e)
-        idx = [None] * ndim
-        idx[ax] = slice(None)
-        line = grid.nodes[tuple(idx)]
-        excluded |= np.broadcast_to(line > grid.t - e, shape)
-        excluded |= np.broadcast_to(line < grid.a + e, shape)
-        edge = np.zeros(shape, dtype=bool)
-        first = [slice(None)] * ndim
-        first[ax] = 0
-        last = [slice(None)] * ndim
-        last[ax] = shape[ax] - 1
-        edge[tuple(first)] = True
-        edge[tuple(last)] = True
-        excluded |= edge
+        cut = (line > grid.t - e) | (line < grid.a + e)
+        cut[0] = cut[-1] = True
+        excluded |= cut.reshape(along)
 
         p_fixed = _fix_flagged_line_ends(momenta[ax], flags, ax)
         adj = axis_cresson(
             GridFunctionND(field.grids, p_fixed), ax, adjoint_orders
         )
         excluded |= adj.flags
-        alpha_ax = orders.weight_order(ax)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            damping = np.where(
-                np.broadcast_to(line, shape) < grid.t,
-                (1.0 - alpha_ax) / (grid.t - np.broadcast_to(line, shape)),
-                0.0,
-            )
-        total += adj.values + damping * momenta[ax]
+        with np.errstate(divide="ignore"):
+            damping = np.where(line < grid.t,
+                               (1.0 - orders.weight_order(ax)) / (grid.t - line),
+                               0.0)
+        total += adj.values + damping.reshape(along) * momenta[ax]
 
     res = np.where(excluded, 0.0 + 0.0j, lq - total)
     residual = GridFunctionND(field.grids, res)
-    field_out = residual if ndim > 1 else GridFunction(
-        residual.grids[0], residual.values, residual.flags
-    )
-    return _wrap_residual(field_out, excluded, eps)
+    return _wrap_residual(residual if ndim > 1 else as_1d(residual), excluded, eps)
 
 
 def el_residual_1d_cresson(L: LagrangianExpr, q: GridFunction,
@@ -317,7 +291,7 @@ def el_residual_1d_cresson(L: LagrangianExpr, q: GridFunction,
     Adj the combined operator with swapped order pair and negated gamma.
     Complex-valued in general.
     """
-    return _el_residual_core(L, as_nd(q), orders, ("qdot",), ("tau",))
+    return _el_residual_core(L, as_nd(q), orders, SLOTS[1])
 
 
 def el_residual_2d(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
@@ -327,7 +301,7 @@ def el_residual_2d(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
     if q.ndim != 2:
         raise UnsupportedDimensionError("el_residual_2d needs a two-axis field")
     _check_observer(q, observer)
-    return _el_residual_core(L, q, orders, ("qx", "qy"), ("x", "y"))
+    return _el_residual_core(L, q, orders, SLOTS[2])
 
 
 def el_residual_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
@@ -339,8 +313,7 @@ def el_residual_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
             f"dimension {q.ndim} unsupported (max {MAX_DIMENSION})"
         )
     _check_observer(q, observer)
-    deriv, coord = nd_slots(q.ndim)
-    return _el_residual_core(L, q, orders, deriv, coord)
+    return _el_residual_core(L, q, orders, nd_slots(q.ndim))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ Lagrangian enforce their slot sets.
 Evaluation runs in real mode when every binding is real and in complex
 mode otherwise.  Real mode raises on domain violations (sqrt/log of a
 non-positive value, a negative base under a fractional power) instead of
-silently switching branches; complex mode uses principal branches.
+silently switching branches; complex mode uses principal branches, and
+takes a real-typed argument of sqrt, log or a general power as complex
+when it holds a negative value (any other argument keeps its bits).
 Bindings may be numpy arrays, in which case evaluation is elementwise and
 errors carry the flat index of the first offending node.
 
@@ -258,6 +260,14 @@ def _is_complex_binding(v):
     return isinstance(v, complex) or np.iscomplexobj(v)
 
 
+def _principal(x):
+    """``x`` as complex if it is real-typed and holds a negative element, so
+    that complex mode takes principal branches; otherwise ``x`` itself."""
+    if _is_complex_binding(x) or not np.any(np.asarray(x) < 0):
+        return x
+    return np.asarray(x, dtype=np.complex128) if np.ndim(x) else complex(x)
+
+
 def _bad_index(mask):
     mask = np.asarray(mask)
     if mask.ndim == 0:
@@ -346,6 +356,7 @@ class _Evaluator:
         expo = self.eval(node.rhs)
         if self.complex_mode:
             _check(base == 0, "zero base under a general power")
+            base = _principal(base)
         else:
             _check(np.real(base) < 0,
                    "negative base under a fractional power in real mode")
@@ -366,6 +377,8 @@ class _Evaluator:
                 _check(np.real(arg) <= 0, "log of a non-positive value in real mode")
         elif fn == "sqrt" and not self.complex_mode:
             _check(np.real(arg) < 0, "sqrt of a negative value in real mode")
+        if self.complex_mode and fn in ("log", "sqrt"):
+            arg = _principal(arg)
         elif fn == "sign" and _is_complex_binding(arg):
             raise EvalError("abs is not differentiable for complex values")
         if fn not in _FUNCTIONS:

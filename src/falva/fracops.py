@@ -249,15 +249,33 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
         for src, dst in parts:
             prod = np.fft.rfft(src[sel], size, axis=1) * spec
             dst[sel] = np.fft.irfft(prod, size, axis=1)[:, :nseg]
-    bpow = np.zeros(nseg + 1)
-    bpow[1:] = mh[1:] ** (-order)
-    out += vals[:, :1] * (bpow / g1)[None, :]
+    # the boundary term, zero at node 0; past node 0 an infinite start value
+    # meets the infinite first slope (inf - inf): that row has no derivative
+    start = vals[:, :1]
+    lost = ~np.isfinite(start[:, 0])
+    if lost.any():
+        start = np.where(lost[:, None], 0.0, start)
+        out[lost, 1:] = np.nan
+    out[:, 1:] += start * (mh[1:] ** (-order) / g1)
     return out, vals[:, 0] != 0
 
 
 def _rl_right_lines(vals: np.ndarray, h: float, order: float):
     out, fl = _rl_left_lines(vals[:, ::-1], h, order)
     return out[:, ::-1], fl
+
+
+def _add_weighted(out: np.ndarray, weight: complex, part: np.ndarray) -> None:
+    """out += weight * part.  A real part goes to ``out.real`` and
+    ``out.imag`` separately and skips a zero weight part, so an infinite
+    value at a flagged node stays inf + 0i at gamma_w = -i or +i."""
+    if np.iscomplexobj(part):
+        out += weight * part
+        return
+    if weight.real != 0:
+        out.real += weight.real * part
+    if weight.imag != 0:
+        out.imag += weight.imag * part
 
 
 def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex):
@@ -268,16 +286,13 @@ def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex):
     w_left = 0.5 * (1.0 + 1j * gamma_w)
     w_right = 0.5 * (1j * gamma_w - 1.0)
     out = np.zeros(vals.shape, dtype=np.complex128)
-    start = np.zeros(vals.shape[0], dtype=bool)
-    end = np.zeros(vals.shape[0], dtype=bool)
+    start = end = np.zeros(vals.shape[0], dtype=bool)
     if w_left != 0:
-        lvals, fl = _rl_left_lines(vals, h, left_order)
-        out += w_left * lvals
-        start |= fl
+        lvals, start = _rl_left_lines(vals, h, left_order)
+        _add_weighted(out, w_left, lvals)
     if w_right != 0:
-        rvals, fr = _rl_right_lines(vals, h, right_order)
-        out += w_right * rvals
-        end |= fr
+        rvals, end = _rl_right_lines(vals, h, right_order)
+        _add_weighted(out, w_right, rvals)
     return out, start, end
 
 
@@ -315,13 +330,7 @@ def cresson(f: GridFunction, orders: OrderSet) -> GridFunction:
     Always complex-valued; flags propagate from each operand that enters
     with a nonzero weight, plus any input flags.
     """
-    out, start, end = _cresson_lines(
-        f.values[None, :], f.grid.h, orders.pair(0), orders.gamma_w
-    )
-    flags = f.flags.copy()
-    flags[0] |= bool(start[0])
-    flags[-1] |= bool(end[0])
-    return GridFunction(f.grid, out[0], flags)
+    return as_1d(axis_cresson(as_nd(f), 0, orders))
 
 
 def _axis_pair(orders: OrderSet, field_ndim: int, axis: int):

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from falva import (
@@ -330,8 +330,7 @@ BAD_BOUNDARY = st.one_of(
     st.lists(st.floats(-10, 10), min_size=1, max_size=3)
     .filter(lambda v: len(v) != 2).map(_joined),
 )
-CONTRACT = settings(max_examples=20, deadline=None, derandomize=True,
-                    database=None)
+CONTRACT = settings(max_examples=20)
 
 
 @pytest.mark.parametrize("kind", BASES)
@@ -433,3 +432,84 @@ def test_field_file_base_runs(tmp_path):
     argv = _field_file_argv(tmp_path, "shape,9", [repr(0.125 * j) for j in range(9)])
     status, stderr, _ = _run_quietly(argv, tmp_path / "out.csv")
     assert (status, stderr) == (0, "")
+
+
+# ---------------------------------------------------------------------------
+# choice keys: one check whichever way a value comes
+
+CHOICES = {"operator": ("left", "right", "cresson"), "axis": ("x", "y", "z"),
+           "variant": ("classic", "cresson"),
+           "sweep_kind": ("deriv", "action", "residual", "solve-ivp",
+                          "solve-bvp", "minimize"),
+           "format": ("csv",)}
+DERIV = ["--path", "tau^1.5", "--alpha=0.5", "--n=8", "--domain=0,1"]
+
+
+def _choice_argv(directory, key, value, via):
+    """A bad ``key`` given as a flag, in a deriv spec file or in the spec
+    file of a sweep."""
+    if via == "flag":
+        return ["deriv", *DERIV, f"--{key.replace('_', '-')}={value}"]
+    path = directory / "problem.spec"
+    path.write_text(f"{key}={value}\n", encoding="utf-8")
+    kind = ["deriv"] if via == "spec" else ["sweep", "--lagrangian", "qdot^2/2"]
+    return [*kind, "--spec", str(path), *DERIV]
+
+
+@pytest.mark.parametrize("via", ["flag", "spec", "sweep"])
+@pytest.mark.parametrize("key", sorted(CHOICES))
+@settings(max_examples=10)
+@given(value=WORD.filter(lambda v: all(v.strip() not in c for c in CHOICES.values())))
+# a spec-file axis=w ended in a ValueError traceback, operator=lfet in a
+# silent Cresson derivative
+@example(value="w")
+@example(value="lfet")
+def test_bad_choice_is_one_spec_error(tmp_path_factory, key, via, value):
+    directory = tmp_path_factory.mktemp("choice")
+    argv = _choice_argv(directory, key, value, via)
+    status, stderr, caught = _run_quietly(argv, directory / "out.csv")
+    assert status == 2, (argv, stderr)
+    assert ERR_LINE.fullmatch(stderr), (argv, stderr)
+    assert stderr.startswith(f"FALVA-ERR spec: key {key!r}: expected one of")
+    assert not caught
+
+
+@pytest.mark.parametrize("via", ["flag", "spec", "sweep"])
+@pytest.mark.parametrize("key", sorted(CHOICES))
+def test_every_allowed_choice_passes_the_check(tmp_path, key, via):
+    for value in CHOICES[key]:
+        # a valid choice may fail later, but never on its own key
+        _, stderr, _ = _run_quietly(_choice_argv(tmp_path, key, value, via),
+                                    tmp_path / "out.csv")
+        assert f"key {key!r}" not in stderr, stderr
+
+
+def test_help_lists_every_flag_and_choice(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["action", "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    flags = ["--spec", "--lagrangian", "--alpha", "--beta", "--delta", "--chi",
+             "--gamma", "--domain", "--n", "--path", "--path-file", "--qdot",
+             "--boundary", "--margin-target", "--q0", "--v0", "--operator",
+             "--axis", "--variant", "--sweep-kind", "--out", "--format"]
+    for flag in flags:
+        assert f"  {flag} " in text, flag
+    for key, allowed in CHOICES.items():
+        assert "{" + ",".join(allowed) + "}" in text, key
+
+
+# a real-typed argument of sqrt in complex mode takes the principal branch
+SQRT_OF_NEGATIVE = ["action", "--variant", "cresson", "--gamma=0.3,-0.7",
+                    "--lagrangian", "qdot^2/2 + sqrt(q - 0.5)", "--alpha", "0.5",
+                    "--domain", "0,1", "--n", "8", "--path", "tau"]
+
+
+def test_principal_branch_in_complex_mode(tmp_path):
+    out = tmp_path / "out.csv"
+    status, stderr, caught = _run_quietly(SQRT_OF_NEGATIVE, out)
+    assert (status, stderr, caught) == (0, "", [])
+    _, header, columns = _read_csv(out)
+    value = complex(float(columns[0][0]), float(columns[1][0]))
+    assert header[:2] == ["value_re", "value_im"]
+    assert math.isfinite(value.real) and value.imag != 0.0

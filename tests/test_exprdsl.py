@@ -101,6 +101,25 @@ class TestEvaluate:
         out = evaluate(parse("q^0.5"), {"q": -1.0 + 0.0j})
         assert out == pytest.approx(1j)
 
+    @pytest.mark.parametrize("text, fn", [
+        ("sqrt(q - 0.5)", np.sqrt), ("log(q - 0.5)", np.log),
+        ("(q - 0.5)^0.3", lambda z: np.exp(0.3 * np.log(z))),
+    ])
+    def test_real_argument_in_complex_mode(self, text, fn):
+        # a complex binding elsewhere sets complex mode; the real-typed
+        # argument with a negative element takes the principal branch
+        q = np.array([0.1, 0.7, 1.5])
+        out = evaluate(parse(text + " + 0*w"), {"q": q, "w": 1j})
+        assert np.array_equal(out, fn((q - 0.5).astype(complex)))
+        scalar = evaluate(parse(text + " + 0*w"), {"q": 0.25, "w": 1j})
+        assert scalar == fn(complex(-0.25))
+
+    def test_nonnegative_argument_in_complex_mode_keeps_its_bits(self):
+        q = np.array([0.6, 0.7, 1.5])
+        out = evaluate(parse("sqrt(q - 0.5)"), {"q": q, "w": 1j})
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.sqrt(q - 0.5))
+
     def test_unbound_variable(self):
         with pytest.raises(EvalError, match="unbound"):
             evaluate(parse("q + k"), {"q": 1.0})
@@ -157,6 +176,17 @@ class TestPartial:
         z = 0.4 + 0.3j
         out = partial(parse("qdot^2"), "qdot", {"qdot": z})
         assert out == pytest.approx(2 * z, rel=1e-14)
+
+    def test_principal_branch_partial(self):
+        # d/dq sqrt(q - 0.3) = 1 / (2 sqrt(q - 0.3)) on the principal branch
+        expr = parse("sqrt(q - 0.3) + qdot^2")
+        q = np.array([0.1, 0.2, 0.9])
+        out = partial(expr, "q", {"q": q, "qdot": 0.5j})
+        root = np.sqrt((q - 0.3).astype(complex))
+        assert np.allclose(out, 1.0 / (2.0 * root), rtol=1e-14)
+        scalar = partial(expr, "q", {"q": 0.1, "qdot": 0.5j})
+        assert scalar == pytest.approx(1.0 / (2.0 * np.sqrt(complex(-0.2))),
+                                       rel=1e-14)
 
 
 class TestSecondPartials:

@@ -7,6 +7,7 @@ import pytest
 
 from falva import (
     DomainError,
+    GridError,
     Grid1D,
     GridFunction,
     GridFunctionND,
@@ -326,17 +327,32 @@ class TestLineKernel:
         vals[2, -1] = np.inf
         flags = np.zeros(vals.shape, dtype=bool)
         flags[2, -1] = True
-        # gamma = -i keeps only the left operator; its unit complex weight
-        # turns the inf into inf + nan i, which numpy reports as invalid
-        with np.errstate(invalid="ignore"):
-            out = axis_cresson(
-                GridFunctionND((gx, gy), vals, flags), 1,
-                OrderSet.for_2d(0.5, 0.35, 0.5, 0.7, -1j),
-            )
-            ref = (1.0 + 0j) * _direct_rl_left(vals[2], gy.h, 0.35)
-        assert np.array_equal(out.values[2], ref, equal_nan=True)
+        # gamma = -i keeps only the left operator, with weight 1 + 0i; the
+        # real line enters the real part alone, so the inf stays inf + 0i
+        out = axis_cresson(
+            GridFunctionND((gx, gy), vals, flags), 1,
+            OrderSet.for_2d(0.5, 0.35, 0.5, 0.7, -1j),
+        )
+        ref = _direct_rl_left(vals[2], gy.h, 0.35) + 0j
+        assert np.array_equal(out.values[2], ref)
+        assert out.values[2, -1] == complex(np.inf, 0.0)
         assert np.isfinite(out.values[2, :-1]).all()
         assert np.isfinite(np.delete(out.values, 2, axis=0)).all()
+
+    @pytest.mark.parametrize("gamma_w", [1j, 0.3 + 0.2j])
+    def test_inf_start_of_right_operator_is_a_grid_error(self, gamma_w):
+        # the right operator reflects the line, so the inf becomes an
+        # infinite start value against an infinite first slope: the
+        # derivative is indeterminate and the unflagged nodes say so
+        gx, gy = _grid(6), _grid(64)
+        X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
+        vals = np.sin(X + 2 * Y)
+        vals[2, -1] = np.inf
+        flags = np.zeros(vals.shape, dtype=bool)
+        flags[2, -1] = True
+        with pytest.raises(GridError, match="non-finite value at unflagged node"):
+            axis_cresson(GridFunctionND((gx, gy), vals, flags), 1,
+                         OrderSet.for_2d(0.5, 0.35, 0.5, 0.7, gamma_w))
 
     def test_import_leaves_fft_unloaded(self):
         code = (
