@@ -184,6 +184,11 @@ class Spec:
             if allowed is not None and key in table and table[key] not in allowed:
                 raise SpecError(f"key {key!r}: expected one of "
                                 f"{', '.join(allowed)}, got {table[key]!r}")
+        functional = table.get("sweep_kind", "action") if kind == "sweep" else kind
+        if (functional in ("action", "residual") and "domain.y" in table
+                and table.get("variant", "cresson") != "cresson"):
+            raise SpecError(f"key 'variant': 2D and 3D {functional}s are cresson "
+                            f"only, got {table['variant']!r}")
         self.kind = kind
         self.table = table
 
@@ -357,14 +362,6 @@ def _qdot_for(spec: Spec, grid: Grid1D):
     return _sample_expression(spec.table["qdot"], SLOTS[1][1], (grid,))
 
 
-def _variant_for(spec: Spec, dim: int) -> str:
-    if dim > 1:
-        return "cresson"
-    implied = "cresson" if ("gamma" in spec.table or "beta" in spec.table) \
-        else "classic"
-    return spec.get("variant", implied)
-
-
 # ---------------------------------------------------------------------------
 # output
 
@@ -465,7 +462,8 @@ def _functional(spec: Spec, classic, cresson_1d, axes_2, axes_n):
     values = _field_for(spec, grids)
     if dim == 1:
         q = GridFunction(grids[0], values)
-        if _variant_for(spec, dim) == "classic":
+        implied = "cresson" if {"gamma", "beta"} & spec.table.keys() else "classic"
+        if spec.get("variant", implied) == "classic":
             return classic(expr, q, spec.scalar("alpha"),
                            qdot=_qdot_for(spec, grids[0])), grids, values
         return cresson_1d(expr, q, _orders_for(spec, dim)), grids, values
@@ -476,12 +474,12 @@ def _functional(spec: Spec, classic, cresson_1d, axes_2, axes_n):
     return functional(expr, field, orders, observer), grids, values
 
 
-def _action_value(spec: Spec):
-    return _functional(spec, action_1d, action_1d_cresson, action_2d, action_nd)[0]
+def _action(spec: Spec):
+    return _functional(spec, action_1d, action_1d_cresson, action_2d, action_nd)
 
 
 def _run_action(spec: Spec) -> _Table:
-    av = _action_value(spec)
+    av = _action(spec)[0]
     comments = [("observer", av.observer), ("weight_orders", av.weight_orders)]
     if av.qdot_source:
         comments.append(("qdot_source", av.qdot_source))
@@ -576,13 +574,12 @@ def _sweep_value(spec: Spec):
     (complex value, classical_ref or None)."""
     kind = spec.kind
     if kind == "action":
-        value = _action_value(spec).value
-        if spec.dimension() != 1:
-            return value, None
-        grids = spec.grids()
-        q = GridFunction(grids[0], _field_for(spec, grids))
-        return value, trapezoid_action(parse(spec.req("lagrangian")), q,
-                                       qdot=_qdot_for(spec, grids[0]))
+        av, grids, values = _action(spec)
+        if len(grids) != 1:
+            return av.value, None
+        q = GridFunction(grids[0], values)
+        return av.value, trapezoid_action(parse(spec.req("lagrangian")), q,
+                                          qdot=_qdot_for(spec, grids[0]))
     if kind == "deriv":
         return complex(_derivative(spec)[2].values.flat[-1]), None
     if kind == "residual":

@@ -93,6 +93,7 @@ RESIDUAL_MARGIN_FRACTION = 0.05
 IVP_MARGIN_FRACTION = 0.02
 BVP_SCAN_SLOPES = 32
 BVP_SCAN_SPAN = 10.0
+BVP_ROOT_TOL = 1e-10
 
 # the partials of the acceleration field; the order fixes which error a
 # Lagrangian that fails in several trees reports: dL/dqdot first, then each
@@ -328,31 +329,30 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
 
     with the value and the six partials of ``_ACCEL_PARTIALS`` evaluated in
     one pass over the Lagrangian's derivative trees (dL/dtau is unused).
-    Works on scalar or batched (array) states.  A non-finite d2L/dqdot^2
-    raises StepFailure and a zero one SingularLagrangianError.
+    Works on batched states and returns (qddot, d2L/dqdot^2); a zero
+    d2L/dqdot^2 raises SingularLagrangianError.
     """
 
     def accel(qv, vv, tau):
         env = {"qdot": vv, "q": qv, "tau": tau}
         _, l_qd, l_qdqd, l_q, l_qdq, _, l_qdtau = partials(L, _ACCEL_PARTIALS, env)
-        curvature = np.asarray(l_qdqd, dtype=float)
-        if not np.all(np.isfinite(curvature)):
-            at = float(np.min(tau))
-            raise StepFailure(f"d2L/dqdot^2 is not finite at tau = {at:g}", tau=at)
-        if np.any(curvature == 0):
+        if np.any(l_qdqd == 0):
             raise SingularLagrangianError(
-                f"d2L/dqdot^2 vanished at tau = {float(np.min(tau)):g}"
+                f"d2L/dqdot^2 vanished at tau = {float(tau):g}"
             )
         damping = (1.0 - alpha) / (t_obs - tau)
-        return (l_q - damping * l_qd - l_qdq * vv - l_qdtau) / l_qdqd
+        return (l_q - damping * l_qd - l_qdq * vv - l_qdtau) / l_qdqd, l_qdqd
 
     return accel
 
 
 def _integrate_el(L, a, t, q0, v0, alpha, n):
-    """RK4-integrate the rearranged Euler-Lagrange dynamics from a to the
-    truncated time t - eps; q0/v0 may be arrays for batched shooting.
-    Returns (grid, Q, V) with node samples in rows."""
+    """RK4-integrate the rearranged Euler-Lagrange dynamics from q0 at a to
+    the truncated time t - eps, one lane per slope in ``v0``.  Returns
+    (grid, Q, V, failures) with node samples in rows; a lane's samples are
+    NaN from its first non-finite RK4 stage on, and failures[i] is the
+    StepFailure lane i raises when integrated alone (None if it got through).
+    """
     _check_slots(L, ("qdot", "q", "tau"))
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
@@ -360,27 +360,43 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     eps = max(IVP_MARGIN_FRACTION * (t - a), 2.0 * (t - a) / n)
     grid = Grid1D(a, t - eps, n)
     nodes = grid.nodes
-    q0 = np.atleast_1d(np.asarray(q0, dtype=np.float64))
     v0 = np.atleast_1d(np.asarray(v0, dtype=np.float64))
-    m = max(q0.shape[0], v0.shape[0])
-    q0 = np.broadcast_to(q0, (m,)).copy()
-    v0 = np.broadcast_to(v0, (m,)).copy()
+    m = v0.shape[0]
     accel = _accel_factory(L, alpha, t)
+    failures = [None] * m
+    dead = np.zeros(m, dtype=bool)
+    lost = []  # the lanes that have failed
 
     def field(state, tau):
-        qv, vv = state[:m], state[m:]
-        return np.concatenate([vv, np.broadcast_to(accel(qv, vv, tau), (m,))])
+        if lost:  # a failed lane rides along as NaN
+            state = np.where(dead, np.nan, state)
+        qv, vv = state
+        acc, curvature = accel(qv, vv, tau)
+        d = np.empty_like(state)
+        d[0], d[1] = vv, acc
+        ok = np.isfinite(curvature) & np.isfinite(vv) & np.isfinite(acc)
+        if np.count_nonzero(ok) + len(lost) < m:  # a lane failed at this stage
+            curved, at = np.broadcast_to(np.isfinite(curvature), (m,)), float(tau)
+            for i in np.flatnonzero(~(ok | dead)):
+                failures[i] = StepFailure(
+                    f"non-finite derivative at tau = {at!r}" if curved[i]
+                    else f"d2L/dqdot^2 is not finite at tau = {at:g}", tau=at)
+                lost.append(i)
+            dead[lost] = True
+        d[:, dead] = 0.0  # keeps failed lanes out of ode_step_rk4's check
+        return d
 
-    qs = np.empty((grid.n + 1, m))
-    vs = np.empty((grid.n + 1, m))
-    qs[0], vs[0] = q0, v0
-    y = np.concatenate([q0, v0])
-    # a state that blows up ends in ode_step_rk4's StepFailure, not in warnings
+    qs, vs = np.full((2, grid.n + 1, m), np.nan)
+    y = np.array([np.full(m, float(q0)), v0])
+    qs[0], vs[0] = y
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(grid.n):
             y = ode_step_rk4(y, field, nodes[k], grid.h)
-            qs[k + 1], vs[k + 1] = y[:m], y[m:]
-    return grid, qs, vs
+            y[:, dead] = np.nan
+            qs[k + 1], vs[k + 1] = y
+            if len(lost) == m:
+                break
+    return grid, qs, vs, failures
 
 
 def solve_el_ivp(L: LagrangianExpr, a: float, t: float, q0: float, v0: float,
@@ -390,12 +406,14 @@ def solve_el_ivp(L: LagrangianExpr, a: float, t: float, q0: float, v0: float,
     Stops at the truncated time t - eps, eps = max(0.02 (t-a), 2 (t-a)/n);
     returns (q, qdot) sampled on the truncated grid.
     """
-    grid, qs, vs = _integrate_el(L, a, t, q0, v0, alpha, n)
+    grid, qs, vs, failures = _integrate_el(L, a, t, q0, v0, alpha, n)
+    if failures[0] is not None:
+        raise failures[0]
     return GridFunction(grid, qs[:, 0]), GridFunction(grid, vs[:, 0])
 
 
 def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
-                 qb_at_margin: float = None, root_tol: float = 1e-10) -> BvpResult:
+                 qb_at_margin: float = None) -> BvpResult:
     """Shooting solve of the two-point boundary problem q(a) = qa, q(t) = qb.
 
     The endpoint is matched at the truncated time t - eps.  With the default
@@ -403,10 +421,12 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     O(eps^min(1, 2-alpha)) endpoint defect; pass ``qb_at_margin`` (the value
     of the sought path at t - eps) to match without it.
 
-    The shooting slope is bracketed by scanning 32 slopes across
+    One batched integration scans 32 slopes across
     [-10, 10] * (qb - qa)/(t - a); when qb == qa the scan scale falls back
-    to 1/(t - a).  A slope whose trajectory blows up gets no gap and bounds
-    no bracket; if no bracket is left, its StepFailure is raised.
+    to 1/(t - a).  A slope whose trajectory blows up drops out and bounds no
+    bracket; if no bracket is left, its StepFailure is raised.  The root
+    search (to BVP_ROOT_TOL) reuses the scan and integrates only the slopes
+    it adds.
     """
     target = float(bd.qb if qb_at_margin is None else qb_at_margin)
     scale = (bd.qb - bd.qa) / (bd.t - bd.a)
@@ -415,13 +435,23 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     slopes = np.linspace(-BVP_SCAN_SPAN * scale, BVP_SCAN_SPAN * scale,
                          BVP_SCAN_SLOPES)
 
-    runs = {}  # v0 -> (grid, Q, V), so the root is not integrated again
+    runs = {}  # v0 -> (grid, q, qdot, failure), so no slope is integrated twice
+
+    def integrate(v0s):
+        grid, qs, vs, failures = _integrate_el(L, bd.a, bd.t, bd.qa, v0s, alpha, n)
+        for i, v0 in enumerate(np.atleast_1d(v0s)):
+            runs[float(v0)] = grid, qs[:, i], vs[:, i], failures[i]
+        return qs[-1] - target, failures
 
     def endpoint_gap(v0):
-        runs[v0] = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
-        return float(runs[v0][1][-1, 0]) - target
+        if v0 not in runs:
+            integrate(v0)
+        _, q, _, failure = runs[v0]
+        if failure is not None:
+            raise failure
+        return float(q[-1]) - target
 
-    gaps, failure = _scan_gaps(L, bd, slopes, alpha, n, target)
+    gaps, failures = integrate(slopes)  # NaN where a slope blew up
     bracket = None
     for i in range(len(slopes) - 1):
         pair = gaps[i:i + 2]
@@ -429,43 +459,16 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
             bracket = (slopes[i], slopes[i + 1])
             break
     if bracket is None:
-        if failure is not None:
-            raise failure
-        raise BracketingError(
+        failed = [f for f in failures if f is not None]
+        raise failed[0] if failed else BracketingError(
             f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
             f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
             "to have no solution in the scanned family"
         )
-    v0 = find_root(endpoint_gap, bracket[0], bracket[1], tol=root_tol)
-    grid, qs, vs = runs[v0]  # find_root returns a point it evaluated
-    return BvpResult(q=GridFunction(grid, qs[:, 0]),
-                     qdot=GridFunction(grid, vs[:, 0]), v0=float(v0),
-                     matched_time=grid.t, target=target)
-
-
-def _scan_gaps(L, bd, slopes, alpha, n, target):
-    """Endpoint gaps of the scan slopes and the first StepFailure, if any.
-
-    One batched integration evaluates the whole scan.  If a slope blows up,
-    the slopes are integrated one at a time and each failing one gets a
-    NaN gap.
-    """
-    try:
-        _, qs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, n)
-        return qs[-1, :] - target, None
-    except StepFailure:
-        pass
-    gaps = np.full(len(slopes), np.nan)
-    failure = None
-    for i, v0 in enumerate(slopes):
-        try:
-            _, qs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
-        except StepFailure as err:
-            if failure is None:
-                failure = err
-            continue
-        gaps[i] = qs[-1, 0] - target
-    return gaps, failure
+    v0 = find_root(endpoint_gap, bracket[0], bracket[1], tol=BVP_ROOT_TOL)
+    grid, q, qdot, _ = runs[v0]  # find_root returns a point it evaluated
+    return BvpResult(q=GridFunction(grid, q), qdot=GridFunction(grid, qdot),
+                     v0=float(v0), matched_time=grid.t, target=target)
 
 
 # ---------------------------------------------------------------------------

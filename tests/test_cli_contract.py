@@ -513,3 +513,32 @@ def test_principal_branch_in_complex_mode(tmp_path):
     value = complex(float(columns[0][0]), float(columns[1][0]))
     assert header[:2] == ["value_re", "value_im"]
     assert math.isfinite(value.real) and value.imag != 0.0
+
+
+# variant picks between the two 1D functionals; a 2D or 3D action or
+# residual is the Cresson one, so variant=classic there is an error, not a
+# silently ignored key
+PLANE = ["--lagrangian", "(qx^2+qy^2)/2", "--path", "x*y", "--alpha", "0.5",
+         "--domain", "0,1", "--domain", "0,1", "--n", "8"]
+
+
+def _variant_argv(directory, kind, via, variant):
+    if via == "flag":
+        return [kind, *PLANE, "--variant", variant]
+    path = directory / "problem.spec"
+    path.write_text(f"variant={variant}\n", encoding="utf-8")
+    head = [kind] if via == "spec" else ["sweep", "--sweep-kind", kind]
+    return [*head, "--spec", str(path), *PLANE]
+
+
+@pytest.mark.parametrize("via", ["flag", "spec", "sweep"])
+@pytest.mark.parametrize("kind", ["action", "residual"])
+def test_classic_variant_on_a_plane_is_one_spec_error(tmp_path, kind, via):
+    out = tmp_path / "out.csv"
+    argv = _variant_argv(tmp_path, kind, via, "classic")
+    stderr = _assert_one_error_line(argv, out)
+    assert stderr.startswith("FALVA-ERR spec: key 'variant': 2D and 3D")
+    assert not out.exists()
+    # the same call with the Cresson variant runs
+    argv = _variant_argv(tmp_path, kind, via, "cresson")
+    assert _run_quietly(argv, out)[:2] == (0, "")

@@ -24,7 +24,8 @@ from falva import (
     solve_el_bvp,
     solve_el_ivp,
 )
-from falva.euler import _solve_tridiagonal
+from falva import euler
+from falva.euler import _integrate_el, _solve_tridiagonal
 
 FREE = "qdot^2/2"
 OSC = "qdot^2/2 - q^2/2"
@@ -320,6 +321,82 @@ class TestSolveBvp:
         bd = BoundaryData1D(0.0, t, 0.0, 1.0)
         with pytest.raises(BracketingError):
             solve_el_bvp(parse(OSC), bd, 1.0 - 1e-9, 500)
+
+
+class TestShootingLanes:
+    """Each lane of a batched integration fails on its own and matches its
+    lone run bit for bit; the root search reads the scan's lanes."""
+
+    @pytest.mark.parametrize("text, slopes", [
+        # 22 of the 32 lanes blow up, at different steps and stages
+        (QUARTIC, np.linspace(-20.0, 20.0, 32)),
+        ("sqrt(1+qdot^2)*exp(-q/3)", np.linspace(-20.0, 20.0, 12)),
+        # d2L/dqdot^2 = exp(qdot) + exp(-qdot) overflows at v0 = 720 only
+        ("exp(qdot) + exp(-qdot)", np.array([-1.0, 0.0, 720.0, 1.0])),
+    ])
+    def test_lane_parity(self, text, slopes):
+        L = parse(text)
+        grid, qs, vs, failures = _integrate_el(L, 0.0, 1.0, 0.0, slopes, 0.5, 100)
+        assert qs.shape == vs.shape == (101, len(slopes))
+        for i, v0 in enumerate(slopes):
+            lone_grid, q1, v1, (lone,) = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            assert lone_grid == grid
+            assert np.array_equal(qs[:, i], q1[:, 0], equal_nan=True)
+            assert np.array_equal(vs[:, i], v1[:, 0], equal_nan=True)
+            # a failed lane ends in NaN, a finished one does not
+            assert np.isnan(qs[-1, i]) == (lone is not None)
+            if lone is None:
+                assert failures[i] is None
+                continue
+            assert isinstance(failures[i], StepFailure)
+            assert str(failures[i]) == str(lone)
+            assert failures[i].tau == lone.tau
+            # solve_el_ivp raises the lone lane's failure
+            with pytest.raises(StepFailure) as info:
+                solve_el_ivp(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            assert (str(info.value), info.value.tau) == (str(lone), lone.tau)
+
+    def test_lane_failure_kinds(self):
+        _, qs, _, failures = _integrate_el(parse("exp(qdot) + exp(-qdot)"), 0.0,
+                                           1.0, 0.0, [0.0, 720.0], 0.5, 50)
+        assert failures[0] is None
+        assert str(failures[1]) == "d2L/dqdot^2 is not finite at tau = 0"
+        assert failures[1].tau == 0.0
+        assert np.all(np.isnan(qs[1:, 1])) and np.all(np.isfinite(qs[:, 0]))
+        _, _, _, failures = _integrate_el(parse(QUARTIC), 0.0, 1.0, 0.0,
+                                          [300.0], 0.5, 400)
+        assert str(failures[0]).startswith("non-finite derivative at tau = ")
+
+    def test_zero_curvature_fails_the_batch(self):
+        with pytest.raises(SingularLagrangianError):
+            _integrate_el(parse("q*qdot"), 0.0, 1.0, 0.0, [0.0, 1.0], 0.5, 20)
+
+    @staticmethod
+    def _count_integrations(monkeypatch):
+        slopes = []
+        integrate = euler._integrate_el
+
+        def counted(L, a, t, q0, v0, alpha, n):
+            slopes.append(v0)
+            return integrate(L, a, t, q0, v0, alpha, n)
+
+        monkeypatch.setattr(euler, "_integrate_el", counted)
+        return slopes
+
+    @pytest.mark.parametrize("text", [FREE, OSC])
+    def test_linear_problem_integrates_twice(self, monkeypatch, text):
+        # the scan, then the secant root; the bracket ends come from the scan
+        slopes = self._count_integrations(monkeypatch)
+        solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, 0.0, 1.0), 0.5, 400)
+        assert len(slopes) == 2
+        assert np.ndim(slopes[0]) == 1 and np.ndim(slopes[1]) == 0
+
+    def test_quartic_integrations(self, monkeypatch):
+        slopes = self._count_integrations(monkeypatch)
+        res = solve_el_bvp(parse(QUARTIC), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
+                           0.5, 400)
+        assert len(slopes) <= 10
+        assert res.v0 == 1.4261737846979154
 
 
 class TestDirectMinimize:
