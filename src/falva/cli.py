@@ -46,7 +46,7 @@ from .euler import (
     solve_el_bvp,
     solve_el_ivp,
 )
-from .exprdsl import evaluate, parse
+from .exprdsl import LagrangianExpr, evaluate, parse
 from .fracops import (
     ORDER_CONVENTION,
     GridFunctionND,
@@ -175,9 +175,14 @@ def _merge(args) -> "Spec":
 
 
 class Spec:
-    """Merged problem description with typed accessors."""
+    """Merged problem description with typed accessors.
 
-    def __init__(self, kind: str, table: dict):
+    ``parsed`` maps each expression text read through ``expr`` to its
+    parse; the specs of one sweep's rows share it, so a sweep parses each
+    text once.
+    """
+
+    def __init__(self, kind: str, table: dict, parsed=None):
         if kind not in KINDS:
             raise SpecError(f"unknown kind {kind!r}")
         for key, (_, allowed) in _KEYS.items():
@@ -191,6 +196,7 @@ class Spec:
                             f"only, got {table['variant']!r}")
         self.kind = kind
         self.table = table
+        self.parsed = {} if parsed is None else parsed
 
     def get(self, key, default=None):
         return self.table.get(key, default)
@@ -199,6 +205,13 @@ class Spec:
         if key not in self.table:
             raise SpecError(f"missing required key {key!r} for kind {self.kind!r}")
         return self.table[key]
+
+    def expr(self, key) -> LagrangianExpr:
+        text = self.req(key)
+        expr = self.parsed.get(text)
+        if expr is None:
+            expr = self.parsed[text] = parse(text)
+        return expr
 
     def floats(self, key) -> list:
         raw = self.req(key)
@@ -302,8 +315,8 @@ def _meshes(grids):
     return np.meshgrid(*[g.nodes for g in grids], indexing="ij")
 
 
-def _sample_expression(expr_text: str, slot_names, grids) -> np.ndarray:
-    expr = parse(expr_text)
+def _sample_expression(spec: Spec, key: str, slot_names, grids) -> np.ndarray:
+    expr = spec.expr(key)
     extra = set(expr.free_vars) - set(slot_names)
     if extra:
         raise SpecError(
@@ -350,7 +363,7 @@ def _field_for(spec: Spec, grids) -> np.ndarray:
     if "path" in spec.table and "path_file" in spec.table:
         raise SpecError("give either 'path' or 'path_file', not both")
     if "path" in spec.table:
-        return _sample_expression(spec.table["path"], SLOTS[dim][1], grids)
+        return _sample_expression(spec, "path", SLOTS[dim][1], grids)
     if "path_file" in spec.table:
         return _read_field_file(spec.table["path_file"], grids)
     raise SpecError("missing required key 'path' (or 'path_file')")
@@ -359,7 +372,7 @@ def _field_for(spec: Spec, grids) -> np.ndarray:
 def _qdot_for(spec: Spec, grid: Grid1D):
     if "qdot" not in spec.table:
         return None
-    return _sample_expression(spec.table["qdot"], SLOTS[1][1], (grid,))
+    return _sample_expression(spec, "qdot", SLOTS[1][1], (grid,))
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +467,27 @@ def _functional(spec: Spec, classic, cresson_1d, axes_2, axes_n):
     """Apply an action or residual functional to the spec's sampled field.
 
     The four functionals cover the 1D classic and Cresson variants and the
-    2D and ND fields; returns (result, grids, sampled field).
+    2D and ND fields; returns (result, grids, sampled field, velocity
+    samples), the last from the ``qdot`` key of a 1D classic functional and
+    None otherwise.
     """
     grids = spec.grids()
     dim = len(grids)
-    expr = parse(spec.req("lagrangian"))
+    expr = spec.expr("lagrangian")
     values = _field_for(spec, grids)
     if dim == 1:
         q = GridFunction(grids[0], values)
         implied = "cresson" if {"gamma", "beta"} & spec.table.keys() else "classic"
         if spec.get("variant", implied) == "classic":
-            return classic(expr, q, spec.scalar("alpha"),
-                           qdot=_qdot_for(spec, grids[0])), grids, values
-        return cresson_1d(expr, q, _orders_for(spec, dim)), grids, values
+            alpha = spec.scalar("alpha")
+            qdot = _qdot_for(spec, grids[0])
+            return classic(expr, q, alpha, qdot=qdot), grids, values, qdot
+        return cresson_1d(expr, q, _orders_for(spec, dim)), grids, values, None
     field = GridFunctionND(grids, values)
     orders = _orders_for(spec, dim)
     observer = tuple(g.t for g in grids)
     functional = axes_2 if dim == 2 else axes_n
-    return functional(expr, field, orders, observer), grids, values
+    return functional(expr, field, orders, observer), grids, values, None
 
 
 def _action(spec: Spec):
@@ -494,7 +510,7 @@ def _residual_field(spec: Spec):
 
 
 def _run_residual(spec: Spec) -> _Table:
-    rf, grids, values = _residual_field(spec)
+    rf, grids, values, _ = _residual_field(spec)
     residual = rf.residual.values
     comments = [("sup_norm", rf.sup_norm), ("epsilon_margin", rf.epsilon_margin)]
     header = [*SLOTS[len(grids)][1], "q", "residual_re", "residual_im",
@@ -517,9 +533,8 @@ def _boundary(spec: Spec, g: Grid1D) -> BoundaryData1D:
 
 def _ivp(spec: Spec):
     g = _line_grid(spec)
-    expr = parse(spec.req("lagrangian"))
-    return solve_el_ivp(expr, g.a, g.t, spec.scalar("q0"), spec.scalar("v0"),
-                        spec.scalar("alpha"), g.n)
+    return solve_el_ivp(spec.expr("lagrangian"), g.a, g.t, spec.scalar("q0"),
+                        spec.scalar("v0"), spec.scalar("alpha"), g.n)
 
 
 def _run_solve_ivp(spec: Spec) -> _Table:
@@ -532,7 +547,7 @@ def _bvp(spec: Spec):
     g = _line_grid(spec)
     bd = _boundary(spec, g)
     target = spec.scalar("margin_target") if "margin_target" in spec.table else None
-    return solve_el_bvp(parse(spec.req("lagrangian")), bd,
+    return solve_el_bvp(spec.expr("lagrangian"), bd,
                         spec.scalar("alpha"), g.n, qb_at_margin=target)
 
 
@@ -547,7 +562,7 @@ def _run_solve_bvp(spec: Spec) -> _Table:
 def _minimized(spec: Spec):
     g = _line_grid(spec)
     bd = _boundary(spec, g)
-    return direct_minimize(parse(spec.req("lagrangian")), bd,
+    return direct_minimize(spec.expr("lagrangian"), bd,
                            spec.scalar("alpha"), g.n)
 
 
@@ -574,12 +589,13 @@ def _sweep_value(spec: Spec):
     (complex value, classical_ref or None)."""
     kind = spec.kind
     if kind == "action":
-        av, grids, values = _action(spec)
+        av, grids, values, qdot = _action(spec)
         if len(grids) != 1:
             return av.value, None
+        if qdot is None:  # the Cresson variant does not read the velocity
+            qdot = _qdot_for(spec, grids[0])
         q = GridFunction(grids[0], values)
-        return av.value, trapezoid_action(parse(spec.req("lagrangian")), q,
-                                          qdot=_qdot_for(spec, grids[0]))
+        return av.value, trapezoid_action(spec.expr("lagrangian"), q, qdot=qdot)
     if kind == "deriv":
         return complex(_derivative(spec)[2].values.flat[-1]), None
     if kind == "residual":
@@ -604,7 +620,8 @@ def _run_sweep(spec: Spec) -> _Table:
     rows = []
     for alpha in alphas:
         try:
-            value, ref = _sweep_value(Spec(kind, dict(spec.table, alpha=_text(alpha))))
+            row = Spec(kind, dict(spec.table, alpha=_text(alpha)), spec.parsed)
+            value, ref = _sweep_value(row)
         except FalvaError as err:
             rows.append(("", "", f"FALVA-ERR {err.code}", ""))
         else:

@@ -24,15 +24,27 @@ Bindings may be numpy arrays, in which case evaluation is elementwise and
 errors carry the flat index of the first offending node.
 
 Partial derivatives are exact: differentiating the expression tree gives a
-derivative tree, built once per parse and variable, that the same
-evaluator runs.  Domain checks and node indices therefore mean the same
-for a derivative as for the value.
+derivative tree, built once per parse and variable.
+
+Evaluation is compiled.  The value tree and the requested derivative trees
+are hash-consed into one DAG (a literal is keyed by its bits, so 0.0 and
+-0.0 stay apart) and emitted as one straight-line Python function of the
+bindings, built on first use and kept on the expression per variable-tuple
+list and mode.  Each distinct operation runs once, in the order in which a
+walk of the value tree and then of each derivative tree first meets it,
+and each variable is looked up at its first occurrence.  Each domain check
+runs just before its operation, so values keep their bits and the first
+error keeps its message and node index; the one check dropped is the
+division check of a nonzero literal divisor, which cannot fire.  Domain
+checks and node indices therefore mean the same for a derivative as for
+the value.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,12 +101,14 @@ class Call:
 class LagrangianExpr:
     """Parsed expression tree plus the exact set of identifiers it uses.
 
-    ``_derivatives`` caches the derivative trees by variable tuple.
+    ``_derivatives`` caches the derivative trees by variable tuple, and
+    ``_programs`` the compiled programs by variable tuples and mode.
     """
 
     ast: object
     free_vars: frozenset
     _derivatives: dict = field(default_factory=dict, compare=False, repr=False)
+    _programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -314,76 +328,194 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign}
 
+# integer powers up to this exponent are written out as products; larger
+# ones call _intpow, the same multiplications as a loop, to keep the source
+# of a program short
+_INLINE_POWER = 8
 
-class _Evaluator:
-    def __init__(self, env):
-        self.env = env
-        self.complex_mode = any(_is_complex_binding(v) for v in env.values())
 
-    def eval(self, node):
+def _unbound(name):
+    raise EvalError(f"unbound variable {name!r}") from None
+
+
+def _sign(x):
+    if _is_complex_binding(x):
+        raise EvalError("abs is not differentiable for complex values")
+    return np.sign(x)
+
+
+def _real_power(base, expo):
+    """base^expo in real mode for an exponent that is not an integer literal."""
+    _check(np.real(base) < 0, "negative base under a fractional power in real mode")
+    zero = np.asarray(np.real(base) == 0)
+    if np.any(zero):
+        _check(zero & np.asarray(np.real(expo) <= 0),
+               "zero base under a non-positive power")
+        return np.power(base, expo)  # 0^positive = 0, elementwise
+    return np.exp(expo * np.log(base))
+
+
+def _complex_power(base, expo):
+    """base^expo in complex mode, on the principal branch."""
+    _check(base == 0, "zero base under a general power")
+    return np.exp(expo * np.log(_principal(base)))
+
+
+# the names a compiled program calls
+_RUNTIME = {"_check": _check, "_unbound": _unbound, "_principal": _principal,
+            "_intpow": _intpow, "_real": np.real, "_real_power": _real_power,
+            "_complex_power": _complex_power, "_sign": _sign,
+            **{"_" + name: fn for name, fn in _FUNCTIONS.items() if name != "sign"}}
+
+
+class _Compiler:
+    """Hash-conses expression trees into the body of one straight-line
+    function of ``env``.
+
+    A node's key is its operation and the registers of its operands, and a
+    literal's key is its bits (``0.0`` and ``-0.0`` stay apart).  The trees
+    are walked in evaluation order, children first, and each distinct
+    operation is emitted once, at its first occurrence, with its checks just
+    before it.  A check that would pass at a later occurrence passed at the
+    first, so the first error keeps its place.
+    """
+
+    def __init__(self, complex_mode: bool):
+        self.complex_mode = complex_mode
+        self.ops = []  # (lines, operands) of each emitted operation
+        self.names = {}  # literal name -> value, bound in the program's namespace
+        self.refs = {}  # key -> operand text
+        self.seen = {}  # id(node) -> operand text, so a shared subtree is walked once
+        self.operations = 0
+
+    def _literal(self, value):
+        key = ("num", struct.pack("<d", value))
+        if key not in self.refs:
+            name = self.refs[key] = f"k{len(self.names)}"
+            self.names[name] = value
+        return self.refs[key]
+
+    def _emit(self, key, operands, *lines):
+        """Register for ``key``; its lines, with ``{r}`` for the register,
+        are emitted the first time."""
+        ref = self.refs.get(key)
+        if ref is None:
+            ref = self.refs[key] = f"r{len(self.refs)}"
+            self.ops.append(([line.format(r=ref) for line in lines], operands))
+            self.operations += key[0] != "var"
+        return ref
+
+    def ref(self, node) -> str:
+        """Operand text of ``node``, emitting what is new in its subtree."""
+        ref = self.seen.get(id(node))
+        if ref is None:
+            ref = self.seen[id(node)] = self._ref(node)
+        return ref
+
+    def _ref(self, node) -> str:
         if isinstance(node, Num):
-            return node.value
+            return self._literal(node.value)
         if isinstance(node, Var):
-            try:
-                return self.env[node.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {node.name!r}") from None
+            name = repr(node.name)
+            return self._emit(("var", node.name), (), "try:",
+                              f"    {{r}} = env[{name}]", "except KeyError:",
+                              f"    _unbound({name})")
         if isinstance(node, Neg):
-            return -self.eval(node.child)
+            a = self.ref(node.child)
+            return self._emit(("neg", a), (a,), f"{{r}} = -{a}")
         if isinstance(node, Bin):
-            return self._binary(node)
+            return self._power(node) if node.op == "^" else self._binary(node)
         if isinstance(node, Call):
-            return self._call(node)
+            return self._call(node.fn, self.ref(node.arg))
         raise TypeError(f"not an expression node: {node!r}")
 
     def _binary(self, node):
-        op = node.op
-        if op == "^":
-            return self._power(node)
-        a = self.eval(node.lhs)
-        b = self.eval(node.rhs)
-        if op == "/":
-            _check(b == 0, "division by zero")
-        return _ARITH[op](a, b)
+        a, b = self.ref(node.lhs), self.ref(node.rhs)
+        lines = [f"{{r}} = {a} {node.op} {b}"]
+        literal = isinstance(node.rhs, Num) and node.rhs.value != 0
+        if node.op == "/" and not literal:
+            lines.insert(0, f"_check({b} == 0, 'division by zero')")
+        return self._emit((node.op, a, b), (a, b), *lines)
 
     def _power(self, node):
-        base = self.eval(node.lhs)
+        a = self.ref(node.lhs)
         n = _int_literal(node.rhs)
-        if n is not None:
-            if n < 0:
-                _check(base == 0, "zero base under a negative power")
-            return _intpow(base, n)
-        expo = self.eval(node.rhs)
-        if self.complex_mode:
-            _check(base == 0, "zero base under a general power")
-            base = _principal(base)
-        else:
-            _check(np.real(base) < 0,
-                   "negative base under a fractional power in real mode")
-            zero = np.asarray(np.real(base) == 0)
-            if np.any(zero):
-                _check(zero & np.asarray(np.real(expo) <= 0),
-                       "zero base under a non-positive power")
-                return np.power(base, expo)  # 0^positive = 0, elementwise
-        return np.exp(expo * np.log(base))
+        if n is None:
+            b = self.ref(node.rhs)
+            fn = "_complex_power" if self.complex_mode else "_real_power"
+            return self._emit(("^", a, b), (a, b), f"{{r}} = {fn}({a}, {b})")
+        if n == 0:
+            return self._literal(1.0)
+        if n == 1:
+            return a
+        m = abs(n)
+        product = " * ".join([a] * m) if m <= _INLINE_POWER else f"_intpow({a}, {m})"
+        if n > 0:
+            return self._emit(("^", a, n), (a,), f"{{r}} = {product}")
+        return self._emit(("^", a, n), (a,),
+                          f"_check({a} == 0, 'zero base under a negative power')",
+                          f"{{r}} = 1.0 / ({product})")
 
-    def _call(self, node):
-        arg = self.eval(node.arg)
-        fn = node.fn
-        if fn == "log":
-            if self.complex_mode:
-                _check(arg == 0, "log of zero")
-            else:
-                _check(np.real(arg) <= 0, "log of a non-positive value in real mode")
-        elif fn == "sqrt" and not self.complex_mode:
-            _check(np.real(arg) < 0, "sqrt of a negative value in real mode")
-        if self.complex_mode and fn in ("log", "sqrt"):
-            arg = _principal(arg)
-        elif fn == "sign" and _is_complex_binding(arg):
-            raise EvalError("abs is not differentiable for complex values")
+    def _call(self, fn, a):
         if fn not in _FUNCTIONS:
             raise UnknownFunctionError(f"unknown function {fn!r}", 1)
-        return _FUNCTIONS[fn](arg)
+        lines = [f"{{r}} = _{fn}({a})"]
+        if self.complex_mode:
+            if fn == "log":
+                lines.insert(0, f"_check({a} == 0, 'log of zero')")
+            if fn in ("log", "sqrt"):
+                lines[-1] = f"{{r}} = _{fn}(_principal({a}))"
+        elif fn == "log":
+            lines.insert(0, f"_check(_real({a}) <= 0, "
+                            f"'log of a non-positive value in real mode')")
+        elif fn == "sqrt":
+            lines.insert(0, f"_check(_real({a}) < 0, "
+                            f"'sqrt of a negative value in real mode')")
+        return self._emit((fn, a), (a,), *lines)
+
+
+def _compile(trees, complex_mode: bool):
+    """One function of ``env`` that returns the values of ``trees`` as a
+    list; its ``operations`` and ``source`` describe the program.
+
+    Each register that is not an output is deleted after the operation that
+    reads it last, so an intermediate array is freed as early as a tree
+    walk frees it (holding them all makes a program on wide arrays slower).
+    The source holds only register names, the fixed operators and helper
+    names, and the reprs of variable names; literals are bound by name.
+    """
+    compiler = _Compiler(complex_mode)
+    outputs = [compiler.ref(tree) for tree in trees]
+    last = {a: i for i, (_, operands) in enumerate(compiler.ops) for a in operands}
+    body = []
+    for i, (lines, operands) in enumerate(compiler.ops):
+        body += lines
+        dead = [a for a in dict.fromkeys(operands)
+                if last[a] == i and a[0] == "r" and a not in outputs]
+        if dead:
+            body.append(f"del {', '.join(dead)}")
+    body.append(f"return [{', '.join(outputs)}]")
+    source = "def program(env):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = dict(_RUNTIME, **compiler.names)
+    exec(compile(source, "<falva program>", "exec"), namespace)
+    program = namespace["program"]
+    program.operations, program.source = compiler.operations, source
+    return program
+
+
+def _program(expr: LagrangianExpr, variable_tuples: tuple, complex_mode: bool):
+    """The compiled program of the value of ``expr`` and its partials by
+    ``variable_tuples``; built on first use and kept on ``expr``."""
+    key = (variable_tuples, complex_mode)
+    program = expr._programs.get(key)
+    if program is None:
+        trees = [expr.ast] + [_derivative(expr, v) for v in variable_tuples]
+        program = expr._programs[key] = _compile(trees, complex_mode)
+    return program
+
+
+def _complex_mode(env) -> bool:
+    return any(_is_complex_binding(v) for v in env.values())
 
 
 def evaluate(expr: LagrangianExpr, env: dict):
@@ -393,14 +525,14 @@ def evaluate(expr: LagrangianExpr, env: dict):
     the bindings.  Unbound free variables, division by zero and real-mode
     domain violations raise EvalError.
     """
-    return _Evaluator(env).eval(expr.ast)
+    return _program(expr, (), _complex_mode(env))(env)[0]
 
 
 # ---------------------------------------------------------------------------
 # Differentiation
 #
 # The constructors fold 0*x, 1*x, 0/x, x+-0 and x^1, and compute an operator
-# on two literals once, with the float operation the evaluator would do.  A
+# on two literals once, with the float operation the program would do.  A
 # structurally zero derivative is therefore never evaluated, so an overflow
 # in a term that does not depend on the variable cannot poison it (inf*0).
 
@@ -524,19 +656,18 @@ def partial(expr: LagrangianExpr, var: str, env: dict):
     """
     if var not in expr.free_vars:
         return 0.0
-    return partials(expr, [(var,)], env)[1]
+    return partials(expr, ((var,),), env)[1]
 
 
 def partials(expr: LagrangianExpr, variable_tuples, env: dict) -> list:
     """Return [value, d1, d2, ...]: the value, then the partial of ``expr``
     by each variable tuple in the order given (``(b, a)`` is d/da of dL/db).
 
-    One evaluator runs the value first, so its domain errors come first,
-    and then each cached derivative tree once, in order.
+    One compiled program computes them all.  It runs the value first, so
+    its domain errors come first, and then each derivative tree in order,
+    every distinct operation once.
     """
-    ev = _Evaluator(env)
-    return [ev.eval(expr.ast)] + [ev.eval(_derivative(expr, v))
-                                  for v in variable_tuples]
+    return _program(expr, tuple(variable_tuples), _complex_mode(env))(env)
 
 
 def second_partials(expr: LagrangianExpr, var_a: str, var_b: str, env: dict):

@@ -38,6 +38,7 @@ from falva import (
     solve_el_ivp,
     trapezoid_action,
 )
+from falva import cli
 from falva.cli import Spec, main
 
 UNIT = ["--domain", "0,1"]
@@ -542,3 +543,21 @@ def test_classic_variant_on_a_plane_is_one_spec_error(tmp_path, kind, via):
     # the same call with the Cresson variant runs
     argv = _variant_argv(tmp_path, kind, via, "cresson")
     assert _run_quietly(argv, out)[:2] == (0, "")
+
+
+def test_a_sweep_parses_each_text_once_and_samples_each_row_once(tmp_path,
+                                                                 monkeypatch):
+    # the rows share the parsed Lagrangian, path and velocity; a classic
+    # action row samples the path and the velocity once each, for the
+    # action and its classical reference alike
+    counts = {"parse": 0, "evaluate": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    argv = ["sweep", "--variant", "classic", "--lagrangian", "qdot^2/2 - q^2/2",
+            "--alpha", "0.25,0.5,0.75", "--domain", "0,1", "--n", "64",
+            "--path", "sin(tau)", "--qdot", "cos(tau)"]
+    assert _run_quietly(argv, tmp_path / "out.csv")[:2] == (0, "")
+    assert counts == {"parse": 3, "evaluate": 6}

@@ -4,9 +4,14 @@ Dimensional bit parity: the 1D Cresson and 2D entry points run the same
 core as the N-dimensional one, so with the slots renamed they give the
 same bits.  Collapse: the combined operator at gamma = -i is the left
 derivative and at gamma = +i minus the right one, values and flags alike.
-Grids, fields, orders and gamma are drawn small and at random; gamma
-includes exactly -i and +i.
+Mirror: the right derivative is the left one of the reflected path,
+reflected back, bit for bit.  Linearity: the combined operator is linear
+up to rounding, to a tolerance derived from the float64 epsilon.  Grids,
+fields, orders and gamma are drawn small and at random; gamma includes
+exactly -i and +i.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -112,3 +117,57 @@ def test_cresson_collapses_to_one_sided_operators(data, grid, alpha, beta):
     plus = cresson(f, OrderSet.for_1d(alpha, beta, 1j))
     assert np.array_equal(plus.values, -right.values)
     assert np.array_equal(plus.flags, right.flags)
+
+
+def _reflect(f):
+    return GridFunction(f.grid, f.values[::-1], f.flags[::-1])
+
+
+@PROPERTY
+@given(data=st.data(), grid=grids(max_n=64), beta=ORDER)
+def test_right_operator_mirrors_the_left_one(data, grid, beta):
+    flags = data.draw(hnp.arrays(bool, grid.n + 1))
+    f = GridFunction(grid, _field(data.draw, (grid,)), flags)
+    right = rl_right(f, beta)
+    mirrored = _reflect(rl_left(_reflect(f), beta))
+    assert np.array_equal(right.values, mirrored.values)
+    assert np.array_equal(right.flags, mirrored.flags)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _operator_scale(values, h, orders):
+    """Bound on the sum of the absolute terms that make up one node of the
+    combined operator: per side, its weight times max|slope| times the sum
+    of the product weights, (n h)^(1-order) / gamma(2-order), plus the
+    boundary term |f(end)| h^-order / gamma(1-order) at its largest."""
+    (left, right), g = orders.pair(0), orders.gamma_w
+    slope = np.max(np.abs(np.diff(values))) / h
+    span = h * (values.size - 1)
+
+    def side(order, end):
+        return (slope * span ** (1.0 - order) / math.gamma(2.0 - order)
+                + abs(end) * h ** -order / math.gamma(1.0 - order))
+
+    return (abs(0.5 * (1.0 + 1j * g)) * side(left, values[0])
+            + abs(0.5 * (1j * g - 1.0)) * side(right, values[-1]))
+
+
+@PROPERTY
+@given(data=st.data(), grid=grids(max_n=64), alpha=ORDER, beta=ORDER,
+       gamma_w=GAMMA, a=VALUE, b=VALUE)
+def test_cresson_is_linear(data, grid, alpha, beta, gamma_w, a, b):
+    f, g = (_field(data.draw, (grid,)) for _ in range(2))
+    orders = OrderSet.for_1d(alpha, beta, gamma_w)
+    combined = cresson(GridFunction(grid, a * f + b * g), orders).values
+    apart = (a * cresson(GridFunction(grid, f), orders).values
+             + b * cresson(GridFunction(grid, g), orders).values)
+    # rounding of a zero-padded FFT convolution of n terms grows at most like
+    # log2(transform size) * sqrt(n) times epsilon times the terms' scale
+    n = grid.n
+    growth = 4.0 * math.log2(4 * n) * math.sqrt(n) * EPS
+    scale = (abs(a) * _operator_scale(f, grid.h, orders)
+             + abs(b) * _operator_scale(g, grid.h, orders)
+             + _operator_scale(a * f + b * g, grid.h, orders))
+    assert np.max(np.abs(combined - apart)) <= growth * scale
