@@ -32,7 +32,8 @@ from .errors import (
     SlotMismatchError,
     UnsupportedDimensionError,
 )
-from .exprdsl import LagrangianExpr, evaluate, partial
+# partial is not called here; perfbench/spans.py wraps it at this name
+from .exprdsl import LagrangianExpr, evaluate, partial, partials
 from .fracops import GridFunctionND, OrderSet, as_nd, axis_cresson
 from .numcore import GridFunction, _weights_from_nodes, central_diff, gamma
 
@@ -94,11 +95,15 @@ def _eval_field(expr, env, shape, offsets=None):
         raise _locate(err, shape, offsets) from None
 
 
-def _partial_field(expr, var, env, shape, offsets=None):
+def _partial_fields(expr, names, env, shape, offsets=None):
+    """The partial of ``expr`` by each of ``names``, one program for all;
+    a name that ``expr`` does not use gives exactly 0."""
+    used = [(name,) for name in names if name in expr.free_vars]
     try:
-        return _broadcast(partial(expr, var, env), shape)
+        found = dict(zip(used, partials(expr, used, env)[1:])) if used else {}
     except EvalError as err:
         raise _locate(err, shape, offsets) from None
+    return [_broadcast(found.get((name,), 0.0), shape) for name in names]
 
 
 def _locate(err: EvalError, shape, offsets) -> EvalError:

@@ -49,7 +49,7 @@ from .action import (
     _eval_field,
     _fractional_env,
     _locate,
-    _partial_field,
+    _partial_fields,
     _qdot_samples,
     nd_slots,
 )
@@ -63,6 +63,7 @@ from .errors import (
     StepFailure,
     UnsupportedDimensionError,
 )
+# second_partials is not called here; perfbench/spans.py wraps it at this name
 from .exprdsl import LagrangianExpr, partials, second_partials
 from .fracops import GridFunctionND, OrderSet, as_1d, as_nd, axis_cresson
 from .numcore import (
@@ -100,6 +101,12 @@ BVP_ROOT_TOL = 1e-10
 # partial by q or tau followed by its qdot-derivative
 _ACCEL_PARTIALS = (("qdot",), ("qdot", "qdot"), ("q",), ("q", "qdot"),
                    ("tau",), ("tau", "qdot"))
+
+# the first and second partials the Hessian of direct_minimize reads, in the
+# order in which separate calls of second_partials by (qdot, qdot),
+# (qdot, q) and (q, q) would first compute them
+_HESSIAN_PARTIALS = (("qdot",), ("qdot", "qdot"), ("q",), ("q", "qdot"),
+                     ("q", "q"))
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,7 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     nodes = q.grid.nodes
     h = q.grid.h
     env = {"qdot": qd, "q": q.values, "tau": nodes}
-    p = _partial_field(L, "qdot", env, nodes.shape)
-    lq = _partial_field(L, "q", env, nodes.shape)
+    p, lq = _partial_fields(L, ("qdot", "q"), env, nodes.shape)
     dp = central_diff(p, h)
     eps = _margin(q.grid.a, t_obs, h)
     excluded = np.zeros(nodes.shape, dtype=bool)
@@ -249,8 +255,7 @@ def _el_residual_core(L: LagrangianExpr, field: GridFunctionND,
     env, flags = _fractional_env(L, field, orders, slots)
     ndim = field.ndim
     shape = field.values.shape
-    lq = _partial_field(L, "q", env, shape)
-    momenta = [_partial_field(L, name, env, shape) for name in slots[0]]
+    lq, *momenta = _partial_fields(L, ("q", *slots[0]), env, shape)
 
     excluded = flags.copy()
     eps = []
@@ -520,8 +525,7 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
 
     def grad(qv):
         env = cell_env(qv)
-        lq = _partial_field(L, "q", env, mids.shape)
-        lqd = _partial_field(L, "qdot", env, mids.shape)
+        lq, lqd = _partial_fields(L, ("q", "qdot"), env, mids.shape)
         out = np.zeros_like(qv)
         out[:-1] += cell_w * (0.5 * lq - lqd / h)
         out[1:] += cell_w * (0.5 * lq + lqd / h)
@@ -533,9 +537,7 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         dq = (1/2, 1/2)."""
         env = cell_env(qv)
         try:
-            _, _, _, l_qdqd = second_partials(L, "qdot", "qdot", env)
-            _, _, _, l_qdq = second_partials(L, "qdot", "q", env)
-            _, _, _, l_qq = second_partials(L, "q", "q", env)
+            *_, l_qdqd, _, l_qdq, l_qq = partials(L, _HESSIAN_PARTIALS, env)
         except EvalError as err:
             raise _locate(err, mids.shape, None) from None
         vv = cell_w * l_qdqd / (h * h)

@@ -328,11 +328,6 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "sqrt": np.sqrt, "abs": np.abs, "sign": np.sign}
 
-# integer powers up to this exponent are written out as products; larger
-# ones call _intpow, the same multiplications as a loop, to keep the source
-# of a program short
-_INLINE_POWER = 8
-
 
 def _unbound(name):
     raise EvalError(f"unbound variable {name!r}") from None
@@ -386,7 +381,6 @@ class _Compiler:
         self.names = {}  # literal name -> value, bound in the program's namespace
         self.refs = {}  # key -> operand text
         self.seen = {}  # id(node) -> operand text, so a shared subtree is walked once
-        self.operations = 0
 
     def _literal(self, value):
         key = ("num", struct.pack("<d", value))
@@ -402,7 +396,6 @@ class _Compiler:
         if ref is None:
             ref = self.refs[key] = f"r{len(self.refs)}"
             self.ops.append(([line.format(r=ref) for line in lines], operands))
-            self.operations += key[0] != "var"
         return ref
 
     def ref(self, node) -> str:
@@ -448,13 +441,10 @@ class _Compiler:
             return self._literal(1.0)
         if n == 1:
             return a
-        m = abs(n)
-        product = " * ".join([a] * m) if m <= _INLINE_POWER else f"_intpow({a}, {m})"
-        if n > 0:
-            return self._emit(("^", a, n), (a,), f"{{r}} = {product}")
-        return self._emit(("^", a, n), (a,),
-                          f"_check({a} == 0, 'zero base under a negative power')",
-                          f"{{r}} = 1.0 / ({product})")
+        lines = [f"{{r}} = _intpow({a}, {n})"]
+        if n < 0:
+            lines.insert(0, f"_check({a} == 0, 'zero base under a negative power')")
+        return self._emit(("^", a, n), (a,), *lines)
 
     def _call(self, fn, a):
         if fn not in _FUNCTIONS:
@@ -476,7 +466,7 @@ class _Compiler:
 
 def _compile(trees, complex_mode: bool):
     """One function of ``env`` that returns the values of ``trees`` as a
-    list; its ``operations`` and ``source`` describe the program.
+    list; its ``source`` attribute holds the program text.
 
     Each register that is not an output is deleted after the operation that
     reads it last, so an intermediate array is freed as early as a tree
@@ -499,7 +489,7 @@ def _compile(trees, complex_mode: bool):
     namespace = dict(_RUNTIME, **compiler.names)
     exec(compile(source, "<falva program>", "exec"), namespace)
     program = namespace["program"]
-    program.operations, program.source = compiler.operations, source
+    program.source = source
     return program
 
 
@@ -665,13 +655,19 @@ def partials(expr: LagrangianExpr, variable_tuples, env: dict) -> list:
 
     One compiled program computes them all.  It runs the value first, so
     its domain errors come first, and then each derivative tree in order,
-    every distinct operation once.
+    every distinct operation once.  Entries may therefore be one and the
+    same array (for ``exp(q)`` the value is also d/dq), and an entry may be
+    a binding of ``env`` itself: change none of them in place.
     """
     return _program(expr, tuple(variable_tuples), _complex_mode(env))(env)
 
 
 def second_partials(expr: LagrangianExpr, var_a: str, var_b: str, env: dict):
-    """Return (value, dL/da, dL/db, d2L/dadb), the last as d/da of dL/db."""
+    """Return (value, dL/da, dL/db, d2L/dadb), the last as d/da of dL/db.
+
+    As with ``partials``, entries may share storage with each other or with
+    a binding: change none of them in place.
+    """
     value, d_b, d_a, d_ab = partials(expr, [(var_b,), (var_a,), (var_b, var_a)],
                                      env)
     return value, d_a, d_b, d_ab
