@@ -64,7 +64,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 # second_partials is not called here; perfbench/spans.py wraps it at this name
-from .exprdsl import LagrangianExpr, partials, second_partials
+from .exprdsl import LagrangianExpr, _program, partials, second_partials
 from .fracops import GridFunctionND, OrderSet, as_1d, as_nd, axis_cresson
 from .numcore import (
     Grid1D,
@@ -101,6 +101,9 @@ BVP_ROOT_TOL = 1e-10
 # partial by q or tau followed by its qdot-derivative
 _ACCEL_PARTIALS = (("qdot",), ("qdot", "qdot"), ("q",), ("q", "qdot"),
                    ("tau",), ("tau", "qdot"))
+# the entries of [value, *_ACCEL_PARTIALS] the field reads: all but the
+# value and dL/dtau
+_ACCEL_RETURNS = (1, 2, 3, 4, 6)
 
 # the first and second partials the Hessian of direct_minimize reads, in the
 # order in which separate calls of second_partials by (qdot, qdot),
@@ -332,16 +335,22 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
         qddot = (dL/dq - (1-alpha)/(t-tau) dL/dqdot
                  - d2L/dqdot dq * qdot - d2L/dqdot dtau) / d2L/dqdot^2
 
-    with the value and the six partials of ``_ACCEL_PARTIALS`` evaluated in
-    one pass over the Lagrangian's derivative trees (dL/dtau is unused).
-    Works on batched states and returns (qddot, d2L/dqdot^2); a zero
-    d2L/dqdot^2 raises SingularLagrangianError.
+    for real float states and a float tau.  The five partials it reads come
+    from the real-mode program of ``[value, *_ACCEL_PARTIALS]`` pruned to
+    those entries: the operations that only the value or dL/dtau need are
+    left out, while every check of all seven trees still runs in its place,
+    so an error is the one ``partials`` raises.  Works on batched states
+    and returns (qddot, d2L/dqdot^2); a zero d2L/dqdot^2 raises
+    SingularLagrangianError.
     """
+    program = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS)
 
     def accel(qv, vv, tau):
-        env = {"qdot": vv, "q": qv, "tau": tau}
-        _, l_qd, l_qdqd, l_q, l_qdq, _, l_qdtau = partials(L, _ACCEL_PARTIALS, env)
-        if np.any(l_qdqd == 0):
+        l_qd, l_qdqd, l_q, l_qdq, l_qdtau = program({"qdot": vv, "q": qv,
+                                                     "tau": tau})
+        # a literal or scalar curvature is a float (np.float64 is one too)
+        zero = l_qdqd == 0 if isinstance(l_qdqd, float) else (l_qdqd == 0).any()
+        if zero:
             raise SingularLagrangianError(
                 f"d2L/dqdot^2 vanished at tau = {float(tau):g}"
             )
@@ -379,15 +388,18 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
         acc, curvature = accel(qv, vv, tau)
         d = np.empty_like(state)
         d[0], d[1] = vv, acc
-        ok = np.isfinite(curvature) & np.isfinite(vv) & np.isfinite(acc)
-        if np.count_nonzero(ok) + len(lost) < m:  # a lane failed at this stage
-            curved, at = np.broadcast_to(np.isfinite(curvature), (m,)), float(tau)
-            for i in np.flatnonzero(~(ok | dead)):
-                failures[i] = StepFailure(
-                    f"non-finite derivative at tau = {at!r}" if curved[i]
-                    else f"d2L/dqdot^2 is not finite at tau = {at:g}", tau=at)
-                lost.append(i)
-            dead[lost] = True
+        curved = (math.isfinite(curvature) if isinstance(curvature, float)
+                  else np.isfinite(curvature).all())
+        if curved and not lost and np.isfinite(d).all():
+            return d
+        # a lane failed at this stage, or one failed before
+        curved, at = np.broadcast_to(np.isfinite(curvature), (m,)), float(tau)
+        for i in np.flatnonzero(~(np.isfinite(d).all(axis=0) & curved | dead)):
+            failures[i] = StepFailure(
+                f"non-finite derivative at tau = {at!r}" if curved[i]
+                else f"d2L/dqdot^2 is not finite at tau = {at:g}", tau=at)
+            lost.append(i)
+        dead[lost] = True
         d[:, dead] = 0.0  # keeps failed lanes out of ode_step_rk4's check
         return d
 
@@ -397,7 +409,8 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(grid.n):
             y = ode_step_rk4(y, field, nodes[k], grid.h)
-            y[:, dead] = np.nan
+            if lost:
+                y[:, dead] = np.nan
             qs[k + 1], vs[k + 1] = y
             if len(lost) == m:
                 break
@@ -430,10 +443,15 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     [-10, 10] * (qb - qa)/(t - a); when qb == qa the scan scale falls back
     to 1/(t - a).  A slope whose trajectory blows up drops out and bounds no
     bracket; if no bracket is left, its StepFailure is raised.  The root
-    search (to BVP_ROOT_TOL) reuses the scan and integrates only the slopes
-    it adds.
+    search reuses the scan and integrates only the slopes it adds; it stops
+    at an endpoint gap of BVP_ROOT_TOL times the boundary data's scale,
+    max(|qa|, |qb|, |target|), or times 1 when all three are zero.  A
+    non-finite ``qb_at_margin`` raises DomainError.
     """
     target = float(bd.qb if qb_at_margin is None else qb_at_margin)
+    if not math.isfinite(target):
+        raise DomainError(f"the margin target must be finite, got {target!r}")
+    tol = BVP_ROOT_TOL * (max(abs(bd.qa), abs(bd.qb), abs(target)) or 1.0)
     scale = (bd.qb - bd.qa) / (bd.t - bd.a)
     if scale == 0.0:
         scale = 1.0 / (bd.t - bd.a)
@@ -460,7 +478,8 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     bracket = None
     for i in range(len(slopes) - 1):
         pair = gaps[i:i + 2]
-        if np.all(np.isfinite(pair)) and pair[0] * pair[1] <= 0.0:
+        if np.isfinite(pair).all() and (pair[0] <= 0.0 <= pair[1]
+                                         or pair[1] <= 0.0 <= pair[0]):
             bracket = (slopes[i], slopes[i + 1])
             break
     if bracket is None:
@@ -470,7 +489,7 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
             f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
             "to have no solution in the scanned family"
         )
-    v0 = find_root(endpoint_gap, bracket[0], bracket[1], tol=BVP_ROOT_TOL)
+    v0 = find_root(endpoint_gap, bracket[0], bracket[1], tol=tol)
     grid, q, qdot, _ = runs[v0]  # find_root returns a point it evaluated
     return BvpResult(q=GridFunction(grid, q), qdot=GridFunction(grid, qdot),
                      v0=float(v0), matched_time=grid.t, target=target)

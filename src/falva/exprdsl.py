@@ -38,6 +38,15 @@ error keeps its message and node index; the one check dropped is the
 division check of a nonzero literal divisor, which cannot fire.  Domain
 checks and node indices therefore mean the same for a derivative as for
 the value.
+
+A caller inside the package can ask for a pruned program that returns only
+some of the entries (the RK4 field reads five of its seven).  The trees
+are walked in the same order, and an operation is emitted only if a
+returned entry or a check reads it; every check, every variable lookup and
+every helper that can raise keeps its place.  A pruned program therefore
+returns its entries with the bits of the full program and fails with the
+same first error (type, message and node index).  ``evaluate``,
+``partial``, ``partials`` and ``second_partials`` run the full program.
 """
 
 from __future__ import annotations
@@ -377,7 +386,7 @@ class _Compiler:
 
     def __init__(self, complex_mode: bool):
         self.complex_mode = complex_mode
-        self.ops = []  # (lines, operands) of each emitted operation
+        self.ops = []  # (register, check, lines, operands, raises) of each operation
         self.names = {}  # literal name -> value, bound in the program's namespace
         self.refs = {}  # key -> operand text
         self.seen = {}  # id(node) -> operand text, so a shared subtree is walked once
@@ -389,13 +398,16 @@ class _Compiler:
             self.names[name] = value
         return self.refs[key]
 
-    def _emit(self, key, operands, *lines):
-        """Register for ``key``; its lines, with ``{r}`` for the register,
-        are emitted the first time."""
+    def _emit(self, key, operands, lines, check=None, raises=False):
+        """Register for ``key``.  The first time, the operation is recorded
+        as its value ``lines``, with ``{r}`` for the register, and its
+        ``check``: None or an (operand, line) pair that runs just before
+        them.  ``raises`` marks value lines that can fail."""
         ref = self.refs.get(key)
         if ref is None:
             ref = self.refs[key] = f"r{len(self.refs)}"
-            self.ops.append(([line.format(r=ref) for line in lines], operands))
+            self.ops.append((ref, check, [line.format(r=ref) for line in lines],
+                             operands, raises))
         return ref
 
     def ref(self, node) -> str:
@@ -410,12 +422,13 @@ class _Compiler:
             return self._literal(node.value)
         if isinstance(node, Var):
             name = repr(node.name)
-            return self._emit(("var", node.name), (), "try:",
-                              f"    {{r}} = env[{name}]", "except KeyError:",
-                              f"    _unbound({name})")
+            return self._emit(("var", node.name), (),
+                              ["try:", f"    {{r}} = env[{name}]",
+                               "except KeyError:", f"    _unbound({name})"],
+                              raises=True)
         if isinstance(node, Neg):
             a = self.ref(node.child)
-            return self._emit(("neg", a), (a,), f"{{r}} = -{a}")
+            return self._emit(("neg", a), (a,), [f"{{r}} = -{a}"])
         if isinstance(node, Bin):
             return self._power(node) if node.op == "^" else self._binary(node)
         if isinstance(node, Call):
@@ -424,11 +437,12 @@ class _Compiler:
 
     def _binary(self, node):
         a, b = self.ref(node.lhs), self.ref(node.rhs)
-        lines = [f"{{r}} = {a} {node.op} {b}"]
+        check = None
         literal = isinstance(node.rhs, Num) and node.rhs.value != 0
         if node.op == "/" and not literal:
-            lines.insert(0, f"_check({b} == 0, 'division by zero')")
-        return self._emit((node.op, a, b), (a, b), *lines)
+            check = b, f"_check({b} == 0, 'division by zero')"
+        return self._emit((node.op, a, b), (a, b), [f"{{r}} = {a} {node.op} {b}"],
+                          check)
 
     def _power(self, node):
         a = self.ref(node.lhs)
@@ -436,49 +450,69 @@ class _Compiler:
         if n is None:
             b = self.ref(node.rhs)
             fn = "_complex_power" if self.complex_mode else "_real_power"
-            return self._emit(("^", a, b), (a, b), f"{{r}} = {fn}({a}, {b})")
+            return self._emit(("^", a, b), (a, b), [f"{{r}} = {fn}({a}, {b})"],
+                              raises=True)
         if n == 0:
             return self._literal(1.0)
         if n == 1:
             return a
-        lines = [f"{{r}} = _intpow({a}, {n})"]
+        check = None
         if n < 0:
-            lines.insert(0, f"_check({a} == 0, 'zero base under a negative power')")
-        return self._emit(("^", a, n), (a,), *lines)
+            check = a, f"_check({a} == 0, 'zero base under a negative power')"
+        return self._emit(("^", a, n), (a,), [f"{{r}} = _intpow({a}, {n})"], check)
 
     def _call(self, fn, a):
         if fn not in _FUNCTIONS:
             raise UnknownFunctionError(f"unknown function {fn!r}", 1)
-        lines = [f"{{r}} = _{fn}({a})"]
+        line, check = f"{{r}} = _{fn}({a})", None
         if self.complex_mode:
             if fn == "log":
-                lines.insert(0, f"_check({a} == 0, 'log of zero')")
+                check = a, f"_check({a} == 0, 'log of zero')"
             if fn in ("log", "sqrt"):
-                lines[-1] = f"{{r}} = _{fn}(_principal({a}))"
+                line = f"{{r}} = _{fn}(_principal({a}))"
         elif fn == "log":
-            lines.insert(0, f"_check(_real({a}) <= 0, "
-                            f"'log of a non-positive value in real mode')")
+            check = a, (f"_check(_real({a}) <= 0, "
+                        f"'log of a non-positive value in real mode')")
         elif fn == "sqrt":
-            lines.insert(0, f"_check(_real({a}) < 0, "
-                            f"'sqrt of a negative value in real mode')")
-        return self._emit((fn, a), (a,), *lines)
+            check = a, (f"_check(_real({a}) < 0, "
+                        f"'sqrt of a negative value in real mode')")
+        return self._emit((fn, a), (a,), [line], check, raises=fn == "sign")
 
 
-def _compile(trees, complex_mode: bool):
+def _compile(trees, complex_mode: bool, returns=None):
     """One function of ``env`` that returns the values of ``trees`` as a
-    list; its ``source`` attribute holds the program text.
+    list, or only those at the indices ``returns``; its ``source``
+    attribute holds the program text.
 
-    Each register that is not an output is deleted after the operation that
-    reads it last, so an intermediate array is freed as early as a tree
-    walk frees it (holding them all makes a program on wide arrays slower).
-    The source holds only register names, the fixed operators and helper
-    names, and the reprs of variable names; literals are bound by name.
+    A program that returns some of the values is pruned: it keeps every
+    check and every operation that can raise, each in its place, and the
+    operations that a returned value or a check reads; the rest is left
+    out.  Each register that is not an output is deleted after the line
+    that reads it last, so an intermediate array is freed as early as a
+    tree walk frees it (holding them all makes a program on wide arrays
+    slower).  The source holds only register names, the fixed operators and
+    helper names, and the reprs of variable names; literals are bound by
+    name.
     """
     compiler = _Compiler(complex_mode)
     outputs = [compiler.ref(tree) for tree in trees]
-    last = {a: i for i, (_, operands) in enumerate(compiler.ops) for a in operands}
+    if returns is not None:
+        outputs = [outputs[i] for i in returns]
+    live = set(outputs)
+    steps = []  # (lines, operands they read) of each emitted operation, last first
+    for ref, check, lines, operands, raises in reversed(compiler.ops):
+        if returns is not None and not raises and ref not in live:
+            lines, operands = [], ()
+        if check is not None:
+            lines = [check[1]] + lines
+            operands = operands + (check[0],)
+        if lines:
+            live.update(operands)
+            steps.append((lines, operands))
+    steps.reverse()
+    last = {a: i for i, (_, operands) in enumerate(steps) for a in operands}
     body = []
-    for i, (lines, operands) in enumerate(compiler.ops):
+    for i, (lines, operands) in enumerate(steps):
         body += lines
         dead = [a for a in dict.fromkeys(operands)
                 if last[a] == i and a[0] == "r" and a not in outputs]
@@ -493,14 +527,17 @@ def _compile(trees, complex_mode: bool):
     return program
 
 
-def _program(expr: LagrangianExpr, variable_tuples: tuple, complex_mode: bool):
+def _program(expr: LagrangianExpr, variable_tuples: tuple, complex_mode: bool,
+             returns: tuple = None):
     """The compiled program of the value of ``expr`` and its partials by
-    ``variable_tuples``; built on first use and kept on ``expr``."""
-    key = (variable_tuples, complex_mode)
+    ``variable_tuples``; built on first use and kept on ``expr``.  With
+    ``returns``, the program is pruned to return only the entries at those
+    indices of [value, d1, d2, ...] (see ``_compile``)."""
+    key = (variable_tuples, complex_mode, returns)
     program = expr._programs.get(key)
     if program is None:
         trees = [expr.ast] + [_derivative(expr, v) for v in variable_tuples]
-        program = expr._programs[key] = _compile(trees, complex_mode)
+        program = expr._programs[key] = _compile(trees, complex_mode, returns)
     return program
 
 

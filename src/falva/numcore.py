@@ -196,7 +196,7 @@ def ode_step_rk4(state, field, tau: float, h: float) -> np.ndarray:
 
     def eval_field(yy, tt):
         d = np.asarray(field(yy, tt), dtype=np.float64)
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise StepFailure(f"non-finite derivative at tau = {float(tt)!r}",
                               tau=float(tt))
         return d
@@ -211,8 +211,9 @@ def ode_step_rk4(state, field, tau: float, h: float) -> np.ndarray:
 def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
     """Bracketed bisection/secant hybrid.
 
-    Requires g(lo) * g(hi) <= 0; returns x with |g(x)| <= tol or with the
-    final bracket width <= tol.
+    Requires g(lo) and g(hi) not to share a strict sign (their signs are
+    compared, never their product, which can overflow or underflow);
+    returns x with |g(x)| <= tol or with the final bracket width <= tol.
     """
     a, b = float(lo), float(hi)
     fa, fb = float(g(a)), float(g(b))
@@ -220,7 +221,7 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
         return a
     if abs(fb) <= tol:
         return b
-    if fa * fb > 0.0:
+    if fa > 0.0 and fb > 0.0 or fa < 0.0 and fb < 0.0:
         raise BracketingError(
             f"no sign change on [{a:g}, {b:g}]: g(lo)={fa:g}, g(hi)={fb:g}"
         )
@@ -239,7 +240,7 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
         fx = float(g(x))
         if abs(fx) <= tol:
             return x
-        if fa * fx <= 0.0:
+        if fa <= 0.0 <= fx or fx <= 0.0 <= fa:
             b, fb = x, fx
         else:
             a, fa = x, fx

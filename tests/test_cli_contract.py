@@ -365,6 +365,14 @@ def test_inputs_that_once_crashed(tmp_path, kind, key, value):
     _assert_one_error_line(_argv(kind, **{key: value}), tmp_path / "out.csv")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_margin_target_is_bad_input(tmp_path, value):
+    argv = _argv("solve-bvp") + [f"--margin-target={value}"]
+    stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    assert stderr.startswith("FALVA-ERR domain:")
+    assert _run_quietly(argv, tmp_path / "out.csv")[0] == 2
+
+
 # every slope of the scan blows up before the match time
 QUARTIC_BVP = ["solve-bvp", "--lagrangian", "qdot^2/2 + q^4/4", "--alpha", "0.5",
                "--domain", "0,1", "--n", "400", "--boundary", "0,50"]

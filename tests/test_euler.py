@@ -24,7 +24,7 @@ from falva import (
     solve_el_bvp,
     solve_el_ivp,
 )
-from falva import euler
+from falva import euler, observed_order, partials
 from falva.euler import _integrate_el, _solve_tridiagonal
 
 FREE = "qdot^2/2"
@@ -314,6 +314,18 @@ class TestSolveBvp:
         gap = np.abs(np.interp(bn, dm.q.grid.nodes, dm.q.values) - res.q.values)
         assert np.max(gap[bn <= 1.0 - 5.0 * eps]) < 1e-3
 
+    @pytest.mark.parametrize("qa, qb", [(0.0, 1e-12), (0.0, 1e-6), (0.0, 1e200),
+                                        (1e-170, 2e-170)])
+    def test_root_tolerance_scales_with_the_boundary_data(self, qa, qb):
+        # the free particle's slope is linear in qb - qa.  An absolute gap
+        # tolerance stopped at a scan slope for qb = 1e-12; products of two
+        # gaps overflowed at 1e200 and underflowed to a false bracket at
+        # 1e-170
+        L = parse(FREE)
+        unit = solve_el_bvp(L, BoundaryData1D(0.0, 1.0, 0.0, 1.0), 0.5, 50).v0
+        res = solve_el_bvp(L, BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 50)
+        assert res.v0 / (qb - qa) == pytest.approx(unit, rel=1e-8)
+
     def test_no_bracket_diagnostic(self):
         # conjugate point: q(tau) = v0 sin(tau) vanishes at pi regardless of
         # v0, so q = 1 there is unreachable and the scan finds no bracket
@@ -397,6 +409,33 @@ class TestShootingLanes:
                            0.5, 400)
         assert len(slopes) <= 10
         assert res.v0 == 1.4261737846979154
+
+
+class TestEnergyBalance:
+    """Along an extremal the energy H = v L_v - L obeys the FALVA balance
+    dH/dtau = -(1-alpha) v L_v/(t-tau) - L_tau (Frederico & Torres, Int. J.
+    Appl. Math. 19, 2006).  With a Simpson integral of the source, the
+    balance defect of the RK4 path falls at RK4's order."""
+
+    @pytest.mark.parametrize("text", [OSC, "qdot^2/2 + q^4/4 + tau*q",
+                                      "sqrt(1+qdot^2)*exp(-q/3)"])
+    def test_defect_falls_at_fourth_order(self, text):
+        L, alpha, t = parse(text), 0.5, 1.0
+        errors = []
+        for n in (200, 400, 800):
+            grid, qs, vs, failures = _integrate_el(L, 0.0, t, 0.0, 0.7, alpha, n)
+            assert failures == [None]
+            q, v, tau = qs[:, 0], vs[:, 0], grid.nodes
+            value, l_v, l_tau = partials(L, [("qdot",), ("tau",)],
+                                         {"qdot": v, "q": q, "tau": tau})
+            energy = v * l_v - value
+            source = -(1.0 - alpha) * v * l_v / (t - tau) - l_tau
+            # Simpson from node 0 to each even node
+            panels = source[:-2:2] + 4.0 * source[1:-1:2] + source[2::2]
+            balance = np.concatenate([[0.0], np.cumsum(panels) * grid.h / 3.0])
+            defect = energy[::2] - energy[0] - balance
+            errors.append((grid.h, float(np.max(np.abs(defect)))))
+        assert 3.8 < observed_order(errors) < 4.2
 
 
 class TestDirectMinimize:

@@ -186,6 +186,13 @@ class TestFindRoot:
         with pytest.raises(BracketingError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
+    def test_tiny_values_are_compared_by_sign(self):
+        # products of two values near 1e-170 underflow to zero
+        g = lambda x: 1e-170 * (x - 0.3)  # noqa: E731
+        assert find_root(g, -1.0, 1.0, 1e-190) == pytest.approx(0.3, abs=1e-15)
+        with pytest.raises(BracketingError):
+            find_root(g, 1.0, 2.0, 1e-190)
+
 
 class TestObservedOrder:
     def test_quadratic(self):

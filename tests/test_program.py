@@ -4,7 +4,8 @@
 node by node and evaluates a repeated subtree again at each occurrence.
 The compiled program runs each distinct operation once, in the order of
 its first occurrence, so it must give the same bits and, where evaluation
-fails, the same first error.
+fails, the same first error.  A pruned program, which returns only some of
+the entries, must give those entries and fail as the full program does.
 """
 
 import math
@@ -31,7 +32,7 @@ from falva.exprdsl import (
     _is_complex_binding,
     _principal,
 )
-from falva.euler import _ACCEL_PARTIALS
+from falva.euler import _ACCEL_PARTIALS, _ACCEL_RETURNS
 
 
 def _tree_eval(node, env):
@@ -194,6 +195,21 @@ def test_program_matches_the_tree_walk(text, env, tuples):
                          _outcome(lambda: _tree_partials(expr, tuples, env)))
 
 
+@settings(max_examples=400)
+@given(text=EXPRESSIONS, env=environments(), tuples=TUPLES, data=st.data())
+def test_pruned_program_matches_the_full_one(text, env, tuples, data):
+    expr = parse(text)
+    returns = tuple(data.draw(st.lists(st.integers(0, len(tuples)), max_size=4)))
+    pruned = exprdsl._program(expr, tuple(tuples), exprdsl._complex_mode(env),
+                              returns)
+
+    def selected():
+        entries = partials(expr, tuples, env)
+        return [entries[i] for i in returns]
+
+    _assert_same_outcome(_outcome(lambda: pruned(env)), _outcome(selected))
+
+
 @pytest.mark.parametrize("text", ["qdot^2/2 - q^2/2",
                                   "sqrt(1+qdot^2)*exp(-q)*tau",
                                   "log(q)/qdot + (qdot*q)^tau - abs(q)^-2"])
@@ -220,6 +236,33 @@ def test_accel_program_runs_each_distinct_operation_once(text, operations,
     program = exprdsl._program(parse(text), _ACCEL_PARTIALS, complex_mode)
     assigned = re.findall(r"^ *r\d+ = (.*)$", program.source, re.MULTILINE)
     assert sum(not value.startswith("env[") for value in assigned) == operations
+
+
+def test_pruned_accel_program_holds_no_value_only_operation():
+    # the value's two squares, two halvings and difference are left out
+    program = exprdsl._program(parse("qdot^2/2 - q^2/2"), _ACCEL_PARTIALS, False,
+                               _ACCEL_RETURNS)
+    assigned = re.findall(r"^ *(r\d+) = (.*)$", program.source, re.MULTILINE)
+    assert sum(not value.startswith("env[") for _, value in assigned) == 5
+    assert "_intpow" not in program.source
+    # and every register it assigns is read
+    reads = "\n".join(line for line in program.source.splitlines()
+                      if not line.strip().startswith("del "))
+    for register, _ in assigned:
+        assert len(re.findall(rf"\b{register}\b", reads)) >= 2, register
+
+
+def test_pruned_accel_program_keeps_a_value_only_check():
+    # log(q) only feeds the value, but its check still runs in its place
+    expr = parse("qdot^2/2 + log(q)")
+    program = exprdsl._program(expr, _ACCEL_PARTIALS, False, _ACCEL_RETURNS)
+    assert "_log(" not in program.source
+    env = {"qdot": np.array([0.5, 1.0, 2.0]), "q": np.array([1.0, -1.0, 0.0]),
+           "tau": 0.0}
+    want = _outcome(lambda: partials(expr, _ACCEL_PARTIALS, env))
+    assert want[:3] == ("error", EvalError,
+                        "log of a non-positive value in real mode (node 1)")
+    _assert_same_outcome(_outcome(lambda: program(env)), want)
 
 
 def test_only_a_divisor_that_can_be_zero_is_checked():
