@@ -66,6 +66,7 @@ from .errors import (
 # second_partials is not called here; perfbench/spans.py wraps it at this name
 from .exprdsl import LagrangianExpr, _program, partials, second_partials
 from .fracops import GridFunctionND, OrderSet, as_1d, as_nd, axis_cresson
+# ode_step_rk4 is not called here; perfbench/spans.py wraps it at this name
 from .numcore import (
     Grid1D,
     GridFunction,
@@ -339,9 +340,9 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
     from the real-mode program of ``[value, *_ACCEL_PARTIALS]`` pruned to
     those entries: the operations that only the value or dL/dtau need are
     left out, while every check of all seven trees still runs in its place,
-    so an error is the one ``partials`` raises.  Works on batched states
-    and returns (qddot, d2L/dqdot^2); a zero d2L/dqdot^2 raises
-    SingularLagrangianError.
+    so an error is the one ``partials`` raises.  Works on float states and
+    on lane arrays and returns (qddot, d2L/dqdot^2); a zero d2L/dqdot^2
+    raises SingularLagrangianError.
     """
     program = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS)
 
@@ -360,12 +361,99 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
     return accel
 
 
+def _step_failure(curved, tau):
+    """The StepFailure of a stage at ``tau`` whose derivative is not finite;
+    ``curved`` tells whether d2L/dqdot^2 was finite there."""
+    return StepFailure(f"non-finite derivative at tau = {tau!r}" if curved
+                       else f"d2L/dqdot^2 is not finite at tau = {tau:g}", tau=tau)
+
+
+def _rk4_steps(stage, q, v, taus, h):
+    """Classical RK4 on dq/dtau = v, dv/dtau = qddot from taus[0], one step
+    of size h per following node; yields (q, v) after each step.
+
+    ``stage(q, v, tau)`` returns the stage's derivative (v, qddot), so each
+    stage's q-increment is that stage's v.  Component by component, the
+    operations and their order are those of ``ode_step_rk4`` on the stacked
+    state (q, v), and IEEE arithmetic gives them the same bits on floats as
+    on lane arrays.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    for tau in taus[:-1]:
+        v1, a1 = stage(q, v, tau)
+        v2, a2 = stage(q + half * v1, v + half * a1, tau + half)
+        v3, a3 = stage(q + half * v2, v + half * a2, tau + half)
+        v4, a4 = stage(q + h * v3, v + h * a3, tau + h)
+        q = q + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        yield q, v
+
+
+def _lone_stage(accel, failures):
+    """RK4 stage of one slope on floats; records the run's StepFailure in
+    failures[0].  The rest of the failed step runs on NaN, as a lost lane of
+    the scan does, so that a check of tau alone still fails there."""
+
+    def stage(q, v, tau):
+        if failures[0] is not None:
+            q = v = math.nan
+        try:
+            acc, curvature = accel(q, v, tau)
+        except EvalError:
+            # a check on floats has no node index: the same stage on
+            # one-element arrays raises the error with it
+            try:
+                accel(np.array([q]), np.array([v]), tau)
+            except EvalError as located:
+                raise located from None
+            raise
+        if not (math.isfinite(v) and math.isfinite(acc)
+                and math.isfinite(curvature)) and failures[0] is None:
+            failures[0] = _step_failure(math.isfinite(curvature), tau)
+        return v, acc
+
+    return stage
+
+
+def _lane_stage(accel, failures, dead):
+    """RK4 stage of the lane arrays; records lane i's StepFailure in
+    failures[i] and marks it in ``dead``.  A lost lane rides along as NaN."""
+    m = len(failures)
+    lost = []
+
+    def stage(q, v, tau):
+        if lost:
+            q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
+        acc, curvature = accel(q, v, tau)
+        # a literal or scalar curvature is a float (np.float64 is one too)
+        curved = (math.isfinite(curvature) if isinstance(curvature, float)
+                  else np.isfinite(curvature).all())
+        if curved and not lost and np.isfinite(acc).all() and np.isfinite(v).all():
+            return v, acc
+        # a lane failed at this stage, or one failed before
+        curved = np.broadcast_to(np.isfinite(curvature), (m,))
+        for i in np.flatnonzero(~(np.isfinite(v) & np.isfinite(acc) & curved | dead)):
+            failures[i] = _step_failure(bool(curved[i]), tau)
+            lost.append(i)
+        dead[lost] = True
+        return v, acc
+
+    return stage
+
+
 def _integrate_el(L, a, t, q0, v0, alpha, n):
     """RK4-integrate the rearranged Euler-Lagrange dynamics from q0 at a to
     the truncated time t - eps, one lane per slope in ``v0``.  Returns
     (grid, Q, V, failures) with node samples in rows; a lane's samples are
     NaN from its first non-finite RK4 stage on, and failures[i] is the
     StepFailure lane i raises when integrated alone (None if it got through).
+
+    One RK4 loop advances the pair (q, v).  A lone slope runs it on Python
+    floats, which spares numpy's per-call cost on one-element arrays; its
+    first non-finite stage ends the run, and an EvalError carries node 0 as
+    on arrays.  Several slopes run it on lane arrays, where each lane fails
+    on its own.  The bits are the same either way, so every lane matches
+    its lone run.
     """
     _check_slots(L, ("qdot", "q", "tau"))
     if not 0.0 < alpha < 1.0:
@@ -373,47 +461,31 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     n = int(n)
     eps = max(IVP_MARGIN_FRACTION * (t - a), 2.0 * (t - a) / n)
     grid = Grid1D(a, t - eps, n)
-    nodes = grid.nodes
+    taus = grid.nodes.tolist()
     v0 = np.atleast_1d(np.asarray(v0, dtype=np.float64))
     m = v0.shape[0]
     accel = _accel_factory(L, alpha, t)
     failures = [None] * m
-    dead = np.zeros(m, dtype=bool)
-    lost = []  # the lanes that have failed
-
-    def field(state, tau):
-        if lost:  # a failed lane rides along as NaN
-            state = np.where(dead, np.nan, state)
-        qv, vv = state
-        acc, curvature = accel(qv, vv, tau)
-        d = np.empty_like(state)
-        d[0], d[1] = vv, acc
-        curved = (math.isfinite(curvature) if isinstance(curvature, float)
-                  else np.isfinite(curvature).all())
-        if curved and not lost and np.isfinite(d).all():
-            return d
-        # a lane failed at this stage, or one failed before
-        curved, at = np.broadcast_to(np.isfinite(curvature), (m,)), float(tau)
-        for i in np.flatnonzero(~(np.isfinite(d).all(axis=0) & curved | dead)):
-            failures[i] = StepFailure(
-                f"non-finite derivative at tau = {at!r}" if curved[i]
-                else f"d2L/dqdot^2 is not finite at tau = {at:g}", tau=at)
-            lost.append(i)
-        dead[lost] = True
-        d[:, dead] = 0.0  # keeps failed lanes out of ode_step_rk4's check
-        return d
-
     qs, vs = np.full((2, grid.n + 1, m), np.nan)
-    y = np.array([np.full(m, float(q0)), v0])
-    qs[0], vs[0] = y
+    qs[0], vs[0] = float(q0), v0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(grid.n):
-            y = ode_step_rk4(y, field, nodes[k], grid.h)
-            if lost:
-                y[:, dead] = np.nan
-            qs[k + 1], vs[k + 1] = y
-            if len(lost) == m:
-                break
+        if m == 1:
+            steps = _rk4_steps(_lone_stage(accel, failures), float(q0),
+                               float(v0[0]), taus, grid.h)
+            for k, (q, v) in enumerate(steps, 1):
+                if failures[0] is not None:
+                    break
+                qs[k, 0], vs[k, 0] = q, v
+        else:
+            dead = np.zeros(m, dtype=bool)
+            steps = _rk4_steps(_lane_stage(accel, failures, dead),
+                               np.full(m, float(q0)), v0, taus, grid.h)
+            for k, (q, v) in enumerate(steps, 1):
+                qs[k], vs[k] = q, v
+                if dead.any():
+                    qs[k, dead] = vs[k, dead] = np.nan
+                    if dead.all():
+                        break
     return grid, qs, vs, failures
 
 

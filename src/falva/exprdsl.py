@@ -291,17 +291,15 @@ def _principal(x):
     return np.asarray(x, dtype=np.complex128) if np.ndim(x) else complex(x)
 
 
-def _bad_index(mask):
-    mask = np.asarray(mask)
-    if mask.ndim == 0:
-        return None
-    return int(np.argmax(mask.ravel()))
-
-
 def _check(mask, message):
-    """Raise EvalError if any element of ``mask`` is truthy."""
-    if np.any(mask):
-        idx = _bad_index(mask)
+    """Raise EvalError if any element of ``mask`` is truthy.  An array mask
+    reports the flat index of its first truthy element; a scalar mask (a
+    comparison of floats) is tested without a numpy call."""
+    if not isinstance(mask, np.ndarray):
+        if mask:
+            raise EvalError(message)
+    elif mask.any():
+        idx = None if mask.ndim == 0 else int(np.argmax(mask.ravel()))
         where = "" if idx is None else f" (node {idx})"
         raise EvalError(message + where, index=idx)
 
@@ -323,7 +321,11 @@ def _intpow(x, n: int):
     if n == 0:
         return 1.0
     if n < 0:
-        return 1.0 / _intpow(x, -n)
+        p = _intpow(x, -n)
+        try:
+            return 1.0 / p
+        except ZeroDivisionError:  # a float power that underflowed to zero
+            return 1.0 / np.float64(p)  # a signed inf, as numpy divides
     out = x
     for _ in range(n - 1):
         out = out * x

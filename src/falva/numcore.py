@@ -214,6 +214,10 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
     Requires g(lo) and g(hi) not to share a strict sign (their signs are
     compared, never their product, which can overflow or underflow);
     returns x with |g(x)| <= tol or with the final bracket width <= tol.
+    A secant candidate that is not strictly inside the bracket is formed
+    again with the quotient taken first, which survives gaps and widths
+    whose product overflows or underflows; if it is still outside, the
+    step bisects.
     """
     a, b = float(lo), float(hi)
     fa, fb = float(g(a)), float(g(b))
@@ -232,8 +236,10 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
         x = None
         if use_secant and fb != fa:
             x = b - fb * (b - a) / (fb - fa)
-            if not (min(a, b) < x < max(a, b)):
-                x = None
+            if not min(a, b) < x < max(a, b):
+                x = b - fb / (fb - fa) * (b - a)
+                if not min(a, b) < x < max(a, b):
+                    x = None
         if x is None:
             x = 0.5 * (a + b)
         use_secant = not use_secant  # alternate to guarantee shrinkage

@@ -392,6 +392,20 @@ def test_blow_ups_end_in_one_error_line(tmp_path, argv, code):
     assert "vanished" not in stderr
 
 
+@pytest.mark.parametrize("term, q0, message", [
+    ("log(q)", "-1", "log of a non-positive value in real mode"),
+    ("sqrt(q)", "-1", "sqrt of a negative value in real mode"),
+    ("q^1.5", "-1", "negative base under a fractional power in real mode"),
+    ("1/q", "0", "division by zero"),
+    ("q^-2", "0", "zero base under a negative power"),
+])
+def test_solve_ivp_domain_error_names_node_0(tmp_path, term, q0, message):
+    argv = ["solve-ivp", "--lagrangian", "qdot^2/2 + " + term, "--alpha", "0.5",
+            "--domain", "0,1", "--n", "50", "--q0", q0, "--v0", "0"]
+    stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    assert stderr == f"FALVA-ERR eval: {message} (node 0)\n"
+
+
 @pytest.mark.parametrize("table", [
     {"n.x": "2048", "domain.y": "0,1"},
     {"n.x": "200", "domain.y": "0,1", "domain.z": "0,1"},

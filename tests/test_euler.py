@@ -6,6 +6,7 @@ import pytest
 from falva import (
     BoundaryData1D,
     BracketingError,
+    EvalError,
     Grid1D,
     GridFunction,
     GridFunctionND,
@@ -267,6 +268,32 @@ class TestSolveIvp:
             solve_el_ivp(parse("exp(q)*qdot^2/2"), 0.0, 1.0, 800.0, 0.0, 0.5, 50)
         assert info.value.tau == 0.0
 
+    @pytest.mark.parametrize("term, q0", [("log(q)", -1.0), ("sqrt(q)", -1.0),
+                                          ("q^1.5", -1.0), ("1/q", 0.0),
+                                          ("q^-2", 0.0)])
+    def test_domain_error_names_node_0(self, term, q0):
+        # a lone run evaluates on floats, yet reports the node as on arrays
+        with pytest.raises(EvalError) as info:
+            solve_el_ivp(parse("qdot^2/2 + " + term), 0.0, 1.0, q0, 0.0, 0.5, 50)
+        assert info.value.index == 0
+        assert str(info.value).endswith(" (node 0)")
+
+    def test_check_of_tau_alone_names_no_node(self):
+        with pytest.raises(EvalError) as info:
+            solve_el_ivp(parse("qdot^2/2 + log(0.5 - tau)*q"), 0.0, 1.0, 0.0,
+                         1.0, 0.5, 50)
+        assert info.value.index is None
+        assert str(info.value) == "log of a non-positive value in real mode"
+
+    @pytest.mark.parametrize("text, end", [
+        (OSC, (0.40267547202531223, 0.025655805718367487)),
+        ("qdot^2/2 + q^4/4 + tau*q", (0.5824264045313686, 0.26879172307142907)),
+    ])
+    def test_rk4_bits(self, text, end):
+        # pinned end state: a reordered RK4 sum moves its last bits
+        q, qdot = solve_el_ivp(parse(text), 0.0, 1.0, 0.0, 0.7, 0.5, 400)
+        assert (q.values[-1], qdot.values[-1]) == end
+
 
 class TestSolveBvp:
     def test_free_particle_slope(self):
@@ -326,6 +353,15 @@ class TestSolveBvp:
         res = solve_el_bvp(L, BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 50)
         assert res.v0 / (qb - qa) == pytest.approx(unit, rel=1e-8)
 
+    @pytest.mark.parametrize("text, alpha, v0", [
+        (FREE, 0.5, 1.0529782716401337), (FREE, 0.75, 0.8816309272074996),
+        (OSC, 0.5, 1.2168608073779041), (OSC, 0.75, 1.029243287548484),
+    ])
+    def test_slope_bits(self, text, alpha, v0):
+        res = solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, 0.0, 0.7),
+                           alpha, 400)
+        assert res.v0 == v0
+
     def test_no_bracket_diagnostic(self):
         # conjugate point: q(tau) = v0 sin(tau) vanishes at pi regardless of
         # v0, so q = 1 there is unreachable and the scan finds no bracket
@@ -345,6 +381,11 @@ class TestShootingLanes:
         ("sqrt(1+qdot^2)*exp(-q/3)", np.linspace(-20.0, 20.0, 12)),
         # d2L/dqdot^2 = exp(qdot) + exp(-qdot) overflows at v0 = 720 only
         ("exp(qdot) + exp(-qdot)", np.array([-1.0, 0.0, 720.0, 1.0])),
+        # each runtime helper and a checked division, on floats when alone
+        ("qdot^2/2 + abs(q)", np.linspace(-20.0, 20.0, 12)),
+        ("qdot^2/2 + (1+q^2)^0.75", np.linspace(-20.0, 20.0, 12)),
+        ("qdot^2/2 + q/(2+q^2)", np.linspace(-20.0, 20.0, 12)),
+        ("qdot^2/2 + log(2+q^2)", np.linspace(-20.0, 20.0, 12)),
     ])
     def test_lane_parity(self, text, slopes):
         L = parse(text)
@@ -379,6 +420,18 @@ class TestShootingLanes:
                                           [300.0], 0.5, 400)
         assert str(failures[0]).startswith("non-finite derivative at tau = ")
 
+    def test_check_of_tau_alone_fails_in_the_rest_of_a_failed_step(self):
+        # every lane blows up at the second stage of step k, and log(c - tau)
+        # fails at its fourth stage, tau = c: the rest of the step runs on
+        # NaN, so the lone run raises the scan's EvalError
+        grid = Grid1D(0.0, 0.98, 100)
+        taus, h, k = grid.nodes.tolist(), grid.h, 40
+        c, d, rate = taus[k] + h, taus[k] + 0.25 * h, 8000.0 / h
+        L = parse(f"qdot^2/2 + exp({rate!r}*(tau - {d!r}))*q + log({c!r} - tau)*q")
+        for v0 in ([0.5, 1.0], 0.5):
+            with pytest.raises(EvalError, match="^log of a non-positive value in real mode$"):
+                _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+
     def test_zero_curvature_fails_the_batch(self):
         with pytest.raises(SingularLagrangianError):
             _integrate_el(parse("q*qdot"), 0.0, 1.0, 0.0, [0.0, 1.0], 0.5, 20)
@@ -395,11 +448,17 @@ class TestShootingLanes:
         monkeypatch.setattr(euler, "_integrate_el", counted)
         return slopes
 
-    @pytest.mark.parametrize("text", [FREE, OSC])
-    def test_linear_problem_integrates_twice(self, monkeypatch, text):
+    # at 1e200 and 1e-170 the secant step's product overflows or
+    # underflows, and the step takes the quotient first
+    @pytest.mark.parametrize("text, qa, qb", [
+        (FREE, 0.0, 1.0), (OSC, 0.0, 1.0), (FREE, 0.0, 1e200), (OSC, 0.0, 1e200),
+        (FREE, 1e-170, 2e-170), (OSC, 1e-170, 2e-170),
+    ], ids=[FREE, OSC, FREE + "-1e200", OSC + "-1e200", FREE + "-1e-170",
+            OSC + "-1e-170"])
+    def test_linear_problem_integrates_twice(self, monkeypatch, text, qa, qb):
         # the scan, then the secant root; the bracket ends come from the scan
         slopes = self._count_integrations(monkeypatch)
-        solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, 0.0, 1.0), 0.5, 400)
+        solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 400)
         assert len(slopes) == 2
         assert np.ndim(slopes[0]) == 1 and np.ndim(slopes[1]) == 0
 

@@ -142,6 +142,16 @@ class TestEvaluate:
         assert evaluate(parse("q^2"), {"q": -3.0}) == 9.0
         assert evaluate(parse("q^3"), {"q": -2.0}) == -8.0
 
+    @pytest.mark.parametrize("text, q", [("q^-2", 1e-200), ("q^-3", -1e-110)])
+    def test_negative_power_that_underflows(self, text, q):
+        # q^|n| is 0 on floats as on arrays; the reciprocal is a signed inf
+        # with numpy's divide warning either way, never ZeroDivisionError
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            on_floats = evaluate(parse(text), {"q": q})
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            (on_arrays,) = evaluate(parse(text), {"q": np.array([q])})
+        assert on_floats == on_arrays == math.copysign(math.inf, q)
+
 
 class TestPartial:
     def test_quadratic(self):
