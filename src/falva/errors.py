@@ -85,9 +85,14 @@ class SingularNodeError(FalvaError):
 
 
 class SingularLagrangianError(FalvaError):
-    """The second derivative of L in the velocity slot vanished."""
+    """The second derivative of L in the velocity slot vanished; carries
+    ``tau`` when raised by an RK4 stage."""
 
     code = "degenerate"
+
+    def __init__(self, message, tau=None):
+        self.tau = tau
+        super().__init__(message)
 
 
 class StepFailure(FalvaError):

@@ -31,7 +31,14 @@ Boundary solves.  The shooting solver matches the endpoint at the
 truncated time t - epsilon.  By default the match target is the raw
 boundary value, which leaves an O(epsilon^(2-alpha)) endpoint defect; a
 caller that knows the value of the sought path at t - epsilon can pass it
-as ``qb_at_margin`` to remove the defect.
+as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
+the shooting root runs on at most BVP_COARSE_NODES intervals: from that n
+on, epsilon is 0.02 (t - a) whatever n is, so a coarse scan matches at
+the same time as a scan at the full n.  The root search itself runs at
+the full n, from the coarse bracket's ends integrated there.  If the
+coarse scan finds no bracket, or its ends do not bracket at the full n,
+the scan is repeated at the full n.  Up to BVP_COARSE_NODES intervals
+the scan runs at n itself.
 """
 
 from __future__ import annotations
@@ -94,6 +101,9 @@ __all__ = [
 RESIDUAL_MARGIN_FRACTION = 0.05
 IVP_MARGIN_FRACTION = 0.02
 BVP_SCAN_SLOPES = 32
+# the fewest intervals at which 2 (t-a)/n <= IVP_MARGIN_FRACTION (t-a), so
+# that the match time t - eps no longer depends on n
+BVP_COARSE_NODES = math.ceil(2.0 / IVP_MARGIN_FRACTION)
 BVP_SCAN_SPAN = 10.0
 BVP_ROOT_TOL = 1e-10
 
@@ -331,7 +341,7 @@ def el_residual_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
 
 
 def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
-    """Acceleration field from the Euler-Lagrange equation solved for qddot:
+    """Force and curvature of the Euler-Lagrange equation solved for qddot:
 
         qddot = (dL/dq - (1-alpha)/(t-tau) dL/dqdot
                  - d2L/dqdot dq * qdot - d2L/dqdot dtau) / d2L/dqdot^2
@@ -341,30 +351,29 @@ def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
     those entries: the operations that only the value or dL/dtau need are
     left out, while every check of all seven trees still runs in its place,
     so an error is the one ``partials`` raises.  Works on float states and
-    on lane arrays and returns (qddot, d2L/dqdot^2); a zero d2L/dqdot^2
-    raises SingularLagrangianError.
+    on lane arrays and returns (numerator, d2L/dqdot^2); the stage divides,
+    so that it can test the curvature for zero first.
     """
     program = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS)
 
     def accel(qv, vv, tau):
         l_qd, l_qdqd, l_q, l_qdq, l_qdtau = program({"qdot": vv, "q": qv,
                                                      "tau": tau})
-        # a literal or scalar curvature is a float (np.float64 is one too)
-        zero = l_qdqd == 0 if isinstance(l_qdqd, float) else (l_qdqd == 0).any()
-        if zero:
-            raise SingularLagrangianError(
-                f"d2L/dqdot^2 vanished at tau = {float(tau):g}"
-            )
         damping = (1.0 - alpha) / (t_obs - tau)
-        return (l_q - damping * l_qd - l_qdq * vv - l_qdtau) / l_qdqd, l_qdqd
+        return l_q - damping * l_qd - l_qdq * vv - l_qdtau, l_qdqd
 
     return accel
 
 
-def _step_failure(curved, tau):
-    """The StepFailure of a stage at ``tau`` whose derivative is not finite;
-    ``curved`` tells whether d2L/dqdot^2 was finite there."""
-    return StepFailure(f"non-finite derivative at tau = {tau!r}" if curved
+def _stage_failure(curvature, tau):
+    """The error of a stage at ``tau`` whose derivative is not finite: a
+    SingularLagrangianError where d2L/dqdot^2 is 0, else a StepFailure that
+    tells whether the curvature was finite there."""
+    if curvature == 0:
+        return SingularLagrangianError(
+            f"d2L/dqdot^2 vanished at tau = {float(tau):g}", tau=tau)
+    return StepFailure(f"non-finite derivative at tau = {tau!r}"
+                       if math.isfinite(curvature)
                        else f"d2L/dqdot^2 is not finite at tau = {tau:g}", tau=tau)
 
 
@@ -390,15 +399,17 @@ def _rk4_steps(stage, q, v, taus, h):
 
 
 def _lone_stage(accel, failures):
-    """RK4 stage of one slope on floats; records the run's StepFailure in
-    failures[0].  The rest of the failed step runs on NaN, as a lost lane of
-    the scan does, so that a check of tau alone still fails there."""
+    """RK4 stage of one slope on floats; a zero d2L/dqdot^2 raises its
+    SingularLagrangianError at once, and a non-finite derivative records the
+    run's StepFailure in failures[0].  The rest of the failed step runs on
+    NaN, as a lost lane of the scan does, so that a check of tau alone still
+    fails there."""
 
     def stage(q, v, tau):
         if failures[0] is not None:
             q = v = math.nan
         try:
-            acc, curvature = accel(q, v, tau)
+            force, curvature = accel(q, v, tau)
         except EvalError:
             # a check on floats has no node index: the same stage on
             # one-element arrays raises the error with it
@@ -407,33 +418,42 @@ def _lone_stage(accel, failures):
             except EvalError as located:
                 raise located from None
             raise
+        if curvature == 0:
+            raise _stage_failure(curvature, tau)
+        acc = force / curvature
         if not (math.isfinite(v) and math.isfinite(acc)
                 and math.isfinite(curvature)) and failures[0] is None:
-            failures[0] = _step_failure(math.isfinite(curvature), tau)
+            failures[0] = _stage_failure(curvature, tau)
         return v, acc
 
     return stage
 
 
 def _lane_stage(accel, failures, dead):
-    """RK4 stage of the lane arrays; records lane i's StepFailure in
-    failures[i] and marks it in ``dead``.  A lost lane rides along as NaN."""
+    """RK4 stage of the lane arrays; records the error lane i raises when
+    integrated alone (a StepFailure, or a SingularLagrangianError where its
+    d2L/dqdot^2 is 0) in failures[i] and marks it in ``dead``.  A lost lane
+    rides along as NaN."""
     m = len(failures)
     lost = []
 
     def stage(q, v, tau):
         if lost:
             q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
-        acc, curvature = accel(q, v, tau)
+        force, curvature = accel(q, v, tau)
+        # the force is an array, as it holds -d2L/dqdot dq * qdot
+        acc = force / curvature
         # a literal or scalar curvature is a float (np.float64 is one too)
         curved = (math.isfinite(curvature) if isinstance(curvature, float)
                   else np.isfinite(curvature).all())
+        # a zero curvature makes acc non-finite, so the screen catches it
         if curved and not lost and np.isfinite(acc).all() and np.isfinite(v).all():
             return v, acc
         # a lane failed at this stage, or one failed before
-        curved = np.broadcast_to(np.isfinite(curvature), (m,))
-        for i in np.flatnonzero(~(np.isfinite(v) & np.isfinite(acc) & curved | dead)):
-            failures[i] = _step_failure(bool(curved[i]), tau)
+        curvature = np.broadcast_to(curvature, (m,))
+        ok = np.isfinite(v) & np.isfinite(acc) & np.isfinite(curvature)
+        for i in np.flatnonzero(~(ok | dead)):
+            failures[i] = _stage_failure(float(curvature[i]), tau)
             lost.append(i)
         dead[lost] = True
         return v, acc
@@ -446,7 +466,8 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     the truncated time t - eps, one lane per slope in ``v0``.  Returns
     (grid, Q, V, failures) with node samples in rows; a lane's samples are
     NaN from its first non-finite RK4 stage on, and failures[i] is the
-    StepFailure lane i raises when integrated alone (None if it got through).
+    StepFailure or SingularLagrangianError lane i raises when integrated
+    alone (None if it got through).
 
     One RK4 loop advances the pair (q, v).  A lone slope runs it on Python
     floats, which spares numpy's per-call cost on one-element arrays; its
@@ -513,12 +534,26 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
 
     One batched integration scans 32 slopes across
     [-10, 10] * (qb - qa)/(t - a); when qb == qa the scan scale falls back
-    to 1/(t - a).  A slope whose trajectory blows up drops out and bounds no
-    bracket; if no bracket is left, its StepFailure is raised.  The root
-    search reuses the scan and integrates only the slopes it adds; it stops
-    at an endpoint gap of BVP_ROOT_TOL times the boundary data's scale,
-    max(|qa|, |qb|, |target|), or times 1 when all three are zero.  A
-    non-finite ``qb_at_margin`` raises DomainError.
+    to 1/(t - a).  A slope whose trajectory blows up or meets a vanishing
+    d2L/dqdot^2 drops out and bounds no bracket; if no bracket is left, the
+    scan raises the first vanished curvature it met, else the StepFailure
+    of the lowest failed slope.
+
+    For n > BVP_COARSE_NODES the scan runs on BVP_COARSE_NODES intervals:
+    eps = max(0.02 (t-a), 2 (t-a)/n) is 0.02 (t-a) from that n on, so the
+    coarse scan matches at the same time t - eps.  The two ends of its
+    first bracket are then integrated alone at the full n; if they bracket
+    there, the root search starts from them.  These are the slopes and gaps
+    a full-n scan gives whenever its first bracket is the same one, and a
+    lone run has the bits of its scan lane, so the result is the full
+    scan's.  If the coarse scan finds no bracket, fails, or its ends do not
+    bracket at n, the full scan runs instead, with its result or error.  A
+    problem with no bracket therefore pays for both scans.
+
+    The root search reuses the full-n runs and integrates only the slopes
+    it adds; it stops at an endpoint gap of BVP_ROOT_TOL times the boundary
+    data's scale, max(|qa|, |qb|, |target|), or times 1 when all three are
+    zero.  A non-finite ``qb_at_margin`` raises DomainError.
     """
     target = float(bd.qb if qb_at_margin is None else qb_at_margin)
     if not math.isfinite(target):
@@ -530,7 +565,7 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     slopes = np.linspace(-BVP_SCAN_SPAN * scale, BVP_SCAN_SPAN * scale,
                          BVP_SCAN_SLOPES)
 
-    runs = {}  # v0 -> (grid, q, qdot, failure), so no slope is integrated twice
+    runs = {}  # v0 -> (grid, q, qdot, failure) at n; no slope runs twice
 
     def integrate(v0s):
         grid, qs, vs, failures = _integrate_el(L, bd.a, bd.t, bd.qa, v0s, alpha, n)
@@ -546,25 +581,53 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
             raise failure
         return float(q[-1]) - target
 
-    gaps, failures = integrate(slopes)  # NaN where a slope blew up
     bracket = None
-    for i in range(len(slopes) - 1):
-        pair = gaps[i:i + 2]
-        if np.isfinite(pair).all() and (pair[0] <= 0.0 <= pair[1]
-                                         or pair[1] <= 0.0 <= pair[0]):
-            bracket = (slopes[i], slopes[i + 1])
-            break
+    if n > BVP_COARSE_NODES:
+        try:
+            _, qs, _, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha,
+                                        BVP_COARSE_NODES)
+            i = _first_bracket(qs[-1] - target)
+            # the coarse bracket holds if its two ends, run alone at n, bracket
+            if i is not None and _first_bracket(
+                    [endpoint_gap(float(v0)) for v0 in slopes[i:i + 2]]) == 0:
+                bracket = slopes[i], slopes[i + 1]
+        except (EvalError, SingularLagrangianError, StepFailure):
+            pass  # the full scan below raises the error that stands
     if bracket is None:
-        failed = [f for f in failures if f is not None]
-        raise failed[0] if failed else BracketingError(
-            f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
-            f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
-            "to have no solution in the scanned family"
-        )
+        gaps, failures = integrate(slopes)  # NaN where a slope failed
+        i = _first_bracket(gaps)
+        if i is None:
+            raise _scan_failure(failures) or BracketingError(
+                f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
+                f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
+                "to have no solution in the scanned family"
+            )
+        bracket = slopes[i], slopes[i + 1]
     v0 = find_root(endpoint_gap, bracket[0], bracket[1], tol=tol)
     grid, q, qdot, _ = runs[v0]  # find_root returns a point it evaluated
     return BvpResult(q=GridFunction(grid, q), qdot=GridFunction(grid, qdot),
                      v0=float(v0), matched_time=grid.t, target=target)
+
+
+def _first_bracket(gaps):
+    """Index i of the first pair of finite gaps i, i+1 whose signs do not
+    strictly agree, or None."""
+    for i in range(len(gaps) - 1):
+        pair = gaps[i:i + 2]
+        if np.isfinite(pair).all() and (pair[0] <= 0.0 <= pair[1]
+                                         or pair[1] <= 0.0 <= pair[0]):
+            return i
+    return None
+
+
+def _scan_failure(failures):
+    """The error a scan with no bracket raises, or None if no lane failed:
+    the vanished curvature met first, since a degenerate Lagrangian is the
+    likelier cause, else the first lane's StepFailure."""
+    singular = [f for f in failures if isinstance(f, SingularLagrangianError)]
+    if singular:
+        return min(singular, key=lambda f: f.tau)
+    return next((f for f in failures if f is not None), None)
 
 
 # ---------------------------------------------------------------------------

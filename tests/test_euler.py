@@ -25,7 +25,7 @@ from falva import (
     solve_el_bvp,
     solve_el_ivp,
 )
-from falva import euler, observed_order, partials
+from falva import euler, find_root, observed_order, partials
 from falva.euler import _integrate_el, _solve_tridiagonal
 
 FREE = "qdot^2/2"
@@ -432,42 +432,215 @@ class TestShootingLanes:
             with pytest.raises(EvalError, match="^log of a non-positive value in real mode$"):
                 _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
 
-    def test_zero_curvature_fails_the_batch(self):
-        with pytest.raises(SingularLagrangianError):
-            _integrate_el(parse("q*qdot"), 0.0, 1.0, 0.0, [0.0, 1.0], 0.5, 20)
+    @pytest.mark.parametrize("text, slopes, lost", [
+        # d2L/dqdot^2 = 0 everywhere: every lane fails at tau = 0
+        ("q*qdot", [0.0, 1.0], [True, True]),
+        # exp(-q) underflows to 0 on the steep lanes only
+        ("exp(-q)*qdot^2/2", [1.0, 20.0, -1.0, 40.0], [False, True, False, True]),
+    ], ids=["q*qdot", "exp(-q)*qdot^2/2"])
+    def test_zero_curvature_fails_its_lane(self, text, slopes, lost):
+        L = parse(text)
+        _, qs, vs, failures = _integrate_el(L, 0.0, 1.0, 0.0, slopes, 0.5, 100)
+        assert [f is not None for f in failures] == lost
+        for i, v0 in enumerate(slopes):
+            if not lost[i]:
+                _, q1, v1, _ = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+                assert np.array_equal(qs[:, i], q1[:, 0])
+                assert np.array_equal(vs[:, i], v1[:, 0])
+                continue
+            # the lane records the error its lone run raises
+            with pytest.raises(SingularLagrangianError) as info:
+                _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            assert isinstance(failures[i], SingularLagrangianError)
+            assert str(failures[i]) == str(info.value)
+            assert failures[i].tau == info.value.tau
+            assert np.isnan(qs[-1, i])
+
+    def test_no_bracket_reports_the_first_vanished_curvature(self):
+        # the lanes from 17 up each underflow exp(-q) to 0, the steepest
+        # first; the root lies between lane 16 and the lost lane 17
+        with pytest.raises(SingularLagrangianError) as info:
+            solve_el_bvp(parse("exp(-q)*qdot^2/2"),
+                         BoundaryData1D(0.0, 1.0, 0.0, 3.0), 0.75, 400)
+        assert str(info.value) == "d2L/dqdot^2 vanished at tau = 0.069825"
 
     @staticmethod
-    def _count_integrations(monkeypatch):
-        slopes = []
+    def _count_integrations(monkeypatch, edit=None):
+        """Record (ndim of the slopes, n) per integration; ``edit(v0, n,
+        out)`` may change the returned (grid, Q, V, failures) or raise."""
+        calls = []
         integrate = euler._integrate_el
 
         def counted(L, a, t, q0, v0, alpha, n):
-            slopes.append(v0)
-            return integrate(L, a, t, q0, v0, alpha, n)
+            calls.append((np.ndim(v0), n))
+            out = integrate(L, a, t, q0, v0, alpha, n)
+            return out if edit is None else edit(v0, n, out)
 
         monkeypatch.setattr(euler, "_integrate_el", counted)
-        return slopes
+        return calls
 
-    # at 1e200 and 1e-170 the secant step's product overflows or
-    # underflows, and the step takes the quotient first
-    @pytest.mark.parametrize("text, qa, qb", [
+    _LINEAR_CASES = pytest.mark.parametrize("text, qa, qb", [
         (FREE, 0.0, 1.0), (OSC, 0.0, 1.0), (FREE, 0.0, 1e200), (OSC, 0.0, 1e200),
         (FREE, 1e-170, 2e-170), (OSC, 1e-170, 2e-170),
     ], ids=[FREE, OSC, FREE + "-1e200", OSC + "-1e200", FREE + "-1e-170",
             OSC + "-1e-170"])
+
+    # at 1e200 and 1e-170 the secant step's product overflows or
+    # underflows, and the step takes the quotient first
+    @_LINEAR_CASES
     def test_linear_problem_integrates_twice(self, monkeypatch, text, qa, qb):
-        # the scan, then the secant root; the bracket ends come from the scan
-        slopes = self._count_integrations(monkeypatch)
+        # up to BVP_COARSE_NODES the scan runs at n: the scan, then the
+        # secant root; the bracket ends come from the scan
+        calls = self._count_integrations(monkeypatch)
+        solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 100)
+        assert calls == [(1, 100), (0, 100)]
+
+    @_LINEAR_CASES
+    def test_linear_problem_scans_coarse_then_runs_three_slopes(
+            self, monkeypatch, text, qa, qb):
+        # the scan at BVP_COARSE_NODES, the two bracket ends at n, then the
+        # secant root
+        calls = self._count_integrations(monkeypatch)
         solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 400)
-        assert len(slopes) == 2
-        assert np.ndim(slopes[0]) == 1 and np.ndim(slopes[1]) == 0
+        assert calls == [(1, 100)] + [(0, 400)] * 3
 
     def test_quartic_integrations(self, monkeypatch):
-        slopes = self._count_integrations(monkeypatch)
+        calls = self._count_integrations(monkeypatch)
         res = solve_el_bvp(parse(QUARTIC), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
                            0.5, 400)
-        assert len(slopes) <= 10
+        assert calls == [(1, 100)] + [(0, 400)] * 11
         assert res.v0 == 1.4261737846979154
+
+
+def _full_scan_solve(L, bd, alpha, n):
+    """The shooting solve with its 32-slope scan at the full n, built from
+    _integrate_el and find_root; returns (v0, q, qdot, brackets), where
+    brackets counts the sign changes of the scan."""
+    scale = (bd.qb - bd.qa) / (bd.t - bd.a) or 1.0 / (bd.t - bd.a)
+    slopes = np.linspace(-10.0 * scale, 10.0 * scale, 32)
+    _, qs, vs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, n)
+    runs = {float(s): (qs[:, i], vs[:, i]) for i, s in enumerate(slopes)}
+    gaps = qs[-1] - bd.qb
+    # a NaN gap compares false, so a failed lane bounds no bracket
+    brackets = [i for i in range(31) if gaps[i] <= 0.0 <= gaps[i + 1]
+                or gaps[i + 1] <= 0.0 <= gaps[i]]
+
+    def gap(v0):
+        if v0 not in runs:
+            _, q, qdot, (failure,) = _integrate_el(L, bd.a, bd.t, bd.qa, v0,
+                                                   alpha, n)
+            if failure is not None:
+                raise failure
+            runs[v0] = q[:, 0], qdot[:, 0]
+        return float(runs[v0][0][-1]) - bd.qb
+
+    i = brackets[0]
+    tol = euler.BVP_ROOT_TOL * max(abs(bd.qa), abs(bd.qb))
+    v0 = find_root(gap, slopes[i], slopes[i + 1], tol=tol)
+    return (v0, *runs[v0], len(brackets))
+
+
+class TestCoarseScan:
+    """Above BVP_COARSE_NODES intervals the scan runs on BVP_COARSE_NODES,
+    which match at the same time t - eps; the result keeps the bits of a
+    scan at the full n."""
+
+    def test_coarse_grid_matches_at_the_same_time(self):
+        assert euler.BVP_COARSE_NODES == 100
+        grid, *_ = _integrate_el(parse(FREE), 0.0, 1.0, 0.0, 1.0, 0.5, 400)
+        coarse, *_ = _integrate_el(parse(FREE), 0.0, 1.0, 0.0, 1.0, 0.5, 100)
+        assert coarse.t == grid.t
+
+    @pytest.mark.parametrize("text, alpha, qb, several_roots", [
+        (FREE, 0.5, 1.0, False), (FREE, 0.75, 1.0, False),
+        (OSC, 0.5, 1.0, False), (OSC, 0.75, 1.0, False),
+        (QUARTIC, 0.5, 1.0, False),
+        ("qdot^2/2 - q^4", 0.75, 1.0, True),
+        ("qdot^2/2 + 20*cos(q)*q", 0.5, 1.0, True),
+    ])
+    def test_bits_of_the_full_scan(self, text, alpha, qb, several_roots):
+        L, bd = parse(text), BoundaryData1D(0.0, 1.0, 0.0, qb)
+        v0, q, qdot, brackets = _full_scan_solve(L, bd, alpha, 400)
+        assert (brackets > 1) == several_roots
+        res = solve_el_bvp(L, bd, alpha, 400)
+        assert res.v0 == v0
+        assert np.array_equal(res.q.values, q)
+        assert np.array_equal(res.qdot.values, qdot)
+
+    @pytest.mark.parametrize("fault, expected", [
+        ("no bracket at n", [(1, 100), (0, 400), (0, 400), (1, 400), (0, 400)]),
+        ("coarse scan fails", [(1, 100), (1, 400), (0, 400)]),
+        ("bracket end fails at n", [(1, 100), (0, 400), (1, 400), (0, 400)]),
+    ])
+    def test_falls_back_to_the_full_scan(self, monkeypatch, fault, expected):
+        # the full scan runs and gives its own result
+        lone_runs = []
+
+        def edit(v0, n, out):
+            coarse = n == euler.BVP_COARSE_NODES
+            if fault == "no bracket at n" and coarse:
+                # the coarse scan's first bracket becomes lanes 0 and 1,
+                # which do not bracket at n
+                out[1][-1] = np.where(np.arange(len(v0)) == 0, 0.0, 2.0)
+            elif fault == "coarse scan fails" and coarse:
+                raise EvalError("a check failed on the coarse grid")
+            elif fault == "bracket end fails at n" and np.ndim(v0) == 0:
+                lone_runs.append(v0)
+                if len(lone_runs) == 1:
+                    raise SingularLagrangianError("d2L/dqdot^2 vanished", tau=0.5)
+            return out
+
+        L, bd = parse(OSC), BoundaryData1D(0.0, 1.0, 0.0, 1.0)
+        v0, q, qdot, _ = _full_scan_solve(L, bd, 0.5, 400)
+        calls = TestShootingLanes._count_integrations(monkeypatch, edit)
+        res = solve_el_bvp(L, bd, 0.5, 400)
+        assert calls == expected
+        assert res.v0 == v0
+        assert np.array_equal(res.q.values, q)
+        assert np.array_equal(res.qdot.values, qdot)
+
+    def test_no_bracket_raises_the_full_scan_error(self, monkeypatch):
+        calls = TestShootingLanes._count_integrations(monkeypatch)
+        with pytest.raises(BracketingError) as info:
+            solve_el_bvp(parse("qdot^2/2 + 80*cos(q)"),
+                         BoundaryData1D(0.0, 1.0, 0.0, 1.0), 0.5, 400)
+        assert str(info.value) == (
+            "no sign change across 32 shooting slopes in [-10, 10]; the "
+            "boundary problem appears to have no solution in the scanned family")
+        assert calls == [(1, 100), (1, 400)]
+
+
+# three position-dependent masses x 5 boundaries x 3 alphas at n = 400,
+# but the 11 whose root lies between the last finite scan lane and a lost
+# one, which the 32-slope scan cannot bracket
+_LOST_NEIGHBOUR = {("exp(-q)*qdot^2/2", 3.0, 0.75),
+                   ("qdot^2/2*exp(-q^2)", 1.0, 0.75)} | {
+    ("qdot^2/2*exp(-q^2)", qb, alpha)
+    for qb in (2.0, 3.0, -2.0) for alpha in (0.25, 0.5, 0.75)}
+
+
+@pytest.mark.parametrize("text, qb, alpha", [
+    (text, qb, alpha)
+    for text in ("exp(-q)*qdot^2/2", "exp(q)*qdot^2/2", "qdot^2/2*exp(-q^2)")
+    for qb in (0.5, 1.0, 2.0, 3.0, -2.0) for alpha in (0.25, 0.5, 0.75)
+    if (text, qb, alpha) not in _LOST_NEIGHBOUR])
+def test_zero_curvature_lanes_leave_the_root_to_the_others(text, qb, alpha):
+    # far lanes drive |q| up until d2L/dqdot^2 underflows to 0; the other
+    # lanes still bracket the root, and the two routes agree as in
+    # criterion 6
+    n = 400
+    eps = max(0.02, 2.0 / n)
+    L, bd = parse(text), BoundaryData1D(0.0, 1.0, 0.0, qb)
+    _, _, _, failures = _integrate_el(L, 0.0, 1.0, 0.0,
+                                      np.linspace(-10.0 * qb, 10.0 * qb, 32), alpha, n)
+    assert any(isinstance(f, SingularLagrangianError) for f in failures)
+    dm = direct_minimize(L, bd, alpha, n)
+    assert dm.converged
+    target = float(np.interp(1.0 - eps, dm.q.grid.nodes, dm.q.values))
+    res = solve_el_bvp(L, bd, alpha, n, qb_at_margin=target)
+    bn = res.q.grid.nodes
+    gap = np.abs(np.interp(bn, dm.q.grid.nodes, dm.q.values) - res.q.values)
+    assert np.max(gap[bn <= 1.0 - 5.0 * eps]) < 1e-3
 
 
 class TestEnergyBalance:
