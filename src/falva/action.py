@@ -151,8 +151,9 @@ def action_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     qd, source = _qdot_samples(q, qdot)
     nodes = q.grid.nodes
     g = _eval_field(L, {"qdot": qd, "q": q.values, "tau": nodes}, nodes.shape)
+    norm = gamma(alpha)  # a DomainError for a subnormal alpha, before the weights
     w = _weights_from_nodes(nodes, alpha, q.grid.t)
-    value = complex(np.dot(w, g)) / gamma(alpha)
+    value = complex(np.dot(w, g)) / norm
     return ActionValue(
         value=value,
         observer=(q.grid.t,),
@@ -242,9 +243,9 @@ def _weighted_action_core(L: LagrangianExpr, field: GridFunctionND,
     value = g
     for ax, grid in enumerate(field.grids):
         alpha = orders.weight_order(ax)
+        norm *= gamma(alpha)
         w = _weights_from_nodes(grid.nodes[slices[ax]], alpha, grid.t)
         value = np.tensordot(w, value, axes=(0, 0))
-        norm *= gamma(alpha)
     return ActionValue(
         value=complex(value) / norm,
         observer=tuple(g_.t for g_ in field.grids),

@@ -3,10 +3,11 @@
 Subcommands: deriv | action | residual | solve-ivp | solve-bvp | minimize |
 sweep.  Problem parameters come from a flat key=value spec file (--spec)
 and/or flags; flags override file keys.  One key table (``_KEYS``) makes
-the flags and the spec-file keys, and ``Spec`` checks the allowed values
-of every choice key whichever way it came.  Axis-specific keys carry
-.x/.y/.z suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A
-sweep runs its alpha values serially, in the order given.
+the flags and the spec-file keys, one parser reads the subcommand and the
+flags in any order, and ``Spec`` checks the allowed values of every
+choice key whichever way it came.  Axis-specific keys carry .x/.y/.z
+suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A sweep runs
+its alpha values serially, in the order given.
 
 All output is CSV: one leading comment line with the tool version and the
 order-pair convention, optional further comment lines with scalar results,
@@ -107,19 +108,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", help="key=value problem spec file")
+    parser = _ArgumentParser(prog="falva",
+                             description="fractional action-like variational toolkit")
+    parser.add_argument("kind", nargs="?", choices=KINDS)
+    parser.add_argument("--spec", help="key=value problem spec file")
     for key, (text, allowed) in _KEYS.items():
-        common.add_argument(
+        parser.add_argument(
             "--" + key.replace("_", "-"), dest=key, help=text,
             action="append" if key in _AXIS_KEYS else "store",
             metavar=None if allowed is None else "{%s}" % ",".join(allowed))
-
-    parser = _ArgumentParser(prog="falva",
-                             description="fractional action-like variational toolkit")
-    sub = parser.add_subparsers(dest="kind")
-    for kind in KINDS:
-        sub.add_parser(kind, parents=[common])
     return parser
 
 

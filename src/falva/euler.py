@@ -32,13 +32,9 @@ truncated time t - epsilon.  By default the match target is the raw
 boundary value, which leaves an O(epsilon^(2-alpha)) endpoint defect; a
 caller that knows the value of the sought path at t - epsilon can pass it
 as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
-the shooting root runs on at most BVP_COARSE_NODES intervals: from that n
-on, epsilon is 0.02 (t - a) whatever n is, so a coarse scan matches at
-the same time as a scan at the full n.  The root search itself runs at
-the full n, from the coarse bracket's ends integrated there.  If the
-coarse scan finds no bracket, or its ends do not bracket at the full n,
-the scan is repeated at the full n.  Up to BVP_COARSE_NODES intervals
-the scan runs at n itself.
+the shooting root runs on at most BVP_COARSE_NODES intervals, which match
+at the same time t - epsilon as the full n, and at n itself up to that
+size; ``solve_el_bvp`` tells how.
 """
 
 from __future__ import annotations
@@ -479,7 +475,7 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     _check_slots(L, ("qdot", "q", "tau"))
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
-    n = int(n)
+    n = Grid1D(a, t, n).n  # a GridError for a bad n, before eps divides by it
     eps = max(IVP_MARGIN_FRACTION * (t - a), 2.0 * (t - a) / n)
     grid = Grid1D(a, t - eps, n)
     taus = grid.nodes.tolist()
@@ -535,29 +531,34 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     One batched integration scans 32 slopes across
     [-10, 10] * (qb - qa)/(t - a); when qb == qa the scan scale falls back
     to 1/(t - a).  A slope whose trajectory blows up or meets a vanishing
-    d2L/dqdot^2 drops out and bounds no bracket; if no bracket is left, the
-    scan raises the first vanished curvature it met, else the StepFailure
-    of the lowest failed slope.
+    d2L/dqdot^2 drops out and bounds no bracket.
 
-    For n > BVP_COARSE_NODES the scan runs on BVP_COARSE_NODES intervals:
-    eps = max(0.02 (t-a), 2 (t-a)/n) is 0.02 (t-a) from that n on, so the
-    coarse scan matches at the same time t - eps.  The two ends of its
-    first bracket are then integrated alone at the full n; if they bracket
-    there, the root search starts from them.  These are the slopes and gaps
-    a full-n scan gives whenever its first bracket is the same one, and a
-    lone run has the bits of its scan lane, so the result is the full
-    scan's.  If the coarse scan finds no bracket, fails, or its ends do not
-    bracket at n, the full scan runs instead, with its result or error.  A
-    problem with no bracket therefore pays for both scans.
+    The scan runs in up to two passes, on m = min(n, BVP_COARSE_NODES)
+    intervals and then on n.  eps = max(0.02 (t-a), 2 (t-a)/n) is
+    0.02 (t-a) from BVP_COARSE_NODES on, so a coarse pass matches at the
+    same time t - eps as a pass at n.  A pass accepts its first bracket if
+    the two ends, integrated alone at n, bracket there too, and the root
+    search starts from them.  These are the slopes and gaps a pass at n
+    gives whenever its first bracket is the same one, and a lone run has
+    the bits of its scan lane, so the result is that pass's.  A coarse pass
+    that finds no such bracket, or raises EvalError,
+    SingularLagrangianError or StepFailure, hands over to the pass at n,
+    whose errors propagate; a problem with no bracket therefore pays for
+    both passes.  At n <= BVP_COARSE_NODES the one pass runs at n.  If the
+    pass at n finds no bracket, it raises the first vanished curvature it
+    met, else the StepFailure of the lowest failed slope, else a
+    BracketingError.
 
-    The root search reuses the full-n runs and integrates only the slopes
-    it adds; it stops at an endpoint gap of BVP_ROOT_TOL times the boundary
-    data's scale, max(|qa|, |qb|, |target|), or times 1 when all three are
-    zero.  A non-finite ``qb_at_margin`` raises DomainError.
+    Only runs at n are kept.  The root search reuses them and integrates
+    only the slopes it adds; it stops at an endpoint gap of BVP_ROOT_TOL
+    times the boundary data's scale, max(|qa|, |qb|, |target|), or times 1
+    when all three are zero.  A non-finite ``qb_at_margin`` raises
+    DomainError, and an n that is not an integer >= 2 GridError.
     """
     target = float(bd.qb if qb_at_margin is None else qb_at_margin)
     if not math.isfinite(target):
         raise DomainError(f"the margin target must be finite, got {target!r}")
+    n = Grid1D(bd.a, bd.t, n).n  # a GridError for a bad n, before min() reads it
     tol = BVP_ROOT_TOL * (max(abs(bd.qa), abs(bd.qb), abs(target)) or 1.0)
     scale = (bd.qb - bd.qa) / (bd.t - bd.a)
     if scale == 0.0:
@@ -567,43 +568,39 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
 
     runs = {}  # v0 -> (grid, q, qdot, failure) at n; no slope runs twice
 
-    def integrate(v0s):
-        grid, qs, vs, failures = _integrate_el(L, bd.a, bd.t, bd.qa, v0s, alpha, n)
-        for i, v0 in enumerate(np.atleast_1d(v0s)):
-            runs[float(v0)] = grid, qs[:, i], vs[:, i], failures[i]
+    def integrate(v0s, m):
+        grid, qs, vs, failures = _integrate_el(L, bd.a, bd.t, bd.qa, v0s, alpha, m)
+        if m == n:
+            for i, v0 in enumerate(np.atleast_1d(v0s)):
+                runs[float(v0)] = grid, qs[:, i], vs[:, i], failures[i]
         return qs[-1] - target, failures
 
     def endpoint_gap(v0):
         if v0 not in runs:
-            integrate(v0)
+            integrate(v0, n)
         _, q, _, failure = runs[v0]
         if failure is not None:
             raise failure
         return float(q[-1]) - target
 
-    bracket = None
-    if n > BVP_COARSE_NODES:
+    for m in dict.fromkeys((min(n, BVP_COARSE_NODES), n)):
         try:
-            _, qs, _, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha,
-                                        BVP_COARSE_NODES)
-            i = _first_bracket(qs[-1] - target)
-            # the coarse bracket holds if its two ends, run alone at n, bracket
+            gaps, failures = integrate(slopes, m)  # NaN where a slope failed
+            i = _first_bracket(gaps)
+            # a bracket holds if its two ends, run alone at n, bracket
             if i is not None and _first_bracket(
                     [endpoint_gap(float(v0)) for v0 in slopes[i:i + 2]]) == 0:
-                bracket = slopes[i], slopes[i + 1]
+                break
         except (EvalError, SingularLagrangianError, StepFailure):
-            pass  # the full scan below raises the error that stands
-    if bracket is None:
-        gaps, failures = integrate(slopes)  # NaN where a slope failed
-        i = _first_bracket(gaps)
-        if i is None:
-            raise _scan_failure(failures) or BracketingError(
-                f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
-                f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
-                "to have no solution in the scanned family"
-            )
-        bracket = slopes[i], slopes[i + 1]
-    v0 = find_root(endpoint_gap, bracket[0], bracket[1], tol=tol)
+            if m == n:
+                raise
+    else:
+        raise _scan_failure(failures) or BracketingError(
+            f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
+            f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
+            "to have no solution in the scanned family"
+        )
+    v0 = find_root(endpoint_gap, slopes[i], slopes[i + 1], tol=tol)
     grid, q, qdot, _ = runs[v0]  # find_root returns a point it evaluated
     return BvpResult(q=GridFunction(grid, q), qdot=GridFunction(grid, qdot),
                      v0=float(v0), matched_time=grid.t, target=target)
@@ -660,13 +657,13 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
     _check_slots(L, ("qdot", "q", "tau"))
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
-    grid = Grid1D(bd.a, bd.t, int(n))
+    grid = Grid1D(bd.a, bd.t, n)
+    norm = gamma(alpha)  # a DomainError for a subnormal alpha, before cell_w
     nodes = grid.nodes
     h = grid.h
     u = grid.t - nodes
     cell_w = (u[:-1] ** alpha - u[1:] ** alpha) / alpha
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    norm = gamma(alpha)
 
     def cell_env(qv):
         return {"qdot": np.diff(qv) / h,

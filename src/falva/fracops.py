@@ -183,11 +183,6 @@ class GridFunctionND:
     def node_meshes(self):
         return np.meshgrid(*[g.nodes for g in self.grids], indexing="ij")
 
-    @classmethod
-    def from_callable(cls, grids, fn) -> "GridFunctionND":
-        meshes = np.meshgrid(*[g.nodes for g in grids], indexing="ij")
-        return cls(tuple(grids), np.asarray(fn(*meshes)))
-
 
 def as_nd(f: GridFunction) -> GridFunctionND:
     return GridFunctionND((f.grid,), f.values, f.flags)

@@ -41,7 +41,8 @@ __all__ = [
 def gamma(x: float) -> float:
     """Euler gamma function for real, non-pole arguments (``math.gamma``).
 
-    Raises DomainError at the poles 0, -1, -2, ... and for non-finite x.
+    Raises DomainError at the poles 0, -1, -2, ..., for non-finite x and
+    where the value overflows a float (0 < |x| < 5.6e-309, x > 171.6).
     """
     x = float(x)
     if not math.isfinite(x):
@@ -50,6 +51,8 @@ def gamma(x: float) -> float:
         return math.gamma(x)
     except ValueError:
         raise DomainError(f"gamma: pole at x = {x:g}") from None
+    except OverflowError:
+        raise DomainError(f"gamma: overflow at x = {x:g}") from None
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,11 @@ class Grid1D:
             raise GridError("grid endpoints must be finite")
         if not self.t > self.a:
             raise GridError(f"grid needs t > a, got a={self.a!r}, t={self.t!r}")
-        if int(self.n) != self.n or self.n < 2:
+        try:
+            whole = int(self.n) == self.n
+        except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+            whole = False
+        if not whole or self.n < 2:
             raise GridError(f"grid needs an integer n >= 2, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -120,10 +127,6 @@ class GridFunction:
             raise GridError(
                 f"non-finite value at unflagged node {int(np.argmax(bad))}"
             )
-
-    @classmethod
-    def from_callable(cls, grid: Grid1D, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.nodes)))
 
 
 def _weights_from_nodes(nodes: np.ndarray, alpha: float, anchor: float) -> np.ndarray:

@@ -240,6 +240,15 @@ def test_every_cell_round_trips_the_library_result(case, tmp_path):
         assert got_columns[3] == ["ok", "FALVA-ERR eval"]
 
 
+@pytest.mark.parametrize("case", ROUND_TRIP_CASES)
+def test_flags_before_the_subcommand_give_the_same_bytes(case, tmp_path):
+    (kind, *flags), _, _ = ROUND_TRIP_CASES[case]()
+    after, before = tmp_path / "after.csv", tmp_path / "before.csv"
+    assert main([kind, *flags, "--out", str(after)]) == 0
+    assert main([*flags, "--out", str(before), kind]) == 0
+    assert before.read_bytes() == after.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # error contract
 
@@ -360,9 +369,28 @@ def test_malformed_boundary(tmp_path_factory, kind, value):
     ("action", "n", "nan"), ("action", "n", "inf"), ("action", "n", "1e400"),
     ("action", "n", "1e12"),
     ("solve-bvp", "boundary", "0,inf"), ("minimize", "boundary", "0,inf"),
+    # gamma(alpha) overflows below about 5.6e-309
+    ("action", "alpha", "1e-320"), ("minimize", "alpha", "1e-320"),
 ])
 def test_inputs_that_once_crashed(tmp_path, kind, key, value):
     _assert_one_error_line(_argv(kind, **{key: value}), tmp_path / "out.csv")
+
+
+@pytest.mark.parametrize("extra", [["--variant=classic"], ["--variant=cresson"]])
+def test_subnormal_order_of_either_action_is_a_domain_error(tmp_path, extra):
+    argv = _argv("action", alpha="1e-320") + extra
+    stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    assert stderr.startswith("FALVA-ERR domain: gamma: overflow")
+
+
+def test_subnormal_order_fails_its_sweep_row_alone(tmp_path):
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--lagrangian", "qdot^2/2", "--path", "tau", *UNIT,
+            "--n", "8", "--alpha", "0.5,1e-320"]
+    assert _run_quietly(argv, out) == (0, "", [])
+    _, header, columns = _read_csv(out)
+    assert header[3] == "status"
+    assert columns[3] == ["ok", "FALVA-ERR domain"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -404,6 +432,17 @@ def test_solve_ivp_domain_error_names_node_0(tmp_path, term, q0, message):
             "--domain", "0,1", "--n", "50", "--q0", q0, "--v0", "0"]
     stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
     assert stderr == f"FALVA-ERR eval: {message} (node 0)\n"
+
+
+# q = 0 at the first node: every scan slope fails there, on the coarse grid
+# (n = 400) as on the only one (n = 50), and the scan at n reports it
+@pytest.mark.parametrize("n", ["50", "400"])
+def test_solve_bvp_scan_error_names_node_0(tmp_path, n):
+    argv = ["solve-bvp", "--lagrangian", "qdot^2/2 + log(q)", "--alpha", "0.5",
+            "--domain", "0,1", "--n", n, "--boundary", "0,1"]
+    stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    assert stderr == ("FALVA-ERR eval: log of a non-positive value in real mode "
+                      "(node 0)\n")
 
 
 @pytest.mark.parametrize("table", [
@@ -507,9 +546,11 @@ def test_every_allowed_choice_passes_the_check(tmp_path, key, via):
         assert f"key {key!r}" not in stderr, stderr
 
 
-def test_help_lists_every_flag_and_choice(capsys):
+@pytest.mark.parametrize("argv", [["--help"], ["action", "--help"]],
+                         ids=["falva-help", "action-help"])
+def test_help_lists_every_flag_and_choice(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
-        main(["action", "--help"])
+        main(argv)
     assert exit_info.value.code == 0
     text = capsys.readouterr().out
     flags = ["--spec", "--lagrangian", "--alpha", "--beta", "--delta", "--chi",

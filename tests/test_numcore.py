@@ -49,6 +49,14 @@ class TestGamma:
         with pytest.raises(DomainError, match="pole"):
             gamma(pole)
 
+    @pytest.mark.parametrize("x", [1e-320, -1e-320, 172.0])
+    def test_overflow_raises(self, x):
+        with pytest.raises(DomainError, match="overflow"):
+            gamma(x)
+
+    def test_tiny_orders_that_do_not_overflow(self):
+        assert gamma(1e-300) == math.gamma(1e-300)
+
 
 class TestGrid:
     def test_nodes_uniform(self):
@@ -62,6 +70,9 @@ class TestGrid:
             Grid1D(1.0, 1.0, 4)
         with pytest.raises(GridError):
             Grid1D(0.0, 1.0, 1)
+        for n in (float("nan"), float("inf"), None):
+            with pytest.raises(GridError):
+                Grid1D(0.0, 1.0, n)
 
     def test_rejects_nonfinite_values(self):
         g = Grid1D(0.0, 1.0, 4)
