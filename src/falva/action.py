@@ -44,7 +44,6 @@ __all__ = [
     "action_2d",
     "action_nd",
     "trapezoid_action",
-    "nd_slots",
 ]
 
 MAX_DIMENSION = 3

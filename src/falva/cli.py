@@ -4,8 +4,9 @@ Subcommands: deriv | action | residual | solve-ivp | solve-bvp | minimize |
 sweep.  Problem parameters come from a flat key=value spec file (--spec)
 and/or flags; flags override file keys.  One key table (``_KEYS``) makes
 the flags and the spec-file keys, one parser reads the subcommand and the
-flags in any order, and ``Spec`` checks the allowed values of every
-choice key whichever way it came.  Axis-specific keys carry .x/.y/.z
+flags in any order (the token after a flag is its value, even if it
+starts with one '-'), and ``Spec`` checks the allowed values of every choice
+key whichever way it came.  Axis-specific keys carry .x/.y/.z
 suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A sweep runs
 its alpha values serially, in the order given.
 
@@ -38,6 +39,7 @@ from .action import (
 )
 from .errors import FalvaError, NonConvergedError, SpecError
 from .euler import (
+    MINIMIZE_MAX_ITER,
     BoundaryData1D,
     direct_minimize,
     el_residual_1d,
@@ -100,11 +102,30 @@ _AXIS_KEYS = ("domain", "n")
 
 _KNOWN_KEYS = {"kind", *_KEYS} | {f"{k}.{a}" for k in _AXIS_KEYS for a in _AXES}
 
+# the flags that take a value
+_VALUE_FLAGS = ("--spec", *("--" + key.replace("_", "-") for key in _KEYS))
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     # route argparse failures through the FALVA-ERR machinery
     def error(self, message):
         raise SpecError(message)
+
+
+def _join_values(argv: list) -> list:
+    """``argv`` with each value flag, written in full, joined to a next
+    token that starts with one '-' (-1,2, -i, -q^2/2) as ``--flag=value``,
+    which argparse would read as an option.  A next token that is -h or
+    starts with '--' (a flag, abbreviated or not, or the '--' separator)
+    stays apart, so a missing value keeps argparse's message."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in _VALUE_FLAGS and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _build_parser() -> _ArgumentParser:
@@ -227,12 +248,11 @@ class Spec:
             raise SpecError(f"key {key!r} must be a single number")
         return values[0]
 
-    def gamma_w(self, default=None) -> complex:
+    def gamma_w(self) -> complex:
+        """The Cresson weight; -i (the left derivative) when not given."""
         raw = self.get("gamma")
         if raw is None:
-            if default is None:
-                raise SpecError("missing required key 'gamma'")
-            return default
+            return -1j
         text = raw.strip().lower()
         if text == "i":
             return 1j
@@ -288,7 +308,7 @@ def _orders_for(spec: Spec, dim: int) -> OrderSet:
         alphas = alphas * dim
     if len(alphas) != dim:
         raise SpecError(f"'alpha' needs 1 or {dim} entries for dimension {dim}")
-    gamma_w = spec.gamma_w(default=-1j)
+    gamma_w = spec.gamma_w()
     if dim == 1:
         beta = spec.scalar("beta", default=alphas[0])
         return OrderSet.for_1d(alphas[0], beta, gamma_w)
@@ -563,6 +583,16 @@ def _minimized(spec: Spec):
                            spec.scalar("alpha"), g.n)
 
 
+def _nonconverged(result) -> str:
+    """Why a minimizer run stopped short: its iteration cap, or a Newton
+    solve or line search that found no step before it."""
+    if result.iterations >= MINIMIZE_MAX_ITER:
+        return "minimizer hit its iteration cap"
+    return (f"minimizer stopped after {result.iterations} of "
+            f"{MINIMIZE_MAX_ITER} iterations, where its Newton solve or line "
+            "search failed")
+
+
 def _run_minimize(spec: Spec) -> _Table:
     result = _minimized(spec)
     comments = [
@@ -574,7 +604,7 @@ def _run_minimize(spec: Spec) -> _Table:
     failure = None
     if not result.converged:
         failure = NonConvergedError(
-            f"minimizer hit its iteration cap (grad_norm={result.grad_norm:g}); "
+            f"{_nonconverged(result)} (grad_norm={result.grad_norm:g}); "
             f"partial result written to {spec.req('out')}"
         )
     return _Table(comments, ["tau", "q"], [result.q.grid.nodes, result.q.values],
@@ -604,7 +634,7 @@ def _sweep_value(spec: Spec):
     if kind == "minimize":
         result = _minimized(spec)
         if not result.converged:
-            raise NonConvergedError("minimizer hit its iteration cap")
+            raise NonConvergedError(_nonconverged(result))
         return complex(result.action_value), None
 
 
@@ -656,7 +686,8 @@ def _dispatch(spec: Spec) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(
+            sys.argv[1:] if argv is None else list(argv)))
         if args.kind is None:
             raise SpecError("missing subcommand; expected one of " + ", ".join(KINDS))
         spec = _merge(args)

@@ -111,3 +111,8 @@ class NonConvergedError(FalvaError):
 
 class UnsupportedDimensionError(ValidationError):
     code = "dim"
+
+
+# every error class above is public
+__all__ = [name for name, value in list(globals().items())
+           if isinstance(value, type) and issubclass(value, FalvaError)]

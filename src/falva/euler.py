@@ -102,6 +102,7 @@ BVP_SCAN_SLOPES = 32
 BVP_COARSE_NODES = math.ceil(2.0 / IVP_MARGIN_FRACTION)
 BVP_SCAN_SPAN = 10.0
 BVP_ROOT_TOL = 1e-10
+MINIMIZE_MAX_ITER = 10000
 
 # the partials of the acceleration field; the order fixes which error a
 # Lagrangian that fails in several trees reports: dL/dqdot first, then each
@@ -476,6 +477,8 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
     n = Grid1D(a, t, n).n  # a GridError for a bad n, before eps divides by it
+    if n < 3:  # the margin 2 (t-a)/n would take the whole domain
+        raise GridError(f"shooting needs n >= 3, got n={n}")
     eps = max(IVP_MARGIN_FRACTION * (t - a), 2.0 * (t - a) / n)
     grid = Grid1D(a, t - eps, n)
     taus = grid.nodes.tolist()
@@ -510,8 +513,9 @@ def solve_el_ivp(L: LagrangianExpr, a: float, t: float, q0: float, v0: float,
                  alpha: float, n: int):
     """Integrate the extremal dynamics from (q0, v0) at tau = a.
 
-    Stops at the truncated time t - eps, eps = max(0.02 (t-a), 2 (t-a)/n);
-    returns (q, qdot) sampled on the truncated grid.
+    Stops at the truncated time t - eps, eps = max(0.02 (t-a), 2 (t-a)/n),
+    so n must be at least 3; returns (q, qdot) sampled on the truncated
+    grid.
     """
     grid, qs, vs, failures = _integrate_el(L, a, t, q0, v0, alpha, n)
     if failures[0] is not None:
@@ -553,7 +557,7 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     only the slopes it adds; it stops at an endpoint gap of BVP_ROOT_TOL
     times the boundary data's scale, max(|qa|, |qb|, |target|), or times 1
     when all three are zero.  A non-finite ``qb_at_margin`` raises
-    DomainError, and an n that is not an integer >= 2 GridError.
+    DomainError, and an n that is not an integer >= 3 GridError.
     """
     target = float(bd.qb if qb_at_margin is None else qb_at_margin)
     if not math.isfinite(target):
@@ -632,7 +636,7 @@ def _scan_failure(failures):
 
 
 def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
-                    n: int, grad_tol: float = 1e-9, max_iter: int = 10000,
+                    n: int, grad_tol: float = 1e-9, max_iter: int = MINIMIZE_MAX_ITER,
                     start=None) -> MinimizeResult:
     """Minimize the discrete weighted action over interior node values.
 
@@ -709,33 +713,35 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         qv = qv.copy()
         qv[0], qv[-1] = bd.qa, bd.qb
 
-    s_val = objective(qv)
-    gf = grad(qv)[1:-1]
-    iterations = 0
-    converged = float(np.max(np.abs(gf))) < grad_tol
-    while not converged and iterations < max_iter:
-        iterations += 1
-        d = _solve_tridiagonal(*hessian(qv), -gf)
-        if d is None:
-            break
-        g0d = float(np.dot(gf, d))
-        # Armijo backtracking from the Newton step
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            trial = qv.copy()
-            trial[1:-1] += step * d
-            s_trial = objective(trial)
-            if s_trial <= s_val + 1e-4 * step * g0d + 1e-15 * (1.0 + abs(s_val)):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        qv = trial
-        s_val = s_trial
+    # an overflowing trial step is rejected by the line search, not reported
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s_val = objective(qv)
         gf = grad(qv)[1:-1]
+        iterations = 0
         converged = float(np.max(np.abs(gf))) < grad_tol
+        while not converged and iterations < max_iter:
+            iterations += 1
+            d = _solve_tridiagonal(*hessian(qv), -gf)
+            if d is None:
+                break
+            g0d = float(np.dot(gf, d))
+            # Armijo backtracking from the Newton step
+            step = 1.0
+            accepted = False
+            for _ in range(40):
+                trial = qv.copy()
+                trial[1:-1] += step * d
+                s_trial = objective(trial)
+                if s_trial <= s_val + 1e-4 * step * g0d + 1e-15 * (1.0 + abs(s_val)):
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+            qv = trial
+            s_val = s_trial
+            gf = grad(qv)[1:-1]
+            converged = float(np.max(np.abs(gf))) < grad_tol
     return MinimizeResult(
         q=GridFunction(grid, qv),
         converged=bool(converged),

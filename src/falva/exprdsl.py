@@ -68,7 +68,6 @@ __all__ = [
     "partial",
     "partials",
     "second_partials",
-    "KNOWN_FUNCTIONS",
 ]
 
 KNOWN_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
@@ -152,9 +151,12 @@ def _tokenize(source: str):
 
 
 class _Parser:
+    """Recursive-descent parser; ``names`` gathers the variables it reads."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.names = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -207,6 +209,7 @@ class _Parser:
                 arg = self.parse_expr()
                 self._expect_close()
                 return Call(text, arg)
+            self.names.add(text)
             return Var(text)
         if (kind, text) == ("op", "("):
             self.advance()
@@ -226,18 +229,6 @@ class _Parser:
         self.advance()
 
 
-def _collect_vars(node, out):
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_vars(node.child, out)
-    elif isinstance(node, Bin):
-        _collect_vars(node.lhs, out)
-        _collect_vars(node.rhs, out)
-    elif isinstance(node, Call):
-        _collect_vars(node.arg, out)
-
-
 def parse(source: str) -> LagrangianExpr:
     """Parse ``source`` into an expression tree.
 
@@ -251,9 +242,7 @@ def parse(source: str) -> LagrangianExpr:
     kind, text, offset = parser.peek()
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing input {text!r}", offset)
-    names = set()
-    _collect_vars(ast, names)
-    return LagrangianExpr(ast, frozenset(names))
+    return LagrangianExpr(ast, frozenset(parser.names))
 
 
 def serialize(expr: LagrangianExpr) -> str:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
-from .numcore import Grid1D, GridFunction, gamma
+from .numcore import Grid1D, GridFunction, _checked_samples, gamma
 
 __all__ = [
     "OrderSet",
@@ -155,26 +155,9 @@ class GridFunctionND:
                 raise GridError("grids must be Grid1D instances")
         object.__setattr__(self, "grids", grids)
         shape = tuple(g.n + 1 for g in grids)
-        v = np.asarray(self.values)
-        if v.shape != shape:
-            raise GridError(f"values shape {v.shape} does not match grid shape {shape}")
-        if np.iscomplexobj(v):
-            v = np.ascontiguousarray(v, dtype=np.complex128)
-        else:
-            v = np.ascontiguousarray(v, dtype=np.float64)
+        v, f = _checked_samples(self.values, self.flags, shape)
         object.__setattr__(self, "values", v)
-        if self.flags is None:
-            f = np.zeros(shape, dtype=bool)
-        else:
-            f = np.asarray(self.flags, dtype=bool)
-            if f.shape != shape:
-                raise GridError("flags shape does not match values")
         object.__setattr__(self, "flags", f)
-        bad = ~np.isfinite(v) & ~f
-        if bad.any():
-            raise GridError(
-                f"non-finite value at unflagged node {int(np.argmax(bad.ravel()))}"
-            )
 
     @property
     def ndim(self) -> int:
@@ -328,16 +311,6 @@ def cresson(f: GridFunction, orders: OrderSet) -> GridFunction:
     return as_1d(axis_cresson(as_nd(f), 0, orders))
 
 
-def _axis_pair(orders: OrderSet, field_ndim: int, axis: int):
-    if orders.ndim == field_ndim:
-        return orders.pair(axis)
-    if orders.ndim == 1:
-        return orders.pair(0)
-    raise DomainError(
-        f"OrderSet has {orders.ndim} axes but the field has {field_ndim}"
-    )
-
-
 def axis_cresson(field: GridFunctionND, axis: int, orders: OrderSet) -> GridFunctionND:
     """Apply the combined operator along every grid line parallel to ``axis``.
 
@@ -346,12 +319,15 @@ def axis_cresson(field: GridFunctionND, axis: int, orders: OrderSet) -> GridFunc
     """
     if not 0 <= axis < field.ndim:
         raise GridError(f"axis {axis} out of range for a {field.ndim}-axis field")
-    pair = _axis_pair(orders, field.ndim, axis)
+    if orders.ndim != field.ndim:
+        raise DomainError(
+            f"OrderSet has {orders.ndim} axes but the field has {field.ndim}"
+        )
     moved = np.moveaxis(field.values, axis, -1)
     shape = moved.shape
     lines = moved.reshape(-1, shape[-1])
     out, start, end = _cresson_lines(
-        lines, field.grids[axis].h, pair, orders.gamma_w
+        lines, field.grids[axis].h, orders.pair(axis), orders.gamma_w
     )
     newflags = np.zeros(lines.shape, dtype=bool)
     newflags[:, 0] |= start

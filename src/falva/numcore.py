@@ -31,7 +31,6 @@ __all__ = [
     "gamma",
     "product_weights",
     "weighted_integral",
-    "central_diff",
     "ode_step_rk4",
     "find_root",
     "observed_order",
@@ -89,13 +88,26 @@ class Grid1D:
         return np.linspace(self.a, self.t, self.n + 1)
 
 
-def _as_value_array(values, length: int) -> np.ndarray:
+def _checked_samples(values, flags, shape: tuple):
+    """Checked (values, flags) of samples on a grid of ``shape``: values as
+    float64 or complex128, flags as a bool mask (None: no node flagged)."""
     v = np.asarray(values)
-    if v.shape != (length,):
-        raise GridError(f"expected {length} node values, got shape {v.shape}")
-    if np.iscomplexobj(v):
-        return np.ascontiguousarray(v, dtype=np.complex128)
-    return np.ascontiguousarray(v, dtype=np.float64)
+    if v.shape != shape:
+        raise GridError(f"values shape {v.shape} does not match grid shape {shape}")
+    v = np.ascontiguousarray(
+        v, dtype=np.complex128 if np.iscomplexobj(v) else np.float64)
+    if flags is None:
+        f = np.zeros(shape, dtype=bool)
+    else:
+        f = np.asarray(flags, dtype=bool)
+        if f.shape != shape:
+            raise GridError("flags shape does not match values")
+    bad = ~np.isfinite(v) & ~f
+    if bad.any():
+        raise GridError(
+            f"non-finite value at unflagged node {int(np.argmax(bad.ravel()))}"
+        )
+    return v, f
 
 
 @dataclass(frozen=True)
@@ -113,20 +125,9 @@ class GridFunction:
     flags: np.ndarray = None
 
     def __post_init__(self):
-        v = _as_value_array(self.values, self.grid.n + 1)
+        v, f = _checked_samples(self.values, self.flags, (self.grid.n + 1,))
         object.__setattr__(self, "values", v)
-        if self.flags is None:
-            f = np.zeros(self.grid.n + 1, dtype=bool)
-        else:
-            f = np.asarray(self.flags, dtype=bool)
-            if f.shape != v.shape:
-                raise GridError("flags shape does not match values")
         object.__setattr__(self, "flags", f)
-        bad = ~np.isfinite(v) & ~f
-        if bad.any():
-            raise GridError(
-                f"non-finite value at unflagged node {int(np.argmax(bad))}"
-            )
 
 
 def _weights_from_nodes(nodes: np.ndarray, alpha: float, anchor: float) -> np.ndarray:

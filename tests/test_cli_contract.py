@@ -7,6 +7,7 @@ traceback or a warning.
 """
 
 import contextlib
+import functools
 import io
 import math
 import re
@@ -443,6 +444,93 @@ def test_solve_bvp_scan_error_names_node_0(tmp_path, n):
     stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
     assert stderr == ("FALVA-ERR eval: log of a non-positive value in real mode "
                       "(node 0)\n")
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("solve-ivp", ["--q0", "0", "--v0", "1"]),
+    ("solve-bvp", ["--boundary", "0,1"]),
+])
+def test_shooting_at_two_intervals_is_one_grid_error(tmp_path, kind, extra):
+    # the margin 2 (t-a)/n of n = 2 would take the whole domain
+    argv = [kind, "--lagrangian", "qdot^2/2", "--alpha", "0.5", "--domain",
+            "0,1", "--n", "2", *extra]
+    stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    assert stderr == "FALVA-ERR grid: shooting needs n >= 3, got n=2\n"
+    assert _run_quietly(argv, tmp_path / "out.csv")[0] == 2
+
+
+MINIMIZE = ["minimize", "--alpha", "0.5", "--domain", "0,1", "--n", "80",
+            "--boundary", "0,1"]
+
+
+# the first overflows in the line search and stalls after 620 iterations; a
+# linear L leaves the Hessian zero, so the first Newton solve fails
+@pytest.mark.parametrize("lagrangian, iterations", [
+    ("qdot^2/2 - 30*q^2", 620), ("q", 1)])
+def test_minimizer_stall_is_one_line_that_counts_iterations(
+        tmp_path, lagrangian, iterations):
+    out = tmp_path / "out.csv"
+    stderr = _assert_one_error_line([*MINIMIZE, "--lagrangian", lagrangian],
+                                    out)
+    assert stderr.startswith(
+        f"FALVA-ERR noconv: minimizer stopped after {iterations} of 10000 "
+        "iterations, where its Newton solve or line search failed (grad_norm=")
+    assert f"# iterations={iterations}\n" in out.read_text()
+
+
+def test_minimizer_names_its_cap_when_it_reaches_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MINIMIZE_MAX_ITER", 2)
+    monkeypatch.setattr(cli, "direct_minimize",
+                        functools.partial(cli.direct_minimize, max_iter=2))
+    stderr = _assert_one_error_line(
+        [*MINIMIZE, "--lagrangian", "sqrt(1+qdot^2)"], tmp_path / "out.csv")
+    assert stderr.startswith("FALVA-ERR noconv: minimizer hit its iteration "
+                             "cap (grad_norm=")
+
+
+# values that start with '-': each flag once, apart and in the = form
+DASH_VALUES = {
+    "lagrangian": ["solve-bvp", "--alpha", "0.5", "--domain", "0,1", "--n",
+                   "50", "--boundary", "0,1", "--lagrangian",
+                   "-q^2/2+qdot^2/2"],
+    "path": ["deriv", "--alpha", "0.5", "--domain", "0,1", "--n", "16",
+             "--path", "-tau"],
+    "gamma": ["deriv", "--alpha", "0.5", "--domain", "0,1", "--n", "16",
+              "--path", "tau", "--gamma", "-i"],
+    "domain": ["deriv", "--alpha", "0.5", "--n", "16", "--path", "x*y",
+               "--domain", "-1,1", "--domain", "-2,0"],
+    "boundary": ["minimize", "--lagrangian", "qdot^2/2", "--alpha", "0.5",
+                 "--domain", "0,1", "--n", "40", "--boundary", "-1,2"],
+}
+
+
+@pytest.mark.parametrize("case", DASH_VALUES)
+def test_dash_values_give_the_bytes_of_the_equals_form(tmp_path, case):
+    argv = DASH_VALUES[case]
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == f"--{case}":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    apart, equals = tmp_path / "apart.csv", tmp_path / "equals.csv"
+    assert _run_quietly(argv, apart)[:2] == (0, "")
+    assert _run_quietly(joined, equals)[:2] == (0, "")
+    assert apart.read_bytes() == equals.read_bytes()
+
+
+@pytest.mark.parametrize("tail", [
+    ["--lagrangian"], ["--lagrangian", "--alpha", "0.5"],
+    ["--lagrangian", "--alp", "0.5"], ["--lagrangian", "-h"],
+    ["--lagrangian", "--"],
+], ids=["last", "before-flag", "before-abbreviation", "before-help",
+        "before-separator"])
+def test_a_missing_value_keeps_its_message(tmp_path, tail):
+    argv = ["minimize", "--domain", "0,1", "--n", "8", "--boundary", "0,1",
+            *tail]
+    stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
+    assert stderr == ("FALVA-ERR spec: argument --lagrangian: expected one "
+                      "argument\n")
 
 
 @pytest.mark.parametrize("table", [

@@ -237,6 +237,14 @@ class TestAxisCresson:
         assert np.all(out.values == 0.0)
         assert not out.flags.any()
 
+    def test_one_axis_orders_on_a_plane_is_a_domain_error(self):
+        g = _grid(8)
+        field = GridFunctionND((g, g), np.zeros((9, 9)))
+        for axis in (0, 1):
+            with pytest.raises(DomainError, match="OrderSet has 1 axes but "
+                                                  "the field has 2"):
+                axis_cresson(field, axis, OrderSet.for_1d(0.5, 0.5, -1j))
+
     def test_constant_in_y_matches_1d_per_line(self):
         # q(x, y) = g(x): applying the operator along y sees constant lines
         gx, gy = _grid(20), _grid(24)

@@ -9,6 +9,7 @@ from falva import (
     DomainError,
     Grid1D,
     GridFunction,
+    GridFunctionND,
     GridError,
     StepFailure,
     find_root,
@@ -76,8 +77,23 @@ class TestGrid:
 
     def test_rejects_nonfinite_values(self):
         g = Grid1D(0.0, 1.0, 4)
-        with pytest.raises(GridError, match="non-finite"):
+        with pytest.raises(GridError, match="non-finite value at unflagged node 2$"):
             GridFunction(g, [0.0, 1.0, np.inf, 0.0, 0.0])
+        plane = np.zeros((5, 5))
+        plane[1, 2] = np.nan  # flat index 7
+        with pytest.raises(GridError, match="unflagged node 7$"):
+            GridFunctionND((g, g), plane)
+
+    def test_shape_errors_read_alike_in_1d_and_nd(self):
+        g = Grid1D(0.0, 1.0, 4)
+        message = r"values shape \(4,\) does not match grid shape \(5,\)"
+        with pytest.raises(GridError, match=message):
+            GridFunction(g, np.zeros(4))
+        with pytest.raises(GridError, match=message):
+            GridFunctionND((g,), np.zeros(4))
+        for make in (GridFunction, lambda g, v, f: GridFunctionND((g,), v, f)):
+            with pytest.raises(GridError, match="flags shape does not match"):
+                make(g, np.zeros(5), np.zeros(4, dtype=bool))
 
     def test_flagged_nonfinite_allowed(self):
         g = Grid1D(0.0, 1.0, 4)
