@@ -328,10 +328,6 @@ def _orders_for(spec: Spec, dim: int) -> OrderSet:
     return OrderSet.for_nd(alphas, deltas, gamma_w)
 
 
-def _meshes(grids):
-    return np.meshgrid(*[g.nodes for g in grids], indexing="ij")
-
-
 def _sample_expression(spec: Spec, key: str, slot_names, grids) -> np.ndarray:
     expr = spec.expr(key)
     extra = set(expr.free_vars) - set(slot_names)
@@ -340,7 +336,8 @@ def _sample_expression(spec: Spec, key: str, slot_names, grids) -> np.ndarray:
             f"path expression uses {sorted(extra)}; allowed coordinates "
             f"are {list(slot_names)}"
         )
-    env = dict(zip(slot_names, _meshes(grids)))
+    meshes = np.meshgrid(*[g.nodes for g in grids], indexing="ij")
+    env = dict(zip(slot_names, meshes))
     shape = tuple(g.n + 1 for g in grids)
     return np.broadcast_to(np.asarray(evaluate(expr, env)), shape).copy()
 
@@ -348,7 +345,7 @@ def _sample_expression(spec: Spec, key: str, slot_names, grids) -> np.ndarray:
 def _read_field_file(path: str, grids) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except OSError as err:
         raise SpecError(f"cannot read field file {path!r}: {err}") from None
     if not lines or not lines[0].lower().startswith("shape"):
@@ -399,8 +396,9 @@ def _qdot_for(spec: Spec, grid: Grid1D):
 class _Table(NamedTuple):
     """One CSV output: comment (key, value) pairs, a header and its columns.
 
-    A column is a numpy array of floats or integers (0/1 flags, counts),
-    written in row-major order, or a sequence of floats and strings.
+    A column is a numpy array of floats, integers (0/1 flags, counts) or
+    formatted strings, written in row-major order, or a sequence of floats
+    and strings.
     ``failure`` is raised after the file is written.
     """
 
@@ -420,15 +418,34 @@ def _text(value) -> str:
     return "%.17g" % value
 
 
+def _coordinates(grids):
+    """The coordinate columns of a deriv or residual table, in row-major
+    order: each node is formatted once by ``_text``, and its string is
+    repeated along the other axes as a broadcast view."""
+    axes = [np.array(list(map(_text, g.nodes.tolist())), dtype=object)
+            for g in grids]
+    return np.meshgrid(*axes, indexing="ij", copy=False)
+
+
 def _cells(column):
-    """Row-template field and cell values of one output column."""
+    """Row-template field and cell values of one output column.
+
+    A numeric array is formatted cell by cell as the rows are written; an
+    object array holds formatted strings, so a broadcast column of them
+    (``_coordinates``) costs one format call per stored value, not per cell.
+    """
     if isinstance(column, np.ndarray):
-        field = "%d" if column.dtype.kind in "biu" else "%.17g"
+        kind = column.dtype.kind
+        field = "%s" if kind == "O" else "%d" if kind in "biu" else "%.17g"
         return field, column.ravel().tolist()
     return "%s", list(map(_text, column))
 
 
 def _write_csv(path: str, kind: str, table: _Table) -> None:
+    """Write a table: the version line, its comments, its header and one
+    row template applied to every row.  Numeric cells are formatted as the
+    rows are written; a broadcast column of strings was formatted once per
+    stored value (``_cells``)."""
     lead = f"falva {__version__} kind={kind} orders[{ORDER_CONVENTION}]"
     head = [f"# {lead}\n"]
     head += [f"# {key}={_text(value)}\n" for key, value in table.comments]
@@ -476,7 +493,7 @@ def _run_deriv(spec: Spec) -> _Table:
     grids, values, out = _derivative(spec)
     header = [*SLOTS[len(grids)][1], "f_re", "f_im", "deriv_re", "deriv_im",
               "flagged"]
-    return _Table([], header, [*_meshes(grids), values.real, values.imag,
+    return _Table([], header, [*_coordinates(grids), values.real, values.imag,
                                out.values.real, out.values.imag, out.flags])
 
 
@@ -532,8 +549,8 @@ def _run_residual(spec: Spec) -> _Table:
     comments = [("sup_norm", rf.sup_norm), ("epsilon_margin", rf.epsilon_margin)]
     header = [*SLOTS[len(grids)][1], "q", "residual_re", "residual_im",
               "excluded"]
-    return _Table(comments, header, [*_meshes(grids), values, residual.real,
-                                     residual.imag, rf.excluded])
+    return _Table(comments, header, [*_coordinates(grids), values,
+                                     residual.real, residual.imag, rf.excluded])
 
 
 def _line_grid(spec: Spec) -> Grid1D:

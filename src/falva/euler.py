@@ -567,8 +567,9 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     scale = (bd.qb - bd.qa) / (bd.t - bd.a)
     if scale == 0.0:
         scale = 1.0 / (bd.t - bd.a)
-    slopes = np.linspace(-BVP_SCAN_SPAN * scale, BVP_SCAN_SPAN * scale,
-                         BVP_SCAN_SLOPES)
+    with np.errstate(over="ignore", invalid="ignore"):  # a span past 1e308
+        slopes = np.linspace(-BVP_SCAN_SPAN * scale, BVP_SCAN_SPAN * scale,
+                             BVP_SCAN_SLOPES)
 
     runs = {}  # v0 -> (grid, q, qdot, failure) at n; no slope runs twice
 

@@ -206,7 +206,9 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     """
     g1 = gamma(1.0 - order)
     nseg = vals.shape[1] - 1
-    slopes = np.diff(vals, axis=1) / h
+    # a slope that overflows is kept: its row takes the direct sum below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slopes = np.diff(vals, axis=1) / h
     mh = h * np.arange(nseg + 1)
     pw = mh ** (1.0 - order)
     kern = (pw[1:] - pw[:-1]) / ((1.0 - order) * g1)

@@ -9,6 +9,7 @@ traceback or a warning.
 import contextlib
 import functools
 import io
+import itertools
 import math
 import re
 import warnings
@@ -32,6 +33,7 @@ from falva import (
     cresson,
     direct_minimize,
     el_residual_1d_cresson,
+    el_residual_2d,
     evaluate,
     parse,
     rl_left,
@@ -100,6 +102,22 @@ def _deriv_3d():
                       "f_re": f.real, "f_im": f.imag,
                       "deriv_re": out.values.real, "deriv_im": out.values.imag,
                       "flagged": out.flags}
+
+
+def _residual_2d():
+    L, text = "(qx^2 + qy^2)/2 + q*x*y", "sin(3*x)*cos(2*y) + 0.5"
+    grids = (_line(12), _line(9, t=2.0))
+    meshes, q = _sample(text, ("x", "y"), grids)
+    rf = el_residual_2d(parse(L), GridFunctionND(grids, q),
+                        OrderSet.for_nd([0.5, 0.3], [0.5, 0.3], GAMMA), (1.0, 2.0))
+    argv = ["residual", "--lagrangian", L, "--path", text, "--alpha", "0.5,0.3",
+            "--gamma=0.3,-0.7", *UNIT, "--domain", "0,2", "--n", "12", "--n", "9"]
+    comments = {"sup_norm": _cell(rf.sup_norm),
+                "epsilon_margin": ",".join(map(_cell, rf.epsilon_margin))}
+    return argv, comments, {"x": meshes[0], "y": meshes[1], "q": q,
+                            "residual_re": rf.residual.values.real,
+                            "residual_im": rf.residual.values.imag,
+                            "excluded": rf.excluded}
 
 
 def _solve_ivp():
@@ -218,8 +236,8 @@ def _sweep_minimize():
 
 
 ROUND_TRIP_CASES = {
-    "deriv-1d": _deriv_1d, "deriv-3d": _deriv_3d, "solve-ivp": _solve_ivp,
-    "solve-bvp": _solve_bvp, "minimize": _minimize,
+    "deriv-1d": _deriv_1d, "deriv-3d": _deriv_3d, "residual-2d": _residual_2d,
+    "solve-ivp": _solve_ivp, "solve-bvp": _solve_bvp, "minimize": _minimize,
     "sweep-action": _sweep_action, "sweep-deriv": _sweep_deriv,
     "sweep-residual": _sweep_residual, "sweep-solve-ivp": _sweep_solve_ivp,
     "sweep-solve-bvp": _sweep_solve_bvp, "sweep-minimize": _sweep_minimize,
@@ -248,6 +266,50 @@ def test_flags_before_the_subcommand_give_the_same_bytes(case, tmp_path):
     assert main([kind, *flags, "--out", str(after)]) == 0
     assert main([*flags, "--out", str(before), kind]) == 0
     assert before.read_bytes() == after.read_bytes()
+
+
+def test_the_residual_round_trip_holds_a_repeated_data_value():
+    # so the round trip checks a column whose value repeats cell by cell:
+    # residual_re is zero at every excluded node
+    _, _, columns = _residual_2d()
+    excluded = columns["excluded"]
+    assert excluded.sum() > 1 and (columns["residual_re"][excluded] == 0).all()
+
+
+# Each case is (argv, grids); the domains give nodes with 17-digit
+# expansions (0.3/3 is 0.099999999999999992), negative nodes and a
+# different n on each axis.
+COORDINATE_CASES = {
+    "deriv-2d": (["deriv", "--path", "x*y", "--alpha", "0.5", "--axis", "y",
+                  "--domain", "0,0.3", "--domain", "-0.7,0.3", "--n", "3",
+                  "--n", "4"],
+                 (Grid1D(0.0, 0.3, 3), Grid1D(-0.7, 0.3, 4))),
+    "residual-2d": (["residual", "--lagrangian", "(qx^2 + qy^2)/2 + q*x*y",
+                     "--path", "sin(x)*cos(y) + 1", "--alpha", "0.5,0.3",
+                     "--domain", "-2,-0.5", "--domain", "0,0.3", "--n", "4",
+                     "--n", "6"],
+                    (Grid1D(-2.0, -0.5, 4), Grid1D(0.0, 0.3, 6))),
+    "residual-3d": (["residual", "--lagrangian", "(qx1^2 + qx2^2 + qx3^2)/2",
+                     "--path", "x1*x2 + x3", "--alpha", "0.5,0.3,0.7",
+                     "--domain", "0,0.3", "--domain", "-2,-0.5", "--domain",
+                     "-0.7,0.3", "--n", "3", "--n", "5", "--n", "4"],
+                    (Grid1D(0.0, 0.3, 3), Grid1D(-2.0, -0.5, 5),
+                     Grid1D(-0.7, 0.3, 4))),
+}
+
+
+@pytest.mark.parametrize("case", COORDINATE_CASES)
+def test_coordinate_columns_pin_each_node_in_row_major_order(case, tmp_path):
+    argv, grids = COORDINATE_CASES[case]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    _, header, got = _read_csv(out)
+    axes = [["%.17g" % x for x in g.nodes.tolist()] for g in grids]
+    expected = [list(col) for col in zip(*itertools.product(*axes))]
+    names = {2: ["x", "y"], 3: ["x1", "x2", "x3"]}[len(grids)]
+    assert header[:len(grids)] == names
+    assert got[:len(grids)] == expected
+    assert "0.099999999999999992" in got[0] + got[1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +483,20 @@ def test_blow_ups_end_in_one_error_line(tmp_path, argv, code):
     assert "vanished" not in stderr
 
 
+# a scan span of 10 * 1e308 overflows; a step of 1e-321 overflows the slopes
+@pytest.mark.parametrize("argv, status, line", [
+    (["solve-bvp", "--lagrangian", "qdot^2/2", "--boundary", "0,1e308",
+      "--alpha", "0.5", "--domain", "0,1", "--n", "10"], 3,
+     "FALVA-ERR step: non-finite derivative at tau = 0.0\n"),
+    (["residual", "--lagrangian", "qdot^2/2", "--path", "tau", "--alpha",
+      "0.5", "--variant", "cresson", "--domain", "0,1e-320", "--n", "10"], 2,
+     "FALVA-ERR grid: non-finite value at unflagged node 0\n"),
+], ids=["bvp-huge-boundary", "residual-subnormal-step"])
+def test_overflow_ends_in_one_error_line(tmp_path, argv, status, line):
+    assert _assert_one_error_line(argv, tmp_path / "out.csv") == line
+    assert _run_quietly(argv, tmp_path / "out.csv")[0] == status
+
+
 @pytest.mark.parametrize("term, q0, message", [
     ("log(q)", "-1", "log of a non-positive value in real mode"),
     ("sqrt(q)", "-1", "sqrt of a negative value in real mode"),
@@ -582,6 +658,18 @@ def test_field_file_base_runs(tmp_path):
     argv = _field_file_argv(tmp_path, "shape,9", [repr(0.125 * j) for j in range(9)])
     status, stderr, _ = _run_quietly(argv, tmp_path / "out.csv")
     assert (status, stderr) == (0, "")
+
+
+def test_field_file_skips_an_indented_comment(tmp_path):
+    values = [repr(0.125 * j) for j in range(9)]
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    assert main(_field_file_argv(tmp_path, "shape,9", values)
+                + ["--out", str(plain)]) == 0
+    argv = _field_file_argv(tmp_path, "  # note\nshape,9",
+                            values[:4] + ["\t# mid-file note"] + values[4:])
+    status, stderr, caught = _run_quietly(argv, commented)
+    assert (status, stderr, caught) == (0, "", [])
+    assert commented.read_bytes() == plain.read_bytes()
 
 
 # ---------------------------------------------------------------------------
