@@ -35,7 +35,13 @@ from .errors import (
 # partial is not called here; perfbench/spans.py wraps it at this name
 from .exprdsl import LagrangianExpr, evaluate, partial, partials
 from .fracops import GridFunctionND, OrderSet, as_nd, axis_cresson
-from .numcore import GridFunction, _weights_from_nodes, central_diff, gamma
+from .numcore import (
+    GridFunction,
+    _weighted_sum,
+    _weights_from_nodes,
+    central_diff,
+    gamma,
+)
 
 __all__ = [
     "ActionValue",
@@ -152,7 +158,7 @@ def action_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     g = _eval_field(L, {"qdot": qd, "q": q.values, "tau": nodes}, nodes.shape)
     norm = gamma(alpha)  # a DomainError for a subnormal alpha, before the weights
     w = _weights_from_nodes(nodes, alpha, q.grid.t)
-    value = complex(np.dot(w, g)) / norm
+    value = complex(_weighted_sum(w, g)) / norm
     return ActionValue(
         value=value,
         observer=(q.grid.t,),
@@ -244,7 +250,7 @@ def _weighted_action_core(L: LagrangianExpr, field: GridFunctionND,
         alpha = orders.weight_order(ax)
         norm *= gamma(alpha)
         w = _weights_from_nodes(grid.nodes[slices[ax]], alpha, grid.t)
-        value = np.tensordot(w, value, axes=(0, 0))
+        value = _weighted_sum(w, value)
     return ActionValue(
         value=complex(value) / norm,
         observer=tuple(g_.t for g_ in field.grids),

@@ -231,7 +231,7 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     excluded[0] = excluded[-1] = True
     excluded |= nodes > t_obs - eps
     excluded |= q.flags
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         damping = np.where(excluded, 0.0, (1.0 - alpha) / (t_obs - nodes))
     res = np.where(excluded, 0.0, lq - dp - damping * p)
     return _wrap_residual(GridFunction(q.grid, res), excluded, (eps,))

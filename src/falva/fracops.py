@@ -39,10 +39,22 @@ relative to the line's scale: below 1e-14 of 1 + max|D f| on smooth paths
 and random data at n = 16384.  A node much smaller than the line's maximum
 (an early-time value) can carry a node-wise relative error near 1e-11,
 far below the scheme's O(h^(2-al)) discretisation error there.
+
+The kernel of a line depends only on its cell count, its spacing h and the
+order, so it is built once per (nseg, h, order) key as a kernel plan: the
+slope weights, their spectrum, the transform size and the boundary factor
+of the start value, as read-only arrays.  Left and right operators,
+forward and adjoint sides, equally spaced axes and sweep rows with one
+order share a plan.  The last four plans are kept (``_KERNEL_PLANS``).  A
+plan holds 32 to 48 bytes per cell (32 when nseg is a power of two): 0.5
+MB at n = 16384 and about 128 MB for one line at the command line's
+2^22-node cap, so the cache retains at most about 512 MB there.  A plan
+holds the bits of a fresh build, so no output depends on what ran before.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,6 +197,38 @@ def as_1d(f: GridFunctionND) -> GridFunction:
 # small.
 _FFT_BLOCK = 2**16
 
+# Kernel plans kept by _line_kernel: enough for the four (order, spacing)
+# keys of a 2D field, whose forward and adjoint operators share them.
+_KERNEL_PLANS = 4
+
+
+@functools.lru_cache(maxsize=_KERNEL_PLANS)
+def _line_kernel(nseg: int, h: float, order: float):
+    """The kernel plan of a line of ``nseg`` cells of width ``h``:
+    (kern, spec, size, boundary), built once per (nseg, h, order).
+
+    ``kern`` holds the product-integration weights of the slopes, ``spec``
+    their real FFT of power-of-two size ``size`` >= 2 nseg - 1 (so nothing
+    wraps around), and ``boundary`` the factor (m h)^(-order) / gamma(1 -
+    order) of the start value at nodes m = 1..nseg.  The arrays are
+    read-only, since every caller with the same key shares them.  The
+    build runs with floating-point warnings off: at a subnormal h the
+    boundary factor overflows or divides by zero (the caller's non-finite
+    check reports that), and a warning here would show only on a cache
+    miss.
+    """
+    g1 = gamma(1.0 - order)
+    mh = h * np.arange(nseg + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pw = mh ** (1.0 - order)
+        kern = (pw[1:] - pw[:-1]) / ((1.0 - order) * g1)
+        boundary = mh[1:] ** (-order) / g1
+    size = 1 << (2 * nseg - 2).bit_length()
+    spec = np.fft.rfft(kern, size)
+    for arr in (kern, spec, boundary):
+        arr.flags.writeable = False
+    return kern, spec, size, boundary
+
 
 def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     """Left derivative along the last axis of a (lines, nodes) array.
@@ -193,33 +237,33 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     product-integrated slope convolution; row starts with a nonzero first
     value are flagged and keep only the integral part (zero) there.
 
-    The convolution runs as a real FFT of power-of-two size >= 2 nseg - 1,
-    so nothing wraps around, and only its first nseg terms are kept.  Each
-    row is transformed on its own, so its bits do not depend on the batch.
-    A complex row is transformed as its real and imaginary parts, written
-    straight into the views ``out.real`` and ``out.imag``.  Rows holding a
-    non-finite slope keep the direct ``np.convolve`` sum, which keeps the
-    value local to later nodes; only finite rows reach the transform.  The
-    FFT's rounding against the direct sum is below 1e-14 of 1 + max|out|
-    on smooth and random lines up to n = 16384; see the module notes for
-    small early-time values.
+    The kernel, its spectrum and the boundary factor come from the kernel
+    plan ``_line_kernel(nseg, h, order)``, so left and right operators,
+    forward and adjoint sides, equally spaced axes and sweep rows share
+    one build.  The cache keeps the last _KERNEL_PLANS plans of 32 to 48
+    bytes per cell each (about 128 MB for a line at the command line's cap
+    of 2^22 nodes).  The convolution runs as a real FFT of the plan's
+    size, and only its first nseg terms are kept.  Each row is transformed
+    on its own, so its bits do not depend on the batch.  A complex row is
+    transformed as its real and imaginary parts, written straight into the
+    views ``out.real`` and ``out.imag``.  Rows holding a non-finite slope
+    keep the direct ``np.convolve`` sum, which keeps the value local to
+    later nodes; only finite rows reach the transform.  The FFT's rounding
+    against the direct sum is below 1e-14 of 1 + max|out| on smooth and
+    random lines up to n = 16384; see the module notes for small
+    early-time values.
     """
-    g1 = gamma(1.0 - order)
     nseg = vals.shape[1] - 1
+    kern, spec, size, boundary = _line_kernel(nseg, h, order)
     # a slope that overflows is kept: its row takes the direct sum below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         slopes = np.diff(vals, axis=1) / h
-    mh = h * np.arange(nseg + 1)
-    pw = mh ** (1.0 - order)
-    kern = (pw[1:] - pw[:-1]) / ((1.0 - order) * g1)
     out = np.zeros(vals.shape, dtype=np.result_type(vals.dtype, np.float64))
     conv = out[:, 1:]
     finite = np.isfinite(slopes).all(axis=1)
     for i in np.flatnonzero(~finite):
         conv[i] = np.convolve(slopes[i], kern)[:nseg]
     rows = np.flatnonzero(finite)
-    size = 1 << (2 * nseg - 2).bit_length()
-    spec = np.fft.rfft(kern, size)
     parts = [(slopes, conv)]
     if np.iscomplexobj(slopes):
         parts = [(slopes.real, conv.real), (slopes.imag, conv.imag)]
@@ -236,7 +280,10 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     if lost.any():
         start = np.where(lost[:, None], 0.0, start)
         out[lost, 1:] = np.nan
-    out[:, 1:] += start * (mh[1:] ** (-order) / g1)
+    # a zero start against an infinite factor (subnormal h) is NaN, which
+    # the caller's non-finite check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:, 1:] += start * boundary
     return out, vals[:, 0] != 0
 
 

@@ -151,9 +151,22 @@ def _weights_from_nodes(nodes: np.ndarray, alpha: float, anchor: float) -> np.nd
         alpha * (alpha + 1.0)
     )
     w = np.zeros(nodes.shape[0])
-    w[:-1] += m0 - m1 / hseg
-    w[1:] += m1 / hseg
+    # cells that round to zero width (a subnormal domain) give NaN weights,
+    # which the caller's finiteness check reports
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w[:-1] += m0 - m1 / hseg
+        w[1:] += m1 / hseg
     return w
+
+
+def _weighted_sum(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_j w[j] values[j, ...]: the weights contracted with the first axis.
+
+    numpy's own reduction adds the terms in an order fixed by the shapes;
+    a BLAS dot would split it by the thread count, so the last digits of
+    an action would depend on the host's BLAS threads.
+    """
+    return np.sum(w.reshape(w.shape + (1,) * (values.ndim - 1)) * values, axis=0)
 
 
 def product_weights(grid: Grid1D, alpha: float, observer: float = None) -> np.ndarray:
@@ -177,16 +190,21 @@ def weighted_integral(f: GridFunction, alpha: float, observer: float = None) -> 
         raise GridError("weighted_integral needs f defined on its full grid "
                         "(flagged singular nodes present)")
     w = product_weights(f.grid, alpha, observer)
-    return complex(np.dot(w, f.values))
+    return complex(_weighted_sum(w, f.values))
 
 
 def central_diff(values: np.ndarray, h: float) -> np.ndarray:
-    """Central differences, second-order one-sided at the two ends."""
+    """Central differences, second-order one-sided at the two ends.
+
+    A difference that overflows (a subnormal h) is returned as inf or NaN
+    without a warning; the caller's non-finite check reports it.
+    """
     v = np.asarray(values)
     d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return d
 
 

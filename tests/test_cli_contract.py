@@ -11,7 +11,10 @@ import functools
 import io
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -41,7 +44,7 @@ from falva import (
     solve_el_ivp,
     trapezoid_action,
 )
-from falva import cli
+from falva import cli, fracops
 from falva.cli import Spec, main
 
 UNIT = ["--domain", "0,1"]
@@ -268,6 +271,35 @@ def test_flags_before_the_subcommand_give_the_same_bytes(case, tmp_path):
     assert before.read_bytes() == after.read_bytes()
 
 
+# At n = 16384 a BLAS dot splits its sum by the thread count; the actions
+# reduce in numpy instead, so their last digits do not depend on it.  (A
+# host with one CPU runs both children on one BLAS thread.)
+BLAS_SIZED = {
+    "cresson-action-sweep": [
+        "sweep", "--sweep-kind", "action", "--lagrangian", "qdot^2/2 - 0.8*q^2/2",
+        "--variant", "cresson", "--gamma=0.3,-0.4", "--alpha", "0.25,0.5,0.75",
+        "--domain", "0,1", "--n", "16384", "--path", "1.1*tau^1.5"],
+    "classic-action": [
+        "action", "--variant", "classic", "--lagrangian", "qdot^2/2 - q^2/2",
+        "--alpha", "0.5", "--domain", "0,1", "--n", "16384", "--path", "sin(tau)"],
+}
+
+
+@pytest.mark.parametrize("case", BLAS_SIZED)
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, case):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "falva", *BLAS_SIZED[case], "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_the_residual_round_trip_holds_a_repeated_data_value():
     # so the round trip checks a column whose value repeats cell by cell:
     # residual_re is zero at every excluded node
@@ -483,7 +515,16 @@ def test_blow_ups_end_in_one_error_line(tmp_path, argv, code):
     assert "vanished" not in stderr
 
 
-# a scan span of 10 * 1e308 overflows; a step of 1e-321 overflows the slopes
+SUBNORMAL = ["--lagrangian", "qdot^2/2", "--path", "tau", "--alpha", "0.5",
+             "--n", "10"]
+
+
+# a scan span of 10 * 1e308 overflows; a step of 1e-321 overflows the slopes;
+# a step that rounds to 0 (5e-324 / 10) makes the boundary factor of the
+# line kernel infinite and the product weights NaN; a step of 1e-321
+# overflows the central differences and the damping of the classic residual.
+# The kernel plan is cached, so each call runs on a cold cache, then on the
+# warm cache that the first run left.
 @pytest.mark.parametrize("argv, status, line", [
     (["solve-bvp", "--lagrangian", "qdot^2/2", "--boundary", "0,1e308",
       "--alpha", "0.5", "--domain", "0,1", "--n", "10"], 3,
@@ -491,10 +532,22 @@ def test_blow_ups_end_in_one_error_line(tmp_path, argv, code):
     (["residual", "--lagrangian", "qdot^2/2", "--path", "tau", "--alpha",
       "0.5", "--variant", "cresson", "--domain", "0,1e-320", "--n", "10"], 2,
      "FALVA-ERR grid: non-finite value at unflagged node 0\n"),
-], ids=["bvp-huge-boundary", "residual-subnormal-step"])
+    (["residual", "--variant", "cresson", *SUBNORMAL, "--domain", "0,5e-324"], 2,
+     "FALVA-ERR grid: non-finite value at unflagged node 1\n"),
+    (["deriv", *SUBNORMAL[2:], "--domain", "0,5e-324"], 2,
+     "FALVA-ERR grid: non-finite value at unflagged node 1\n"),
+    (["residual", "--variant", "classic", *SUBNORMAL, "--domain", "0,1e-320"], 2,
+     "FALVA-ERR grid: non-finite value at unflagged node 1\n"),
+    (["action", "--variant", "classic", *SUBNORMAL, "--domain", "0,5e-324"], 2,
+     "FALVA-ERR domain: action value is not finite\n"),
+], ids=["bvp-huge-boundary", "residual-subnormal-step", "residual-zero-step",
+        "deriv-zero-step", "classic-residual-subnormal-step",
+        "classic-action-zero-step"])
 def test_overflow_ends_in_one_error_line(tmp_path, argv, status, line):
-    assert _assert_one_error_line(argv, tmp_path / "out.csv") == line
-    assert _run_quietly(argv, tmp_path / "out.csv")[0] == status
+    fracops._line_kernel.cache_clear()
+    for _cache in ("cold", "warm"):
+        assert _assert_one_error_line(argv, tmp_path / "out.csv") == line
+        assert _run_quietly(argv, tmp_path / "out.csv")[0] == status
 
 
 @pytest.mark.parametrize("term, q0, message", [

@@ -14,10 +14,13 @@ from falva import (
     OrderSet,
     axis_cresson,
     cresson,
+    el_residual_1d_cresson,
     observed_order,
+    parse,
     rl_left,
     rl_right,
 )
+from falva import fracops
 
 
 def _grid(n=128, a=0.0, t=1.0):
@@ -371,3 +374,82 @@ class TestLineKernel:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _plan_cases():
+    """(name, thunk) pairs covering every caller of the kernel plan: the
+    one-sided operators, the combined one in 1D, 2D and 3D, and a residual
+    at alpha = beta and alpha != beta."""
+    g = _grid(96)
+    f = GridFunction(g, 1.0 + np.sin(3 * g.nodes))
+    gx, gy, gz = _grid(12), _grid(16, t=2.0), _grid(10)
+    X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
+    field2 = GridFunctionND((gx, gy), np.cos(X + 2 * Y) + 1j * X * Y)
+    X3, Y3, Z3 = np.meshgrid(gx.nodes, gx.nodes, gz.nodes, indexing="ij")
+    field3 = GridFunctionND((gx, gx, gz), X3 * Y3 + np.sin(Z3))
+    orders2 = OrderSet.for_2d(0.3, 0.45, 0.6, 0.45, 0.4 - 0.7j)
+    orders3 = OrderSet.for_nd((0.3, 0.3, 0.7), (0.6, 0.3, 0.5), 1j)
+    L = parse("qdot^2/2 - q^2/2 + tau*q")
+    path = GridFunction(g, g.nodes ** 1.5)
+    return [
+        ("rl_left", lambda: rl_left(f, 0.35)),
+        ("rl_right", lambda: rl_right(f, 0.65)),
+        ("cresson", lambda: cresson(f, OrderSet.for_1d(0.35, 0.65, 0.2 + 0.9j))),
+        *[(f"axis_cresson_2d[{ax}]", lambda ax=ax: axis_cresson(field2, ax, orders2))
+          for ax in range(2)],
+        *[(f"axis_cresson_3d[{ax}]", lambda ax=ax: axis_cresson(field3, ax, orders3))
+          for ax in range(3)],
+        ("residual alpha=beta", lambda: el_residual_1d_cresson(
+            L, path, OrderSet.for_1d(0.5, 0.5, 0.3 - 0.6j)).residual),
+        ("residual alpha!=beta", lambda: el_residual_1d_cresson(
+            L, path, OrderSet.for_1d(0.3, 0.7, 0.3 - 0.6j)).residual),
+    ]
+
+
+class TestKernelPlan:
+    """The memoized (nseg, h, order) kernel plan of the line kernel."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in _plan_cases()])
+    def test_cold_and_warm_cache_give_the_same_bits(self, name):
+        thunk = dict(_plan_cases())[name]
+        fracops._line_kernel.cache_clear()
+        cold = thunk()
+        warm = thunk()
+        assert fracops._line_kernel.cache_info().hits > 0
+        assert np.array_equal(cold.values, warm.values)
+        assert np.array_equal(cold.flags, warm.flags)
+
+    def test_cached_arrays_are_read_only(self):
+        fracops._line_kernel.cache_clear()
+        kern, spec, size, boundary = fracops._line_kernel(8, 0.125, 0.5)
+        assert size == 16
+        for arr in (kern, spec, boundary):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert fracops._line_kernel(8, 0.125, 0.5)[0] is kern
+
+    def test_cache_size_is_pinned(self):
+        # four plans hold every (order, spacing) key of a 2D field; a plan at
+        # the command line's 2^22-node cap holds about 128 MB
+        assert fracops._line_kernel.cache_parameters()["maxsize"] == 4
+
+    def test_residual_at_equal_orders_builds_one_kernel(self, monkeypatch):
+        # forward left and right and the adjoint's left and right share one
+        # plan: one kernel spectrum (the only 1-D transform) instead of four
+        shapes = []
+        rfft = np.fft.rfft
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.ndim(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        fracops._line_kernel.cache_clear()
+        g = _grid(64)
+        el_residual_1d_cresson(parse("qdot^2/2 - q^2/2"),
+                               GridFunction(g, g.nodes ** 1.5),
+                               OrderSet.for_1d(0.5, 0.5, 0.3 - 0.6j))
+        assert shapes.count(1) == 1
+        assert fracops._line_kernel.cache_info().misses == 1
+        # the path's two lines and the complex momentum's four parts
+        assert shapes.count(2) == 6

@@ -43,3 +43,25 @@ def test_shooting_calls_go_through_the_lookup_sites(monkeypatch):
     euler.solve_el_bvp(parse("qdot^2/2"), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
                        0.5, 50)
     assert sorted(calls) == ["_integrate_el", "find_root"]
+
+
+def test_operator_calls_go_through_the_lookup_sites(monkeypatch):
+    # fracops.axis_cresson is traced where falva.action and falva.euler look
+    # it up; the kernel plan lives below it, so the span keeps its time
+    from falva import (Grid1D, GridFunction, OrderSet, action_1d_cresson,
+                       el_residual_1d_cresson, parse)
+
+    calls = []
+    for name in ("falva.action", "falva.euler"):
+        module = importlib.import_module(name)
+
+        def counted(*args, _name=name, _fn=module.axis_cresson, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "axis_cresson", counted)
+    grid = Grid1D(0.0, 1.0, 32)
+    q = GridFunction(grid, grid.nodes ** 1.5)
+    orders = OrderSet.for_1d(0.5, 0.5, 0.3 - 0.6j)
+    action_1d_cresson(parse("qdot^2/2"), q, orders)
+    el_residual_1d_cresson(parse("qdot^2/2"), q, orders)
+    assert sorted(set(calls)) == ["falva.action", "falva.euler"]
