@@ -88,6 +88,13 @@ def _check_slots(expr: LagrangianExpr, allowed) -> None:
         )
 
 
+def _check_path_problem(L: LagrangianExpr, alpha: float) -> None:
+    """The checks every 1D path problem shares: its slots, and 0 < alpha < 1."""
+    _check_slots(L, _PATH_SLOTS)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
+
+
 def _broadcast(result, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(result), shape).copy()
 
@@ -100,15 +107,16 @@ def _eval_field(expr, env, shape, offsets=None):
         raise _locate(err, shape, offsets) from None
 
 
-def _partial_fields(expr, names, env, shape, offsets=None):
-    """The partial of ``expr`` by each of ``names``, one program for all;
-    a name that ``expr`` does not use gives exactly 0."""
-    used = [(name,) for name in names if name in expr.free_vars]
+def _partial_fields(expr, variable_tuples, env, shape, offsets=None):
+    """The partial of ``expr`` by each of ``variable_tuples``, one program for
+    all.  A tuple with a variable that ``expr`` does not use gives exactly 0:
+    its tree is a literal, so the program keeps its operations and errors."""
+    used = [v for v in variable_tuples if expr.free_vars.issuperset(v)]
     try:
         found = dict(zip(used, partials(expr, used, env)[1:])) if used else {}
     except EvalError as err:
         raise _locate(err, shape, offsets) from None
-    return [_broadcast(found.get((name,), 0.0), shape) for name in names]
+    return [_broadcast(found.get(v, 0.0), shape) for v in variable_tuples]
 
 
 def _locate(err: EvalError, shape, offsets) -> EvalError:
@@ -146,13 +154,11 @@ def action_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     (one-sided at the ends); the result is the product-rule integral against
     (t - tau)^(alpha-1), divided by gamma(alpha).
     """
-    _check_slots(L, ("qdot", "q", "tau"))
+    _check_path_problem(L, alpha)
     if np.iscomplexobj(q.values):
         raise DomainError("action_1d expects a real-valued path")
     if q.flags.any():
         raise GridError("action_1d expects an unflagged path")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
     qd, source = _qdot_samples(q, qdot)
     nodes = q.grid.nodes
     g = _eval_field(L, {"qdot": qd, "q": q.values, "tau": nodes}, nodes.shape)
@@ -173,7 +179,7 @@ def action_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
 def trapezoid_action(L: LagrangianExpr, q: GridFunction, qdot=None) -> float:
     """Unweighted classical action by the trapezoidal rule (the alpha -> 1
     reference used in limit checks and sweep output)."""
-    _check_slots(L, ("qdot", "q", "tau"))
+    _check_slots(L, _PATH_SLOTS)
     qd, _ = _qdot_samples(q, qdot)
     nodes = q.grid.nodes
     g = _eval_field(L, {"qdot": qd, "q": q.values, "tau": nodes}, nodes.shape)
@@ -214,8 +220,9 @@ def nd_slots(ndim: int):
 
 # The slot names of the fractional functionals by dimension: the derivative
 # slots, then the coordinate slots; the field itself is always "q".  The 1D
-# and 2D entry points and the command line read them here.
+# and 2D entry points, the 1D path problems and the command line read them.
 SLOTS = {1: (("qdot",), ("tau",)), 2: (("qx", "qy"), ("x", "y")), 3: nd_slots(3)}
+_PATH_SLOTS = (*SLOTS[1][0], "q", *SLOTS[1][1])
 
 
 def _fractional_env(L: LagrangianExpr, field: GridFunctionND, orders: OrderSet,

@@ -54,7 +54,6 @@ from .fracops import (
     ORDER_CONVENTION,
     GridFunctionND,
     OrderSet,
-    cresson,
     rl_left,
     rl_right,
     axis_cresson,
@@ -469,24 +468,21 @@ def _derivative(spec: Spec):
     grids = spec.grids()
     dim = len(grids)
     values = _field_for(spec, grids)
-    operator = spec.get("operator", "cresson")
-    if dim == 1:
-        f = GridFunction(grids[0], values)
-        if operator == "left":
-            out = rl_left(f, spec.scalar("alpha"))
-        elif operator == "right":
-            out = rl_right(f, spec.scalar("beta", default=spec.scalar("alpha")))
-        else:
-            out = cresson(f, _orders_for(spec, 1))
-        return grids, values, out
     field = GridFunctionND(grids, values)
     axis_name = spec.get("axis", "x")
     axis = _AXES.index(axis_name)
     if axis >= dim:
         raise SpecError(f"axis {axis_name!r} out of range for dimension {dim}")
-    if operator != "cresson":
+    operator = spec.get("operator", "cresson")
+    if operator == "cresson":
+        return grids, values, axis_cresson(field, axis, _orders_for(spec, dim))
+    if dim > 1:
         raise SpecError("ND deriv supports only the cresson operator")
-    return grids, values, axis_cresson(field, axis, _orders_for(spec, dim))
+    f = GridFunction(grids[0], values)
+    alpha = spec.scalar("alpha")
+    if operator == "left":
+        return grids, values, rl_left(f, alpha)
+    return grids, values, rl_right(f, spec.scalar("beta", default=alpha))
 
 
 def _run_deriv(spec: Spec) -> _Table:

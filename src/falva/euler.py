@@ -45,13 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import (
+    _PATH_SLOTS,
     MAX_DIMENSION,
     SLOTS,
     _check_observer,
+    _check_path_problem,
     _check_slots,
     _eval_field,
     _fractional_env,
-    _locate,
     _partial_fields,
     _qdot_samples,
     nd_slots,
@@ -67,12 +68,13 @@ from .errors import (
     UnsupportedDimensionError,
 )
 # second_partials is not called here; perfbench/spans.py wraps it at this name
-from .exprdsl import LagrangianExpr, _program, partials, second_partials
+from .exprdsl import LagrangianExpr, _program, second_partials
 from .fracops import GridFunctionND, OrderSet, as_1d, as_nd, axis_cresson
 # ode_step_rk4 is not called here; perfbench/spans.py wraps it at this name
 from .numcore import (
     Grid1D,
     GridFunction,
+    _weighted_sum,
     central_diff,
     find_root,
     gamma,
@@ -103,6 +105,7 @@ BVP_COARSE_NODES = math.ceil(2.0 / IVP_MARGIN_FRACTION)
 BVP_SCAN_SPAN = 10.0
 BVP_ROOT_TOL = 1e-10
 MINIMIZE_MAX_ITER = 10000
+MINIMIZE_GRAD_TOL = 1e-9
 
 # the partials of the acceleration field; the order fixes which error a
 # Lagrangian that fails in several trees reports: dL/dqdot first, then each
@@ -183,7 +186,7 @@ def rayleigh(L: LagrangianExpr, qdot: GridFunction, q: GridFunction,
 
     Every tau node must lie strictly below the observer time.
     """
-    _check_slots(L, ("qdot", "q", "tau"))
+    _check_slots(L, _PATH_SLOTS)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0,1], got {alpha!r}")
     if qdot.grid != q.grid:
@@ -212,9 +215,7 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     the grid's upper limit (pass the original observer time when the path
     itself was truncated).
     """
-    _check_slots(L, ("qdot", "q", "tau"))
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
+    _check_path_problem(L, alpha)
     if np.iscomplexobj(q.values):
         raise DomainError("el_residual_1d expects a real-valued path")
     t_obs = q.grid.t if observer is None else float(observer)
@@ -224,7 +225,7 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     nodes = q.grid.nodes
     h = q.grid.h
     env = {"qdot": qd, "q": q.values, "tau": nodes}
-    p, lq = _partial_fields(L, ("qdot", "q"), env, nodes.shape)
+    p, lq = _partial_fields(L, (("qdot",), ("q",)), env, nodes.shape)
     dp = central_diff(p, h)
     eps = _margin(q.grid.a, t_obs, h)
     excluded = np.zeros(nodes.shape, dtype=bool)
@@ -266,7 +267,7 @@ def _el_residual_core(L: LagrangianExpr, field: GridFunctionND,
     env, flags = _fractional_env(L, field, orders, slots)
     ndim = field.ndim
     shape = field.values.shape
-    lq, *momenta = _partial_fields(L, ("q", *slots[0]), env, shape)
+    lq, *momenta = _partial_fields(L, (("q",), *zip(slots[0])), env, shape)
 
     excluded = flags.copy()
     eps = []
@@ -473,9 +474,7 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     on its own.  The bits are the same either way, so every lane matches
     its lone run.
     """
-    _check_slots(L, ("qdot", "q", "tau"))
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
+    _check_path_problem(L, alpha)
     n = Grid1D(a, t, n).n  # a GridError for a bad n, before eps divides by it
     if n < 3:  # the margin 2 (t-a)/n would take the whole domain
         raise GridError(f"shooting needs n >= 3, got n={n}")
@@ -637,7 +636,7 @@ def _scan_failure(failures):
 
 
 def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
-                    n: int, grad_tol: float = 1e-9, max_iter: int = MINIMIZE_MAX_ITER,
+                    n: int, max_iter: int = MINIMIZE_MAX_ITER,
                     start=None) -> MinimizeResult:
     """Minimize the discrete weighted action over interior node values.
 
@@ -654,14 +653,14 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
     Optimization, ch. 3 and 6): a tridiagonal solve, with the diagonal
     shifted until every pivot is positive where the Hessian is not positive
     definite, and Armijo backtracking from the full step.  Endpoints stay
-    fixed at (qa, qb).  Termination: gradient sup-norm below ``grad_tol``
-    or ``max_iter`` iterations, in which case the result is flagged
-    non-converged; so is a run whose line search or tridiagonal solve
-    fails.
+    fixed at (qa, qb).  Termination: gradient sup-norm below
+    MINIMIZE_GRAD_TOL, or ``max_iter`` iterations, in which case the result
+    is flagged non-converged; so is a run whose line search or tridiagonal
+    solve fails.  The objective and the line search's slope are numpy sums
+    (``_weighted_sum``), so the result does not depend on the BLAS thread
+    count.
     """
-    _check_slots(L, ("qdot", "q", "tau"))
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha!r}")
+    _check_path_problem(L, alpha)
     grid = Grid1D(bd.a, bd.t, n)
     norm = gamma(alpha)  # a DomainError for a subnormal alpha, before cell_w
     nodes = grid.nodes
@@ -677,11 +676,11 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
 
     def objective(qv):
         g = _eval_field(L, cell_env(qv), mids.shape)
-        return float(np.dot(cell_w, g)) / norm
+        return float(_weighted_sum(cell_w, g)) / norm
 
     def grad(qv):
         env = cell_env(qv)
-        lq, lqd = _partial_fields(L, ("q", "qdot"), env, mids.shape)
+        lq, lqd = _partial_fields(L, (("q",), ("qdot",)), env, mids.shape)
         out = np.zeros_like(qv)
         out[:-1] += cell_w * (0.5 * lq - lqd / h)
         out[1:] += cell_w * (0.5 * lq + lqd / h)
@@ -691,11 +690,8 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         """Diagonal and off-diagonal of the Hessian in the interior nodes.
         Cell c couples nodes c and c+1 through dqdot = (-1/h, 1/h) and
         dq = (1/2, 1/2)."""
-        env = cell_env(qv)
-        try:
-            *_, l_qdqd, _, l_qdq, l_qq = partials(L, _HESSIAN_PARTIALS, env)
-        except EvalError as err:
-            raise _locate(err, mids.shape, None) from None
+        _, l_qdqd, _, l_qdq, l_qq = _partial_fields(L, _HESSIAN_PARTIALS,
+                                                    cell_env(qv), mids.shape)
         vv = cell_w * l_qdqd / (h * h)
         vq = cell_w * l_qdq / h
         qq = cell_w * l_qq / 4.0
@@ -711,7 +707,6 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         qv = np.array(start, dtype=np.float64)
         if qv.shape != nodes.shape:
             raise GridError("start path does not match the grid")
-        qv = qv.copy()
         qv[0], qv[-1] = bd.qa, bd.qb
 
     # an overflowing trial step is rejected by the line search, not reported
@@ -719,13 +714,13 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         s_val = objective(qv)
         gf = grad(qv)[1:-1]
         iterations = 0
-        converged = float(np.max(np.abs(gf))) < grad_tol
+        converged = float(np.max(np.abs(gf))) < MINIMIZE_GRAD_TOL
         while not converged and iterations < max_iter:
             iterations += 1
             d = _solve_tridiagonal(*hessian(qv), -gf)
             if d is None:
                 break
-            g0d = float(np.dot(gf, d))
+            g0d = float(_weighted_sum(gf, d))
             # Armijo backtracking from the Newton step
             step = 1.0
             accepted = False
@@ -742,7 +737,7 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
             qv = trial
             s_val = s_trial
             gf = grad(qv)[1:-1]
-            converged = float(np.max(np.abs(gf))) < grad_tol
+            converged = float(np.max(np.abs(gf))) < MINIMIZE_GRAD_TOL
     return MinimizeResult(
         q=GridFunction(grid, qv),
         converged=bool(converged),

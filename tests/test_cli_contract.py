@@ -32,6 +32,7 @@ from falva import (
     OrderSet,
     SpecError,
     action_1d,
+    action_nd,
     axis_cresson,
     cresson,
     direct_minimize,
@@ -272,8 +273,9 @@ def test_flags_before_the_subcommand_give_the_same_bytes(case, tmp_path):
 
 
 # At n = 16384 a BLAS dot splits its sum by the thread count; the actions
-# reduce in numpy instead, so their last digits do not depend on it.  (A
-# host with one CPU runs both children on one BLAS thread.)
+# and the minimizer's objective and line search reduce in numpy instead, so
+# their last digits do not depend on it.  (A host with one CPU runs both
+# children on one BLAS thread.)
 BLAS_SIZED = {
     "cresson-action-sweep": [
         "sweep", "--sweep-kind", "action", "--lagrangian", "qdot^2/2 - 0.8*q^2/2",
@@ -282,6 +284,9 @@ BLAS_SIZED = {
     "classic-action": [
         "action", "--variant", "classic", "--lagrangian", "qdot^2/2 - q^2/2",
         "--alpha", "0.5", "--domain", "0,1", "--n", "16384", "--path", "sin(tau)"],
+    "minimize": [
+        "minimize", "--lagrangian", "qdot^2/2 - q^2/2", "--alpha", "0.5",
+        "--domain", "0,1", "--n", "16384", "--boundary", "0,1"],
 }
 
 
@@ -725,6 +730,46 @@ def test_field_file_skips_an_indented_comment(tmp_path):
     assert commented.read_bytes() == plain.read_bytes()
 
 
+# the right orders enter a 3D action only where gamma is not -i
+LAGRANGIAN_3D, PATH_3D = "(qx1^2 + qx2^2 + qx3^2)/2 + q*x1", "sin(3*x1)*cos(2*x2) + x3"
+ACTION_3D = ["action", "--lagrangian", LAGRANGIAN_3D, "--path", PATH_3D,
+             "--alpha", "0.5", "--gamma=0.3,0.2", *UNIT, *UNIT, *UNIT,
+             "--n", "5", "--n", "4", "--n", "6"]
+
+
+def test_3d_delta_gives_the_right_order_of_each_axis(tmp_path):
+    grids = (_line(5), _line(4), _line(6))
+    _, f = _sample(PATH_3D, ("x1", "x2", "x3"), grids)
+    av = action_nd(parse(LAGRANGIAN_3D), GridFunctionND(grids, f),
+                   OrderSet.for_nd([0.5] * 3, [0.3, 0.4, 0.6], 0.3 + 0.2j),
+                   (1.0, 1.0, 1.0))
+    out = tmp_path / "out.csv"
+    assert _run_quietly([*ACTION_3D, "--delta", "0.3,0.4,0.6"], out)[:2] == (0, "")
+    _, _, columns = _read_csv(out)
+    assert columns == [[_cell(av.value.real)], [_cell(av.value.imag)],
+                       [str(av.singular_nodes_excluded)]]
+    # one entry serves every axis
+    single, triple = tmp_path / "single.csv", tmp_path / "triple.csv"
+    assert _run_quietly([*ACTION_3D, "--delta", "0.4"], single)[:2] == (0, "")
+    assert _run_quietly([*ACTION_3D, "--delta", "0.4,0.4,0.4"], triple)[:2] == (0, "")
+    assert single.read_bytes() == triple.read_bytes() != out.read_bytes()
+    argv = [*ACTION_3D, "--delta", "0.3,0.4"]
+    assert _assert_one_error_line(argv, out) == (
+        "FALVA-ERR spec: 'delta' needs 1 or 3 entries\n")
+    assert _run_quietly(argv, out)[0] == 2
+
+
+def test_an_error_in_a_trimmed_action_names_its_grid_node(tmp_path):
+    # the Cresson derivative flags both ends, so the integrand starts at
+    # node 1: its node 1 is grid node 2, where q - 0.75 is 0
+    argv = ["action", "--variant", "cresson", "--lagrangian",
+            "qdot^2/2 + log(q - 0.75)", "--path", "tau + 0.25", "--alpha", "0.5",
+            *UNIT, "--n", "4"]
+    assert _assert_one_error_line(argv, tmp_path / "out.csv") == (
+        "FALVA-ERR eval: log of zero (node 1) [grid node 2]\n")
+    assert _run_quietly(argv, tmp_path / "out.csv")[0] == 3
+
+
 # ---------------------------------------------------------------------------
 # choice keys: one check whichever way a value comes
 
@@ -773,6 +818,18 @@ def test_every_allowed_choice_passes_the_check(tmp_path, key, via):
         _, stderr, _ = _run_quietly(_choice_argv(tmp_path, key, value, via),
                                     tmp_path / "out.csv")
         assert f"key {key!r}" not in stderr, stderr
+
+
+@pytest.mark.parametrize("operator", ["left", "right", "cresson"])
+def test_a_1d_deriv_takes_only_the_x_axis(tmp_path, operator):
+    argv = ["deriv", *DERIV, "--operator", operator]
+    plain, on_x = tmp_path / "plain.csv", tmp_path / "x.csv"
+    assert _run_quietly(argv, plain)[:2] == (0, "")
+    assert _run_quietly([*argv, "--axis", "x"], on_x)[:2] == (0, "")
+    assert plain.read_bytes() == on_x.read_bytes()
+    for axis in ("y", "z"):
+        stderr = _assert_one_error_line([*argv, "--axis", axis], tmp_path / "out.csv")
+        assert stderr == f"FALVA-ERR spec: axis {axis!r} out of range for dimension 1\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["action", "--help"]],

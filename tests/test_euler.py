@@ -6,6 +6,7 @@ import pytest
 from falva import (
     BoundaryData1D,
     BracketingError,
+    DomainError,
     EvalError,
     Grid1D,
     GridFunction,
@@ -13,7 +14,9 @@ from falva import (
     OrderSet,
     SingularLagrangianError,
     SingularNodeError,
+    SlotMismatchError,
     StepFailure,
+    action_1d,
     direct_minimize,
     el_residual_1d,
     el_residual_1d_cresson,
@@ -24,6 +27,7 @@ from falva import (
     rayleigh,
     solve_el_bvp,
     solve_el_ivp,
+    trapezoid_action,
 )
 from falva import euler, find_root, observed_order, partials
 from falva.euler import _integrate_el, _solve_tridiagonal
@@ -42,6 +46,47 @@ def _free_particle_path(grid, alpha, qa=0.0, v0=1.5):
     q = qa + c * ((t - a) ** (2.0 - alpha) - (t - grid.nodes) ** (2.0 - alpha))
     qdot = v0 * ((t - grid.nodes) / (t - a)) ** (1.0 - alpha)
     return q, qdot
+
+
+_BD = BoundaryData1D(0.0, 1.0, 0.0, 1.0)
+_PATH = GridFunction(Grid1D(0.0, 1.0, 8), np.linspace(0.0, 1.0, 9))
+_BELOW = GridFunction(Grid1D(0.0, 0.5, 8), np.zeros(9))
+
+# the six 1D routes that read L(qdot, q, tau) along a path, each as
+# route(L, alpha); trapezoid_action has no order
+_PATH_ROUTES = {
+    "action_1d": lambda L, alpha: action_1d(L, _PATH, alpha),
+    "el_residual_1d": lambda L, alpha: el_residual_1d(L, _PATH, alpha),
+    "solve_el_ivp": lambda L, alpha: solve_el_ivp(L, 0.0, 1.0, 0.0, 1.0, alpha, 8),
+    "direct_minimize": lambda L, alpha: direct_minimize(L, _BD, alpha, 8),
+    "rayleigh": lambda L, alpha: rayleigh(L, _BELOW, _BELOW, alpha, 1.0),
+    "trapezoid_action": lambda L, alpha: trapezoid_action(L, _PATH),
+}
+
+
+@pytest.mark.parametrize("route", _PATH_ROUTES)
+def test_path_routes_share_one_slot_set(route):
+    with pytest.raises(SlotMismatchError) as info:
+        _PATH_ROUTES[route](parse("qdot^2 + x"), 0.5)
+    assert str(info.value) == ("Lagrangian uses ['x']; allowed slots here are "
+                               "['q', 'qdot', 'tau']")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+@pytest.mark.parametrize("route", ["action_1d", "el_residual_1d", "solve_el_ivp",
+                                   "direct_minimize"])
+def test_path_routes_share_one_order_check(route, alpha):
+    with pytest.raises(DomainError) as info:
+        _PATH_ROUTES[route](parse(FREE), alpha)
+    assert str(info.value) == f"alpha must lie in (0,1), got {alpha!r}"
+
+
+def test_action_1d_checks_the_order_before_the_path():
+    complex_path = GridFunction(_PATH.grid, _PATH.values + 1j)
+    with pytest.raises(DomainError, match=r"^alpha must lie in \(0,1\)"):
+        action_1d(parse(FREE), complex_path, 0.0)
+    with pytest.raises(DomainError, match="^action_1d expects a real-valued path"):
+        action_1d(parse(FREE), complex_path, 0.5)
 
 
 class TestRayleigh:
@@ -571,6 +616,8 @@ class TestCoarseScan:
         ("no bracket at n", [(1, 100), (0, 400), (0, 400), (1, 400), (0, 400)]),
         ("coarse scan fails", [(1, 100), (1, 400), (0, 400)]),
         ("bracket end fails at n", [(1, 100), (0, 400), (1, 400), (0, 400)]),
+        ("bracket end records a failure at n",
+         [(1, 100), (0, 400), (1, 400), (0, 400)]),
     ])
     def test_falls_back_to_the_full_scan(self, monkeypatch, fault, expected):
         # the full scan runs and gives its own result
@@ -588,6 +635,11 @@ class TestCoarseScan:
                 lone_runs.append(v0)
                 if len(lone_runs) == 1:
                     raise SingularLagrangianError("d2L/dqdot^2 vanished", tau=0.5)
+            elif fault == "bracket end records a failure at n" and np.ndim(v0) == 0:
+                lone_runs.append(v0)
+                if len(lone_runs) == 1:
+                    # the run ends as a lone run that blew up does
+                    out[3][0] = StepFailure("non-finite derivative", tau=0.5)
             return out
 
         L, bd = parse(OSC), BoundaryData1D(0.0, 1.0, 0.0, 1.0)

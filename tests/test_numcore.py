@@ -220,6 +220,31 @@ class TestFindRoot:
         with pytest.raises(BracketingError):
             find_root(g, 1.0, 2.0, 1e-190)
 
+    @staticmethod
+    def _recorded(g):
+        points = []
+
+        def recorded(x):
+            points.append(x)
+            return g(x)
+        return recorded, points
+
+    @pytest.mark.parametrize("lo, hi, root", [(1.0, 3.0, 1.0), (-1.0, 1.0, 1.0)])
+    def test_an_end_that_is_a_root_is_returned(self, lo, hi, root):
+        g, points = self._recorded(lambda x: x - root)
+        assert find_root(g, lo, hi, 1e-12) == root
+        assert points == [lo, hi]
+
+    def test_a_bracket_narrower_than_tol_stops_the_search(self):
+        # neither end is within tol of 0, and the root lies nearer lo
+        g, points = self._recorded(lambda x: 1e3 * (x - 4e-14))
+        assert find_root(g, 0.0, 1e-13, 1e-12) == 0.0
+        assert points == [0.0, 1e-13]
+
+    @pytest.mark.parametrize("hi, end", [(1.0, 0.0), (0.5, 0.5)])
+    def test_without_iterations_the_end_nearer_a_root_is_returned(self, hi, end):
+        assert find_root(lambda x: x - 0.3, 0.0, hi, 1e-12, max_iter=0) == end
+
 
 class TestObservedOrder:
     def test_quadratic(self):

@@ -1,10 +1,13 @@
-"""First and second partials: edge cases of the derivative rules and a
-random-expression check of ``second_partials``."""
+"""First and second partials: edge cases of the derivative rules, the
+partial fields of the functionals, and a random-expression check of
+``second_partials``."""
 
 import numpy as np
 import pytest
 
-from falva import EvalError, parse, partial, second_partials
+from falva import EvalError, parse, partial, partials, second_partials
+from falva.action import _partial_fields
+from falva.euler import _HESSIAN_PARTIALS
 
 
 class TestPartialEdgeCases:
@@ -38,6 +41,37 @@ class TestPartialEdgeCases:
                                           "qdot", {"qdot": np.ones(2), "q": q,
                                                    "tau": np.zeros(2)})
         assert np.all(np.asarray(d2) == 1.0)
+
+
+class TestPartialFields:
+    ENV = {"qdot": np.array([1.0, 2.0, 3.0]), "q": np.array([0.5, 2.0, 4.0])}
+
+    def test_a_tuple_with_an_unused_variable_gives_zero(self):
+        tuples = (("qdot",), ("tau",), ("q", "tau"), ("q", "qdot"), ("q", "q"))
+        fields = _partial_fields(parse("qdot^2/2 + log(q)"), tuples, self.ENV, (3,))
+        q = self.ENV["q"]
+        expected = [self.ENV["qdot"], 0.0, 0.0, 0.0, -1.0 / (q * q)]
+        for field, want in zip(fields, expected):
+            assert field.shape == (3,)
+            assert np.array_equal(field, np.broadcast_to(want, (3,)))
+
+    @pytest.mark.parametrize("text", ["exp(-q)*qdot^2/2 + q^3", "-(qdot^2)*q",
+                                      "qdot^4/4", "q^2"])
+    def test_the_hessian_partials_are_those_of_one_program(self, text):
+        # a tuple with an unused variable is left out of the program, and
+        # every partial keeps its value
+        L = parse(text)
+        fields = _partial_fields(L, _HESSIAN_PARTIALS, self.ENV, (3,))
+        for field, want in zip(fields, partials(L, _HESSIAN_PARTIALS, self.ENV)[1:]):
+            assert np.array_equal(field, np.broadcast_to(want, (3,)))
+
+    def test_the_first_error_names_its_node(self):
+        env = dict(self.ENV, q=np.array([1.0, 0.0, -1.0]))
+        with pytest.raises(EvalError) as info:
+            _partial_fields(parse("qdot^2/2 + log(q)"), _HESSIAN_PARTIALS, env,
+                            (3,), offsets=(2,))
+        assert str(info.value) == ("log of a non-positive value in real mode "
+                                   "(node 1) [grid node 3]")
 
 
 def test_random_second_partials():
