@@ -99,6 +99,10 @@ _KEYS = {
 }
 _AXIS_KEYS = ("domain", "n")
 
+# the order keys a 1D deriv operator does not read: left takes alpha, right
+# beta (alpha when beta is not given), and only cresson takes gamma
+_UNREAD_BY_OPERATOR = {"left": ("gamma", "beta"), "right": ("gamma",)}
+
 _KNOWN_KEYS = {"kind", *_KEYS} | {f"{k}.{a}" for k in _AXIS_KEYS for a in _AXES}
 
 # the flags that take a value
@@ -211,6 +215,12 @@ class Spec:
                 and table.get("variant", "cresson") != "cresson"):
             raise SpecError(f"key 'variant': 2D and 3D {functional}s are cresson "
                             f"only, got {table['variant']!r}")
+        if functional == "deriv" and "domain.y" not in table:
+            operator = table.get("operator", "cresson")
+            for key in _UNREAD_BY_OPERATOR.get(operator, ()):
+                if key in table:
+                    raise SpecError(f"key {key!r}: a 1D {operator} deriv reads "
+                                    f"no {key}")
         self.kind = kind
         self.table = table
         self.parsed = {} if parsed is None else parsed

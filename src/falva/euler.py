@@ -35,6 +35,15 @@ as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
 the shooting root runs on at most BVP_COARSE_NODES intervals, which match
 at the same time t - epsilon as the full n, and at n itself up to that
 size; ``solve_el_bvp`` tells how.
+
+Shooting integrator.  Every shooting run, a lone slope on Python floats or
+a scan on lane arrays, goes through ``_integrate_el``.  Its field is one
+compiled program per Lagrangian, a function of an RK4 stage's (qdot, q,
+tau) and damping that returns the force and d2L/dqdot^2, and one RK4 step
+serves floats and lanes.  A step runs unchecked and is screened once, on
+its new (q, v) and its four curvatures; a step that fails the screen or
+raises is replayed with each stage checked, so a lost lane, a failure's
+tau and the first error are those of a run checked at every stage.
 """
 
 from __future__ import annotations
@@ -115,6 +124,12 @@ _ACCEL_PARTIALS = (("qdot",), ("qdot", "qdot"), ("q",), ("q", "qdot"),
 # the entries of [value, *_ACCEL_PARTIALS] the field reads: all but the
 # value and dL/dtau
 _ACCEL_RETURNS = (1, 2, 3, 4, 6)
+# the shooting field's signature: a function of one RK4 stage's (qdot, q,
+# tau) and damping (1-alpha)/(t-tau) that returns the numerator of qddot,
+# dL/dq - damping dL/dqdot - d2L/dqdot dq qdot - d2L/dqdot dtau, and the
+# curvature d2L/dqdot^2, from the entries above
+_FIELD = (("qdot", "q", "tau", "damping"),
+          "{2} - damping * {0} - {3} * qdot - {4}, {1}")
 
 # the first and second partials the Hessian of direct_minimize reads, in the
 # order in which separate calls of second_partials by (qdot, qdot),
@@ -338,31 +353,6 @@ def el_residual_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
 # extremal solvers (1D, no fractional derivatives in the dynamics)
 
 
-def _accel_factory(L: LagrangianExpr, alpha: float, t_obs: float):
-    """Force and curvature of the Euler-Lagrange equation solved for qddot:
-
-        qddot = (dL/dq - (1-alpha)/(t-tau) dL/dqdot
-                 - d2L/dqdot dq * qdot - d2L/dqdot dtau) / d2L/dqdot^2
-
-    for real float states and a float tau.  The five partials it reads come
-    from the real-mode program of ``[value, *_ACCEL_PARTIALS]`` pruned to
-    those entries: the operations that only the value or dL/dtau need are
-    left out, while every check of all seven trees still runs in its place,
-    so an error is the one ``partials`` raises.  Works on float states and
-    on lane arrays and returns (numerator, d2L/dqdot^2); the stage divides,
-    so that it can test the curvature for zero first.
-    """
-    program = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS)
-
-    def accel(qv, vv, tau):
-        l_qd, l_qdqd, l_q, l_qdq, l_qdtau = program({"qdot": vv, "q": qv,
-                                                     "tau": tau})
-        damping = (1.0 - alpha) / (t_obs - tau)
-        return l_q - damping * l_qd - l_qdq * vv - l_qdtau, l_qdqd
-
-    return accel
-
-
 def _stage_failure(curvature, tau):
     """The error of a stage at ``tau`` whose derivative is not finite: a
     SingularLagrangianError where d2L/dqdot^2 is 0, else a StepFailure that
@@ -375,104 +365,43 @@ def _stage_failure(curvature, tau):
                        else f"d2L/dqdot^2 is not finite at tau = {tau:g}", tau=tau)
 
 
-def _rk4_steps(stage, q, v, taus, h):
-    """Classical RK4 on dq/dtau = v, dv/dtau = qddot from taus[0], one step
-    of size h per following node; yields (q, v) after each step.
-
-    ``stage(q, v, tau)`` returns the stage's derivative (v, qddot), so each
-    stage's q-increment is that stage's v.  Component by component, the
-    operations and their order are those of ``ode_step_rk4`` on the stacked
-    state (q, v), and IEEE arithmetic gives them the same bits on floats as
-    on lane arrays.
-    """
-    half, sixth = 0.5 * h, h / 6.0
-    for tau in taus[:-1]:
-        v1, a1 = stage(q, v, tau)
-        v2, a2 = stage(q + half * v1, v + half * a1, tau + half)
-        v3, a3 = stage(q + half * v2, v + half * a2, tau + half)
-        v4, a4 = stage(q + h * v3, v + h * a3, tau + h)
-        q = q + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        yield q, v
-
-
-def _lone_stage(accel, failures):
-    """RK4 stage of one slope on floats; a zero d2L/dqdot^2 raises its
-    SingularLagrangianError at once, and a non-finite derivative records the
-    run's StepFailure in failures[0].  The rest of the failed step runs on
-    NaN, as a lost lane of the scan does, so that a check of tau alone still
-    fails there."""
-
-    def stage(q, v, tau):
-        if failures[0] is not None:
-            q = v = math.nan
-        try:
-            force, curvature = accel(q, v, tau)
-        except EvalError:
-            # a check on floats has no node index: the same stage on
-            # one-element arrays raises the error with it
-            try:
-                accel(np.array([q]), np.array([v]), tau)
-            except EvalError as located:
-                raise located from None
-            raise
-        if curvature == 0:
-            raise _stage_failure(curvature, tau)
-        acc = force / curvature
-        if not (math.isfinite(v) and math.isfinite(acc)
-                and math.isfinite(curvature)) and failures[0] is None:
-            failures[0] = _stage_failure(curvature, tau)
-        return v, acc
-
-    return stage
-
-
-def _lane_stage(accel, failures, dead):
-    """RK4 stage of the lane arrays; records the error lane i raises when
-    integrated alone (a StepFailure, or a SingularLagrangianError where its
-    d2L/dqdot^2 is 0) in failures[i] and marks it in ``dead``.  A lost lane
-    rides along as NaN."""
-    m = len(failures)
-    lost = []
-
-    def stage(q, v, tau):
-        if lost:
-            q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
-        force, curvature = accel(q, v, tau)
-        # the force is an array, as it holds -d2L/dqdot dq * qdot
-        acc = force / curvature
-        # a literal or scalar curvature is a float (np.float64 is one too)
-        curved = (math.isfinite(curvature) if isinstance(curvature, float)
-                  else np.isfinite(curvature).all())
-        # a zero curvature makes acc non-finite, so the screen catches it
-        if curved and not lost and np.isfinite(acc).all() and np.isfinite(v).all():
-            return v, acc
-        # a lane failed at this stage, or one failed before
-        curvature = np.broadcast_to(curvature, (m,))
-        ok = np.isfinite(v) & np.isfinite(acc) & np.isfinite(curvature)
-        for i in np.flatnonzero(~(ok | dead)):
-            failures[i] = _stage_failure(float(curvature[i]), tau)
-            lost.append(i)
-        dead[lost] = True
-        return v, acc
-
-    return stage
-
-
 def _integrate_el(L, a, t, q0, v0, alpha, n):
-    """RK4-integrate the rearranged Euler-Lagrange dynamics from q0 at a to
-    the truncated time t - eps, one lane per slope in ``v0``.  Returns
-    (grid, Q, V, failures) with node samples in rows; a lane's samples are
-    NaN from its first non-finite RK4 stage on, and failures[i] is the
-    StepFailure or SingularLagrangianError lane i raises when integrated
-    alone (None if it got through).
+    """RK4-integrate the rearranged Euler-Lagrange dynamics
 
-    One RK4 loop advances the pair (q, v).  A lone slope runs it on Python
-    floats, which spares numpy's per-call cost on one-element arrays; its
-    first non-finite stage ends the run, and an EvalError carries node 0 as
-    on arrays.  Several slopes run it on lane arrays, where each lane fails
-    on its own.  The bits are the same either way, so every lane matches
-    its lone run.
+        qddot = (dL/dq - (1-alpha)/(t-tau) dL/dqdot
+                 - d2L/dqdot dq * qdot - d2L/dqdot dtau) / d2L/dqdot^2
+
+    from q0 at a to the truncated time t - eps, one lane per slope in
+    ``v0``.  Returns (grid, Q, V, failures) with node samples in rows; a
+    lane's samples are NaN from its first non-finite RK4 stage on, and
+    failures[i] is the StepFailure or SingularLagrangianError lane i raises
+    when integrated alone (None if it got through).
+
+    The field is one compiled program of the stage's (qdot, q, tau) and
+    damping (1-alpha)/(t-tau) that returns the numerator and d2L/dqdot^2: the
+    real-mode program of ``[value, *_ACCEL_PARTIALS]`` pruned to the five
+    partials it reads, so every check of all seven trees still runs in its
+    place and an error is the one ``partials`` raises.  One RK4 step
+    advances the pair (q, v).  A lone slope runs it on Python floats, which
+    spares numpy's per-call cost on one-element arrays; several slopes run
+    it on lane arrays.  The bits are the same either way, so every lane
+    matches its lone run.
+
+    A step first runs unchecked and is screened once: it stands if the new
+    (q, v) and the sum of its four curvatures are finite, since a stage with
+    a non-finite derivative, or a zero curvature, makes q or v non-finite.
+    A step that fails the screen or raises (EvalError, or a float division
+    by a zero curvature) is replayed with the checks of each stage:
+    - a lone run raises a zero d2L/dqdot^2 at its stage, and records the
+      StepFailure of its first non-finite stage, after which the rest of the
+      step runs on NaN (so that a check of tau alone still fails there) and
+      the run ends;
+    - on floats, an EvalError is raised again from the same stage on
+      one-element arrays, so that it carries its node index as on arrays;
+    - each lane records its own error instead, and rides along as NaN from
+      its failed stage on; a step after a lane was lost runs checked.
+    The replay is the checked integration itself, so the failures, their
+    tau and the first error do not depend on the screen.
     """
     _check_path_problem(L, alpha)
     n = Grid1D(a, t, n).n  # a GridError for a bad n, before eps divides by it
@@ -480,31 +409,105 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
         raise GridError(f"shooting needs n >= 3, got n={n}")
     eps = max(IVP_MARGIN_FRACTION * (t - a), 2.0 * (t - a) / n)
     grid = Grid1D(a, t - eps, n)
-    taus = grid.nodes.tolist()
+    h = grid.h
+    half, sixth = 0.5 * h, h / 6.0
+    # the stage times of each step, and their damping (1-alpha)/(t-tau)
+    starts = grid.nodes.tolist()[:-1]
+    mids = [tau + half for tau in starts]
+    ends = [tau + h for tau in starts]
+    order_gap = 1.0 - alpha
+    d_starts, d_mids, d_ends = ([order_gap / (t - tau) for tau in taus]
+                                for taus in (starts, mids, ends))
     v0 = np.atleast_1d(np.asarray(v0, dtype=np.float64))
     m = v0.shape[0]
-    accel = _accel_factory(L, alpha, t)
+    field = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD)
     failures = [None] * m
-    qs, vs = np.full((2, grid.n + 1, m), np.nan)
-    qs[0], vs[0] = float(q0), v0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    dead = np.zeros(m, dtype=bool)
+    lost = []  # the lanes in ``dead``, in the order they failed
+
+    def step(stage, q, v, k):
+        """The RK4 step from node k; returns the new (q, v) and the sum of
+        the four curvatures.  ``stage`` is the field or ``checked``, and each
+        stage's q-increment is its v.  Component by component, the
+        operations and their order are those of ``ode_step_rk4`` on the
+        stacked state (q, v), and IEEE arithmetic gives them the same bits
+        on floats as on lane arrays."""
+        force, c1 = stage(v, q, starts[k], d_starts[k])
+        a1 = force / c1
+        v2 = v + half * a1
+        force, c2 = stage(v2, q + half * v, mids[k], d_mids[k])
+        a2 = force / c2
+        v3 = v + half * a2
+        force, c3 = stage(v3, q + half * v2, mids[k], d_mids[k])
+        a3 = force / c3
+        v4 = v + h * a3
+        force, c4 = stage(v4, q + h * v3, ends[k], d_ends[k])
+        a4 = force / c4
+        return (q + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), c1 + c2 + c3 + c4)
+
+    def checked(qdot, q, tau, damping):
+        """The field with the checks of one stage (see above)."""
         if m == 1:
-            steps = _rk4_steps(_lone_stage(accel, failures), float(q0),
-                               float(v0[0]), taus, grid.h)
-            for k, (q, v) in enumerate(steps, 1):
-                if failures[0] is not None:
+            if lost:
+                q = qdot = math.nan
+            try:
+                force, curvature = field(qdot, q, tau, damping)
+            except EvalError:
+                # a check on floats has no node index: the same stage on
+                # one-element arrays raises the error with it
+                try:
+                    field(np.array([qdot]), np.array([q]), tau, damping)
+                except EvalError as located:
+                    raise located from None
+                raise
+            if curvature == 0:
+                raise _stage_failure(curvature, tau)
+            if not lost and not (math.isfinite(qdot) and math.isfinite(curvature)
+                                 and math.isfinite(force / curvature)):
+                failures[0] = _stage_failure(curvature, tau)
+                lost.append(0)
+            return force, curvature
+        if lost:
+            q, qdot = np.where(dead, np.nan, q), np.where(dead, np.nan, qdot)
+        force, curvature = field(qdot, q, tau, damping)
+        # the force is an array, as it holds -d2L/dqdot dq * qdot, so a zero
+        # curvature divides it into inf or NaN; a literal or scalar
+        # curvature is a float (np.float64 is one too)
+        curvatures = np.broadcast_to(curvature, (m,))
+        ok = (np.isfinite(qdot) & np.isfinite(force / curvature)
+              & np.isfinite(curvatures))
+        for i in np.flatnonzero(~(ok | dead)):
+            failures[i] = _stage_failure(float(curvatures[i]), tau)
+            lost.append(i)
+        dead[lost] = True
+        return force, curvature
+
+    # the screen: a sum is finite only if each of its terms is, and a sum
+    # of finite terms that overflows costs a replay, not a result
+    if m == 1:
+        q, v, finite = float(q0), float(v0[0]), math.isfinite
+    else:
+        q, v, finite = np.full(m, float(q0)), v0, lambda x: math.isfinite(x.sum())
+    rows = [(q, v)]  # (q, v) at each node reached, lost lanes as NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(grid.n):
+            if not lost:
+                try:
+                    q_next, v_next, curvature = step(field, q, v, k)
+                    passed = finite(q_next + v_next + curvature)
+                except (EvalError, ArithmeticError):
+                    passed = False
+            if lost or not passed:
+                q_next, v_next, _ = step(checked, q, v, k)
+            q, v = q_next, v_next
+            if lost:
+                if len(lost) == m:
                     break
-                qs[k, 0], vs[k, 0] = q, v
-        else:
-            dead = np.zeros(m, dtype=bool)
-            steps = _rk4_steps(_lane_stage(accel, failures, dead),
-                               np.full(m, float(q0)), v0, taus, grid.h)
-            for k, (q, v) in enumerate(steps, 1):
-                qs[k], vs[k] = q, v
-                if dead.any():
-                    qs[k, dead] = vs[k, dead] = np.nan
-                    if dead.all():
-                        break
+                q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
+            rows.append((q, v))
+    qs, vs = np.full((2, grid.n + 1, m), np.nan)
+    qs[:len(rows)], vs[:len(rows)] = np.reshape(rows, (-1, 2, m)).transpose(1, 0, 2)
     return grid, qs, vs, failures
 
 

@@ -45,7 +45,12 @@ are walked in the same order, and an operation is emitted only if a
 returned entry or a check reads it; every check, every variable lookup and
 every helper that can raise keeps its place.  A pruned program therefore
 returns its entries with the bits of the full program and fails with the
-same first error (type, message and node index).  ``evaluate``,
+same first error (type, message and node index).  It can also be a
+function of positional parameters instead of a dictionary: a variable
+named by a parameter is read from it, with no lookup, and the program
+returns one expression of its entries and parameters.  The shooting
+integrator's field is such a program of an RK4 stage's (qdot, q, tau) and
+damping, and returns the stage's force and d2L/dqdot^2.  ``evaluate``,
 ``partial``, ``partials`` and ``second_partials`` run the full program.
 """
 
@@ -110,7 +115,8 @@ class LagrangianExpr:
     """Parsed expression tree plus the exact set of identifiers it uses.
 
     ``_derivatives`` caches the derivative trees by variable tuple, and
-    ``_programs`` the compiled programs by variable tuples and mode.
+    ``_programs`` the compiled programs by variable tuples, mode, returned
+    entries and signature.
     """
 
     ast: object
@@ -365,7 +371,7 @@ _RUNTIME = {"_check": _check, "_unbound": _unbound, "_principal": _principal,
 
 class _Compiler:
     """Hash-conses expression trees into the body of one straight-line
-    function of ``env``.
+    function of ``env``, or of the positional ``params`` (see ``_compile``).
 
     A node's key is its operation and the registers of its operands, and a
     literal's key is its bits (``0.0`` and ``-0.0`` stay apart).  The trees
@@ -375,8 +381,9 @@ class _Compiler:
     first, so the first error keeps its place.
     """
 
-    def __init__(self, complex_mode: bool):
+    def __init__(self, complex_mode: bool, params=None):
         self.complex_mode = complex_mode
+        self.params = params  # None: the variables are looked up in env
         self.ops = []  # (register, check, lines, operands, raises) of each operation
         self.names = {}  # literal name -> value, bound in the program's namespace
         self.refs = {}  # key -> operand text
@@ -413,10 +420,14 @@ class _Compiler:
             return self._literal(node.value)
         if isinstance(node, Var):
             name = repr(node.name)
-            return self._emit(("var", node.name), (),
-                              ["try:", f"    {{r}} = env[{name}]",
-                               "except KeyError:", f"    _unbound({name})"],
-                              raises=True)
+            if self.params is None:
+                lines = ["try:", f"    {{r}} = env[{name}]",
+                         "except KeyError:", f"    _unbound({name})"]
+            elif node.name in self.params:
+                return node.name  # a parameter is its own operand
+            else:
+                lines = [f"_unbound({name})"]
+            return self._emit(("var", node.name), (), lines, raises=True)
         if isinstance(node, Neg):
             a = self.ref(node.child)
             return self._emit(("neg", a), (a,), [f"{{r}} = -{a}"])
@@ -470,7 +481,7 @@ class _Compiler:
         return self._emit((fn, a), (a,), [line], check, raises=fn == "sign")
 
 
-def _compile(trees, complex_mode: bool, returns=None):
+def _compile(trees, complex_mode: bool, returns=None, signature=None):
     """One function of ``env`` that returns the values of ``trees`` as a
     list, or only those at the indices ``returns``; its ``source``
     attribute holds the program text.
@@ -484,8 +495,17 @@ def _compile(trees, complex_mode: bool, returns=None):
     slower).  The source holds only register names, the fixed operators and
     helper names, and the reprs of variable names; literals are bound by
     name.
+
+    With ``signature``, a pair (parameters, result), the function takes the
+    positional ``parameters`` instead of ``env``.  A variable named by a
+    parameter is that parameter, so it needs no lookup, and any other
+    variable raises its unbound-variable error in its place.  The function
+    returns the expression ``result`` with ``{i}`` standing for the i-th
+    returned entry; it may also read the parameters, whose names must not
+    look like a register (``r3``) or a literal (``k0``).
     """
-    compiler = _Compiler(complex_mode)
+    params, result = signature or (None, None)
+    compiler = _Compiler(complex_mode, params)
     outputs = [compiler.ref(tree) for tree in trees]
     if returns is not None:
         outputs = [outputs[i] for i in returns]
@@ -509,8 +529,12 @@ def _compile(trees, complex_mode: bool, returns=None):
                 if last[a] == i and a[0] == "r" and a not in outputs]
         if dead:
             body.append(f"del {', '.join(dead)}")
-    body.append(f"return [{', '.join(outputs)}]")
-    source = "def program(env):\n" + "".join(f"    {line}\n" for line in body)
+    if params is None:
+        head, returned = "env", f"[{', '.join(outputs)}]"
+    else:
+        head, returned = ", ".join(params), result.format(*outputs)
+    body.append(f"return {returned}")
+    source = f"def program({head}):\n" + "".join(f"    {line}\n" for line in body)
     namespace = dict(_RUNTIME, **compiler.names)
     exec(compile(source, "<falva program>", "exec"), namespace)
     program = namespace["program"]
@@ -519,16 +543,18 @@ def _compile(trees, complex_mode: bool, returns=None):
 
 
 def _program(expr: LagrangianExpr, variable_tuples: tuple, complex_mode: bool,
-             returns: tuple = None):
+             returns: tuple = None, signature: tuple = None):
     """The compiled program of the value of ``expr`` and its partials by
     ``variable_tuples``; built on first use and kept on ``expr``.  With
     ``returns``, the program is pruned to return only the entries at those
-    indices of [value, d1, d2, ...] (see ``_compile``)."""
-    key = (variable_tuples, complex_mode, returns)
+    indices of [value, d1, d2, ...], and with ``signature`` it is a function
+    of positional parameters (see ``_compile``)."""
+    key = (variable_tuples, complex_mode, returns, signature)
     program = expr._programs.get(key)
     if program is None:
         trees = [expr.ast] + [_derivative(expr, v) for v in variable_tuples]
-        program = expr._programs[key] = _compile(trees, complex_mode, returns)
+        program = expr._programs[key] = _compile(trees, complex_mode, returns,
+                                                 signature)
     return program
 
 

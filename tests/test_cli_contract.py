@@ -832,6 +832,41 @@ def test_a_1d_deriv_takes_only_the_x_axis(tmp_path, operator):
         assert stderr == f"FALVA-ERR spec: axis {axis!r} out of range for dimension 1\n"
 
 
+@pytest.mark.parametrize("via", ["flag", "spec"])
+@pytest.mark.parametrize("operator, key, value", [
+    ("left", "gamma", "0.3,0.2"), ("left", "beta", "0.9"),
+    ("right", "gamma", "0.3,0.2")])
+def test_a_1d_deriv_rejects_an_order_its_operator_does_not_read(
+        tmp_path, operator, key, value, via):
+    # left reads alpha and right beta (alpha when beta is not given); only
+    # cresson reads gamma.  A given key that the operator ignored used to
+    # leave the output as it was without it
+    argv = ["deriv", *DERIV, "--operator", operator]
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out)[:2] == (0, "")
+    out.unlink()
+    if via == "flag":
+        argv.append(f"--{key}={value}")
+    else:
+        spec = tmp_path / "problem.spec"
+        spec.write_text(f"{key}={value}\n", encoding="utf-8")
+        argv += ["--spec", str(spec)]
+    stderr = _assert_one_error_line(argv, out)
+    assert stderr == f"FALVA-ERR spec: key {key!r}: a 1D {operator} deriv reads no {key}\n"
+    assert _run_quietly(argv, out)[0] == 2
+    assert not out.exists()
+    # the operator that reads the key takes it
+    reader = "right" if key == "beta" else "cresson"
+    assert _run_quietly([*argv, f"--operator={reader}"], out)[:2] == (0, "")
+
+
+def test_a_1d_left_deriv_names_the_first_unread_order(tmp_path):
+    argv = ["deriv", "--operator", "left", "--gamma=0.3,0.2", "--beta", "0.9",
+            "--alpha", "0.4", "--path", "1+tau", "--domain", "0,1", "--n", "8"]
+    assert _assert_one_error_line(argv, tmp_path / "out.csv") == (
+        "FALVA-ERR spec: key 'gamma': a 1D left deriv reads no gamma\n")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["action", "--help"]],
                          ids=["falva-help", "action-help"])
 def test_help_lists_every_flag_and_choice(capsys, argv):

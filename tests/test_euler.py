@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -500,6 +501,69 @@ class TestShootingLanes:
             assert str(failures[i]) == str(info.value)
             assert failures[i].tau == info.value.tau
             assert np.isnan(qs[-1, i])
+
+    _SINGULAR, _STEP = SingularLagrangianError, StepFailure
+
+    @pytest.mark.parametrize("text, slopes, pinned", [
+        # exp(-q) underflows to 0 on the steep lanes: in the middle of a
+        # step (slopes 20 and 60), at its end (30) and at its start (40)
+        ("exp(-q)*qdot^2/2", [1.0, 20.0, 30.0, 40.0, 60.0], [
+            None,
+            (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0.1127", 0.1127, 12),
+            (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0.0784", 0.0784, 8),
+            (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0.0588", 0.0588, 7),
+            (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0.0441", 0.0441, 5)]),
+        # d2L/dqdot^2 = 0 everywhere: every lane fails at its first stage
+        ("q*qdot", [0.0, 1.0], [
+            (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0", 0.0, 1)] * 2),
+        # the quartic's far lanes blow up in the middle of a step
+        (QUARTIC, [2.0, -20.0, 20.0], [
+            None,
+            (_STEP, "non-finite derivative at tau = 0.5439", 0.5439, 56),
+            (_STEP, "non-finite derivative at tau = 0.5439", 0.5439, 56)]),
+    ], ids=["exp(-q)*qdot^2/2", "q*qdot", QUARTIC])
+    def test_lanes_that_fail_mid_step(self, text, slopes, pinned):
+        # a step that loses a lane fails the screen and is replayed with each
+        # stage checked: each lane's error, its tau and its first NaN row
+        _, qs, vs, failures = _integrate_el(parse(text), 0.0, 1.0, 0.0, slopes,
+                                            0.5, 100)
+        for i, want in enumerate(pinned):
+            if want is None:
+                assert failures[i] is None
+                assert np.isfinite(qs[:, i]).all() and np.isfinite(vs[:, i]).all()
+                continue
+            kind, message, tau, row = want
+            assert type(failures[i]) is kind
+            assert (str(failures[i]), failures[i].tau) == (message, tau)
+            assert np.isfinite(qs[:row, i]).all() and np.isnan(qs[row:, i]).all()
+            assert np.isnan(vs[row:, i]).all()
+
+    @pytest.mark.parametrize("v0", [[0.0, 1e-10], 0.0, 1e-10])
+    def test_an_infinite_curvature_alone_fails_the_screen(self, v0):
+        # d2L/dqdot^2 = 2 q overflows at q = 1e308, while dL/dqdot = 2 q qdot
+        # does not: qddot = force/inf is 0 and (q, v) stay finite, so only the
+        # curvatures in the screen send the step to its checked replay
+        _, qs, _, failures = _integrate_el(parse("q*qdot^2"), 0.0, 1.0, 1e308,
+                                           v0, 0.5, 10)
+        assert [(type(f), str(f), f.tau) for f in failures] == [
+            (StepFailure, "d2L/dqdot^2 is not finite at tau = 0", 0.0)] * np.size(v0)
+        assert (qs[0] == 1e308).all() and np.isnan(qs[1:]).all()
+
+    def test_an_error_of_a_lost_lane_is_not_raised(self):
+        # every lane blows up at the second stage of step k; run unchecked,
+        # its fourth stage then reads q = inf, and log(10 - q) fails there.
+        # The checked replay runs those stages on NaN, which no check fails,
+        # so each lane records its StepFailure, as a lone run does
+        grid = Grid1D(0.0, 0.98, 100)
+        taus, h, k = grid.nodes.tolist(), grid.h, 40
+        d, rate = taus[k] + 0.25 * h, 8000.0 / h
+        L = parse(f"qdot^2/2 + exp({rate!r}*(tau - {d!r}))*q + log(10 - q)")
+        message = f"non-finite derivative at tau = {taus[k] + 0.5 * h!r}"
+        _, qs, _, failures = _integrate_el(L, 0.0, 1.0, 0.0, [0.5, 1.0], 0.5, 100)
+        assert [(type(f), str(f)) for f in failures] == [(StepFailure, message)] * 2
+        assert np.isfinite(qs[:k + 1]).all() and np.isnan(qs[k + 1:]).all()
+        with pytest.raises(StepFailure, match=f"^{re.escape(message)}$"):
+            solve_el_ivp(L, 0.0, 1.0, 0.0, 0.5, 0.5, 100)
 
     def test_no_bracket_reports_the_first_vanished_curvature(self):
         # the lanes from 17 up each underflow exp(-q) to 0, the steepest

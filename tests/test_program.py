@@ -6,8 +6,12 @@ The compiled program runs each distinct operation once, in the order of
 its first occurrence, so it must give the same bits and, where evaluation
 fails, the same first error.  A pruned program, which returns only some of
 the entries, must give those entries and fail as the full program does.
+The shooting integrator runs the pruned program as a function of each RK4
+stage, screens a step once and replays it with each stage checked; it must
+give the bits, failures and first error of a plain RK4 on ``partials``.
 """
 
+import builtins
 import math
 import re
 
@@ -16,8 +20,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from falva import EvalError, evaluate, parse, partials
+from falva import (
+    BoundaryData1D,
+    EvalError,
+    Grid1D,
+    SingularLagrangianError,
+    StepFailure,
+    evaluate,
+    parse,
+    partials,
+    solve_el_bvp,
+)
 from falva import exprdsl
+from falva.cli import main
 from falva.exprdsl import (
     _ARITH,
     _FUNCTIONS,
@@ -32,7 +47,7 @@ from falva.exprdsl import (
     _is_complex_binding,
     _principal,
 )
-from falva.euler import _ACCEL_PARTIALS, _ACCEL_RETURNS
+from falva.euler import _ACCEL_PARTIALS, _ACCEL_RETURNS, _integrate_el
 
 
 def _tree_eval(node, env):
@@ -289,3 +304,142 @@ def test_program_is_built_once_per_variable_tuples_and_mode():
     partials(expr, list(_ACCEL_PARTIALS), {"qdot": 1.0, "q": 2.0, "tau": 0.0})
     assert exprdsl._program(expr, _ACCEL_PARTIALS, False) is real
     assert exprdsl._program(expr, _ACCEL_PARTIALS, True) is not real
+
+
+def test_shooting_field_is_built_once_per_lagrangian(tmp_path, monkeypatch):
+    # a solve at n = 400 integrates 4 times, and a sweep over three alphas
+    # 12 times; each builds the one shooting program of its Lagrangian
+    builds = []
+    compile_ = builtins.compile
+
+    def counted(source, filename, *args, **kwargs):
+        if filename == "<falva program>":
+            builds.append(source)
+        return compile_(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    solve_el_bvp(parse("qdot^2/2 - q^2/2"), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
+                 0.5, 400)
+    assert len(builds) == 1
+    assert builds[0].startswith("def program(qdot, q, tau, damping):")
+    argv = ["sweep", "--sweep-kind", "solve-bvp", "--lagrangian", "qdot^2/2",
+            "--alpha", "0.25,0.5,0.75", "--domain", "0,1", "--boundary", "0,1",
+            "--n", "400", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# the shooting integrator against a plain RK4
+
+
+def _stage_error(curvature, tau):
+    if curvature == 0:
+        return SingularLagrangianError(f"d2L/dqdot^2 vanished at tau = {tau:g}",
+                                       tau=tau)
+    if math.isfinite(curvature):
+        return StepFailure(f"non-finite derivative at tau = {tau!r}", tau=tau)
+    return StepFailure(f"d2L/dqdot^2 is not finite at tau = {tau:g}", tau=tau)
+
+
+def _reference_rk4(L, q0, slopes, alpha, n, lone):
+    """(Q, V, failures) of the Euler-Lagrange dynamics from q0 at 0 up to
+    the match time 1 - eps, by classical RK4 on lane arrays, one lane per
+    slope, with the field from the env-dict ``partials`` program and every
+    stage checked.  A lane whose derivative is not finite records its error
+    and rides along as NaN; a lone run raises a zero d2L/dqdot^2 instead, on
+    every stage, since a float run stops at it."""
+    grid = Grid1D(0.0, 1.0 - max(0.02, 2.0 / n), n)
+    h, m = grid.h, len(slopes)
+    failures = [None] * m
+    dead = np.zeros(m, dtype=bool)
+
+    def derivative(q, v, tau):
+        q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
+        _, l_qd, l_qdqd, l_q, l_qdq, _, l_qdtau = partials(
+            L, _ACCEL_PARTIALS, {"qdot": v, "q": q, "tau": tau})
+        force = l_q - (1.0 - alpha) / (1.0 - tau) * l_qd - l_qdq * v - l_qdtau
+        curvature = np.broadcast_to(l_qdqd, (m,))
+        if lone and curvature[0] == 0:
+            raise _stage_error(0.0, tau)
+        acc = force / l_qdqd
+        finite = np.isfinite(v) & np.isfinite(acc) & np.isfinite(curvature)
+        for i in np.flatnonzero(~(finite | dead)):
+            failures[i] = _stage_error(float(curvature[i]), tau)
+            dead[i] = True
+        return v, acc
+
+    q, v = np.full(m, float(q0)), np.array(slopes, dtype=float)
+    rows = [(q, v)]
+    for tau in grid.nodes.tolist()[:-1]:
+        if dead.all():
+            break
+        v1, a1 = derivative(q, v, tau)
+        v2, a2 = derivative(q + 0.5 * h * v1, v + 0.5 * h * a1, tau + 0.5 * h)
+        v3, a3 = derivative(q + 0.5 * h * v2, v + 0.5 * h * a2, tau + 0.5 * h)
+        v4, a4 = derivative(q + h * v3, v + h * a3, tau + h)
+        q = q + h / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        rows.append((np.where(dead, np.nan, q), np.where(dead, np.nan, v)))
+    Q, V = np.full((2, n + 1, m), np.nan)
+    Q[:len(rows)] = [row[0] for row in rows]
+    V[:len(rows)] = [row[1] for row in rows]
+    return Q, V, failures
+
+
+def _run_outcome(fn):
+    """("ok", Q, V, failures) or ("error", type, message, index, tau)."""
+    try:
+        with np.errstate(all="ignore"):
+            Q, V, failures = fn()
+    except (EvalError, SingularLagrangianError) as err:
+        return ("error", type(err), str(err), getattr(err, "index", None),
+                getattr(err, "tau", None))
+    return ("ok", Q, V, [None if f is None else (type(f), str(f), f.tau)
+                         for f in failures])
+
+
+def _assert_same_run(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1:] == want[1:]
+        return
+    assert _same_bits(got[1], want[1]) and _same_bits(got[2], want[2])
+    assert got[3] == want[3]
+
+
+SLOPES = st.lists(st.sampled_from([0.0, 1.0, -2.5, 3.0, 40.0, -300.0, 1e200]),
+                  min_size=2, max_size=4)
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(EXPRESSIONS, EXPRESSIONS.map("qdot^2/2 + ({})".format)),
+       q0=REALS, slopes=SLOPES, alpha=st.sampled_from([0.25, 0.5, 0.75]),
+       n=st.integers(3, 12))
+# lanes that lose their curvature mid-step, and one that overflows
+@example(text="exp(-q)*qdot^2/2", q0=0.0, slopes=[1.0, 20.0, 30.0, 60.0],
+         alpha=0.5, n=100)
+@example(text="qdot^2/2 + q^4/4", q0=0.0, slopes=[2.0, -20.0, 300.0],
+         alpha=0.5, n=100)
+# d2L/dqdot^2 = 2 q overflows at q = 1e308 while the force stays finite
+@example(text="q*qdot^2", q0=1e308, slopes=[0.0, 1e-10], alpha=0.5, n=10)
+# a check of tau alone, which fails at tau = 0.5 in every lane
+@example(text="qdot^2/2 + log(0.5 - tau)*q", q0=0.0, slopes=[1.0, 2.0],
+         alpha=0.5, n=100)
+def test_shooting_matches_a_plain_rk4(text, q0, slopes, alpha, n):
+    L = parse(text)
+
+    def fused(v0):
+        return _integrate_el(L, 0.0, 1.0, q0, v0, alpha, n)[1:]
+
+    scan = _run_outcome(lambda: fused(np.array(slopes)))
+    _assert_same_run(scan, _run_outcome(
+        lambda: _reference_rk4(L, q0, slopes, alpha, n, lone=False)))
+    for i, slope in enumerate(slopes):
+        lone = _run_outcome(lambda: fused(slope))
+        _assert_same_run(lone, _run_outcome(
+            lambda: _reference_rk4(L, q0, [slope], alpha, n, lone=True)))
+        if scan[0] == lone[0] == "ok":
+            # a lone run has the bits of its scan lane
+            _assert_same_run(lone, ("ok", scan[1][:, i:i + 1],
+                                    scan[2][:, i:i + 1], [scan[3][i]]))
