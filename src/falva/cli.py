@@ -6,7 +6,10 @@ and/or flags; flags override file keys.  One key table (``_KEYS``) makes
 the flags and the spec-file keys, one parser reads the subcommand and the
 flags in any order (the token after a flag is its value, even if it
 starts with one '-'), and ``Spec`` checks the allowed values of every choice
-key whichever way it came.  Axis-specific keys carry .x/.y/.z
+key whichever way it came, and that a 1D run is given no order key it
+does not read.  The parser is built once per process, and expressions are
+parsed through the shared cache of ``parse``, so a repeated call rebuilds
+neither.  Axis-specific keys carry .x/.y/.z
 suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A sweep runs
 its alpha values serially, in the order given.
 
@@ -22,6 +25,7 @@ line on stderr and exit with status 2 (validation) or 3 (numerical).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -99,8 +103,10 @@ _KEYS = {
 }
 _AXIS_KEYS = ("domain", "n")
 
-# the order keys a 1D deriv operator does not read: left takes alpha, right
-# beta (alpha when beta is not given), and only cresson takes gamma
+# the order keys a 1D run does not read: delta and chi in every kind, and
+# those a 1D deriv operator ignores: left takes alpha, right beta (alpha
+# when beta is not given), and only cresson takes gamma
+_UNREAD_IN_1D = ("delta", "chi")
 _UNREAD_BY_OPERATOR = {"left": ("gamma", "beta"), "right": ("gamma",)}
 
 _KNOWN_KEYS = {"kind", *_KEYS} | {f"{k}.{a}" for k in _AXIS_KEYS for a in _AXES}
@@ -131,7 +137,10 @@ def _join_values(argv: list) -> list:
     return out
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The one parser of the process, built on first use: parsing reads
+    it and leaves it as it was."""
     parser = _ArgumentParser(prog="falva",
                              description="fractional action-like variational toolkit")
     parser.add_argument("kind", nargs="?", choices=KINDS)
@@ -195,15 +204,30 @@ def _merge(args) -> "Spec":
     return Spec(args.kind, table)
 
 
+def _check_1d_orders(functional: str, table: dict) -> None:
+    """Raise a SpecError for the first order key of ``table`` that a 1D
+    ``functional`` does not read (``_UNREAD_IN_1D``, ``_UNREAD_BY_OPERATOR``)."""
+    name, unread = functional, _UNREAD_IN_1D
+    if functional == "deriv":
+        operator = table.get("operator", "cresson")
+        name = f"{operator} deriv"
+        given_beta = ("alpha",) if operator == "right" and "beta" in table else ()
+        unread = _UNREAD_BY_OPERATOR.get(operator, ()) + given_beta + unread
+    for key in unread:
+        if key in table:
+            given = " when beta is given" if key == "alpha" else ""
+            raise SpecError(f"key {key!r}: a 1D {name} reads no {key}{given}")
+
+
 class Spec:
     """Merged problem description with typed accessors.
 
-    ``parsed`` maps each expression text read through ``expr`` to its
-    parse; the specs of one sweep's rows share it, so a sweep parses each
-    text once.
+    ``expr`` reads an expression key through ``parse``, which returns one
+    shared expression per text, so the rows of a sweep and repeated calls
+    parse each text once and reuse its compiled programs.
     """
 
-    def __init__(self, kind: str, table: dict, parsed=None):
+    def __init__(self, kind: str, table: dict):
         if kind not in KINDS:
             raise SpecError(f"unknown kind {kind!r}")
         for key, (_, allowed) in _KEYS.items():
@@ -215,15 +239,10 @@ class Spec:
                 and table.get("variant", "cresson") != "cresson"):
             raise SpecError(f"key 'variant': 2D and 3D {functional}s are cresson "
                             f"only, got {table['variant']!r}")
-        if functional == "deriv" and "domain.y" not in table:
-            operator = table.get("operator", "cresson")
-            for key in _UNREAD_BY_OPERATOR.get(operator, ()):
-                if key in table:
-                    raise SpecError(f"key {key!r}: a 1D {operator} deriv reads "
-                                    f"no {key}")
+        if "domain.y" not in table:
+            _check_1d_orders(functional, table)
         self.kind = kind
         self.table = table
-        self.parsed = {} if parsed is None else parsed
 
     def get(self, key, default=None):
         return self.table.get(key, default)
@@ -234,11 +253,7 @@ class Spec:
         return self.table[key]
 
     def expr(self, key) -> LagrangianExpr:
-        text = self.req(key)
-        expr = self.parsed.get(text)
-        if expr is None:
-            expr = self.parsed[text] = parse(text)
-        return expr
+        return parse(self.req(key))
 
     def floats(self, key) -> list:
         raw = self.req(key)
@@ -489,10 +504,11 @@ def _derivative(spec: Spec):
     if dim > 1:
         raise SpecError("ND deriv supports only the cresson operator")
     f = GridFunction(grids[0], values)
-    alpha = spec.scalar("alpha")
     if operator == "left":
-        return grids, values, rl_left(f, alpha)
-    return grids, values, rl_right(f, spec.scalar("beta", default=alpha))
+        return grids, values, rl_left(f, spec.scalar("alpha"))
+    # right reads beta, or alpha when beta is not given (Spec rejects both)
+    return grids, values, rl_right(f, spec.scalar("beta" if "beta" in spec.table
+                                                  else "alpha"))
 
 
 def _run_deriv(spec: Spec) -> _Table:
@@ -670,7 +686,7 @@ def _run_sweep(spec: Spec) -> _Table:
     rows = []
     for alpha in alphas:
         try:
-            row = Spec(kind, dict(spec.table, alpha=_text(alpha)), spec.parsed)
+            row = Spec(kind, dict(spec.table, alpha=_text(alpha)))
             value, ref = _sweep_value(row)
         except FalvaError as err:
             rows.append(("", "", f"FALVA-ERR {err.code}", ""))

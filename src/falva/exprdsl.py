@@ -23,8 +23,14 @@ when it holds a negative value (any other argument keeps its bits).
 Bindings may be numpy arrays, in which case evaluation is elementwise and
 errors carry the flat index of the first offending node.
 
+``parse`` returns one shared expression per source text: the last
+``_PARSED_TEXTS`` texts are kept, so a text parsed again, by a later CLI
+call or a library call, reuses its expression with the derivative trees
+and compiled programs built for it so far.  An expression is immutable;
+what it caches are functions of its tree alone.
+
 Partial derivatives are exact: differentiating the expression tree gives a
-derivative tree, built once per parse and variable.
+derivative tree, built once per parsed text and variable.
 
 Evaluation is compiled.  The value tree and the requested derivative trees
 are hash-consed into one DAG (a literal is keyed by its bits, so 0.0 and
@@ -56,6 +62,7 @@ damping, and returns the stage's force and d2L/dqdot^2.  ``evaluate``,
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 import struct
@@ -116,7 +123,10 @@ class LagrangianExpr:
 
     ``_derivatives`` caches the derivative trees by variable tuple, and
     ``_programs`` the compiled programs by variable tuples, mode, returned
-    entries and signature.
+    entries and signature.  ``parse`` shares one expression among all the
+    callers of a source text, and keeps these caches with it: the tree and
+    its identifiers never change, and each cached entry is a function of
+    the tree alone, so a warm expression computes the bits of a cold one.
     """
 
     ast: object
@@ -235,14 +245,30 @@ class _Parser:
         self.advance()
 
 
+# source texts whose parse ``parse`` keeps, least recently used first out
+_PARSED_TEXTS = 128
+
+
 def parse(source: str) -> LagrangianExpr:
     """Parse ``source`` into an expression tree.
 
-    Syntax errors raise ExprSyntaxError with a 1-based byte offset; an
-    unknown function name raises the distinct UnknownFunctionError.
+    The expression is shared: a text parsed again returns the same
+    immutable ``LagrangianExpr``, with the derivative trees and compiled
+    programs built for it so far (the last ``_PARSED_TEXTS`` texts are
+    kept).  Syntax errors raise ExprSyntaxError with a 1-based byte offset;
+    an unknown function name raises the distinct UnknownFunctionError.  A
+    failed parse is not kept.
     """
+    # checked before the cache lookup, which would raise TypeError on an
+    # unhashable value
     if not isinstance(source, str) or not source.strip():
         raise ExprSyntaxError("empty expression", 1, expected="a value")
+    return _parsed(source)
+
+
+@functools.lru_cache(maxsize=_PARSED_TEXTS)
+def _parsed(source: str) -> LagrangianExpr:
+    """The expression of a non-blank ``source``, built once per kept text."""
     parser = _Parser(_tokenize(source))
     ast = parser.parse_expr()
     kind, text, offset = parser.peek()

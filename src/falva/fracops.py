@@ -45,18 +45,23 @@ order, so it is built once per (nseg, h, order) key as a kernel plan: the
 slope weights, their spectrum, the transform size and the boundary factor
 of the start value, as read-only arrays.  Left and right operators,
 forward and adjoint sides, equally spaced axes and sweep rows with one
-order share a plan.  The last four plans are kept (``_KERNEL_PLANS``).  A
-plan holds 32 to 48 bytes per cell (32 when nseg is a power of two): 0.5
-MB at n = 16384 and about 128 MB for one line at the command line's
-2^22-node cap, so the cache retains at most about 512 MB there.  A plan
-holds the bits of a fresh build, so no output depends on what ran before.
+order share a plan.  The plans of the last six keys are kept
+(``_KERNEL_PLANS``, the six keys of a 3D field), up to 512 MB of arrays
+in all (``_KERNEL_PLAN_BYTES``).  A plan holds 32 to 48 bytes per cell
+(32 when nseg is a power of two): 0.5 MB at n = 16384, 32 MB at n = 2^20
+and 128 MB for one line at the command line's 2^22-node cap, so the cache
+retains at most 3 MB, 192 MB and 512 MB (four plans) there.  A plan holds
+the bits of a fresh build, so no output depends on what ran before.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,12 +202,74 @@ def as_1d(f: GridFunctionND) -> GridFunction:
 # small.
 _FFT_BLOCK = 2**16
 
-# Kernel plans kept by _line_kernel: enough for the four (order, spacing)
-# keys of a 2D field, whose forward and adjoint operators share them.
-_KERNEL_PLANS = 4
+# Kernel plans kept by _line_kernel: at most _KERNEL_PLANS of them, enough
+# for the six (order, spacing) keys of a 3D field, and at most
+# _KERNEL_PLAN_BYTES of arrays in all, the four plans of a 2D field at the
+# command line's 2^22-node cap (128 MB each).
+_KERNEL_PLANS = 6
+_KERNEL_PLAN_BYTES = 2**29
 
 
-@functools.lru_cache(maxsize=_KERNEL_PLANS)
+class _PlanCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    plans: int  # the plans kept
+    used: int  # the bytes of their arrays
+
+
+def _plan_bytes(plan) -> int:
+    kern, spec, _, boundary = plan
+    return kern.nbytes + spec.nbytes + boundary.nbytes
+
+
+def _plan_cache(most: int, budget: int):
+    """Decorator: keep the plans of the most recently used keys, at most
+    ``most`` plans and ``budget`` bytes of arrays in all.
+
+    The least recently used plans go first; a plan larger than the whole
+    budget is returned without being kept.  Keys are compared by equality,
+    as with ``functools.lru_cache``.  The wrapper has ``cache_info()``
+    (hits, misses, plans, used) and ``cache_clear()``.
+    """
+    def decorate(build):
+        kept = OrderedDict()  # key -> plan, least recently used first
+        counts = {"hits": 0, "misses": 0, "used": 0}
+        lock = threading.Lock()
+
+        @functools.wraps(build)
+        def wrapper(*key):
+            with lock:
+                plan = kept.get(key)
+                if plan is not None:
+                    counts["hits"] += 1
+                    kept.move_to_end(key)
+                    return plan
+                counts["misses"] += 1
+            plan = build(*key)
+            with lock:
+                if _plan_bytes(plan) <= budget and key not in kept:
+                    kept[key] = plan
+                    counts["used"] += _plan_bytes(plan)
+                    while len(kept) > most or counts["used"] > budget:
+                        counts["used"] -= _plan_bytes(kept.popitem(last=False)[1])
+            return plan
+
+        def cache_info() -> _PlanCacheInfo:
+            with lock:
+                return _PlanCacheInfo(counts["hits"], counts["misses"], len(kept),
+                                      counts["used"])
+
+        def cache_clear() -> None:
+            with lock:
+                kept.clear()
+                counts.update(hits=0, misses=0, used=0)
+
+        wrapper.cache_info, wrapper.cache_clear = cache_info, cache_clear
+        return wrapper
+    return decorate
+
+
+@_plan_cache(_KERNEL_PLANS, _KERNEL_PLAN_BYTES)
 def _line_kernel(nseg: int, h: float, order: float):
     """The kernel plan of a line of ``nseg`` cells of width ``h``:
     (kern, spec, size, boundary), built once per (nseg, h, order).
@@ -241,8 +308,8 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     plan ``_line_kernel(nseg, h, order)``, so left and right operators,
     forward and adjoint sides, equally spaced axes and sweep rows share
     one build.  The cache keeps the last _KERNEL_PLANS plans of 32 to 48
-    bytes per cell each (about 128 MB for a line at the command line's cap
-    of 2^22 nodes).  The convolution runs as a real FFT of the plan's
+    bytes per cell each, up to _KERNEL_PLAN_BYTES in all (128 MB for one
+    line at the node cap).  The convolution runs as a real FFT of the plan's
     size, and only its first nseg terms are kept.  Each row is transformed
     on its own, so its bits do not depend on the batch.  A complex row is
     transformed as its real and imaginary parts, written straight into the

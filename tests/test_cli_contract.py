@@ -6,6 +6,7 @@ one "FALVA-ERR <code>:" line on stderr and exit status 2 or 3, never in a
 traceback or a warning.
 """
 
+import builtins
 import contextlib
 import functools
 import io
@@ -45,7 +46,7 @@ from falva import (
     solve_el_ivp,
     trapezoid_action,
 )
-from falva import cli, fracops
+from falva import cli, exprdsl, fracops
 from falva.cli import Spec, main
 
 UNIT = ["--domain", "0,1"]
@@ -855,8 +856,11 @@ def test_a_1d_deriv_rejects_an_order_its_operator_does_not_read(
     assert stderr == f"FALVA-ERR spec: key {key!r}: a 1D {operator} deriv reads no {key}\n"
     assert _run_quietly(argv, out)[0] == 2
     assert not out.exists()
-    # the operator that reads the key takes it
+    # the operator that reads the key takes it (right without alpha, which
+    # it does not read next to beta)
     reader = "right" if key == "beta" else "cresson"
+    if reader == "right":
+        argv.remove("--alpha=0.5")
     assert _run_quietly([*argv, f"--operator={reader}"], out)[:2] == (0, "")
 
 
@@ -865,6 +869,74 @@ def test_a_1d_left_deriv_names_the_first_unread_order(tmp_path):
             "--alpha", "0.4", "--path", "1+tau", "--domain", "0,1", "--n", "8"]
     assert _assert_one_error_line(argv, tmp_path / "out.csv") == (
         "FALVA-ERR spec: key 'gamma': a 1D left deriv reads no gamma\n")
+
+
+# a 1D run reads alpha, beta and gamma at most: delta and chi were dropped
+# without a word, so a call with them wrote the bytes of the call without
+LINE_1D = ["--lagrangian", "qdot^2/2 - q^2/2", "--alpha", "0.5", "--domain", "0,1",
+           "--n", "8", "--path", "1+tau^1.5"]
+RUNS_1D = {
+    "cresson deriv": ["deriv", *DERIV],
+    "action": ["action", *LINE_1D],
+    "residual": ["residual", *LINE_1D, "--gamma=0.3,0.2"],
+    "solve-ivp": ["solve-ivp", *LINE_1D, "--q0", "0", "--v0", "1"],
+    "solve-bvp": ["solve-bvp", *LINE_1D, "--boundary", "0,1"],
+    "minimize": ["minimize", *LINE_1D, "--boundary", "0,1"],
+    "action sweep": ["sweep", *LINE_1D],
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "spec"])
+@pytest.mark.parametrize("key", ["delta", "chi"])
+@pytest.mark.parametrize("name", RUNS_1D)
+def test_a_1d_run_rejects_delta_and_chi(tmp_path, name, key, via):
+    argv = list(RUNS_1D[name])
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out)[:2] == (0, "")
+    out.unlink()
+    if via == "flag":
+        argv += [f"--{key}", "0.3"]
+    else:
+        spec = tmp_path / "problem.spec"
+        spec.write_text(f"{key}=0.3\n", encoding="utf-8")
+        argv += ["--spec", str(spec)]
+    functional = name.removesuffix(" sweep")
+    assert _assert_one_error_line(argv, out) == (
+        f"FALVA-ERR spec: key {key!r}: a 1D {functional} reads no {key}\n")
+    assert not out.exists()
+
+
+def test_a_plane_still_reads_delta_and_chi(tmp_path):
+    plane = ["residual", *PLANE, "--gamma=0.3,0.2"]
+    outputs = []
+    for extra in ([], ["--delta", "0.3", "--chi", "0.7"]):
+        out = tmp_path / f"out{len(extra)}.csv"
+        assert _run_quietly([*plane, *extra], out)[:2] == (0, "")
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+
+
+def test_a_1d_right_deriv_given_beta_reads_no_alpha(tmp_path):
+    # right reads beta, and alpha only when beta is not given; alpha was
+    # required next to beta and then ignored
+    right = ["deriv", "--operator", "right", "--path", "tau^1.5", "--n=8",
+             "--domain=0,1"]
+    out, fallback = tmp_path / "out.csv", tmp_path / "fallback.csv"
+    assert _run_quietly([*right, "--beta", "0.7"], out)[:2] == (0, "")
+    assert _run_quietly([*right, "--alpha", "0.7"], fallback)[:2] == (0, "")
+    assert out.read_bytes() == fallback.read_bytes()
+    out.unlink()
+    line = "FALVA-ERR spec: key 'alpha': a 1D right deriv reads no alpha when beta is given\n"
+    assert _assert_one_error_line([*right, "--beta", "0.7", "--alpha", "0.4"], out) == line
+    # a sweep over alpha of such a deriv is the same error, once
+    sweep = ["sweep", "--sweep-kind", "deriv", *right[1:], "--beta", "0.7",
+             "--alpha", "0.25,0.5"]
+    assert _assert_one_error_line(sweep, out) == line
+    assert not out.exists()
+    # gamma is named first, as for left
+    assert _assert_one_error_line(
+        [*right, "--beta", "0.7", "--alpha", "0.4", "--gamma=i"], out) == (
+        "FALVA-ERR spec: key 'gamma': a 1D right deriv reads no gamma\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["action", "--help"]],
@@ -933,15 +1005,70 @@ def test_a_sweep_parses_each_text_once_and_samples_each_row_once(tmp_path,
                                                                  monkeypatch):
     # the rows share the parsed Lagrangian, path and velocity; a classic
     # action row samples the path and the velocity once each, for the
-    # action and its classical reference alike
-    counts = {"parse": 0, "evaluate": 0}
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(cli, name)):
-            counts[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(cli, name, counted)
+    # action and its classical reference alike.  A parse is a miss of the
+    # shared parse cache, which starts empty
+    exprdsl._parsed.cache_clear()
+    evaluations = []
+    evaluate_ = cli.evaluate
+    monkeypatch.setattr(cli, "evaluate",
+                        lambda *args: evaluations.append(1) or evaluate_(*args))
     argv = ["sweep", "--variant", "classic", "--lagrangian", "qdot^2/2 - q^2/2",
             "--alpha", "0.25,0.5,0.75", "--domain", "0,1", "--n", "64",
             "--path", "sin(tau)", "--qdot", "cos(tau)"]
     assert _run_quietly(argv, tmp_path / "out.csv")[:2] == (0, "")
-    assert counts == {"parse": 3, "evaluate": 6}
+    assert (exprdsl._parsed.cache_info().misses, len(evaluations)) == (3, 6)
+
+
+# one call of each subcommand; small, so that a fresh process runs it fast
+EVERY_KIND = {
+    "deriv": ["deriv", *DERIV, "--gamma=0.3,0.2"],
+    "action": ["action", *LINE_1D, "--gamma=0.3,-0.7"],
+    "residual": ["residual", *PLANE, "--gamma=0.3,0.2"],
+    "solve-ivp": ["solve-ivp", *LINE_1D, "--q0", "0", "--v0", "1"],
+    "solve-bvp": ["solve-bvp", "--lagrangian", "qdot^2/2 - q^2/2", "--alpha",
+                  "0.5", "--domain", "0,1", "--n", "120", "--boundary", "0,1"],
+    "minimize": ["minimize", *LINE_1D, "--boundary", "0,1"],
+    "sweep": ["sweep", "--sweep-kind", "solve-bvp", *LINE_1D,
+              "--alpha", "0.25,0.5", "--boundary", "0,1"],
+}
+
+
+@pytest.mark.parametrize("kind", EVERY_KIND)
+def test_a_repeated_call_writes_the_bytes_of_a_fresh_process(tmp_path, kind):
+    # the parser, the parses and their compiled programs are kept across
+    # calls in one process; none of them may change an output
+    argv = EVERY_KIND[kind]
+    fresh = tmp_path / "fresh.csv"
+    proc = subprocess.run([sys.executable, "-m", "falva", *argv, "--out", str(fresh)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for i in range(2):
+        out = tmp_path / f"call{i}.csv"
+        assert _run_quietly(argv, out) == (0, "", [])
+        assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_a_repeated_call_builds_no_parser_and_compiles_no_program(tmp_path,
+                                                                  monkeypatch):
+    parsers, programs = [], []
+    init = cli._ArgumentParser.__init__
+    monkeypatch.setattr(cli._ArgumentParser, "__init__",
+                        lambda self, *a, **k: parsers.append(1) or init(self, *a, **k))
+    compile_ = builtins.compile
+
+    def counted(source, filename, *args, **kwargs):
+        if filename == "<falva program>":
+            programs.append(source)
+        return compile_(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    cli._build_parser.cache_clear()
+    exprdsl._parsed.cache_clear()
+    argv = ["minimize", *LINE_1D, "--boundary", "0,1"]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert _run_quietly(argv, first)[:2] == (0, "")
+    assert (len(parsers), len(programs) > 0) == (1, True)
+    built = len(programs)
+    assert _run_quietly(argv, second)[:2] == (0, "")
+    assert (len(parsers), len(programs)) == (1, built)
+    assert first.read_bytes() == second.read_bytes()

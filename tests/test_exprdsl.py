@@ -13,6 +13,7 @@ from falva import (
     second_partials,
     serialize,
 )
+from falva import exprdsl
 from falva.exprdsl import Bin, Call, Neg, Num, Var
 
 
@@ -48,6 +49,39 @@ class TestParse:
     def test_empty_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse("   ")
+
+    @pytest.mark.parametrize("source", ["", ["q"], {"q": 1}, None, 2.0])
+    def test_a_non_text_or_empty_input_is_a_syntax_error(self, source):
+        # checked before the parse cache, which would raise TypeError on an
+        # unhashable value
+        with pytest.raises(ExprSyntaxError, match="empty expression"):
+            parse(source)
+
+    def test_a_text_parses_to_one_shared_expression(self):
+        exprdsl._parsed.cache_clear()
+        expr = parse("qdot^2/2 + q")
+        assert parse("qdot^2/2 + q") is expr
+        assert parse("qdot^2/2 +q") is not expr  # keyed by the text
+        partial(expr, "qdot", {"qdot": 1.0, "q": 2.0, "tau": 0.0})
+        programs = dict(expr._programs)
+        assert programs and parse("qdot^2/2 + q")._programs == programs
+        assert exprdsl._parsed.cache_info()[:2] == (2, 2)
+
+    def test_a_failed_parse_is_not_kept(self):
+        exprdsl._parsed.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ExprSyntaxError):
+                parse("q +")
+        assert exprdsl._parsed.cache_info().currsize == 0
+
+    def test_the_parse_cache_is_bounded(self):
+        exprdsl._parsed.cache_clear()
+        first = parse("q + 0")
+        for i in range(1, exprdsl._PARSED_TEXTS + 1):
+            parse(f"q + {i}")
+        assert exprdsl._parsed.cache_info().currsize == exprdsl._PARSED_TEXTS
+        again = parse("q + 0")  # the least recently used text went first
+        assert again is not first and again.ast == first.ast
 
     def test_trailing_tokens(self):
         with pytest.raises(ExprSyntaxError):

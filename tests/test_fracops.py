@@ -15,6 +15,7 @@ from falva import (
     axis_cresson,
     cresson,
     el_residual_1d_cresson,
+    el_residual_nd,
     observed_order,
     parse,
     rl_left,
@@ -429,9 +430,57 @@ class TestKernelPlan:
         assert fracops._line_kernel(8, 0.125, 0.5)[0] is kern
 
     def test_cache_size_is_pinned(self):
-        # four plans hold every (order, spacing) key of a 2D field; a plan at
-        # the command line's 2^22-node cap holds about 128 MB
-        assert fracops._line_kernel.cache_parameters()["maxsize"] == 4
+        # the cache keeps six plans, the keys of a 3D field, and at most
+        # 512 MB of them: four plans of a line at the command line's
+        # 2^22-node cap, 128 MB each
+        assert fracops._KERNEL_PLANS == 6
+        assert fracops._KERNEL_PLAN_BYTES == 2**29 == 512 * 2**20
+        nseg = 2**22 - 1
+        size = 1 << (2 * nseg - 2).bit_length()
+        cap_plan = 2 * 8 * nseg + 16 * (size // 2 + 1)
+        assert cap_plan == 128 * 2**20
+        assert fracops._KERNEL_PLAN_BYTES // cap_plan == 4
+        # the bytes counted are those of the plan's arrays
+        fracops._line_kernel.cache_clear()
+        fracops._line_kernel(8, 0.125, 0.5)
+        assert fracops._line_kernel.cache_info().used == 8 * 8 + 16 * 9 + 8 * 8
+
+    def test_the_six_keys_of_a_3d_field_are_built_once_each(self):
+        # three axes with two orders each: the forward and adjoint sides
+        # share the six plans, which a cache of four plans rebuilt each time
+        g = _grid(12)
+        X, Y, Z = np.meshgrid(g.nodes, g.nodes, g.nodes, indexing="ij")
+        field = GridFunctionND((g, g, g), X * Y + np.sin(Z) + 1.0)
+        orders = OrderSet.for_nd((0.3, 0.4, 0.5), (0.6, 0.7, 0.8), 0.3 + 0.2j)
+        fracops._line_kernel.cache_clear()
+        el_residual_nd(parse("(qx1^2 + qx2^2 + qx3^2)/2 - q^2/2"), field, orders,
+                       (1.0, 1.0, 1.0))
+        assert fracops._line_kernel.cache_info()[:2] == (6, 6)
+
+    def test_a_plan_over_the_budget_is_not_kept(self):
+        # the least recently used plans go first, and a plan larger than the
+        # whole budget is returned without being kept
+        build = fracops._line_kernel.__wrapped__
+        plan_bytes = fracops._plan_bytes(build(16, 0.0625, 0.5))
+        limited = fracops._plan_cache(6, 2 * plan_bytes)(build)
+        for order in (0.3, 0.4, 0.3, 0.5, 0.3):
+            limited(16, 0.0625, order)
+        assert limited.cache_info() == (2, 3, 2, 2 * plan_bytes)
+        limited(16, 0.0625, 0.4)  # evicted by 0.5: 0.3 was used later
+        assert limited.cache_info()[:2] == (2, 4)
+        limited(64, 0.0625, 0.5)
+        assert limited.cache_info()[2:] == (2, 2 * plan_bytes)
+
+    def test_the_plan_count_is_bounded_too(self):
+        # small plans are kept up to the count, not up to the byte budget
+        build = fracops._line_kernel.__wrapped__
+        plan_bytes = fracops._plan_bytes(build(16, 0.0625, 0.5))
+        limited = fracops._plan_cache(2, 2**29)(build)
+        for order in (0.3, 0.4, 0.5, 0.4):
+            limited(16, 0.0625, order)
+        assert limited.cache_info() == (1, 3, 2, 2 * plan_bytes)
+        limited(16, 0.0625, 0.3)  # the oldest plan went when the third came
+        assert limited.cache_info()[:2] == (1, 4)
 
     def test_residual_at_equal_orders_builds_one_kernel(self, monkeypatch):
         # forward left and right and the adjoint's left and right share one

@@ -308,7 +308,9 @@ def test_program_is_built_once_per_variable_tuples_and_mode():
 
 def test_shooting_field_is_built_once_per_lagrangian(tmp_path, monkeypatch):
     # a solve at n = 400 integrates 4 times, and a sweep over three alphas
-    # 12 times; each builds the one shooting program of its Lagrangian
+    # 12 times; each builds the one shooting program of its Lagrangian.
+    # Parses are shared, so the counts start from an empty parse cache
+    exprdsl._parsed.cache_clear()
     builds = []
     compile_ = builtins.compile
 
