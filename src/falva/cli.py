@@ -5,13 +5,14 @@ sweep.  Problem parameters come from a flat key=value spec file (--spec)
 and/or flags; flags override file keys.  One key table (``_KEYS``) makes
 the flags and the spec-file keys, one parser reads the subcommand and the
 flags in any order (the token after a flag is its value, even if it
-starts with one '-'), and ``Spec`` checks the allowed values of every choice
-key whichever way it came, and that a 1D run is given no order key it
-does not read.  The parser is built once per process, and expressions are
-parsed through the shared cache of ``parse``, so a repeated call rebuilds
-neither.  Axis-specific keys carry .x/.y/.z
-suffixes (domain.y=0,1); bare "domain"/"n" mean the x axis.  A sweep runs
-its alpha values serially, in the order given.
+starts with one '-'), and ``Spec`` checks the allowed values of every
+choice key whichever way it came.  ``Spec`` records the keys a run reads;
+a key of ``_CHECKED_KEYS`` that was given and left unread is an error.
+The parser is built once per process, and expressions are parsed through
+the shared cache of ``parse``, so a repeated call rebuilds neither.
+Axis-specific keys carry .x/.y/.z suffixes (domain.y=0,1); bare
+"domain"/"n" mean the x axis.  A sweep runs its alpha values serially, in
+the order given.
 
 All output is CSV: one leading comment line with the tool version and the
 order-pair convention, optional further comment lines with scalar results,
@@ -103,11 +104,10 @@ _KEYS = {
 }
 _AXIS_KEYS = ("domain", "n")
 
-# the order keys a 1D run does not read: delta and chi in every kind, and
-# those a 1D deriv operator ignores: left takes alpha, right beta (alpha
-# when beta is not given), and only cresson takes gamma
-_UNREAD_IN_1D = ("delta", "chi")
-_UNREAD_BY_OPERATOR = {"left": ("gamma", "beta"), "right": ("gamma",)}
+# the keys a run must read when given (Spec.read), in the order they are
+# named: a run that dropped one would solve another problem than the one written
+_CHECKED_KEYS = ("gamma", "beta", "alpha", "delta", "chi", "n.y", "n.z", "qdot",
+                 "boundary", "margin_target", "q0", "v0")
 
 _KNOWN_KEYS = {"kind", *_KEYS} | {f"{k}.{a}" for k in _AXIS_KEYS for a in _AXES}
 
@@ -204,24 +204,11 @@ def _merge(args) -> "Spec":
     return Spec(args.kind, table)
 
 
-def _check_1d_orders(functional: str, table: dict) -> None:
-    """Raise a SpecError for the first order key of ``table`` that a 1D
-    ``functional`` does not read (``_UNREAD_IN_1D``, ``_UNREAD_BY_OPERATOR``)."""
-    name, unread = functional, _UNREAD_IN_1D
-    if functional == "deriv":
-        operator = table.get("operator", "cresson")
-        name = f"{operator} deriv"
-        given_beta = ("alpha",) if operator == "right" and "beta" in table else ()
-        unread = _UNREAD_BY_OPERATOR.get(operator, ()) + given_beta + unread
-    for key in unread:
-        if key in table:
-            given = " when beta is given" if key == "alpha" else ""
-            raise SpecError(f"key {key!r}: a 1D {name} reads no {key}{given}")
-
-
 class Spec:
     """Merged problem description with typed accessors.
 
+    ``get`` and ``req``, and the accessors built on them, add each key whose
+    value the run takes to ``read``; a presence test reads nothing.
     ``expr`` reads an expression key through ``parse``, which returns one
     shared expression per text, so the rows of a sweep and repeated calls
     parse each text once and reuse its compiled programs.
@@ -239,17 +226,18 @@ class Spec:
                 and table.get("variant", "cresson") != "cresson"):
             raise SpecError(f"key 'variant': 2D and 3D {functional}s are cresson "
                             f"only, got {table['variant']!r}")
-        if "domain.y" not in table:
-            _check_1d_orders(functional, table)
         self.kind = kind
         self.table = table
+        self.read = set()
 
     def get(self, key, default=None):
+        self.read.add(key)
         return self.table.get(key, default)
 
     def req(self, key) -> str:
         if key not in self.table:
             raise SpecError(f"missing required key {key!r} for kind {self.kind!r}")
+        self.read.add(key)
         return self.table[key]
 
     def expr(self, key) -> LagrangianExpr:
@@ -263,9 +251,7 @@ class Spec:
             raise SpecError(f"key {key!r}: expected number(s), got {raw!r}") from None
 
     def scalar(self, key, default=None) -> float:
-        if key not in self.table:
-            if default is None:
-                raise SpecError(f"missing required key {key!r}")
+        if default is not None and key not in self.table:
             return default
         values = self.floats(key)
         if len(values) != 1:
@@ -302,10 +288,9 @@ class Spec:
         dims = [f"domain.{a}" in self.table for a in _AXES]
         if not dims[0]:
             raise SpecError("missing required key 'domain' (or 'domain.x')")
-        dim = 1 + (1 if dims[1] else 0) + (1 if dims[2] else 0)
         if dims[2] and not dims[1]:
             raise SpecError("domain.z given without domain.y")
-        return dim
+        return sum(dims)
 
     def grids(self) -> tuple:
         dim = self.dimension()
@@ -326,30 +311,31 @@ class Spec:
         return tuple(grids)
 
 
-def _orders_for(spec: Spec, dim: int) -> OrderSet:
+def _pair(spec: Spec, dim: int, axis: int) -> tuple:
+    """(left, right) orders of ``axis`` from its keys alone: (alpha, beta) in
+    1D; (alpha, delta) on x, (beta, chi) on y in 2D; (alpha_i, delta_i) in 3D."""
     alphas = spec.floats("alpha")
     if len(alphas) == 1:
         alphas = alphas * dim
     if len(alphas) != dim:
         raise SpecError(f"'alpha' needs 1 or {dim} entries for dimension {dim}")
-    gamma_w = spec.gamma_w()
     if dim == 1:
-        beta = spec.scalar("beta", default=alphas[0])
-        return OrderSet.for_1d(alphas[0], beta, gamma_w)
-    if dim == 2:
+        return alphas[0], spec.scalar("beta", default=alphas[0])
+    if dim == 2 and axis == 1:
         beta = spec.scalar("beta", default=alphas[1])
-        delta = spec.scalar("delta", default=alphas[0])
-        chi = spec.scalar("chi", default=beta)
-        return OrderSet.for_2d(alphas[0], beta, delta, chi, gamma_w)
-    if "delta" in spec.table:
-        deltas = spec.floats("delta")
-        if len(deltas) == 1:
-            deltas = deltas * dim
-        if len(deltas) != dim:
-            raise SpecError(f"'delta' needs 1 or {dim} entries")
-    else:
-        deltas = alphas
-    return OrderSet.for_nd(alphas, deltas, gamma_w)
+        return beta, spec.scalar("chi", default=beta)
+    if dim == 2:
+        return alphas[0], spec.scalar("delta", default=alphas[0])
+    deltas = spec.floats("delta") if "delta" in spec.table else alphas
+    if len(deltas) == 1:
+        deltas = deltas * dim
+    if len(deltas) != dim:
+        raise SpecError(f"'delta' needs 1 or {dim} entries")
+    return alphas[axis], deltas[axis]
+
+
+def _orders_for(spec: Spec, dim: int) -> OrderSet:
+    return OrderSet(tuple(_pair(spec, dim, i) for i in range(dim)), spec.gamma_w())
 
 
 def _sample_expression(spec: Spec, key: str, slot_names, grids) -> np.ndarray:
@@ -500,13 +486,15 @@ def _derivative(spec: Spec):
         raise SpecError(f"axis {axis_name!r} out of range for dimension {dim}")
     operator = spec.get("operator", "cresson")
     if operator == "cresson":
-        return grids, values, axis_cresson(field, axis, _orders_for(spec, dim))
+        # every axis takes the pair of the deriv's axis, the one axis_cresson reads
+        orders = OrderSet((_pair(spec, dim, axis),) * dim, spec.gamma_w())
+        return grids, values, axis_cresson(field, axis, orders)
     if dim > 1:
         raise SpecError("ND deriv supports only the cresson operator")
     f = GridFunction(grids[0], values)
     if operator == "left":
         return grids, values, rl_left(f, spec.scalar("alpha"))
-    # right reads beta, or alpha when beta is not given (Spec rejects both)
+    # right reads beta, or alpha when beta is not given
     return grids, values, rl_right(f, spec.scalar("beta" if "beta" in spec.table
                                                   else "alpha"))
 
@@ -670,11 +658,10 @@ def _sweep_value(spec: Spec):
         return complex(_ivp(spec)[0].values[-1]), None
     if kind == "solve-bvp":
         return complex(_bvp(spec).v0), None
-    if kind == "minimize":
-        result = _minimized(spec)
-        if not result.converged:
-            raise NonConvergedError(_nonconverged(result))
-        return complex(result.action_value), None
+    result = _minimized(spec)
+    if not result.converged:
+        raise NonConvergedError(_nonconverged(result))
+    return complex(result.action_value), None
 
 
 def _run_sweep(spec: Spec) -> _Table:
@@ -683,7 +670,7 @@ def _run_sweep(spec: Spec) -> _Table:
         if not 0.0 < a < 1.0:
             raise SpecError(f"sweep alpha {a!r} outside (0,1)")
     kind = spec.get("sweep_kind", "action")
-    rows = []
+    rows, read = [], set()
     for alpha in alphas:
         try:
             row = Spec(kind, dict(spec.table, alpha=_text(alpha)))
@@ -692,6 +679,10 @@ def _run_sweep(spec: Spec) -> _Table:
             rows.append(("", "", f"FALVA-ERR {err.code}", ""))
         else:
             rows.append((value.real, value.imag, "ok", "" if ref is None else ref))
+            read |= row.read
+    # the rows that ran to the end read the keys, not the sweep's alpha
+    # list; a sweep none of whose rows finished checks nothing
+    spec.read = read or spec.table.keys()
     value_re, value_im, status, classical = zip(*rows)
 
     header = ["alpha", "value_re", "value_im", "status"]
@@ -713,9 +704,22 @@ _RUNNERS = {
 }
 
 
+def _check_read(spec: Spec) -> None:
+    """Raise a SpecError for the first given key of _CHECKED_KEYS left unread."""
+    name = spec.table.get("sweep_kind", "action") if spec.kind == "sweep" else spec.kind
+    if name == "deriv":
+        name = f"{spec.table.get('operator', 'cresson')} deriv"
+    for key in _CHECKED_KEYS:
+        if key in spec.table and key not in spec.read:
+            given = " when beta is given" if key == "alpha" else ""
+            raise SpecError(f"key {key!r}: a {spec.dimension()}D {name} reads "
+                            f"no {key}{given}")
+
+
 def _dispatch(spec: Spec) -> int:
     out = spec.req("out")
     table = _RUNNERS[spec.kind](spec)
+    _check_read(spec)
     _write_csv(out, spec.kind, table)
     if table.failure is not None:
         raise table.failure

@@ -45,9 +45,9 @@ order, so it is built once per (nseg, h, order) key as a kernel plan: the
 slope weights, their spectrum, the transform size and the boundary factor
 of the start value, as read-only arrays.  Left and right operators,
 forward and adjoint sides, equally spaced axes and sweep rows with one
-order share a plan.  The plans of the last six keys are kept
-(``_KERNEL_PLANS``, the six keys of a 3D field), up to 512 MB of arrays
-in all (``_KERNEL_PLAN_BYTES``).  A plan holds 32 to 48 bytes per cell
+order share a plan.  Cache bounds: the plans of the last six keys are
+kept (``_KERNEL_PLANS``, the six keys of a 3D field), up to 512 MB of
+arrays in all (``_KERNEL_PLAN_BYTES``).  A plan holds 32 to 48 B per cell
 (32 when nseg is a power of two): 0.5 MB at n = 16384, 32 MB at n = 2^20
 and 128 MB for one line at the command line's 2^22-node cap, so the cache
 retains at most 3 MB, 192 MB and 512 MB (four plans) there.  A plan holds
@@ -202,10 +202,8 @@ def as_1d(f: GridFunctionND) -> GridFunction:
 # small.
 _FFT_BLOCK = 2**16
 
-# Kernel plans kept by _line_kernel: at most _KERNEL_PLANS of them, enough
-# for the six (order, spacing) keys of a 3D field, and at most
-# _KERNEL_PLAN_BYTES of arrays in all, the four plans of a 2D field at the
-# command line's 2^22-node cap (128 MB each).
+# Kernel plans kept by _line_kernel: at most _KERNEL_PLANS of them and
+# _KERNEL_PLAN_BYTES of arrays in all (the sizes are in the module notes).
 _KERNEL_PLANS = 6
 _KERNEL_PLAN_BYTES = 2**29
 
@@ -278,11 +276,11 @@ def _line_kernel(nseg: int, h: float, order: float):
     their real FFT of power-of-two size ``size`` >= 2 nseg - 1 (so nothing
     wraps around), and ``boundary`` the factor (m h)^(-order) / gamma(1 -
     order) of the start value at nodes m = 1..nseg.  The arrays are
-    read-only, since every caller with the same key shares them.  The
-    build runs with floating-point warnings off: at a subnormal h the
-    boundary factor overflows or divides by zero (the caller's non-finite
-    check reports that), and a warning here would show only on a cache
-    miss.
+    read-only, since every caller with the same key shares them; their
+    sizes and the cache's bounds are in the module notes.  The build runs
+    with floating-point warnings off: at a subnormal h the boundary factor
+    overflows or divides by zero (the caller's non-finite check reports
+    that), and a warning here would show only on a cache miss.
     """
     g1 = gamma(1.0 - order)
     mh = h * np.arange(nseg + 1)
@@ -307,18 +305,16 @@ def _rl_left_lines(vals: np.ndarray, h: float, order: float):
     The kernel, its spectrum and the boundary factor come from the kernel
     plan ``_line_kernel(nseg, h, order)``, so left and right operators,
     forward and adjoint sides, equally spaced axes and sweep rows share
-    one build.  The cache keeps the last _KERNEL_PLANS plans of 32 to 48
-    bytes per cell each, up to _KERNEL_PLAN_BYTES in all (128 MB for one
-    line at the node cap).  The convolution runs as a real FFT of the plan's
-    size, and only its first nseg terms are kept.  Each row is transformed
-    on its own, so its bits do not depend on the batch.  A complex row is
-    transformed as its real and imaginary parts, written straight into the
-    views ``out.real`` and ``out.imag``.  Rows holding a non-finite slope
-    keep the direct ``np.convolve`` sum, which keeps the value local to
-    later nodes; only finite rows reach the transform.  The FFT's rounding
-    against the direct sum is below 1e-14 of 1 + max|out| on smooth and
-    random lines up to n = 16384; see the module notes for small
-    early-time values.
+    one build (its sizes and bounds are in the module notes).  The
+    convolution runs as a real FFT of the plan's size, and only its first
+    nseg terms are kept.  Each row is transformed on its own, so its bits
+    do not depend on the batch.  A complex row is transformed as its real
+    and imaginary parts, written straight into the views ``out.real`` and
+    ``out.imag``.  Rows holding a non-finite slope keep the direct
+    ``np.convolve`` sum, which keeps the value local to later nodes; only
+    finite rows reach the transform.  The FFT's rounding against the
+    direct sum is below 1e-14 of 1 + max|out| on smooth and random lines up
+    to n = 16384; see the module notes for small early-time values.
     """
     nseg = vals.shape[1] - 1
     kern, spec, size, boundary = _line_kernel(nseg, h, order)

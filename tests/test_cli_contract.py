@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -1072,3 +1073,158 @@ def test_a_repeated_call_builds_no_parser_and_compiles_no_program(tmp_path,
     assert _run_quietly(argv, second)[:2] == (0, "")
     assert (len(parsers), len(programs)) == (1, built)
     assert first.read_bytes() == second.read_bytes()
+
+
+# Every checked key a run is given either changes what it writes or ends
+# the run in one spec error: a key a run dropped without a word made it
+# solve another problem than the one written.  The problems are spec-file
+# tables; the Cresson ones carry a gamma that is neither i nor -i, so that
+# both orders of an axis reach the output.
+CHECKED_VALUES = {"gamma": "0.3,0.2", "beta": "0.37", "alpha": "0.43",
+                  "delta": "0.39", "chi": "0.41", "n.y": "5", "n.z": "6",
+                  "qdot": "cos(tau)", "boundary": "0,0.7", "margin_target": "0.8",
+                  "q0": "0.3", "v0": "0.7"}
+GRIDS = {1: {"domain.x": "0,1", "n.x": "8"},
+         2: {"domain.x": "0,1", "domain.y": "0,1", "n.x": "6"},
+         3: {"domain.x": "0,1", "domain.y": "0,1", "domain.z": "0,1", "n.x": "4"}}
+FIELDS = {1: {"lagrangian": "qdot^2/2 - q^2/2", "path": "1+tau^1.5"},
+          2: {"lagrangian": "(qx^2+qy^2)/2 + q^2/4", "path": "1+x^1.5*(1+y)+y^1.5"},
+          3: {"lagrangian": "(qx1^2+qx2^2+qx3^2)/2",
+              "path": "1+x1^1.5*(1+x2)+x2^1.5+x3^1.5"}}
+CRESSON = {"gamma": "0.3,-0.7"}
+
+
+def _problem(kind, dim, **keys):
+    return kind, {**GRIDS[dim], **FIELDS[dim], "alpha": "0.5", **keys}
+
+
+PROBLEMS = {
+    "left deriv": _problem("deriv", 1, operator="left"),
+    "right deriv": _problem("deriv", 1, operator="right"),
+    "classic action": _problem("action", 1, variant="classic"),
+    "classic residual": _problem("residual", 1, variant="classic"),
+    "solve-ivp": _problem("solve-ivp", 1, q0="0", v0="1"),
+    "solve-bvp": _problem("solve-bvp", 1, boundary="0,1"),
+    "minimize": _problem("minimize", 1, boundary="0,1"),
+    "1D deriv": _problem("deriv", 1, **CRESSON),
+    "1D action": _problem("action", 1, variant="cresson", **CRESSON),
+    "1D residual": _problem("residual", 1, variant="cresson", **CRESSON),
+    **{f"{dim}D {kind}": _problem(kind, dim, **CRESSON)
+       for kind in ("deriv", "action", "residual") for dim in (2, 3)},
+    "2D deriv along y": _problem("deriv", 2, axis="y", **CRESSON),
+}
+
+
+@functools.cache
+def _outcome(kind, items):
+    """(exit status, stderr, output bytes or None) of one call whose spec
+    file holds ``items``."""
+    with tempfile.TemporaryDirectory() as directory:
+        spec, out = os.path.join(directory, "p.spec"), os.path.join(directory, "o.csv")
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in items)
+        status, stderr, caught = _run_quietly([kind, "--spec", spec], out)
+        assert not caught, (items, [str(w.message) for w in caught])
+        data = open(out, "rb").read() if os.path.exists(out) else None
+    return status, stderr, data
+
+
+def _assert_read_or_rejected(kind, table, key, summary=False):
+    """``table`` run with ``key`` set writes other bytes than without the
+    key ("read"), or ends in one spec error with no output file
+    ("rejected"); with ``summary`` (a sweep row that reports one value of
+    its run) the same bytes may also be written."""
+    without = {k: v for k, v in table.items() if k != key}
+    status, stderr, data = _outcome(kind, tuple(sorted(
+        {**without, key: CHECKED_VALUES[key]}.items())))
+    if status == 0:
+        other = _outcome(kind, tuple(sorted(without.items())))[2]
+        assert summary or data != other, (kind, table, key)
+        return "read"
+    assert status == 2, (kind, table, key, stderr)
+    assert ERR_LINE.fullmatch(stderr) and stderr.startswith("FALVA-ERR spec:"), stderr
+    assert data is None
+    return "rejected"
+
+
+@pytest.mark.parametrize("key", CHECKED_VALUES)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_a_checked_key_is_read_or_rejected(name, key):
+    kind, table = PROBLEMS[name]
+    _assert_read_or_rejected(kind, table, key)
+
+
+@pytest.mark.parametrize("key", CHECKED_VALUES)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_a_checked_key_is_read_or_rejected_in_a_sweep_row(name, key):
+    kind, table = PROBLEMS[name]
+    sweep = {**table, "sweep_kind": kind, "alpha": "0.25,0.5"}
+    # a deriv row reports the derivative at the last node alone, where the
+    # right derivative is zero and only the last line of the axis counts;
+    # there a key the lone deriv reads may leave the row's value as it was
+    summary = kind == "deriv" and _assert_read_or_rejected(kind, table, key) == "read"
+    _assert_read_or_rejected("sweep", sweep, key, summary)
+
+
+# inputs whose last flags a run once dropped without a word: the call wrote
+# the bytes of the same call without them (the second --n is n.y)
+DROPPED = {
+    "3D action": (["action", "--lagrangian", "(qx1^2+qx2^2+qx3^2)/2", "--path",
+                   "x1*x2+x3", "--alpha", "0.4", "--gamma=0.3,0.2", "--domain", "0,1",
+                   "--domain", "0,1", "--domain", "0,1", "--n", "5"],
+                  ["--beta", "0.9", "--chi", "0.2"], "key 'beta': a 3D action reads no beta"),
+    "solve-bvp": (["solve-bvp", "--lagrangian", "qdot^2/2", "--alpha", "0.5", "--domain",
+                   "0,1", "--n", "50", "--boundary", "0,1"],
+                  ["--gamma=i", "--beta", "0.9"],
+                  "key 'gamma': a 1D solve-bvp reads no gamma"),
+    "classic action": (["action", "--variant", "classic", "--lagrangian", "qdot^2/2",
+                        "--alpha", "0.5", "--domain", "0,1", "--n", "50", "--path", "tau"],
+                       ["--gamma=i", "--beta", "0.9"],
+                       "key 'gamma': a 1D action reads no gamma"),
+    "1D deriv": (["deriv", "--alpha", "0.4", "--path", "1+tau^1.5", "--domain", "0,1",
+                  "--n", "8"], ["--n", "120"], "key 'n.y': a 1D cresson deriv reads no n.y"),
+}
+
+
+@pytest.mark.parametrize("name", DROPPED)
+def test_a_key_the_run_once_dropped_is_one_spec_error(tmp_path, name):
+    argv, extra, message = DROPPED[name]
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out) == (0, "", [])
+    out.unlink()
+    assert _assert_one_error_line([*argv, *extra], out) == f"FALVA-ERR spec: {message}\n"
+    assert not out.exists()
+
+
+def test_a_sweep_none_of_whose_rows_finished_checks_no_key(tmp_path):
+    # no row read gamma, since each one failed before its orders; the
+    # sweep still writes its table of failed rows
+    argv = ["sweep", "--lagrangian", "qdot^2/2", "--alpha", "0.3,0.5", "--gamma=i",
+            "--domain", "0,1", "--n", "50", "--path", "log(tau-2)"]
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out)[:2] == (0, "")
+    assert _read_csv(out)[2][3] == ["FALVA-ERR eval"] * 2
+
+
+def test_a_right_deriv_sweep_given_alpha_and_beta_reads_no_alpha(tmp_path):
+    # the sweep's own alpha list is no read: its rows read beta alone
+    argv = ["sweep", "--sweep-kind", "deriv", "--operator", "right", "--path", "tau^1.5",
+            "--domain", "0,1", "--n", "8", "--beta", "0.7", "--alpha", "0.25,0.5"]
+    out = tmp_path / "out.csv"
+    assert _assert_one_error_line(argv, out) == ("FALVA-ERR spec: key 'alpha': a 1D "
+                                                 "right deriv reads no alpha when beta is given\n")
+    assert not out.exists()
+
+
+# the keys outside the unread-key rule: those that pick the run and the
+# problem's texts and grid; any other key of the table is checked
+UNCHECKED = {"lagrangian", "domain", "n", "path", "path_file", "operator", "axis",
+             "variant", "sweep_kind", "out", "format"}
+
+
+def test_every_order_key_and_every_axis_n_past_x_is_checked():
+    checked = set(cli._CHECKED_KEYS)
+    assert {"alpha", "beta", "delta", "chi", "gamma"} <= checked
+    assert {f"n.{axis}" for axis in cli._AXES[1:]} <= checked
+    plain = {key for key in checked if "." not in key}
+    assert plain | UNCHECKED == set(cli._KEYS) and not plain & UNCHECKED
