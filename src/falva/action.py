@@ -131,8 +131,13 @@ def _locate(err: EvalError, shape, offsets) -> EvalError:
     return EvalError(f"{err} [grid node {node}]", index=err.index)
 
 
-def _qdot_samples(q: GridFunction, qdot):
-    """Velocity samples: supplied analytically or by central differences."""
+def _qdot_samples(q: GridFunction, qdot, caller: str):
+    """Velocity samples: supplied analytically or by central differences.
+    The classic 1D route ``caller`` reads every node, so a flagged ``q`` or
+    ``qdot``, which holds a placeholder there, is a GridError."""
+    for name, f in (("path", q), ("qdot", qdot)):
+        if isinstance(f, GridFunction) and f.flags.any():
+            raise GridError(f"{caller} expects an unflagged {name}")
     if qdot is None:
         return central_diff(q.values, q.grid.h), "finite-difference"
     if isinstance(qdot, GridFunction):
@@ -157,9 +162,7 @@ def action_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     _check_path_problem(L, alpha)
     if np.iscomplexobj(q.values):
         raise DomainError("action_1d expects a real-valued path")
-    if q.flags.any():
-        raise GridError("action_1d expects an unflagged path")
-    qd, source = _qdot_samples(q, qdot)
+    qd, source = _qdot_samples(q, qdot, "action_1d")
     nodes = q.grid.nodes
     g = _eval_field(L, {"qdot": qd, "q": q.values, "tau": nodes}, nodes.shape)
     norm = gamma(alpha)  # a DomainError for a subnormal alpha, before the weights
@@ -180,7 +183,7 @@ def trapezoid_action(L: LagrangianExpr, q: GridFunction, qdot=None) -> float:
     """Unweighted classical action by the trapezoidal rule (the alpha -> 1
     reference used in limit checks and sweep output)."""
     _check_slots(L, _PATH_SLOTS)
-    qd, _ = _qdot_samples(q, qdot)
+    qd, _ = _qdot_samples(q, qdot, "trapezoid_action")
     nodes = q.grid.nodes
     g = _eval_field(L, {"qdot": qd, "q": q.values, "tau": nodes}, nodes.shape)
     h = q.grid.h

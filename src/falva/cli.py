@@ -62,6 +62,7 @@ from .fracops import (
     rl_left,
     rl_right,
     axis_cresson,
+    _check_order,
 )
 from .numcore import Grid1D, GridFunction
 
@@ -486,8 +487,12 @@ def _derivative(spec: Spec):
         raise SpecError(f"axis {axis_name!r} out of range for dimension {dim}")
     operator = spec.get("operator", "cresson")
     if operator == "cresson":
-        # every axis takes the pair of the deriv's axis, the one axis_cresson reads
-        orders = OrderSet((_pair(spec, dim, axis),) * dim, spec.gamma_w())
+        # every axis takes the pair of the deriv's axis, the one axis_cresson
+        # reads; a bad order is named at that axis's slot, as an action does
+        left, right = _pair(spec, dim, axis)
+        pair = (_check_order(f"left[{axis}]", left),
+                _check_order(f"right[{axis}]", right))
+        orders = OrderSet((pair,) * dim, spec.gamma_w())
         return grids, values, axis_cresson(field, axis, orders)
     if dim > 1:
         raise SpecError("ND deriv supports only the cresson operator")

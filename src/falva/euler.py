@@ -42,8 +42,10 @@ compiled program per Lagrangian, a function of an RK4 stage's (qdot, q,
 tau) and damping that returns the force and d2L/dqdot^2, and one RK4 step
 serves floats and lanes.  A step runs unchecked and is screened once, on
 its new (q, v) and its four curvatures; a step that fails the screen or
-raises is replayed with each stage checked, so a lost lane, a failure's
-tau and the first error are those of a run checked at every stage.
+raises is replayed with each stage checked, on lane arrays, a lone slope
+as one lane.  So a lost lane, a failure's tau and the first error are
+those of a run checked at every stage, and a lone slope fails exactly as
+its lane in a scan.
 """
 
 from __future__ import annotations
@@ -206,6 +208,7 @@ def rayleigh(L: LagrangianExpr, qdot: GridFunction, q: GridFunction,
         raise DomainError(f"alpha must lie in (0,1], got {alpha!r}")
     if qdot.grid != q.grid:
         raise GridError("qdot and q must share a grid")
+    qd, _ = _qdot_samples(q, qdot, "rayleigh")
     nodes = q.grid.nodes if tau is None else np.asarray(tau, dtype=np.float64)
     if nodes.shape != q.values.shape:
         raise GridError("tau samples do not match the grid")
@@ -213,8 +216,7 @@ def rayleigh(L: LagrangianExpr, qdot: GridFunction, q: GridFunction,
         raise SingularNodeError(
             f"tau = {float(np.max(nodes))!r} is not strictly below t = {t_observer!r}"
         )
-    g = _eval_field(L, {"qdot": qdot.values, "q": q.values, "tau": nodes},
-                    nodes.shape)
+    g = _eval_field(L, {"qdot": qd, "q": q.values, "tau": nodes}, nodes.shape)
     r = (1.0 - alpha) * g / (t_observer - nodes)
     return GridFunction(q.grid, r)
 
@@ -236,7 +238,7 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     t_obs = q.grid.t if observer is None else float(observer)
     if t_obs < q.grid.t:
         raise DomainError("observer lies below the path's upper grid limit")
-    qd, _ = _qdot_samples(q, qdot)
+    qd, _ = _qdot_samples(q, qdot, "el_residual_1d")
     nodes = q.grid.nodes
     h = q.grid.h
     env = {"qdot": qd, "q": q.values, "tau": nodes}
@@ -246,7 +248,6 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     excluded = np.zeros(nodes.shape, dtype=bool)
     excluded[0] = excluded[-1] = True
     excluded |= nodes > t_obs - eps
-    excluded |= q.flags
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         damping = np.where(excluded, 0.0, (1.0 - alpha) / (t_obs - nodes))
     res = np.where(excluded, 0.0, lq - dp - damping * p)
@@ -374,8 +375,9 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     from q0 at a to the truncated time t - eps, one lane per slope in
     ``v0``.  Returns (grid, Q, V, failures) with node samples in rows; a
     lane's samples are NaN from its first non-finite RK4 stage on, and
-    failures[i] is the StepFailure or SingularLagrangianError lane i raises
-    when integrated alone (None if it got through).
+    failures[i] is the SingularLagrangianError or StepFailure of lane i's
+    first failed stage (None if it got through), the same whether the slope
+    runs alone or in a scan.
 
     The field is one compiled program of the stage's (qdot, q, tau) and
     damping (1-alpha)/(t-tau) that returns the numerator and d2L/dqdot^2: the
@@ -391,17 +393,17 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     (q, v) and the sum of its four curvatures are finite, since a stage with
     a non-finite derivative, or a zero curvature, makes q or v non-finite.
     A step that fails the screen or raises (EvalError, or a float division
-    by a zero curvature) is replayed with the checks of each stage:
-    - a lone run raises a zero d2L/dqdot^2 at its stage, and records the
-      StepFailure of its first non-finite stage, after which the rest of the
-      step runs on NaN (so that a check of tau alone still fails there) and
-      the run ends;
-    - on floats, an EvalError is raised again from the same stage on
-      one-element arrays, so that it carries its node index as on arrays;
-    - each lane records its own error instead, and rides along as NaN from
-      its failed stage on; a step after a lane was lost runs checked.
+    by a zero curvature) is replayed with the checks of each stage, always
+    on lane arrays; a lone run is replayed as one lane:
+    - a lane whose stage has a zero d2L/dqdot^2 or a non-finite derivative
+      records that failure and rides along as NaN from that stage on, so a
+      check of tau alone still fails in the rest of the step;
+    - an EvalError propagates from its stage, with its node index;
+    - the run ends once every lane is lost, a step after a lane was lost
+      runs checked, and a lone run whose lane survives goes back to floats.
     The replay is the checked integration itself, so the failures, their
-    tau and the first error do not depend on the screen.
+    tau and the first error do not depend on the screen, and a lone run
+    fails exactly as its scan lane.
     """
     _check_path_problem(L, alpha)
     n = Grid1D(a, t, n).n  # a GridError for a bad n, before eps divides by it
@@ -447,27 +449,8 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
                 v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), c1 + c2 + c3 + c4)
 
     def checked(qdot, q, tau, damping):
-        """The field with the checks of one stage (see above)."""
-        if m == 1:
-            if lost:
-                q = qdot = math.nan
-            try:
-                force, curvature = field(qdot, q, tau, damping)
-            except EvalError:
-                # a check on floats has no node index: the same stage on
-                # one-element arrays raises the error with it
-                try:
-                    field(np.array([qdot]), np.array([q]), tau, damping)
-                except EvalError as located:
-                    raise located from None
-                raise
-            if curvature == 0:
-                raise _stage_failure(curvature, tau)
-            if not lost and not (math.isfinite(qdot) and math.isfinite(curvature)
-                                 and math.isfinite(force / curvature)):
-                failures[0] = _stage_failure(curvature, tau)
-                lost.append(0)
-            return force, curvature
+        """The field with the checks of one stage, on lane arrays (see
+        above)."""
         if lost:
             q, qdot = np.where(dead, np.nan, q), np.where(dead, np.nan, qdot)
         force, curvature = field(qdot, q, tau, damping)
@@ -499,7 +482,10 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
                 except (EvalError, ArithmeticError):
                     passed = False
             if lost or not passed:
-                q_next, v_next, _ = step(checked, q, v, k)
+                q_next, v_next, _ = step(checked, np.atleast_1d(q),
+                                         np.atleast_1d(v), k)
+                if m == 1 and not lost:  # the lone lane survived: back to floats
+                    q_next, v_next = float(q_next[0]), float(v_next[0])
             q, v = q_next, v_next
             if lost:
                 if len(lost) == m:

@@ -571,6 +571,34 @@ def test_solve_ivp_domain_error_names_node_0(tmp_path, term, q0, message):
     assert stderr == f"FALVA-ERR eval: {message} (node 0)\n"
 
 
+def _step_40_terms():
+    """The times of the mid and end stages of step 40 on the match grid of
+    --domain 0,1 --n 100, and a term that overflows at the mid stages."""
+    grid = Grid1D(0.0, 0.98, 100)
+    start, h = grid.nodes.tolist()[40], grid.h
+    blow_up = f"exp({8000.0 / h!r}*(tau - {start + 0.25 * h!r}))*q"
+    return start + 0.5 * h, start + h, blow_up
+
+
+_MID, _END, _BLOW_UP = _step_40_terms()
+
+
+@pytest.mark.parametrize("L, stderr", [
+    # a zero d2L/dqdot^2 at the mid stages, then log(0) at the end stage: the
+    # lone run records the zero curvature and the rest of its step raises
+    (f"qdot^2/2*(tau - {_MID!r})^2 + log({_END!r} - tau)*q",
+     "FALVA-ERR eval: log of a non-positive value in real mode\n"),
+    # a blow-up at the second stage, then a zero curvature at the end stage:
+    # the lone run keeps its first failure
+    (f"qdot^2/2*(tau - {_END!r})^2 + {_BLOW_UP}",
+     f"FALVA-ERR step: non-finite derivative at tau = {_MID!r}\n"),
+], ids=["eval after degenerate", "step before degenerate"])
+def test_solve_ivp_reports_what_its_scan_lane_meets(tmp_path, L, stderr):
+    argv = ["solve-ivp", "--lagrangian", L, "--alpha", "0.5", "--q0", "0",
+            "--v0", "0.5", *UNIT, "--n", "100"]
+    assert _run_quietly(argv, tmp_path / "out.csv") == (3, stderr, [])
+
+
 # q = 0 at the first node: every scan slope fails there, on the coarse grid
 # (n = 400) as on the only one (n = 50), and the scan at n reports it
 @pytest.mark.parametrize("n", ["50", "400"])
@@ -759,6 +787,30 @@ def test_3d_delta_gives_the_right_order_of_each_axis(tmp_path):
     assert _assert_one_error_line(argv, out) == (
         "FALVA-ERR spec: 'delta' needs 1 or 3 entries\n")
     assert _run_quietly(argv, out)[0] == 2
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+def test_a_3d_deriv_names_a_bad_order_at_its_own_slot(tmp_path, axis, side):
+    # the orders of the other axes are bad too, and the deriv reads none
+    orders = {"left": [2.5] * 3, "right": [2.5] * 3}
+    orders["left"][axis], orders["right"][axis] = 0.5, 0.5
+    orders[side][axis] = 1.5
+    argv = ["deriv", "--axis", "xyz"[axis], "--path", "x1*x2*x3",
+            "--alpha", _joined(orders["left"]), "--delta", _joined(orders["right"]),
+            "--gamma=0.3,0.2", *UNIT, *UNIT, *UNIT, "--n", "4"]
+    assert _run_quietly(argv, tmp_path / "out.csv") == (
+        2, f"FALVA-ERR domain: order {side}[{axis}] must lie strictly in (0,1), "
+           "got 1.5\n", [])
+
+
+def test_a_2d_deriv_along_y_names_the_slot_an_action_names(tmp_path):
+    orders = ["--path", "x*y", "--alpha", "0.5", "--beta", "1.5",
+              "--gamma=0.3,0.2", *UNIT, *UNIT, "--n", "6"]
+    stderr = "FALVA-ERR domain: order left[1] must lie strictly in (0,1), got 1.5\n"
+    for argv in (["deriv", "--axis", "y", *orders],
+                 ["action", "--lagrangian", "(qx^2 + qy^2)/2", *orders]):
+        assert _run_quietly(argv, tmp_path / "out.csv") == (2, stderr, [])
 
 
 def test_an_error_in_a_trimmed_action_names_its_grid_node(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from falva import (
     DomainError,
     EvalError,
     Grid1D,
+    GridError,
     GridFunction,
     GridFunctionND,
     OrderSet,
@@ -80,6 +82,33 @@ def test_path_routes_share_one_order_check(route, alpha):
     with pytest.raises(DomainError) as info:
         _PATH_ROUTES[route](parse(FREE), alpha)
     assert str(info.value) == f"alpha must lie in (0,1), got {alpha!r}"
+
+
+_FLAGGED_ROUTES = {
+    "action_1d": lambda q, qdot: action_1d(parse(OSC), q, 0.5, qdot=qdot),
+    "trapezoid_action": lambda q, qdot: trapezoid_action(parse(OSC), q, qdot=qdot),
+    "el_residual_1d": lambda q, qdot: el_residual_1d(parse(OSC), q, 0.5, qdot=qdot),
+    "rayleigh": lambda q, qdot: rayleigh(parse(OSC), qdot, q, 0.5, 1.5),
+}
+
+
+@pytest.mark.parametrize("placeholder", [123.0, math.inf])
+@pytest.mark.parametrize("flagged", ["path", "qdot"])
+@pytest.mark.parametrize("route", _FLAGGED_ROUTES)
+def test_path_routes_reject_a_flagged_sample(route, flagged, placeholder):
+    # these routes read every node, and a flagged node holds a placeholder,
+    # which they would otherwise take in (or warn on, if it is inf)
+    grid, flags = _PATH.grid, np.arange(9) == 0
+    values = {"path": np.sin(grid.nodes), "qdot": np.cos(grid.nodes)}
+    _FLAGGED_ROUTES[route](*(GridFunction(grid, values[k]) for k in values))
+    values[flagged][0] = placeholder
+    q, qdot = (GridFunction(grid, values[k], flags if k == flagged else None)
+               for k in values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError) as info:
+            _FLAGGED_ROUTES[route](q, qdot)
+    assert str(info.value) == f"{route} expects an unflagged {flagged}"
 
 
 def test_action_1d_checks_the_order_before_the_path():
@@ -467,16 +496,20 @@ class TestShootingLanes:
         assert str(failures[0]).startswith("non-finite derivative at tau = ")
 
     def test_check_of_tau_alone_fails_in_the_rest_of_a_failed_step(self):
-        # every lane blows up at the second stage of step k, and log(c - tau)
-        # fails at its fourth stage, tau = c: the rest of the step runs on
-        # NaN, so the lone run raises the scan's EvalError
+        # every lane is lost at a mid stage of step k, by a blow-up at the
+        # second stage or by d2L/dqdot^2 = (tau - s)^2 = 0 at both, and
+        # log(c - tau) fails at its fourth stage, tau = c: the rest of the
+        # step runs on NaN, so the lone run raises the scan's EvalError
         grid = Grid1D(0.0, 0.98, 100)
         taus, h, k = grid.nodes.tolist(), grid.h, 40
-        c, d, rate = taus[k] + h, taus[k] + 0.25 * h, 8000.0 / h
-        L = parse(f"qdot^2/2 + exp({rate!r}*(tau - {d!r}))*q + log({c!r} - tau)*q")
-        for v0 in ([0.5, 1.0], 0.5):
-            with pytest.raises(EvalError, match="^log of a non-positive value in real mode$"):
-                _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+        s, c = taus[k] + 0.5 * h, taus[k] + h
+        d, rate = taus[k] + 0.25 * h, 8000.0 / h
+        for lose in (f"qdot^2/2 + exp({rate!r}*(tau - {d!r}))*q",
+                     f"qdot^2/2*(tau - {s!r})^2"):
+            L = parse(f"{lose} + log({c!r} - tau)*q")
+            for v0 in ([0.5, 1.0], 0.5):
+                with pytest.raises(EvalError, match="^log of a non-positive value in real mode$"):
+                    _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
 
     @pytest.mark.parametrize("text, slopes, lost", [
         # d2L/dqdot^2 = 0 everywhere: every lane fails at tau = 0
@@ -489,18 +522,21 @@ class TestShootingLanes:
         _, qs, vs, failures = _integrate_el(L, 0.0, 1.0, 0.0, slopes, 0.5, 100)
         assert [f is not None for f in failures] == lost
         for i, v0 in enumerate(slopes):
+            # a lone run has the bits of its lane and records its failure
+            _, q1, v1, (lone,) = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            assert np.array_equal(qs[:, i], q1[:, 0], equal_nan=True)
+            assert np.array_equal(vs[:, i], v1[:, 0], equal_nan=True)
             if not lost[i]:
-                _, q1, v1, _ = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
-                assert np.array_equal(qs[:, i], q1[:, 0])
-                assert np.array_equal(vs[:, i], v1[:, 0])
+                assert lone is None
                 continue
-            # the lane records the error its lone run raises
-            with pytest.raises(SingularLagrangianError) as info:
-                _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            assert isinstance(lone, SingularLagrangianError)
             assert isinstance(failures[i], SingularLagrangianError)
-            assert str(failures[i]) == str(info.value)
-            assert failures[i].tau == info.value.tau
+            assert (str(failures[i]), failures[i].tau) == (str(lone), lone.tau)
             assert np.isnan(qs[-1, i])
+            # solve_el_ivp raises the recorded failure
+            with pytest.raises(SingularLagrangianError) as info:
+                solve_el_ivp(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            assert (str(info.value), info.value.tau) == (str(lone), lone.tau)
 
     _SINGULAR, _STEP = SingularLagrangianError, StepFailure
 
@@ -551,19 +587,25 @@ class TestShootingLanes:
 
     def test_an_error_of_a_lost_lane_is_not_raised(self):
         # every lane blows up at the second stage of step k; run unchecked,
-        # its fourth stage then reads q = inf, and log(10 - q) fails there.
-        # The checked replay runs those stages on NaN, which no check fails,
-        # so each lane records its StepFailure, as a lone run does
+        # its fourth stage then reads q = inf, and log(10 - q) fails there,
+        # or d2L/dqdot^2 = (tau - c)^2 vanishes there, at tau = c.  The
+        # checked replay runs those stages on NaN, which no check fails, so
+        # each lane, and a lone run alike, records its StepFailure
         grid = Grid1D(0.0, 0.98, 100)
         taus, h, k = grid.nodes.tolist(), grid.h, 40
-        d, rate = taus[k] + 0.25 * h, 8000.0 / h
-        L = parse(f"qdot^2/2 + exp({rate!r}*(tau - {d!r}))*q + log(10 - q)")
+        c, d, rate = taus[k] + h, taus[k] + 0.25 * h, 8000.0 / h
+        blow_up = f"exp({rate!r}*(tau - {d!r}))*q"
         message = f"non-finite derivative at tau = {taus[k] + 0.5 * h!r}"
-        _, qs, _, failures = _integrate_el(L, 0.0, 1.0, 0.0, [0.5, 1.0], 0.5, 100)
-        assert [(type(f), str(f)) for f in failures] == [(StepFailure, message)] * 2
-        assert np.isfinite(qs[:k + 1]).all() and np.isnan(qs[k + 1:]).all()
-        with pytest.raises(StepFailure, match=f"^{re.escape(message)}$"):
-            solve_el_ivp(L, 0.0, 1.0, 0.0, 0.5, 0.5, 100)
+        for text in (f"qdot^2/2 + {blow_up} + log(10 - q)",
+                     f"qdot^2/2*(tau - {c!r})^2 + {blow_up}"):
+            L = parse(text)
+            for v0 in ([0.5, 1.0], [0.5]):
+                _, qs, _, failures = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+                assert [(type(f), str(f)) for f in failures] == [
+                    (StepFailure, message)] * len(v0)
+                assert np.isfinite(qs[:k + 1]).all() and np.isnan(qs[k + 1:]).all()
+            with pytest.raises(StepFailure, match=f"^{re.escape(message)}$"):
+                solve_el_ivp(L, 0.0, 1.0, 0.0, 0.5, 0.5, 100)
 
     def test_no_bracket_reports_the_first_vanished_curvature(self):
         # the lanes from 17 up each underflow exp(-q) to 0, the steepest
@@ -698,7 +740,9 @@ class TestCoarseScan:
             elif fault == "bracket end fails at n" and np.ndim(v0) == 0:
                 lone_runs.append(v0)
                 if len(lone_runs) == 1:
-                    raise SingularLagrangianError("d2L/dqdot^2 vanished", tau=0.5)
+                    # a lone run raises only an EvalError; its failures are
+                    # recorded, as below
+                    raise EvalError("a check failed at n")
             elif fault == "bracket end records a failure at n" and np.ndim(v0) == 0:
                 lone_runs.append(v0)
                 if len(lone_runs) == 1:
