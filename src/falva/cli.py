@@ -7,7 +7,7 @@ the flags and the spec-file keys, one parser reads the subcommand and the
 flags in any order (the token after a flag is its value, even if it
 starts with one '-'), and ``Spec`` checks the allowed values of every
 choice key whichever way it came.  ``Spec`` records the keys a run reads;
-a key of ``_CHECKED_KEYS`` that was given and left unread is an error.
+every key that was given and left unread is an error.
 The parser is built once per process, and expressions are parsed through
 the shared cache of ``parse``, so a repeated call rebuilds neither.
 Axis-specific keys carry .x/.y/.z suffixes (domain.y=0,1); bare
@@ -79,22 +79,23 @@ _MAX_NODES = 2**22
 # text).  The flags, the spec-file keys and the flag merge come from here,
 # and Spec checks the allowed values wherever a value came from.  The
 # per-axis keys take one flag per axis and spec-file keys with .x/.y/.z.
+# A run names the first key it was given and left unread in this order.
 _KEYS = {
-    "lagrangian": ("Lagrangian expression", None),
-    "alpha": ("order(s), scalar or comma list", None),
+    "gamma": ("complex weight: RE,IM or i or -i", None),
     "beta": ("order(s)", None),
+    "alpha": ("order(s), scalar or comma list", None),
     "delta": ("order(s)", None),
     "chi": ("order(s)", None),
-    "gamma": ("complex weight: RE,IM or i or -i", None),
-    "domain": ("LO,HI per axis (repeat for y, z)", None),
     "n": ("intervals per axis (repeat for y, z)", None),
-    "path": ("path/field expression over the coordinates", None),
-    "path_file": ("CSV field file with a shape header line", None),
     "qdot": ("analytic velocity expression (1D)", None),
     "boundary": ("qa,qb endpoint values", None),
     "margin_target": ("boundary value at the truncated match time", None),
     "q0": ("initial position (solve-ivp)", None),
     "v0": ("initial velocity (solve-ivp)", None),
+    "lagrangian": ("Lagrangian expression", None),
+    "domain": ("LO,HI per axis (repeat for y, z)", None),
+    "path": ("path/field expression over the coordinates", None),
+    "path_file": ("CSV field file with a shape header line", None),
     "operator": ("deriv operator (default cresson)", ("left", "right", "cresson")),
     "axis": ("deriv axis for ND fields", _AXES),
     "variant": ("1D action/residual variant", ("classic", "cresson")),
@@ -105,12 +106,9 @@ _KEYS = {
 }
 _AXIS_KEYS = ("domain", "n")
 
-# the keys a run must read when given (Spec.read), in the order they are
-# named: a run that dropped one would solve another problem than the one written
-_CHECKED_KEYS = ("gamma", "beta", "alpha", "delta", "chi", "n.y", "n.z", "qdot",
-                 "boundary", "margin_target", "q0", "v0")
-
-_KNOWN_KEYS = {"kind", *_KEYS} | {f"{k}.{a}" for k in _AXIS_KEYS for a in _AXES}
+# the spec-file keys, in the order of _KEYS, which _check_read walks
+_KNOWN_KEYS = ("kind", *(k for key in _KEYS for k in
+                         [key, *(f"{key}.{a}" for a in _AXES if key in _AXIS_KEYS)]))
 
 # the flags that take a value
 _VALUE_FLAGS = ("--spec", *("--" + key.replace("_", "-") for key in _KEYS))
@@ -163,7 +161,7 @@ def _load_spec_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecError(f"cannot read spec file {path!r}: {err}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -175,15 +173,19 @@ def _load_spec_file(path: str) -> dict:
         key = key.strip().lower()
         if key not in _KNOWN_KEYS:
             raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
+        key += ".x" if key in _AXIS_KEYS else ""  # bare domain and n: the x axis
+        if key in table:
+            raise SpecError(f"{path}:{lineno}: repeated key {key!r}")
         table[key] = value.strip()
     return table
 
 
 def _merge(args) -> "Spec":
     table = _load_spec_file(args.spec) if args.spec else {}
-    if "kind" in table and table["kind"] != args.kind:
+    kind = table.pop("kind", args.kind)
+    if kind != args.kind:
         raise SpecError(
-            f"spec file kind {table['kind']!r} conflicts with subcommand {args.kind!r}"
+            f"spec file kind {kind!r} conflicts with subcommand {args.kind!r}"
         )
     for name in _KEYS:
         values = getattr(args, name)
@@ -194,14 +196,10 @@ def _merge(args) -> "Spec":
             continue
         if len(values) > len(_AXES):
             raise SpecError(f"too many --{name} axes (max {len(_AXES)})")
-        for key in [name] + [f"{name}.{a}" for a in _AXES]:
-            table.pop(key, None)
+        for a in _AXES:
+            table.pop(f"{name}.{a}", None)
         for i, v in enumerate(values):
             table[f"{name}.{_AXES[i]}"] = v
-    # bare keys are the x axis
-    for name in _AXIS_KEYS:
-        if name in table:
-            table.setdefault(f"{name}.x", table.pop(name))
     return Spec(args.kind, table)
 
 
@@ -209,7 +207,8 @@ class Spec:
     """Merged problem description with typed accessors.
 
     ``get`` and ``req``, and the accessors built on them, add each key whose
-    value the run takes to ``read``; a presence test reads nothing.
+    value the run takes to ``read``; a presence test reads nothing.  A given
+    key that the run leaves out of ``read`` ends it in one SpecError.
     ``expr`` reads an expression key through ``parse``, which returns one
     shared expression per text, so the rows of a sweep and repeated calls
     parse each text once and reuse its compiled programs.
@@ -357,7 +356,7 @@ def _read_field_file(path: str, grids) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecError(f"cannot read field file {path!r}: {err}") from None
     if not lines or not lines[0].lower().startswith("shape"):
         raise SpecError(f"field file {path!r} must start with a 'shape,...' line")
@@ -390,7 +389,7 @@ def _field_for(spec: Spec, grids) -> np.ndarray:
     if "path" in spec.table:
         return _sample_expression(spec, "path", SLOTS[dim][1], grids)
     if "path_file" in spec.table:
-        return _read_field_file(spec.table["path_file"], grids)
+        return _read_field_file(spec.req("path_file"), grids)
     raise SpecError("missing required key 'path' (or 'path_file')")
 
 
@@ -532,6 +531,7 @@ def _functional(spec: Spec, classic, cresson_1d, axes_2, axes_n):
             qdot = _qdot_for(spec, grids[0])
             return classic(expr, q, alpha, qdot=qdot), grids, values, qdot
         return cresson_1d(expr, q, _orders_for(spec, dim)), grids, values, None
+    spec.get("variant")  # cresson: Spec rejects classic here
     field = GridFunctionND(grids, values)
     orders = _orders_for(spec, dim)
     observer = tuple(g.t for g in grids)
@@ -685,9 +685,9 @@ def _run_sweep(spec: Spec) -> _Table:
         else:
             rows.append((value.real, value.imag, "ok", "" if ref is None else ref))
             read |= row.read
-    # the rows that ran to the end read the keys, not the sweep's alpha
-    # list; a sweep none of whose rows finished checks nothing
-    spec.read = read or spec.table.keys()
+    # the rows that ran to the end read the keys, with the sweep's own reads
+    # but not its alpha list; a sweep none of whose rows finished checks nothing
+    spec.read = (spec.read - {"alpha"}) | read if read else spec.table.keys()
     value_re, value_im, status, classical = zip(*rows)
 
     header = ["alpha", "value_re", "value_im", "status"]
@@ -710,11 +710,11 @@ _RUNNERS = {
 
 
 def _check_read(spec: Spec) -> None:
-    """Raise a SpecError for the first given key of _CHECKED_KEYS left unread."""
+    """Raise a SpecError for the first given key of _KNOWN_KEYS left unread."""
     name = spec.table.get("sweep_kind", "action") if spec.kind == "sweep" else spec.kind
     if name == "deriv":
         name = f"{spec.table.get('operator', 'cresson')} deriv"
-    for key in _CHECKED_KEYS:
+    for key in _KNOWN_KEYS:
         if key in spec.table and key not in spec.read:
             given = " when beta is given" if key == "alpha" else ""
             raise SpecError(f"key {key!r}: a {spec.dimension()}D {name} reads "
@@ -723,6 +723,7 @@ def _check_read(spec: Spec) -> None:
 
 def _dispatch(spec: Spec) -> int:
     out = spec.req("out")
+    spec.get("format")  # csv, the one format
     table = _RUNNERS[spec.kind](spec)
     _check_read(spec)
     _write_csv(out, spec.kind, table)

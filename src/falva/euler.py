@@ -206,8 +206,6 @@ def rayleigh(L: LagrangianExpr, qdot: GridFunction, q: GridFunction,
     _check_slots(L, _PATH_SLOTS)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0,1], got {alpha!r}")
-    if qdot.grid != q.grid:
-        raise GridError("qdot and q must share a grid")
     qd, _ = _qdot_samples(q, qdot, "rayleigh")
     nodes = q.grid.nodes if tau is None else np.asarray(tau, dtype=np.float64)
     if nodes.shape != q.values.shape:

@@ -748,6 +748,37 @@ def test_field_file_base_runs(tmp_path):
     assert (status, stderr) == (0, "")
 
 
+@pytest.mark.parametrize("which", ["spec", "field"])
+def test_a_file_that_is_not_utf8_is_one_spec_error(tmp_path, which):
+    # a stray byte, even in a comment, ended in a UnicodeDecodeError traceback
+    argv = _field_file_argv(tmp_path, "shape,9", [repr(0.125 * j) for j in range(9)])
+    spec = tmp_path / "problem.spec"
+    spec.write_text("alpha=0.5\n", encoding="utf-8")
+    target = {"spec": spec, "field": tmp_path / "field.csv"}[which]
+    target.write_bytes(target.read_bytes() + b"# \xff\n")
+    out = tmp_path / "out.csv"
+    status, stderr, caught = _run_quietly([*argv, "--spec", str(spec)], out)
+    assert (status, caught) == (2, []) and ERR_LINE.fullmatch(stderr), stderr
+    assert stderr.startswith(f"FALVA-ERR spec: cannot read {which} file ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, key", [
+    (["alpha=0.3", "alpha=0.6"], "alpha"), (["n=8", "n.x=16"], "n.x"),
+    (["n.x=16", "n=8"], "n.x"), (["domain=0,1", "domain.x=0,2"], "domain.x"),
+])
+def test_a_key_repeated_in_a_spec_file_is_one_spec_error(tmp_path, lines, key):
+    # the last value, or the axis form next to a bare key, was taken
+    # without a word; bare domain and n are the x axis
+    spec = tmp_path / "problem.spec"
+    spec.write_text("\n".join(["# orders and grid", *lines]) + "\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = ["deriv", "--path", "1+tau^1.5", "--alpha", "0.5", "--spec", str(spec)]
+    assert _run_quietly(argv, out) == (
+        2, f"FALVA-ERR spec: {spec}:3: repeated key {key!r}\n", [])
+    assert not out.exists()
+
+
 def test_field_file_skips_an_indented_comment(tmp_path):
     values = [repr(0.125 * j) for j in range(9)]
     plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
@@ -833,17 +864,23 @@ CHOICES = {"operator": ("left", "right", "cresson"), "axis": ("x", "y", "z"),
                           "solve-bvp", "minimize"),
            "format": ("csv",)}
 DERIV = ["--path", "tau^1.5", "--alpha=0.5", "--n=8", "--domain=0,1"]
+# a run that reads each choice key, next to the keys of DERIV
+CHOICE_RUNS = {"operator": ["deriv"], "axis": ["deriv"], "format": ["deriv"],
+               "variant": ["action", "--lagrangian", "qdot^2/2"],
+               "sweep_kind": ["sweep", "--lagrangian", "qdot^2/2"]}
 
 
 def _choice_argv(directory, key, value, via):
-    """A bad ``key`` given as a flag, in a deriv spec file or in the spec
-    file of a sweep."""
+    """A ``key`` given as a flag or in the spec file of a run that reads it,
+    or in the spec file of a sweep over that run."""
+    run = CHOICE_RUNS[key]
     if via == "flag":
-        return ["deriv", *DERIV, f"--{key.replace('_', '-')}={value}"]
+        return [*run, *DERIV, f"--{key.replace('_', '-')}={value}"]
     path = directory / "problem.spec"
     path.write_text(f"{key}={value}\n", encoding="utf-8")
-    kind = ["deriv"] if via == "spec" else ["sweep", "--lagrangian", "qdot^2/2"]
-    return [*kind, "--spec", str(path), *DERIV]
+    if via == "sweep" and run[0] != "sweep":
+        run = ["sweep", "--sweep-kind", *run]
+    return [*run, "--spec", str(path), *DERIV]
 
 
 @pytest.mark.parametrize("via", ["flag", "spec", "sweep"])
@@ -927,15 +964,16 @@ def test_a_1d_left_deriv_names_the_first_unread_order(tmp_path):
 # a 1D run reads alpha, beta and gamma at most: delta and chi were dropped
 # without a word, so a call with them wrote the bytes of the call without
 LINE_1D = ["--lagrangian", "qdot^2/2 - q^2/2", "--alpha", "0.5", "--domain", "0,1",
-           "--n", "8", "--path", "1+tau^1.5"]
+           "--n", "8"]
+PATH_1D = ["--path", "1+tau^1.5"]  # read by an action or a residual alone
 RUNS_1D = {
     "cresson deriv": ["deriv", *DERIV],
-    "action": ["action", *LINE_1D],
-    "residual": ["residual", *LINE_1D, "--gamma=0.3,0.2"],
+    "action": ["action", *LINE_1D, *PATH_1D],
+    "residual": ["residual", *LINE_1D, *PATH_1D, "--gamma=0.3,0.2"],
     "solve-ivp": ["solve-ivp", *LINE_1D, "--q0", "0", "--v0", "1"],
     "solve-bvp": ["solve-bvp", *LINE_1D, "--boundary", "0,1"],
     "minimize": ["minimize", *LINE_1D, "--boundary", "0,1"],
-    "action sweep": ["sweep", *LINE_1D],
+    "action sweep": ["sweep", *LINE_1D, *PATH_1D],
 }
 
 
@@ -1075,7 +1113,7 @@ def test_a_sweep_parses_each_text_once_and_samples_each_row_once(tmp_path,
 # one call of each subcommand; small, so that a fresh process runs it fast
 EVERY_KIND = {
     "deriv": ["deriv", *DERIV, "--gamma=0.3,0.2"],
-    "action": ["action", *LINE_1D, "--gamma=0.3,-0.7"],
+    "action": ["action", *LINE_1D, *PATH_1D, "--gamma=0.3,-0.7"],
     "residual": ["residual", *PLANE, "--gamma=0.3,0.2"],
     "solve-ivp": ["solve-ivp", *LINE_1D, "--q0", "0", "--v0", "1"],
     "solve-bvp": ["solve-bvp", "--lagrangian", "qdot^2/2 - q^2/2", "--alpha",
@@ -1127,15 +1165,11 @@ def test_a_repeated_call_builds_no_parser_and_compiles_no_program(tmp_path,
     assert first.read_bytes() == second.read_bytes()
 
 
-# Every checked key a run is given either changes what it writes or ends
-# the run in one spec error: a key a run dropped without a word made it
-# solve another problem than the one written.  The problems are spec-file
-# tables; the Cresson ones carry a gamma that is neither i nor -i, so that
-# both orders of an axis reach the output.
-CHECKED_VALUES = {"gamma": "0.3,0.2", "beta": "0.37", "alpha": "0.43",
-                  "delta": "0.39", "chi": "0.41", "n.y": "5", "n.z": "6",
-                  "qdot": "cos(tau)", "boundary": "0,0.7", "margin_target": "0.8",
-                  "q0": "0.3", "v0": "0.7"}
+# Every key a run is given either changes what it writes or ends the run in
+# one spec error: a key a run dropped without a word made it solve another
+# problem than the one written.  The problems are spec-file tables that give
+# each kind only the keys it reads; the Cresson ones carry a gamma that is
+# neither i nor -i, so that both orders of an axis reach the output.
 GRIDS = {1: {"domain.x": "0,1", "n.x": "8"},
          2: {"domain.x": "0,1", "domain.y": "0,1", "n.x": "6"},
          3: {"domain.x": "0,1", "domain.y": "0,1", "domain.z": "0,1", "n.x": "4"}}
@@ -1146,8 +1180,32 @@ FIELDS = {1: {"lagrangian": "qdot^2/2 - q^2/2", "path": "1+tau^1.5"},
 CRESSON = {"gamma": "0.3,-0.7"}
 
 
+def _dimension(table):
+    return 1 + ("domain.y" in table) + ("domain.z" in table)
+
+
+# the value each key is checked with, off its default; a callable gives the
+# value for a problem table: a Lagrangian of the table's dimension, and the
+# variant that the table's orders do not imply (a left derivative is the
+# Cresson one at the default gamma -i).  Every run reads out and format,
+# and format has no other value than its default.
+CHECKED_VALUES = {"gamma": "0.3,0.2", "beta": "0.37", "alpha": "0.43",
+                  "delta": "0.39", "chi": "0.41", "n.y": "5", "n.z": "6",
+                  "qdot": "cos(tau)", "boundary": "0,0.7", "margin_target": "0.8",
+                  "q0": "0.3", "v0": "0.7",
+                  "lagrangian": lambda table: (
+                      FIELDS[_dimension(table)]["lagrangian"] + " + q/7"),
+                  "path": "1.5", "path_file": "field.csv", "operator": "right",
+                  "axis": "y", "sweep_kind": "deriv",
+                  "variant": lambda table: (
+                      "classic" if {"gamma", "beta"} & table.keys() else "cresson")}
+
+
 def _problem(kind, dim, **keys):
-    return kind, {**GRIDS[dim], **FIELDS[dim], "alpha": "0.5", **keys}
+    # a deriv reads the path alone, a solver or the minimizer the Lagrangian
+    unread = {"deriv": "lagrangian", "action": None, "residual": None}.get(kind, "path")
+    texts = {key: text for key, text in FIELDS[dim].items() if key != unread}
+    return kind, {**GRIDS[dim], **texts, "alpha": "0.5", **keys}
 
 
 PROBLEMS = {
@@ -1182,13 +1240,15 @@ def _outcome(kind, items):
 
 
 def _assert_read_or_rejected(kind, table, key, summary=False):
-    """``table`` run with ``key`` set writes other bytes than without the
-    key ("read"), or ends in one spec error with no output file
+    """``table`` runs, and with ``key`` set it writes other bytes than
+    without the key ("read") or ends in one spec error with no output file
     ("rejected"); with ``summary`` (a sweep row that reports one value of
     its run) the same bytes may also be written."""
+    assert _outcome(kind, tuple(sorted(table.items())))[:2] == (0, ""), (kind, table)
+    value = CHECKED_VALUES[key]
+    value = value(table) if callable(value) else value
     without = {k: v for k, v in table.items() if k != key}
-    status, stderr, data = _outcome(kind, tuple(sorted(
-        {**without, key: CHECKED_VALUES[key]}.items())))
+    status, stderr, data = _outcome(kind, tuple(sorted({**without, key: value}.items())))
     if status == 0:
         other = _outcome(kind, tuple(sorted(without.items())))[2]
         assert summary or data != other, (kind, table, key)
@@ -1220,21 +1280,28 @@ def test_a_checked_key_is_read_or_rejected_in_a_sweep_row(name, key):
 
 # inputs whose last flags a run once dropped without a word: the call wrote
 # the bytes of the same call without them (the second --n is n.y)
+BVP_50 = ["solve-bvp", "--lagrangian", "qdot^2/2", "--alpha", "0.5", "--domain", "0,1",
+          "--n", "50", "--boundary", "0,1"]
+CLASSIC_50 = ["action", "--variant", "classic", "--lagrangian", "qdot^2/2", "--alpha",
+              "0.5", "--domain", "0,1", "--n", "50", "--path", "tau"]
+DERIV_8 = ["deriv", "--alpha", "0.4", "--path", "1+tau^1.5", "--domain", "0,1", "--n", "8"]
 DROPPED = {
     "3D action": (["action", "--lagrangian", "(qx1^2+qx2^2+qx3^2)/2", "--path",
                    "x1*x2+x3", "--alpha", "0.4", "--gamma=0.3,0.2", "--domain", "0,1",
                    "--domain", "0,1", "--domain", "0,1", "--n", "5"],
                   ["--beta", "0.9", "--chi", "0.2"], "key 'beta': a 3D action reads no beta"),
-    "solve-bvp": (["solve-bvp", "--lagrangian", "qdot^2/2", "--alpha", "0.5", "--domain",
-                   "0,1", "--n", "50", "--boundary", "0,1"],
-                  ["--gamma=i", "--beta", "0.9"],
+    "solve-bvp": (BVP_50, ["--gamma=i", "--beta", "0.9"],
                   "key 'gamma': a 1D solve-bvp reads no gamma"),
-    "classic action": (["action", "--variant", "classic", "--lagrangian", "qdot^2/2",
-                        "--alpha", "0.5", "--domain", "0,1", "--n", "50", "--path", "tau"],
-                       ["--gamma=i", "--beta", "0.9"],
+    "classic action": (CLASSIC_50, ["--gamma=i", "--beta", "0.9"],
                        "key 'gamma': a 1D action reads no gamma"),
-    "1D deriv": (["deriv", "--alpha", "0.4", "--path", "1+tau^1.5", "--domain", "0,1",
-                  "--n", "8"], ["--n", "120"], "key 'n.y': a 1D cresson deriv reads no n.y"),
+    "1D deriv": (DERIV_8, ["--n", "120"], "key 'n.y': a 1D cresson deriv reads no n.y"),
+    "deriv given a Lagrangian": (DERIV_8, ["--lagrangian", "qdot^2"],
+                                 "key 'lagrangian': a 1D cresson deriv reads no lagrangian"),
+    "solve-bvp given a path": (BVP_50, ["--path", "sin(tau)", "--operator", "left",
+                                        "--axis", "x"],
+                               "key 'path': a 1D solve-bvp reads no path"),
+    "action given a sweep kind": (CLASSIC_50, ["--sweep-kind", "deriv"],
+                                  "key 'sweep_kind': a 1D action reads no sweep_kind"),
 }
 
 
@@ -1245,6 +1312,17 @@ def test_a_key_the_run_once_dropped_is_one_spec_error(tmp_path, name):
     assert _run_quietly(argv, out) == (0, "", [])
     out.unlink()
     assert _assert_one_error_line([*argv, *extra], out) == f"FALVA-ERR spec: {message}\n"
+    assert not out.exists()
+
+
+def test_a_path_file_a_solver_does_not_read_is_one_spec_error(tmp_path):
+    # the file is never opened: a missing one was taken without a word
+    spec = tmp_path / "problem.spec"
+    spec.write_text(f"path_file={tmp_path / 'missing.csv'}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = ["solve-ivp", "--spec", str(spec), *LINE_1D, "--q0", "0", "--v0", "1"]
+    assert _run_quietly(argv, out) == (
+        2, "FALVA-ERR spec: key 'path_file': a 1D solve-ivp reads no path_file\n", [])
     assert not out.exists()
 
 
@@ -1268,15 +1346,6 @@ def test_a_right_deriv_sweep_given_alpha_and_beta_reads_no_alpha(tmp_path):
     assert not out.exists()
 
 
-# the keys outside the unread-key rule: those that pick the run and the
-# problem's texts and grid; any other key of the table is checked
-UNCHECKED = {"lagrangian", "domain", "n", "path", "path_file", "operator", "axis",
-             "variant", "sweep_kind", "out", "format"}
-
-
-def test_every_order_key_and_every_axis_n_past_x_is_checked():
-    checked = set(cli._CHECKED_KEYS)
-    assert {"alpha", "beta", "delta", "chi", "gamma"} <= checked
-    assert {f"n.{axis}" for axis in cli._AXES[1:]} <= checked
-    plain = {key for key in checked if "." not in key}
-    assert plain | UNCHECKED == set(cli._KEYS) and not plain & UNCHECKED
+def test_the_checked_values_and_the_grid_keys_cover_every_key():
+    given = {key.partition(".")[0] for key in [*CHECKED_VALUES, *GRIDS[3]]}
+    assert given | {"out", "format"} == set(cli._KEYS)

@@ -152,6 +152,14 @@ class TestRayleigh:
         with pytest.raises(SingularNodeError):
             rayleigh(parse(FREE), qdot, q, 0.5, 1.0)
 
+    def test_qdot_on_another_grid_rejected(self):
+        # the same node count on another interval
+        q = GridFunction(Grid1D(0.0, 0.5, 8), np.zeros(9))
+        qdot = GridFunction(Grid1D(0.0, 0.25, 8), np.ones(9))
+        with pytest.raises(GridError,
+                           match="^qdot samples live on a different grid than q$"):
+            rayleigh(parse(FREE), qdot, q, 0.5, 1.0)
+
 
 class TestElResidual1d:
     def test_free_particle_extremal(self):
