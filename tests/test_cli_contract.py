@@ -480,7 +480,10 @@ def test_inputs_that_once_crashed(tmp_path, kind, key, value):
 
 @pytest.mark.parametrize("extra", [["--variant=classic"], ["--variant=cresson"]])
 def test_subnormal_order_of_either_action_is_a_domain_error(tmp_path, extra):
-    argv = _argv("action", alpha="1e-320") + extra
+    # extra names the variant in place of the base's --variant
+    argv = _argv("action", alpha="1e-320")
+    at = argv.index("--variant")
+    argv = argv[:at] + argv[at + 2:] + extra
     stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
     assert stderr.startswith("FALVA-ERR domain: gamma: overflow")
 
@@ -779,6 +782,43 @@ def test_a_key_repeated_in_a_spec_file_is_one_spec_error(tmp_path, lines, key):
     assert not out.exists()
 
 
+REPEAT_BASE = ["deriv", "--path", "1+tau^1.5", "--domain", "0,1", "--n", "8"]
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--alpha", "0.3", "--alpha", "0.6"], "--alpha"),
+    (["--alpha", "0.3", "--path", "tau"], "--path"),
+    (["--alpha=0.3", "--alph", "0.6"], "--alpha"),
+    (["--alpha", "0.3", "--axis", "x", "--axis=x"], "--axis"),
+    (["--alpha", "0.3", "--out", "other.csv"], "--out"),
+    (["--alpha", "0.3", "--spec", "problem.spec", "--spec", "problem.spec"],
+     "--spec"),
+])
+def test_a_repeated_flag_is_one_spec_error(tmp_path, monkeypatch, extra, flag):
+    # argparse kept the last value without a word, even where both agree
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.spec").write_text("operator=cresson\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert _run_quietly([*REPEAT_BASE, *extra], out) == (
+        2, f"FALVA-ERR spec: repeated flag {flag!r}\n", [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.spec"]
+
+
+def test_axis_flags_and_a_flag_over_a_spec_key_keep_their_meaning(tmp_path):
+    # one --domain and one --n per axis, and a flag overrides a spec-file key
+    spec = tmp_path / "problem.spec"
+    spec.write_text("alpha=0.3\nn=4\n", encoding="utf-8")
+    plain, merged = tmp_path / "plain.csv", tmp_path / "merged.csv"
+    argv = ["deriv", "--path", "x*y", "--domain", "0,1", "--domain", "0,2",
+            "--n", "8", "--n", "6"]
+    assert _run_quietly([*argv, "--alpha", "0.6"], plain) == (0, "", [])
+    assert _run_quietly([*argv, "--spec", str(spec), "--alpha", "0.6"],
+                        merged) == (0, "", [])
+    assert merged.read_bytes() == plain.read_bytes()
+    _, header, columns = _read_csv(plain)
+    assert header[:2] == ["x", "y"] and len(columns[0]) == 9 * 7
+
+
 def test_field_file_skips_an_indented_comment(tmp_path):
     values = [repr(0.125 * j) for j in range(9)]
     plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
@@ -951,7 +991,8 @@ def test_a_1d_deriv_rejects_an_order_its_operator_does_not_read(
     reader = "right" if key == "beta" else "cresson"
     if reader == "right":
         argv.remove("--alpha=0.5")
-    assert _run_quietly([*argv, f"--operator={reader}"], out)[:2] == (0, "")
+    argv[argv.index("--operator") + 1] = reader
+    assert _run_quietly(argv, out)[:2] == (0, "")
 
 
 def test_a_1d_left_deriv_names_the_first_unread_order(tmp_path):
@@ -1119,8 +1160,9 @@ EVERY_KIND = {
     "solve-bvp": ["solve-bvp", "--lagrangian", "qdot^2/2 - q^2/2", "--alpha",
                   "0.5", "--domain", "0,1", "--n", "120", "--boundary", "0,1"],
     "minimize": ["minimize", *LINE_1D, "--boundary", "0,1"],
-    "sweep": ["sweep", "--sweep-kind", "solve-bvp", *LINE_1D,
-              "--alpha", "0.25,0.5", "--boundary", "0,1"],
+    "sweep": ["sweep", "--sweep-kind", "solve-bvp", "--lagrangian",
+              "qdot^2/2 - q^2/2", "--alpha", "0.25,0.5", "--domain", "0,1",
+              "--n", "8", "--boundary", "0,1"],
 }
 
 

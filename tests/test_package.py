@@ -3,6 +3,8 @@
 import ast
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,12 @@ def test_every_imported_name_is_read():
 def test_the_import_check_sees_an_unread_name():
     assert _unread_imports("import math\nfrom .x import a, b as c\nprint(a)\n") \
         == ["math", "c"]
+
+
+def test_the_cli_imports_no_process_pool():
+    # the CLI's set-up time is its import; a pool module would add to it
+    code = ("import sys, falva.cli; print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=ROOT)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
