@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
 import os
 import shutil
@@ -464,14 +463,14 @@ def _cells(column):
     A numeric array is formatted cell by cell as the rows are written; an
     object array holds formatted strings, so a broadcast column of them
     (``_coordinates``) costs one format call per stored value, not per cell.
-    The values are a list, row i at index i, so any row range of a table
-    can be formatted on its own (``_write_rows``).
+    The values are a flat array, row i at index i, so any row range of a
+    table can be formatted on its own (``_write_rows``).
     """
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
         field = "%s" if kind == "O" else "%d" if kind in "biu" else "%.17g"
-        return field, column.ravel().tolist()
-    return "%s", list(map(_text, column))
+        return field, column.ravel()
+    return "%s", np.array(list(map(_text, column)), dtype=object)
 
 
 # A table is split into row chunks, one per usable CPU, only while each
@@ -497,9 +496,11 @@ def _processes(cells: int) -> int:
 
 
 def _format_rows(fh, template, cells, lo: int, hi: int) -> None:
-    """Write rows ``lo`` to ``hi - 1`` of a table through its row template."""
-    fh.writelines(template % row for row in
-                  itertools.islice(zip(*cells), lo, hi))
+    """Write rows ``lo`` to ``hi - 1`` of a table through its row template.
+    Only these rows become Python objects, here, so a forked child neither
+    walks the rows before its chunk nor writes to the parent's objects."""
+    rows = zip(*(column[lo:hi].tolist() for column in cells))
+    fh.writelines(template % row for row in rows)
 
 
 def _fork_rows(part, template, cells, lo: int, hi: int):

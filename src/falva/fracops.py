@@ -40,6 +40,20 @@ and random data at n = 16384.  A node much smaller than the line's maximum
 (an early-time value) can carry a node-wise relative error near 1e-11,
 far below the scheme's O(h^(2-al)) discretisation error there.
 
+The combined operator with both weights nonzero costs one forward
+transform per line (two for a complex line, its real and imaginary parts)
+and one inverse transform each for the real and imaginary parts of D.  L's
+slope integral is the convolution with the left kernel's spectrum, moved
+one node on by a phase factor; R's is the correlation with the right
+kernel, whose spectrum is the conjugate, so no reflected copy is made.
+These values agree with w_L L + w_R R of the one-sided operators to
+rounding, not bit for bit (at most a few 1e-15 of the line's scale on the
+command line's outputs).  The one-sided operators, the collapses at
+gamma_w = -i and +i (one weight exactly zero) and lines holding a
+non-finite slope keep the per-side path, since the mirror and collapse
+identities are exact only there and the direct sum keeps a non-finite
+value local.
+
 The kernel of a line depends only on its cell count, its spacing h and the
 order, so it is built once per (nseg, h, order) key as a kernel plan: the
 slope weights, their spectrum, the transform size and the boundary factor
@@ -51,7 +65,13 @@ arrays in all (``_KERNEL_PLAN_BYTES``).  A plan holds 32 to 48 B per cell
 (32 when nseg is a power of two): 0.5 MB at n = 16384, 32 MB at n = 2^20
 and 128 MB for one line at the command line's 2^22-node cap, so the cache
 retains at most 3 MB, 192 MB and 512 MB (four plans) there.  A plan holds
-the bits of a fresh build, so no output depends on what ran before.
+the bits of a fresh build, so no output depends on what ran before.  The
+one-node phase factor depends only on the transform size, so it is kept
+apart from the plans, for the last three sizes (``_delay``, one size per
+axis of a 3D field): 16 to 32 B per cell, 0.25 MB at n = 16384 and 64 MB
+for a line at the 2^22-node cap, so at most 192 MB.  The two weighted
+spectra of a call are built from the plans and the factor per call and
+not kept.
 """
 
 from __future__ import annotations
@@ -368,22 +388,125 @@ def _add_weighted(out: np.ndarray, weight: complex, part: np.ndarray) -> None:
         out.imag += weight.imag * part
 
 
-def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex):
-    """Combined operator along the last axis: returns (out, start_flags,
-    end_flags).  Operands with an exactly-zero weight are skipped, so their
-    flags do not propagate."""
-    left_order, right_order = pair
-    w_left = 0.5 * (1.0 + 1j * gamma_w)
-    w_right = 0.5 * (1j * gamma_w - 1.0)
+@functools.lru_cache(maxsize=3)
+def _delay(size: int) -> np.ndarray:
+    """exp(-2 pi i k / size) for k = 0..size/2, read-only: the factor that
+    moves a real FFT of ``size`` points one node later.  The last three
+    sizes are kept (one per axis of a 3D field; sizes in the module
+    notes)."""
+    delay = np.exp(-1j * np.pi * (np.arange(size // 2 + 1) * (2.0 / size)))
+    delay.flags.writeable = False
+    return delay
+
+
+def _transfer_spectra(lspec, rspec, size: int, w_left: complex,
+                      w_right: complex):
+    """(to_re, to_im): the spectra that take a real line's slopes to the
+    real and the imaginary part of w_left L + w_right R, boundary terms
+    aside.  L's slope integral is the convolution with the left kernel,
+    moved one node on by ``_delay``; R's is minus the correlation with the
+    right kernel, whose spectrum is the conjugate, so no line is
+    reflected."""
+    to_re = lspec * _delay(size)
+    to_im = to_re * w_left.imag
+    to_re *= w_left.real
+    rconj = rspec.conj()
+    to_re -= w_right.real * rconj
+    to_im -= w_right.imag * rconj
+    return to_re, to_im
+
+
+def _two_sided_lines(out, vals, slopes, rows, h: float, pair, w_left: complex,
+                     w_right: complex) -> None:
+    """Write w_left L + w_right R of the rows ``rows`` into ``out``, from
+    one real FFT of each row's slopes (two for a complex row: its real and
+    imaginary parts) and one inverse FFT each for the real and imaginary
+    parts of the sum (``_transfer_spectra``); the boundary terms are added
+    after.  Every product of a row with a spectrum broadcasts the spectrum
+    along the row, so a row's bits do not depend on the batch.  The rows'
+    slopes must be finite (the caller's check).
+    """
+    nseg = slopes.shape[1]
+    _, lspec, size, lbound = _line_kernel(nseg, h, pair[0])
+    _, rspec, _, rbound = _line_kernel(nseg, h, pair[1])
+    to_re, to_im = _transfer_spectra(lspec, rspec, size, w_left, w_right)
+    rbound = rbound[::-1]
+    parts = [(vals, 1.0)]
+    if np.iscomplexobj(vals):
+        parts = [(vals.real, 1.0), (vals.imag, 1j)]
+    step = max(1, _FFT_BLOCK // size)
+    for lo in range(0, rows.size, step):
+        sel = rows[lo:lo + step]
+        if np.iscomplexobj(slopes):
+            # (a + ib) (to_re + i to_im), taken part by part
+            re = np.fft.rfft(slopes.real[sel], size, axis=1)
+            im = np.fft.rfft(slopes.imag[sel], size, axis=1)
+            tmp = im * to_im
+            im *= to_re
+            im += re * to_im
+            re *= to_re
+            re -= tmp
+            del tmp
+        else:
+            im = np.fft.rfft(slopes[sel], size, axis=1)
+            re = im * to_re
+            im *= to_im
+        block = np.empty((sel.size, nseg + 1), dtype=np.complex128)
+        block.real = np.fft.irfft(re, size, axis=1)[:, :nseg + 1]
+        del re
+        block.imag = np.fft.irfft(im, size, axis=1)[:, :nseg + 1]
+        # the boundary terms, the start value's past node 0 and the end
+        # value's before node nseg; a zero value against an infinite factor
+        # (subnormal h) is NaN, which the caller's non-finite check reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for line, unit in parts:
+                _add_weighted(block[:, 1:], unit * w_left, line[sel, :1] * lbound)
+                _add_weighted(block[:, :-1], unit * w_right,
+                              line[sel, -1:] * rbound)
+        out[sel] = block
+
+
+def _per_side_lines(vals: np.ndarray, h: float, pair, w_left: complex,
+                    w_right: complex):
+    """w_left L + w_right R with each side applied on its own: returns
+    (out, start_flags, end_flags).  An operand with an exactly-zero weight
+    is skipped, so its flags do not propagate."""
     out = np.zeros(vals.shape, dtype=np.complex128)
     start = end = np.zeros(vals.shape[0], dtype=bool)
     if w_left != 0:
-        lvals, start = _rl_left_lines(vals, h, left_order)
+        lvals, start = _rl_left_lines(vals, h, pair[0])
         _add_weighted(out, w_left, lvals)
     if w_right != 0:
-        rvals, end = _rl_right_lines(vals, h, right_order)
+        rvals, end = _rl_right_lines(vals, h, pair[1])
         _add_weighted(out, w_right, rvals)
     return out, start, end
+
+
+def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex):
+    """Combined operator along the last axis: returns (out, start_flags,
+    end_flags).
+
+    At gamma_w = -i or +i one weight is exactly zero, and the other side
+    alone is applied (``_per_side_lines``), so the collapses are exact.
+    Otherwise rows with finite slopes take the two-sided transform
+    (``_two_sided_lines``), and a row holding a non-finite slope applies
+    each side on its own, where the direct sum keeps the value local.
+    """
+    w_left = 0.5 * (1.0 + 1j * gamma_w)
+    w_right = 0.5 * (1j * gamma_w - 1.0)
+    if w_left == 0 or w_right == 0:
+        return _per_side_lines(vals, h, pair, w_left, w_right)
+    # a slope that overflows is kept: its row takes the per-side path
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slopes = np.diff(vals, axis=1) / h
+    finite = np.isfinite(slopes).all(axis=1)
+    out = np.empty(vals.shape, dtype=np.complex128)
+    _two_sided_lines(out, vals, slopes, np.flatnonzero(finite), h, pair,
+                     w_left, w_right)
+    rest = np.flatnonzero(~finite)
+    if rest.size:
+        out[rest] = _per_side_lines(vals[rest], h, pair, w_left, w_right)[0]
+    return out, vals[:, 0] != 0, vals[:, -1] != 0
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,31 @@ class TestLineKernel:
         ref = _direct_rl_left(vals, g.h, alpha)
         assert np.max(np.abs(out - ref)) / (1.0 + np.max(np.abs(ref))) < tol
 
+    @pytest.mark.parametrize("complex_line", [False, True])
+    @pytest.mark.parametrize("path", ["smooth", "random"])
+    def test_two_sided_accuracy_against_direct_sum(self, complex_line, path):
+        # both sides of the combined operator come from one transform of the
+        # slopes; against w_l L + w_r R of the direct sums it keeps the
+        # one-sided bounds
+        g = _grid(16384)
+        if path == "smooth":
+            vals, tol = 1.2 * g.nodes**1.6, 1e-14
+            if complex_line:
+                vals = vals + 1j * (0.5 - np.cos(3 * g.nodes))
+        else:
+            slopes = np.random.default_rng(23).normal(size=(2, g.n))
+            walks = np.cumsum(slopes, axis=1) * g.h
+            vals, tol = np.concatenate(([0.0], walks[0])), 1e-13
+            if complex_line:
+                vals = vals + 1j * np.concatenate(([0.0], walks[1]))
+        for alpha, beta, gw in ((0.25, 0.75, 0.3 - 0.6j), (0.75, 0.25, -1.7 + 0.2j)):
+            out = cresson(GridFunction(g, vals), OrderSet.for_1d(alpha, beta, gw))
+            left = _direct_rl_left(vals, g.h, alpha)
+            right = _direct_rl_left(vals[::-1], g.h, beta)[::-1]
+            ref = 0.5 * (1 + 1j * gw) * left + 0.5 * (1j * gw - 1) * right
+            err = np.max(np.abs(out.values - ref)) / (1.0 + np.max(np.abs(ref)))
+            assert err < tol, (alpha, beta, err)
+
     def test_inf_at_flagged_end_stays_local_left(self):
         g = _grid(64)
         vals = np.sin(3 * g.nodes) + 0.5
@@ -365,6 +390,22 @@ class TestLineKernel:
         with pytest.raises(GridError, match="non-finite value at unflagged node"):
             axis_cresson(GridFunctionND((gx, gy), vals, flags), 1,
                          OrderSet.for_2d(0.5, 0.35, 0.5, 0.7, gamma_w))
+
+    def test_a_non_finite_row_applies_each_side_on_its_own(self):
+        # with both weights nonzero, the row holding an inf keeps the
+        # per-side path; the other rows keep the bits they have alone
+        vals = np.random.default_rng(31).normal(size=(5, 65))
+        vals[2, -1] = np.inf
+        pair, gw, h = (0.35, 0.7), 0.3 + 0.2j, 1.0 / 64
+        out, start, end = fracops._cresson_lines(vals, h, pair, gw)
+        weights = 0.5 * (1 + 1j * gw), 0.5 * (1j * gw - 1)
+        ref = fracops._per_side_lines(vals[2:3], h, pair, *weights)[0]
+        assert np.array_equal(out[2:3], ref, equal_nan=True)
+        for i in (0, 1, 3, 4):
+            alone = fracops._cresson_lines(vals[i:i + 1], h, pair, gw)[0]
+            assert np.array_equal(out[i:i + 1], alone)
+        assert np.array_equal(start, vals[:, 0] != 0)
+        assert np.array_equal(end, vals[:, -1] != 0)
 
     def test_import_leaves_fft_unloaded(self):
         code = (
@@ -484,7 +525,8 @@ class TestKernelPlan:
 
     def test_residual_at_equal_orders_builds_one_kernel(self, monkeypatch):
         # forward left and right and the adjoint's left and right share one
-        # plan: one kernel spectrum (the only 1-D transform) instead of four
+        # plan: one kernel spectrum (the only 1-D transform) instead of four;
+        # each line's two sides come from one transform of its slopes
         shapes = []
         rfft = np.fft.rfft
 
@@ -500,5 +542,5 @@ class TestKernelPlan:
                                OrderSet.for_1d(0.5, 0.5, 0.3 - 0.6j))
         assert shapes.count(1) == 1
         assert fracops._line_kernel.cache_info().misses == 1
-        # the path's two lines and the complex momentum's four parts
-        assert shapes.count(2) == 6
+        # the path's line and the complex momentum's two parts
+        assert shapes.count(2) == 3

@@ -171,3 +171,20 @@ def test_cresson_is_linear(data, grid, alpha, beta, gamma_w, a, b):
              + abs(b) * _operator_scale(g, grid.h, orders)
              + _operator_scale(a * f + b * g, grid.h, orders))
     assert np.max(np.abs(combined - apart)) <= growth * scale
+
+
+@PROPERTY
+@given(data=st.data(), grid=grids(max_n=200), alpha=ORDER, beta=ORDER,
+       gamma_w=GAMMA, complex_line=st.booleans())
+def test_cresson_is_the_weighted_sum_of_its_sides(data, grid, alpha, beta,
+                                                 gamma_w, complex_line):
+    # the two-sided transform against the one-sided operators it combines
+    vals = _field(data.draw, (grid,))
+    if complex_line:
+        vals = vals + 1j * _field(data.draw, (grid,))
+    f = GridFunction(grid, vals)
+    out = cresson(f, OrderSet.for_1d(alpha, beta, gamma_w)).values
+    combo = (0.5 * (1 + 1j * gamma_w) * rl_left(f, alpha).values
+             + 0.5 * (1j * gamma_w - 1) * rl_right(f, beta).values)
+    scale = 1.0 + np.max(np.abs(combo))
+    assert np.max(np.abs(out - combo)) / scale < 1e-13
