@@ -34,7 +34,8 @@ caller that knows the value of the sought path at t - epsilon can pass it
 as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
 the shooting root runs on at most BVP_COARSE_NODES intervals, which match
 at the same time t - epsilon as the full n, and at n itself up to that
-size; ``solve_el_bvp`` tells how.
+size; a root next to a lost lane is bracketed by lone runs between the
+two.  ``solve_el_bvp`` tells how.
 
 Shooting integrator.  Every shooting run, a lone slope on Python floats or
 a scan on lane arrays, goes through ``_integrate_el``.  Its field is one
@@ -115,6 +116,9 @@ BVP_SCAN_SLOPES = 32
 BVP_COARSE_NODES = math.ceil(2.0 / IVP_MARGIN_FRACTION)
 BVP_SCAN_SPAN = 10.0
 BVP_ROOT_TOL = 1e-10
+# lone runs that bisect the interval between a finite scan lane and a lost
+# neighbour, down to 2^-30 of the lane spacing
+BVP_EDGE_STEPS = 30
 MINIMIZE_MAX_ITER = 10000
 MINIMIZE_GRAD_TOL = 1e-9
 
@@ -535,9 +539,11 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     SingularLagrangianError or StepFailure, hands over to the pass at n,
     whose errors propagate; a problem with no bracket therefore pays for
     both passes.  At n <= BVP_COARSE_NODES the one pass runs at n.  If the
-    pass at n finds no bracket, it raises the first vanished curvature it
-    met, else the StepFailure of the lowest failed slope, else a
-    BracketingError.
+    pass at n finds no bracket, lone runs at n bisect each interval between
+    a finite lane and a lost neighbour (``_bracket_at_lost_lane``), and the
+    first sign change they meet is the bracket; if there is none, the pass
+    raises the first vanished curvature it met, else the StepFailure of the
+    lowest failed slope, else a BracketingError.
 
     Only runs at n are kept.  The root search reuses them and integrates
     only the slopes it adds; it stops at an endpoint gap of BVP_ROOT_TOL
@@ -574,6 +580,13 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
             raise failure
         return float(q[-1]) - target
 
+    def lone_gap(v0):
+        """The gap of a lone run at n, NaN where the run fails."""
+        try:
+            return endpoint_gap(v0)
+        except (EvalError, SingularLagrangianError, StepFailure):
+            return math.nan
+
     for m in dict.fromkeys((min(n, BVP_COARSE_NODES), n)):
         try:
             gaps, failures = integrate(slopes, m)  # NaN where a slope failed
@@ -581,17 +594,20 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
             # a bracket holds if its two ends, run alone at n, bracket
             if i is not None and _first_bracket(
                     [endpoint_gap(float(v0)) for v0 in slopes[i:i + 2]]) == 0:
+                bracket = slopes[i], slopes[i + 1]
                 break
         except (EvalError, SingularLagrangianError, StepFailure):
             if m == n:
                 raise
     else:
-        raise _scan_failure(failures) or BracketingError(
-            f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
-            f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem appears "
-            "to have no solution in the scanned family"
-        )
-    v0 = find_root(endpoint_gap, slopes[i], slopes[i + 1], tol=tol)
+        bracket = _bracket_at_lost_lane(slopes, gaps, lone_gap)
+        if bracket is None:
+            raise _scan_failure(failures) or BracketingError(
+                f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
+                f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem "
+                "appears to have no solution in the scanned family"
+            )
+    v0 = find_root(endpoint_gap, *bracket, tol=tol)
     grid, q, qdot, _ = runs[v0]  # find_root returns a point it evaluated
     return BvpResult(q=GridFunction(grid, q), qdot=GridFunction(grid, qdot),
                      v0=float(v0), matched_time=grid.t, target=target)
@@ -605,6 +621,34 @@ def _first_bracket(gaps):
         if np.isfinite(pair).all() and (pair[0] <= 0.0 <= pair[1]
                                          or pair[1] <= 0.0 <= pair[0]):
             return i
+    return None
+
+
+def _bracket_at_lost_lane(slopes, gaps, lone_gap):
+    """A bracket (finite end, midpoint) found next to a lost scan lane, or
+    None.
+
+    Each pair of neighbouring lanes, one finite and one lost, is bisected in
+    scan order with BVP_EDGE_STEPS lone runs (``lone_gap``, NaN for a lost
+    run): a lost midpoint moves the lost end, a finite midpoint whose gap
+    has the finite end's strict sign moves the finite end, and any other
+    midpoint closes the bracket.
+    """
+    for i in range(len(gaps) - 1):
+        finite = np.isfinite(gaps[i:i + 2])
+        if finite[0] == finite[1]:
+            continue
+        good, lost = (i, i + 1) if finite[0] else (i + 1, i)
+        v, gap, beyond = float(slopes[good]), float(gaps[good]), float(slopes[lost])
+        for _ in range(BVP_EDGE_STEPS):
+            mid = 0.5 * (v + beyond)
+            mid_gap = lone_gap(mid)
+            if not math.isfinite(mid_gap):
+                beyond = mid
+            elif gap < 0.0 and mid_gap < 0.0 or gap > 0.0 and mid_gap > 0.0:
+                v, gap = mid, mid_gap
+            else:
+                return v, mid
     return None
 
 

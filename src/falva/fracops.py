@@ -71,7 +71,9 @@ apart from the plans, for the last three sizes (``_delay``, one size per
 axis of a 3D field): 16 to 32 B per cell, 0.25 MB at n = 16384 and 64 MB
 for a line at the 2^22-node cap, so at most 192 MB.  The two weighted
 spectra of a call are built from the plans and the factor per call and
-not kept.
+not kept.  Neither are a call's temporaries; under the command line on
+glibc they come from heap the process keeps (``cli._keep_freed_heap``)
+rather than from pages mapped and faulted in again on every call.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
+import pytest
 
+from falva import cli
 from falva.cli import main
 
 
@@ -277,3 +281,82 @@ class TestFieldFile:
         header, rows = _data_rows(_read(out))
         assert header[:2] == ["x", "y"]
         assert len(rows) == (n + 1) ** 2
+
+
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError):
+        return False
+
+
+_DERIV = ["deriv", "--alpha", "0.4", "--gamma=0.3,-0.6", "--path", "1+tau^1.5",
+          "--domain", "0,1", "--n", "64"]
+
+
+class TestFreedHeap:
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or not _glibc(),
+                        reason="the mallopt thresholds are glibc's")
+    def test_line_kernel_stops_faulting_after_main(self, tmp_path):
+        # without the thresholds each call faults its temporaries and
+        # pocketfft's scratch in again, about 1900 minor faults at n = 16384
+        code = textwrap.dedent(f"""
+            import resource, sys
+            import falva
+            from falva.cli import main
+            assert main({_DERIV + ["--out", str(tmp_path / "d.csv")]!r}) == 0
+            grid = falva.Grid1D(0.0, 1.0, 16384)
+            L = falva.parse("qdot^2/2 - 0.7*q^2/2")
+            q = falva.GridFunction(grid, 1.1 * grid.nodes ** 1.5)
+            orders = falva.OrderSet.for_1d(0.5, 0.5, complex(0.3, -0.6))
+            falva.el_residual_1d_cresson(L, q, orders)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                falva.el_residual_1d_cresson(L, q, orders)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print((after - before) / 5)
+            """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 100
+
+    def test_import_leaves_the_allocator_alone(self):
+        code = ("import falva, falva.cli; "
+                "print(falva.cli._keep_freed_heap.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    def _run_twice(self, tmp_path, monkeypatch, mallopt):
+        monkeypatch.setattr(cli, "_mallopt", lambda: mallopt)
+        cli._keep_freed_heap.cache_clear()
+        try:
+            outs = []
+            for k in range(2):
+                out = tmp_path / f"run{k}.csv"
+                assert main(_DERIV + ["--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+        finally:
+            cli._keep_freed_heap.cache_clear()
+        return outs
+
+    def test_no_mallopt_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        reference = tmp_path / "reference.csv"
+        assert main(_DERIV + ["--out", str(reference)]) == 0
+        outs = self._run_twice(tmp_path, monkeypatch, None)
+        assert outs == [reference.read_bytes()] * 2
+
+    @pytest.mark.parametrize("accepts", [1, 0])
+    def test_set_at_most_once_per_process(self, tmp_path, monkeypatch, accepts):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return accepts
+
+        self._run_twice(tmp_path, monkeypatch, mallopt)
+        thresholds = [(cli._M_MMAP_THRESHOLD, 32 << 20),
+                      (cli._M_TRIM_THRESHOLD, 64 << 20)]
+        # a refused mmap threshold leaves the trim threshold alone too
+        assert calls == thresholds[:1 + accepts]

@@ -616,12 +616,54 @@ class TestShootingLanes:
                 solve_el_ivp(L, 0.0, 1.0, 0.0, 0.5, 0.5, 100)
 
     def test_no_bracket_reports_the_first_vanished_curvature(self):
-        # the lanes from 17 up each underflow exp(-q) to 0, the steepest
-        # first; the root lies between lane 16 and the lost lane 17
+        # the lanes up to -7.74 each underflow exp(q) to 0, the steepest
+        # first; every finite lane, and every lone run between lane 15 and
+        # its lost neighbour 14, ends below the target 8
         with pytest.raises(SingularLagrangianError) as info:
-            solve_el_bvp(parse("exp(-q)*qdot^2/2"),
-                         BoundaryData1D(0.0, 1.0, 0.0, 3.0), 0.75, 400)
-        assert str(info.value) == "d2L/dqdot^2 vanished at tau = 0.069825"
+            solve_el_bvp(parse("exp(q)*qdot^2/2"),
+                         BoundaryData1D(0.0, 1.0, 0.0, 8.0), 0.5, 400)
+        assert str(info.value) == "d2L/dqdot^2 vanished at tau = 0.028175"
+
+    def test_a_root_next_to_a_lost_lane_is_bisected(self, monkeypatch):
+        # the lanes from 17 up each underflow exp(-q) to 0, and the root
+        # lies between lane 16 and the lost lane 17: lone runs at n bisect
+        # that interval until a gap changes sign
+        calls = self._count_integrations(monkeypatch)
+        res = solve_el_bvp(parse("exp(-q)*qdot^2/2"),
+                           BoundaryData1D(0.0, 1.0, 0.0, 3.0), 0.75, 400)
+        assert abs(float(res.q.values[-1]) - 3.0) < 3e-10
+        assert calls[:2] == [(1, 100), (1, 400)]
+        assert set(calls[2:]) == {(0, 400)}
+
+    @pytest.mark.parametrize("lost_above", [True, False])
+    def test_edge_bisection_moves_one_end_per_run(self, lost_above):
+        # gap(v) = v - 0.7 up to a blow-up at v = 0.9; a lost midpoint moves
+        # the lost end, a finite one of the finite end's sign the finite end
+        sign = 1.0 if lost_above else -1.0
+        runs = []
+
+        def lone_gap(v):
+            runs.append(v)
+            return sign * v - 0.7 if sign * v < 0.9 else math.nan
+
+        slopes = sign * np.array([-1.0, 0.0, 1.0])
+        gaps = [sign * s - 0.7 if sign * s < 0.9 else math.nan for s in slopes]
+        bracket = euler._bracket_at_lost_lane(slopes, gaps, lone_gap)
+        # midpoints 0.5 (finite, below), 0.75 (above): the bracket closes
+        assert [sign * v for v in runs] == [0.5, 0.75]
+        assert bracket == (sign * 0.5, sign * 0.75)
+
+    def test_edge_bisection_without_a_sign_change_gives_none(self):
+        runs = []
+
+        def lone_gap(v):
+            runs.append(v)
+            return -1.0 if v < 0.3 else math.nan
+
+        slopes = np.array([-2.0, -1.0, 0.0, 1.0])
+        gaps = [math.nan, -1.0, -1.0, math.nan]
+        assert euler._bracket_at_lost_lane(slopes, gaps, lone_gap) is None
+        assert len(runs) == 2 * euler.BVP_EDGE_STEPS
 
     @staticmethod
     def _count_integrations(monkeypatch, edit=None):
@@ -778,9 +820,9 @@ class TestCoarseScan:
         assert calls == [(1, 100), (1, 400)]
 
 
-# three position-dependent masses x 5 boundaries x 3 alphas at n = 400,
-# but the 11 whose root lies between the last finite scan lane and a lost
-# one, which the 32-slope scan cannot bracket
+# of three position-dependent masses x 5 boundaries x 3 alphas at n = 400,
+# the 11 whose root lies between the last finite scan lane and a lost one,
+# which no pair of scan lanes brackets
 _LOST_NEIGHBOUR = {("exp(-q)*qdot^2/2", 3.0, 0.75),
                    ("qdot^2/2*exp(-q^2)", 1.0, 0.75)} | {
     ("qdot^2/2*exp(-q^2)", qb, alpha)
@@ -790,21 +832,23 @@ _LOST_NEIGHBOUR = {("exp(-q)*qdot^2/2", 3.0, 0.75),
 @pytest.mark.parametrize("text, qb, alpha", [
     (text, qb, alpha)
     for text in ("exp(-q)*qdot^2/2", "exp(q)*qdot^2/2", "qdot^2/2*exp(-q^2)")
-    for qb in (0.5, 1.0, 2.0, 3.0, -2.0) for alpha in (0.25, 0.5, 0.75)
-    if (text, qb, alpha) not in _LOST_NEIGHBOUR])
+    for qb in (0.5, 1.0, 2.0, 3.0, -2.0) for alpha in (0.25, 0.5, 0.75)])
 def test_zero_curvature_lanes_leave_the_root_to_the_others(text, qb, alpha):
     # far lanes drive |q| up until d2L/dqdot^2 underflows to 0; the other
-    # lanes still bracket the root, and the two routes agree as in
-    # criterion 6
+    # lanes bracket the root, or, for _LOST_NEIGHBOUR, lone runs between
+    # the last finite lane and its lost neighbour do, and the two routes
+    # agree as in criterion 6
     n = 400
     eps = max(0.02, 2.0 / n)
     L, bd = parse(text), BoundaryData1D(0.0, 1.0, 0.0, qb)
-    _, _, _, failures = _integrate_el(L, 0.0, 1.0, 0.0,
-                                      np.linspace(-10.0 * qb, 10.0 * qb, 32), alpha, n)
+    _, qs, _, failures = _integrate_el(L, 0.0, 1.0, 0.0,
+                                       np.linspace(-10.0 * qb, 10.0 * qb, 32), alpha, n)
     assert any(isinstance(f, SingularLagrangianError) for f in failures)
     dm = direct_minimize(L, bd, alpha, n)
     assert dm.converged
     target = float(np.interp(1.0 - eps, dm.q.grid.nodes, dm.q.values))
+    assert (euler._first_bracket(qs[-1] - target) is None) == (
+        (text, qb, alpha) in _LOST_NEIGHBOUR)
     res = solve_el_bvp(L, bd, alpha, n, qb_at_margin=target)
     bn = res.q.grid.nodes
     gap = np.abs(np.interp(bn, dm.q.grid.nodes, dm.q.values) - res.q.values)
