@@ -24,7 +24,10 @@ significant digits and LF line endings, so identical specs produce
 byte-identical files.  A large table's rows are formatted in forked
 processes, one row chunk per usable CPU, into the same bytes.  Failures
 print a single "FALVA-ERR <code>: ..." line on stderr and exit with status
-2 (validation) or 3 (numerical).
+2 (validation) or 3 (numerical).  A run dispatches with numpy's
+floating-point warnings off: the library rejects non-finite results
+itself, so an overflow on the way to one is not also printed as a numpy
+RuntimeWarning.
 
 Where the C library is glibc, the first ``main`` call of a process raises
 glibc's mmap and trim thresholds to 32 MiB and 64 MiB (``_keep_freed_heap``),
@@ -893,7 +896,8 @@ def main(argv=None) -> int:
         if args.kind is None:
             raise SpecError("missing subcommand; expected one of " + ", ".join(KINDS))
         spec = _merge(args)
-        return _dispatch(spec)
+        with np.errstate(all="ignore"):
+            return _dispatch(spec)
     except FalvaError as err:
         message = " ".join(str(err).split())
         print(f"FALVA-ERR {err.code}: {message}", file=sys.stderr)

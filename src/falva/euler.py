@@ -35,22 +35,28 @@ as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
 the shooting root runs on at most BVP_COARSE_NODES intervals, which match
 at the same time t - epsilon as the full n, and at n itself up to that
 size; a root next to a lost lane is bracketed by lone runs between the
-two.  ``solve_el_bvp`` tells how.
+two.  A scan pass runs on lane arrays, or, where the shooting field is
+arithmetic only, as lone runs in slope order up to its first bracket,
+with the same result.  ``solve_el_bvp`` tells how.
 
-Shooting integrator.  Every shooting run, a lone slope on Python floats or
-a scan on lane arrays, goes through ``_integrate_el``.  Its field is one
-compiled program per Lagrangian, a function of an RK4 stage's (qdot, q,
-tau) and damping that returns the force and d2L/dqdot^2, and one RK4 step
-serves floats and lanes.  A step runs unchecked and is screened once, on
-its new (q, v) and its four curvatures; a step that fails the screen or
-raises is replayed with each stage checked, on lane arrays, a lone slope
-as one lane.  So a lost lane, a failure's tau and the first error are
-those of a run checked at every stage, and a lone slope fails exactly as
-its lane in a scan.
+Shooting integrator.  Every shooting run, a lone slope or a scan on lane
+arrays, goes through ``_integrate_el``.  Its field is one compiled
+program per Lagrangian, a function of an RK4 stage's (qdot, q, tau) and
+damping that returns the force and d2L/dqdot^2.  A scan steps on lane
+arrays.  A lone slope runs a loop generated per Lagrangian
+(``_rk4_loop``): the whole RK4 integration on Python floats, with the
+four stages of the field's float program inlined, which runs the lane
+program's IEEE operations in the same order.  A step runs unchecked and
+is screened once, on its new (q, v) and its four curvatures; a step that
+fails the screen or raises is replayed with each stage checked, on lane
+arrays, a lone slope as one lane.  So a lost lane, a failure's tau and
+the first error are those of a run checked at every stage, and a lone
+slope fails exactly as its lane in a scan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -368,6 +374,72 @@ def _stage_failure(curvature, tau):
                        else f"d2L/dqdot^2 is not finite at tau = {tau:g}", tau=tau)
 
 
+def _float_field(L):
+    """The shooting field of ``L`` as a float program (see
+    ``exprdsl._compile``): the same operations as the lane program, on
+    Python floats."""
+    return _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD, True)
+
+
+# the unchecked RK4 loop of ``_integrate_el`` on Python floats, from node j
+# on.  {stageN} stands for stage N: the field's parameters, its body, and
+# its returned force and curvature cN.  ``rows`` holds q and v of each node
+# reached, flat; each step appends its pair, and the loop returns the first
+# step that raises or fails the screen, or ``steps``
+_RK4_LOOP = """\
+def run(rows, j, steps, h, half, sixth, starts, mids, ends, d_starts, d_mids,
+        d_ends):
+    qn, vn = rows[-2:]
+    try:
+        for j in range(j, steps):
+{stage1}
+            a1 = force / c1
+            v2 = vn + half * a1
+{stage2}
+            a2 = force / c2
+            v3 = vn + half * a2
+{stage3}
+            a3 = force / c3
+            v4 = vn + h * a3
+{stage4}
+            a4 = force / c4
+            q_next = qn + sixth * (vn + 2.0 * v2 + 2.0 * v3 + v4)
+            v_next = vn + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            if not _isfinite(q_next + v_next + (c1 + c2 + c3 + c4)):
+                return j
+            qn, vn = q_next, v_next
+            rows += qn, vn
+    except (EvalError, ArithmeticError):
+        return j
+    return steps
+"""
+# the field's (qdot, q, tau, damping) at each stage of _RK4_LOOP, as in
+# ``_integrate_el``'s ``step``; None keeps the value of the stage before
+_RK4_STAGES = (("vn", "qn", "starts[j]", "d_starts[j]"),
+               ("v2", "qn + half * vn", "mids[j]", "d_mids[j]"),
+               ("v3", "qn + half * v2", None, None),
+               ("v4", "qn + h * v3", "ends[j]", "d_ends[j]"))
+
+
+@functools.lru_cache(maxsize=128)
+def _rk4_loop(field):
+    """The generated RK4 loop of the float program ``field``, with its four
+    stages inlined (``_RK4_LOOP``); built once per program.  A stage sets
+    only the parameters that the field reads, and the force reads qdot and
+    damping."""
+    reads = set(field.reads) | {"qdot", "damping"}
+    stages = {}
+    for i, values in enumerate(_RK4_STAGES, 1):
+        lines = [f"{name} = {value}" for name, value in zip(_FIELD[0], values)
+                 if value is not None and name in reads]
+        lines += field.body + [f"force, c{i} = {field.returned}"]
+        stages[f"stage{i}"] = "\n".join(" " * 12 + line for line in lines)
+    source = _RK4_LOOP.format(**stages)
+    namespace = dict(field.__globals__, _isfinite=math.isfinite)
+    exec(compile(source, "<falva rk4 loop>", "exec"), namespace)
+    return namespace["run"]
+
+
 def _integrate_el(L, a, t, q0, v0, alpha, n):
     """RK4-integrate the rearranged Euler-Lagrange dynamics
 
@@ -386,23 +458,28 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     real-mode program of ``[value, *_ACCEL_PARTIALS]`` pruned to the five
     partials it reads, so every check of all seven trees still runs in its
     place and an error is the one ``partials`` raises.  One RK4 step
-    advances the pair (q, v).  A lone slope runs it on Python floats, which
-    spares numpy's per-call cost on one-element arrays; several slopes run
-    it on lane arrays.  The bits are the same either way, so every lane
-    matches its lone run.
+    advances the pair (q, v).  Several slopes run it on lane arrays.  A lone
+    slope runs the generated loop of its float program (``_rk4_loop``): the
+    whole unchecked integration on Python floats, with the four stages
+    inlined, which spares numpy's per-call cost on one-element arrays.  The
+    float program runs the lane program's IEEE operations in the same order,
+    so the bits are the same either way, and every lane matches its lone
+    run.
 
     A step first runs unchecked and is screened once: it stands if the new
     (q, v) and the sum of its four curvatures are finite, since a stage with
     a non-finite derivative, or a zero curvature, makes q or v non-finite.
     A step that fails the screen or raises (EvalError, or a float division
     by a zero curvature) is replayed with the checks of each stage, always
-    on lane arrays; a lone run is replayed as one lane:
+    on lane arrays; the loop of a lone run stops at that step, which is
+    replayed as one lane:
     - a lane whose stage has a zero d2L/dqdot^2 or a non-finite derivative
       records that failure and rides along as NaN from that stage on, so a
       check of tau alone still fails in the rest of the step;
     - an EvalError propagates from its stage, with its node index;
     - the run ends once every lane is lost, a step after a lane was lost
-      runs checked, and a lone run whose lane survives goes back to floats.
+      runs checked, and a lone run whose lane survives goes back to its
+      loop at the next step.
     The replay is the checked integration itself, so the failures, their
     tau and the first error do not depend on the screen, and a lone run
     fails exactly as its scan lane.
@@ -416,12 +493,11 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     h = grid.h
     half, sixth = 0.5 * h, h / 6.0
     # the stage times of each step, and their damping (1-alpha)/(t-tau)
-    starts = grid.nodes.tolist()[:-1]
-    mids = [tau + half for tau in starts]
-    ends = [tau + h for tau in starts]
-    order_gap = 1.0 - alpha
-    d_starts, d_mids, d_ends = ([order_gap / (t - tau) for tau in taus]
-                                for taus in (starts, mids, ends))
+    starts = grid.nodes[:-1]
+    stage_times = (starts, starts + half, starts + h)
+    starts, mids, ends = (taus.tolist() for taus in stage_times)
+    d_starts, d_mids, d_ends = (((1.0 - alpha) / (t - taus)).tolist()
+                                for taus in stage_times)
     v0 = np.atleast_1d(np.asarray(v0, dtype=np.float64))
     m = v0.shape[0]
     field = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD)
@@ -430,12 +506,11 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     lost = []  # the lanes in ``dead``, in the order they failed
 
     def step(stage, q, v, k):
-        """The RK4 step from node k; returns the new (q, v) and the sum of
-        the four curvatures.  ``stage`` is the field or ``checked``, and each
-        stage's q-increment is its v.  Component by component, the
-        operations and their order are those of ``ode_step_rk4`` on the
-        stacked state (q, v), and IEEE arithmetic gives them the same bits
-        on floats as on lane arrays."""
+        """The RK4 step from node k on lane arrays; returns the new (q, v)
+        and the sum of the four curvatures.  ``stage`` is the field or
+        ``checked``, and each stage's q-increment is its v.  Component by
+        component, the operations and their order are those of
+        ``ode_step_rk4`` on the stacked state (q, v), and of ``_RK4_LOOP``."""
         force, c1 = stage(v, q, starts[k], d_starts[k])
         a1 = force / c1
         v2 = v + half * a1
@@ -451,8 +526,7 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
                 v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), c1 + c2 + c3 + c4)
 
     def checked(qdot, q, tau, damping):
-        """The field with the checks of one stage, on lane arrays (see
-        above)."""
+        """The field with the checks of one stage (see above)."""
         if lost:
             q, qdot = np.where(dead, np.nan, q), np.where(dead, np.nan, qdot)
         force, curvature = field(qdot, q, tau, damping)
@@ -468,34 +542,42 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
         dead[lost] = True
         return force, curvature
 
-    # the screen: a sum is finite only if each of its terms is, and a sum
-    # of finite terms that overflows costs a replay, not a result
-    if m == 1:
-        q, v, finite = float(q0), float(v0[0]), math.isfinite
-    else:
-        q, v, finite = np.full(m, float(q0)), v0, lambda x: math.isfinite(x.sum())
-    rows = [(q, v)]  # (q, v) at each node reached, lost lanes as NaN
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(grid.n):
-            if not lost:
-                try:
-                    q_next, v_next, curvature = step(field, q, v, k)
-                    passed = finite(q_next + v_next + curvature)
-                except (EvalError, ArithmeticError):
-                    passed = False
-            if lost or not passed:
-                q_next, v_next, _ = step(checked, np.atleast_1d(q),
-                                         np.atleast_1d(v), k)
-                if m == 1 and not lost:  # the lone lane survived: back to floats
-                    q_next, v_next = float(q_next[0]), float(v_next[0])
-            q, v = q_next, v_next
-            if lost:
-                if len(lost) == m:
+        if m == 1:
+            run = _rk4_loop(_float_field(L))
+            stages = (h, half, sixth, starts, mids, ends, d_starts, d_mids, d_ends)
+            rows = [float(q0), float(v0[0])]  # q and v at each node reached
+            k = run(rows, 0, grid.n, *stages)
+            while k < grid.n:
+                q_next, v_next, _ = step(checked, *np.reshape(rows[-2:], (2, 1)), k)
+                if lost:
                     break
-                q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
-            rows.append((q, v))
+                rows += float(q_next[0]), float(v_next[0])
+                k = run(rows, k + 1, grid.n, *stages)
+        else:
+            q, v = np.full(m, float(q0)), v0
+            rows = [(q, v)]  # lost lanes as NaN
+            for k in range(grid.n):
+                if not lost:
+                    # the screen: a sum is finite only if each of its terms
+                    # is, and a sum of finite terms that overflows costs a
+                    # replay, not a result
+                    try:
+                        q_next, v_next, curvature = step(field, q, v, k)
+                        passed = math.isfinite((q_next + v_next + curvature).sum())
+                    except (EvalError, ArithmeticError):
+                        passed = False
+                if lost or not passed:
+                    q_next, v_next, _ = step(checked, q, v, k)
+                q, v = q_next, v_next
+                if lost:
+                    if len(lost) == m:
+                        break
+                    q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
+                rows.append((q, v))
     qs, vs = np.full((2, grid.n + 1, m), np.nan)
-    qs[:len(rows)], vs[:len(rows)] = np.reshape(rows, (-1, 2, m)).transpose(1, 0, 2)
+    reached = np.reshape(rows, (-1, 2, m)).transpose(1, 0, 2)
+    qs[:reached.shape[1]], vs[:reached.shape[1]] = reached
     return grid, qs, vs, failures
 
 
@@ -522,10 +604,21 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     O(eps^min(1, 2-alpha)) endpoint defect; pass ``qb_at_margin`` (the value
     of the sought path at t - eps) to match without it.
 
-    One batched integration scans 32 slopes across
-    [-10, 10] * (qb - qa)/(t - a); when qb == qa the scan scale falls back
-    to 1/(t - a).  A slope whose trajectory blows up or meets a vanishing
-    d2L/dqdot^2 drops out and bounds no bracket.
+    A scan pass integrates 32 slopes across [-10, 10] * (qb - qa)/(t - a);
+    when qb == qa the scan scale falls back to 1/(t - a).  A slope whose
+    trajectory blows up or meets a vanishing d2L/dqdot^2 drops out and
+    bounds no bracket.  A pass is one integration on lane arrays, unless
+    the float program of the shooting field is arithmetic only (no check
+    and no call, read from the compiled program): then it integrates the
+    slopes alone, in slope order, and stops after the first bracket, and
+    a pass at m < n keeps only each slope's endpoint gap and failure.  The
+    result is the lane pass's: a lone run has the bits and the failure of
+    its lane, a field with no check cannot raise EvalError, so the slopes
+    after the first bracket change neither the bracket nor the error, and
+    a pass with no bracket runs all 32 slopes, so the bisection next to a
+    lost lane and the scan's error read the same gaps and failures.  Alone,
+    a slope runs on Python floats (see ``_integrate_el``), which beats 32
+    lanes of numpy calls only while a stage calls no numpy function.
 
     The scan runs in up to two passes, on m = min(n, BVP_COARSE_NODES)
     intervals and then on n.  eps = max(0.02 (t-a), 2 (t-a)/n) is
@@ -587,9 +680,26 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
         except (EvalError, SingularLagrangianError, StepFailure):
             return math.nan
 
+    _check_path_problem(L, alpha)  # the first integration's own errors
+    lazy = _float_field(L).arithmetic_only
+
+    def scan(m):
+        """The gaps and failures of the slopes at m: one run on lane arrays,
+        or lone runs in slope order up to the first bracket."""
+        if not lazy:
+            return integrate(slopes, m)
+        gaps, failures = [], []
+        for v0 in slopes.tolist():
+            (gap,), (failure,) = integrate(v0, m)
+            gaps.append(float(gap))
+            failures.append(failure)
+            if _first_bracket(gaps[-2:]) == 0:
+                break
+        return gaps, failures
+
     for m in dict.fromkeys((min(n, BVP_COARSE_NODES), n)):
         try:
-            gaps, failures = integrate(slopes, m)  # NaN where a slope failed
+            gaps, failures = scan(m)  # NaN where a slope failed
             i = _first_bracket(gaps)
             # a bracket holds if its two ends, run alone at n, bracket
             if i is not None and _first_bracket(
@@ -733,7 +843,12 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         return diag[1:-1] / norm, off[1:-1] / norm
 
     if start is None:
-        qv = bd.qa + (bd.qb - bd.qa) * (nodes - bd.a) / (bd.t - bd.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            qv = bd.qa + (bd.qb - bd.qa) * (nodes - bd.a) / (bd.t - bd.a)
+        if not np.isfinite(qv).all():
+            raise DomainError(
+                f"boundary data q({bd.a!r}) = {bd.qa!r}, q({bd.t!r}) = {bd.qb!r}: "
+                "the straight start path between them overflows")
     else:
         qv = np.array(start, dtype=np.float64)
         if qv.shape != nodes.shape:

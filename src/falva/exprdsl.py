@@ -58,11 +58,19 @@ returns one expression of its entries and parameters.  The shooting
 integrator's field is such a program of an RK4 stage's (qdot, q, tau) and
 damping, and returns the stage's force and d2L/dqdot^2.  ``evaluate``,
 ``partial``, ``partials`` and ``second_partials`` run the full program.
+
+Such a program can also be compiled in float mode, for Python float
+parameters in real mode.  A float program runs the same IEEE operations in
+the same order and returns Python floats with the bits of the array
+program on one-element arrays (a NaN may differ in its sign bit), or
+raises its first EvalError without a node index.  The shooting integrator
+inlines its lines into one RK4 loop per Lagrangian for a lone slope.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 import struct
@@ -388,11 +396,16 @@ def _complex_power(base, expo):
     return np.exp(expo * np.log(_principal(base)))
 
 
-# the names a compiled program calls
+# the names a compiled program calls; a float program raises EvalError
+# itself and takes sqrt from math, which rounds as correctly as numpy
 _RUNTIME = {"_check": _check, "_unbound": _unbound, "_principal": _principal,
-            "_intpow": _intpow, "_real": np.real, "_real_power": _real_power,
+            "_intpow": _intpow, "_real_power": _real_power,
             "_complex_power": _complex_power, "_sign": _sign,
+            "EvalError": EvalError, "_float_sqrt": math.sqrt,
             **{"_" + name: fn for name, fn in _FUNCTIONS.items() if name != "sign"}}
+
+# the largest integer power a float program writes out as a product
+_WRITTEN_POWER = 16
 
 
 class _Compiler:
@@ -407,10 +420,12 @@ class _Compiler:
     first, so the first error keeps its place.
     """
 
-    def __init__(self, complex_mode: bool, params=None):
+    def __init__(self, complex_mode: bool, params=None, floats=False):
         self.complex_mode = complex_mode
         self.params = params  # None: the variables are looked up in env
-        self.ops = []  # (register, check, lines, operands, raises) of each operation
+        self.floats = floats  # a float program (see ``_compile``)
+        # (register, check, lines, operands, raises, calls) of each operation
+        self.ops = []
         self.names = {}  # literal name -> value, bound in the program's namespace
         self.refs = {}  # key -> operand text
         self.seen = {}  # id(node) -> operand text, so a shared subtree is walked once
@@ -422,17 +437,28 @@ class _Compiler:
             self.names[name] = value
         return self.refs[key]
 
-    def _emit(self, key, operands, lines, check=None, raises=False):
+    def _emit(self, key, operands, lines, check=None, raises=False, calls=False):
         """Register for ``key``.  The first time, the operation is recorded
         as its value ``lines``, with ``{r}`` for the register, and its
-        ``check``: None or an (operand, line) pair that runs just before
-        them.  ``raises`` marks value lines that can fail."""
+        ``check``: None or an (operand, condition, message) triple that runs
+        just before them.  ``raises`` marks value lines that can fail, and
+        ``calls`` value lines that call a function."""
         ref = self.refs.get(key)
         if ref is None:
             ref = self.refs[key] = f"r{len(self.refs)}"
+            if check is not None:
+                operand, condition, message = check
+                check = operand, (f"if {condition}: raise EvalError({message!r})"
+                                  if self.floats
+                                  else f"_check({condition}, {message!r})")
             self.ops.append((ref, check, [line.format(r=ref) for line in lines],
-                             operands, raises))
+                             operands, raises, calls or raises))
         return ref
+
+    def _helper(self, call):
+        """The value line of a helper ``call``, a Python float in a float
+        program."""
+        return f"{{r}} = float({call})" if self.floats else f"{{r}} = {call}"
 
     def ref(self, node) -> str:
         """Operand text of ``node``, emitting what is new in its subtree."""
@@ -468,7 +494,7 @@ class _Compiler:
         check = None
         literal = isinstance(node.rhs, Num) and node.rhs.value != 0
         if node.op == "/" and not literal:
-            check = b, f"_check({b} == 0, 'division by zero')"
+            check = b, f"{b} == 0", "division by zero"
         return self._emit((node.op, a, b), (a, b), [f"{{r}} = {a} {node.op} {b}"],
                           check)
 
@@ -478,7 +504,7 @@ class _Compiler:
         if n is None:
             b = self.ref(node.rhs)
             fn = "_complex_power" if self.complex_mode else "_real_power"
-            return self._emit(("^", a, b), (a, b), [f"{{r}} = {fn}({a}, {b})"],
+            return self._emit(("^", a, b), (a, b), [self._helper(f"{fn}({a}, {b})")],
                               raises=True)
         if n == 0:
             return self._literal(1.0)
@@ -486,28 +512,35 @@ class _Compiler:
             return a
         check = None
         if n < 0:
-            check = a, f"_check({a} == 0, 'zero base under a negative power')"
-        return self._emit(("^", a, n), (a,), [f"{{r}} = _intpow({a}, {n})"], check)
+            check = a, f"{a} == 0", "zero base under a negative power"
+        if self.floats and 1 < n <= _WRITTEN_POWER:
+            # the products of _intpow, left to right
+            return self._emit(("^", a, n), (a,), [f"{{r}} = {' * '.join([a] * n)}"],
+                              check)
+        return self._emit(("^", a, n), (a,), [self._helper(f"_intpow({a}, {n})")],
+                          check, calls=True)
 
     def _call(self, fn, a):
         if fn not in _FUNCTIONS:
             raise UnknownFunctionError(f"unknown function {fn!r}", 1)
-        line, check = f"{{r}} = _{fn}({a})", None
+        arg, check = a, None
         if self.complex_mode:
             if fn == "log":
-                check = a, f"_check({a} == 0, 'log of zero')"
+                check = a, f"{a} == 0", "log of zero"
             if fn in ("log", "sqrt"):
-                line = f"{{r}} = _{fn}(_principal({a}))"
+                arg = f"_principal({a})"
         elif fn == "log":
-            check = a, (f"_check(_real({a}) <= 0, "
-                        f"'log of a non-positive value in real mode')")
+            check = a, f"{a} <= 0", "log of a non-positive value in real mode"
         elif fn == "sqrt":
-            check = a, (f"_check(_real({a}) < 0, "
-                        f"'sqrt of a negative value in real mode')")
-        return self._emit((fn, a), (a,), [line], check, raises=fn == "sign")
+            check = a, f"{a} < 0", "sqrt of a negative value in real mode"
+        line = (f"{{r}} = _float_sqrt({a})" if self.floats and fn == "sqrt"
+                else self._helper(f"_{fn}({arg})"))
+        return self._emit((fn, a), (a,), [line], check, raises=fn == "sign",
+                          calls=True)
 
 
-def _compile(trees, complex_mode: bool, returns=None, signature=None):
+def _compile(trees, complex_mode: bool, returns=None, signature=None,
+             floats=False):
     """One function of ``env`` that returns the values of ``trees`` as a
     list, or only those at the indices ``returns``; its ``source``
     attribute holds the program text.
@@ -529,21 +562,37 @@ def _compile(trees, complex_mode: bool, returns=None, signature=None):
     returns the expression ``result`` with ``{i}`` standing for the i-th
     returned entry; it may also read the parameters, whose names must not
     look like a register (``r3``) or a literal (``k0``).
+
+    ``floats`` asks for a float program, a real-mode function of
+    ``signature`` for Python float parameters.  It runs the same IEEE
+    operations in the same order and raises the same first EvalError,
+    without a node index.  Each check is an inline ``if ...: raise``; the
+    result of a numpy function or helper is turned into a Python float;
+    sqrt is ``math.sqrt``, correctly rounded as numpy's; an integer power up
+    to ``_WRITTEN_POWER`` is written out as the products of ``_intpow``; and
+    no register is deleted.  Besides ``source`` it has the attributes
+    ``body``, its lines before the return, ``returned``, the returned
+    expression, ``reads``, the parameters that the body or a returned entry
+    reads, and ``arithmetic_only``: true when the body holds no check and
+    calls no function, so that the program cannot raise.  The other names
+    these lines read are the function's ``__globals__``.
     """
     params, result = signature or (None, None)
-    compiler = _Compiler(complex_mode, params)
+    compiler = _Compiler(complex_mode, params, floats)
     outputs = [compiler.ref(tree) for tree in trees]
     if returns is not None:
         outputs = [outputs[i] for i in returns]
     live = set(outputs)
     steps = []  # (lines, operands they read) of each emitted operation, last first
-    for ref, check, lines, operands, raises in reversed(compiler.ops):
+    arithmetic_only = True
+    for ref, check, lines, operands, raises, calls in reversed(compiler.ops):
         if returns is not None and not raises and ref not in live:
             lines, operands = [], ()
         if check is not None:
             lines = [check[1]] + lines
             operands = operands + (check[0],)
         if lines:
+            arithmetic_only &= check is None and not calls
             live.update(operands)
             steps.append((lines, operands))
     steps.reverse()
@@ -553,34 +602,40 @@ def _compile(trees, complex_mode: bool, returns=None, signature=None):
         body += lines
         dead = [a for a in dict.fromkeys(operands)
                 if last[a] == i and a[0] == "r" and a not in outputs]
-        if dead:
+        if dead and not floats:
             body.append(f"del {', '.join(dead)}")
     if params is None:
         head, returned = "env", f"[{', '.join(outputs)}]"
     else:
         head, returned = ", ".join(params), result.format(*outputs)
-    body.append(f"return {returned}")
-    source = f"def program({head}):\n" + "".join(f"    {line}\n" for line in body)
+    source = (f"def program({head}):\n"
+              + "".join(f"    {line}\n" for line in body + [f"return {returned}"]))
     namespace = dict(_RUNTIME, **compiler.names)
-    exec(compile(source, "<falva program>", "exec"), namespace)
+    filename = "<falva float program>" if floats else "<falva program>"
+    exec(compile(source, filename, "exec"), namespace)
     program = namespace["program"]
     program.source = source
+    if floats:
+        program.body, program.returned = body, returned
+        program.reads = tuple(name for name in params if name in live)
+        program.arithmetic_only = arithmetic_only
     return program
 
 
 def _program(expr: LagrangianExpr, variable_tuples: tuple, complex_mode: bool,
-             returns: tuple = None, signature: tuple = None):
+             returns: tuple = None, signature: tuple = None, floats=False):
     """The compiled program of the value of ``expr`` and its partials by
     ``variable_tuples``; built on first use and kept on ``expr``.  With
     ``returns``, the program is pruned to return only the entries at those
-    indices of [value, d1, d2, ...], and with ``signature`` it is a function
-    of positional parameters (see ``_compile``)."""
-    key = (variable_tuples, complex_mode, returns, signature)
+    indices of [value, d1, d2, ...], with ``signature`` it is a function
+    of positional parameters, and with ``floats`` a float program (see
+    ``_compile``)."""
+    key = (variable_tuples, complex_mode, returns, signature, floats)
     program = expr._programs.get(key)
     if program is None:
         trees = [expr.ast] + [_derivative(expr, v) for v in variable_tuples]
         program = expr._programs[key] = _compile(trees, complex_mode, returns,
-                                                 signature)
+                                                 signature, floats)
     return program
 
 

@@ -560,6 +560,33 @@ def test_overflow_ends_in_one_error_line(tmp_path, argv, status, line):
         assert _run_quietly(argv, tmp_path / "out.csv")[0] == status
 
 
+# each call overflows on its way to its result, and a run dispatches with
+# numpy's floating-point warnings off: the error line, or nothing at exit 0,
+# is all it prints.  The straight start path of both minimize cases
+# overflows, and the error names the boundary data
+@pytest.mark.parametrize("argv, status, stderr", [
+    (["minimize", "--lagrangian", "q^2", "--alpha", "1e-300", "--domain", "0,1",
+      "--n", "2", "--boundary=1e308,-1e308"], 2,
+     "FALVA-ERR domain: boundary data q(0.0) = 1e+308, q(1.0) = -1e+308: the "
+     "straight start path between them overflows\n"),
+    (["minimize", "--lagrangian", "qdot^2/2", "--alpha", "1e-300", "--domain",
+      "-1e300,1e300", "--n", "100", "--boundary=0,1e308"], 2,
+     "FALVA-ERR domain: boundary data q(-1e+300) = 0.0, q(1e+300) = 1e+308: "
+     "the straight start path between them overflows\n"),
+    (["deriv", "--domain", "0,1", "--n", "8", "--path", "tau", "--alpha", "0.3",
+      "--gamma=1e308,0"], 2,
+     "FALVA-ERR grid: non-finite value at unflagged node 0\n"),
+    (["action", "--domain", "0,1e-300", "--n", "3", "--path", "1e300*tau",
+      "--lagrangian", "qdot^3", "--alpha", "0.5", "--variant", "cresson",
+      "--gamma=0,1"], 2, "FALVA-ERR domain: action value is not finite\n"),
+    (["solve-bvp", "--lagrangian", "1/qdot", "--alpha", "1e-300", "--domain",
+      "-1e300,1e300", "--n", "1000", "--boundary=0,1e308"], 0, ""),
+], ids=["minimize-nan-start", "minimize-inf-start", "deriv-huge-gamma",
+        "cresson-action-overflow", "bvp-gap-overflow"])
+def test_overflow_prints_no_numpy_warning(tmp_path, argv, status, stderr):
+    assert _run_quietly(argv, tmp_path / "out.csv") == (status, stderr, [])
+
+
 @pytest.mark.parametrize("term, q0, message", [
     ("log(q)", "-1", "log of a non-positive value in real mode"),
     ("sqrt(q)", "-1", "sqrt of a negative value in real mode"),

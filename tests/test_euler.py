@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from falva import (
     BoundaryData1D,
@@ -680,36 +682,46 @@ class TestShootingLanes:
         monkeypatch.setattr(euler, "_integrate_el", counted)
         return calls
 
-    _LINEAR_CASES = pytest.mark.parametrize("text, qa, qb", [
-        (FREE, 0.0, 1.0), (OSC, 0.0, 1.0), (FREE, 0.0, 1e200), (OSC, 0.0, 1e200),
-        (FREE, 1e-170, 2e-170), (OSC, 1e-170, 2e-170),
+    # ``scanned`` is the number of lone scan runs, one per slope up to the
+    # upper end of the first bracket: the free particle's root lies between
+    # lanes 17 and 18, the oscillator's between 18 and 19, and between 19
+    # and 20 for the oscillator from qa = 1e-170
+    _LINEAR_CASES = pytest.mark.parametrize("text, qa, qb, scanned", [
+        (FREE, 0.0, 1.0, 19), (OSC, 0.0, 1.0, 20), (FREE, 0.0, 1e200, 19),
+        (OSC, 0.0, 1e200, 20), (FREE, 1e-170, 2e-170, 19),
+        (OSC, 1e-170, 2e-170, 21),
     ], ids=[FREE, OSC, FREE + "-1e200", OSC + "-1e200", FREE + "-1e-170",
             OSC + "-1e-170"])
 
     # at 1e200 and 1e-170 the secant step's product overflows or
     # underflows, and the step takes the quotient first
     @_LINEAR_CASES
-    def test_linear_problem_integrates_twice(self, monkeypatch, text, qa, qb):
-        # up to BVP_COARSE_NODES the scan runs at n: the scan, then the
-        # secant root; the bracket ends come from the scan
+    def test_linear_problem_integrates_twice(self, monkeypatch, text, qa, qb,
+                                             scanned):
+        # up to BVP_COARSE_NODES the scan runs at n.  Both fields are
+        # arithmetic only, so the scan runs its slopes alone, up to the
+        # first bracket, and then the secant root runs once; the bracket
+        # ends come from the scan
         calls = self._count_integrations(monkeypatch)
         solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 100)
-        assert calls == [(1, 100), (0, 100)]
+        assert calls == [(0, 100)] * (scanned + 1)
 
     @_LINEAR_CASES
     def test_linear_problem_scans_coarse_then_runs_three_slopes(
-            self, monkeypatch, text, qa, qb):
-        # the scan at BVP_COARSE_NODES, the two bracket ends at n, then the
-        # secant root
+            self, monkeypatch, text, qa, qb, scanned):
+        # the lone scan runs at BVP_COARSE_NODES up to the first bracket, the
+        # two bracket ends at n, then the secant root
         calls = self._count_integrations(monkeypatch)
         solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 400)
-        assert calls == [(1, 100)] + [(0, 400)] * 3
+        assert calls == [(0, 100)] * scanned + [(0, 400)] * 3
 
     def test_quartic_integrations(self, monkeypatch):
+        # lone scan runs up to the bracket of lanes 17 and 18, then the
+        # bracket ends and nine root-search runs at n
         calls = self._count_integrations(monkeypatch)
         res = solve_el_bvp(parse(QUARTIC), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
                            0.5, 400)
-        assert calls == [(1, 100)] + [(0, 400)] * 11
+        assert calls == [(0, 100)] * 19 + [(0, 400)] * 11
         assert res.v0 == 1.4261737846979154
 
 
@@ -768,12 +780,18 @@ class TestCoarseScan:
         assert np.array_equal(res.q.values, q)
         assert np.array_equal(res.qdot.values, qdot)
 
+    # the oscillator's field is arithmetic only, so each scan pass runs its
+    # slopes alone up to the first bracket, here slopes 18 and 19 (20 runs),
+    # and the secant root then runs once
     @pytest.mark.parametrize("fault, expected", [
-        ("no bracket at n", [(1, 100), (0, 400), (0, 400), (1, 400), (0, 400)]),
-        ("coarse scan fails", [(1, 100), (1, 400), (0, 400)]),
-        ("bracket end fails at n", [(1, 100), (0, 400), (1, 400), (0, 400)]),
+        # 2 coarse runs, the 2 bracket ends, 20 runs at n and the root
+        ("no bracket at n", [(0, 100)] * 2 + [(0, 400)] * 23),
+        # the first coarse run, 20 runs at n and the root
+        ("coarse scan fails", [(0, 100)] + [(0, 400)] * 21),
+        # 20 coarse runs, the first bracket end, 20 runs at n and the root
+        ("bracket end fails at n", [(0, 100)] * 20 + [(0, 400)] * 22),
         ("bracket end records a failure at n",
-         [(1, 100), (0, 400), (1, 400), (0, 400)]),
+         [(0, 100)] * 20 + [(0, 400)] * 22),
     ])
     def test_falls_back_to_the_full_scan(self, monkeypatch, fault, expected):
         # the full scan runs and gives its own result
@@ -782,18 +800,18 @@ class TestCoarseScan:
         def edit(v0, n, out):
             coarse = n == euler.BVP_COARSE_NODES
             if fault == "no bracket at n" and coarse:
-                # the coarse scan's first bracket becomes lanes 0 and 1,
+                # the coarse scan's first bracket becomes slopes 0 and 1,
                 # which do not bracket at n
-                out[1][-1] = np.where(np.arange(len(v0)) == 0, 0.0, 2.0)
+                out[1][-1] = np.where(np.atleast_1d(v0) == -10.0, 0.0, 2.0)
             elif fault == "coarse scan fails" and coarse:
                 raise EvalError("a check failed on the coarse grid")
-            elif fault == "bracket end fails at n" and np.ndim(v0) == 0:
+            elif fault == "bracket end fails at n" and not coarse:
                 lone_runs.append(v0)
                 if len(lone_runs) == 1:
                     # a lone run raises only an EvalError; its failures are
                     # recorded, as below
                     raise EvalError("a check failed at n")
-            elif fault == "bracket end records a failure at n" and np.ndim(v0) == 0:
+            elif fault == "bracket end records a failure at n" and not coarse:
                 lone_runs.append(v0)
                 if len(lone_runs) == 1:
                     # the run ends as a lone run that blew up does
@@ -818,6 +836,110 @@ class TestCoarseScan:
             "no sign change across 32 shooting slopes in [-10, 10]; the "
             "boundary problem appears to have no solution in the scanned family")
         assert calls == [(1, 100), (1, 400)]
+
+
+def _lane_scan_solve(L, bd, alpha, n):
+    """(v0, q, qdot) of the shooting solve with each scan pass on 32 lanes,
+    or the error it raises: a pass at min(n, BVP_COARSE_NODES), then one at
+    n, each accepting its first bracket if the two ends bracket at n, then
+    the bisection next to a lost lane, then the scan's error."""
+    tol = euler.BVP_ROOT_TOL * (max(abs(bd.qa), abs(bd.qb)) or 1.0)
+    scale = (bd.qb - bd.qa) / (bd.t - bd.a) or 1.0 / (bd.t - bd.a)
+    slopes = np.linspace(-10.0 * scale, 10.0 * scale, 32)
+    runs = {}  # v0 -> (q, qdot, failure) at n
+
+    def gap(v0):
+        if v0 not in runs:
+            _, q, qdot, (failure,) = _integrate_el(L, bd.a, bd.t, bd.qa, v0,
+                                                   alpha, n)
+            runs[v0] = q[:, 0], qdot[:, 0], failure
+        q, _, failure = runs[v0]
+        if failure is not None:
+            raise failure
+        return float(q[-1]) - bd.qb
+
+    def lone_gap(v0):
+        try:
+            return gap(v0)
+        except (SingularLagrangianError, StepFailure):
+            return math.nan
+
+    for m in dict.fromkeys((min(n, euler.BVP_COARSE_NODES), n)):
+        _, qs, vs, failures = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, m)
+        if m == n:
+            runs.update((float(v0), (qs[:, i], vs[:, i], failures[i]))
+                        for i, v0 in enumerate(slopes))
+        gaps = qs[-1] - bd.qb
+        i = euler._first_bracket(gaps)
+        try:
+            if i is not None and euler._first_bracket(
+                    [gap(float(v0)) for v0 in slopes[i:i + 2]]) == 0:
+                bracket = slopes[i], slopes[i + 1]
+                break
+        except (SingularLagrangianError, StepFailure):
+            assert m < n
+    else:
+        bracket = euler._bracket_at_lost_lane(slopes, gaps, lone_gap)
+        if bracket is None:
+            raise euler._scan_failure(failures) or BracketingError(
+                f"no sign change across 32 shooting slopes in "
+                f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem "
+                "appears to have no solution in the scanned family")
+    v0 = find_root(gap, *bracket, tol=tol)
+    return (v0, *runs[v0][:2])
+
+
+def _bvp_arrays(res):
+    return res.v0, res.q.values, res.qdot.values
+
+
+def _solve_outcome(fn):
+    """("ok", v0, q, qdot) or ("error", type, message)."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn()
+    except (BracketingError, SingularLagrangianError, StepFailure) as err:
+        return ("error", type(err), str(err))
+    return ("ok", *out)
+
+
+_MONOMIALS = ("q", "q^2", "q^3", "q^4", "tau*q", "qdot^4", "qdot*q",
+              "q^2*qdot^2", "qdot^3", "tau*qdot^2")
+POLYNOMIALS = st.lists(
+    st.tuples(st.sampled_from(["1", "-1", "2", "-3", "0.5", "5", "-8", "20"]),
+              st.sampled_from(_MONOMIALS)), min_size=1, max_size=3,
+).map(lambda terms: "qdot^2/2" + "".join(f" + {c}*{t}" for c, t in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=POLYNOMIALS, alpha=st.sampled_from([0.25, 0.5, 0.75]),
+       qa=st.sampled_from([0.0, 0.5]),
+       qb=st.sampled_from([1.0, 2.0, -2.0, 0.3, 0.0, 5.0, 50.0]),
+       n=st.sampled_from([50, 150, 400]))
+# no bracket in either pass
+@example(text="qdot^2/2 + 20*qdot*q", alpha=0.25, qa=0.0, qb=5.0, n=150)
+# the first coarse bracket's upper end blows up at n; the pass at n solves
+@example(text="qdot^2/2 + 5*q^2 + 5*tau*qdot^2 + -1*q^2*qdot^2", alpha=0.75,
+         qa=0.0, qb=0.0, n=400)
+# no bracket in either pass; the root lies next to a lost lane
+@example(text="qdot^2/2 + 1*q^4", alpha=0.75, qa=0.0, qb=5.0, n=150)
+# every lane blows up
+@example(text=QUARTIC, alpha=0.5, qa=0.0, qb=50.0, n=400)
+def test_lone_scan_runs_give_the_lane_scan_result(text, alpha, qa, qb, n):
+    # a polynomial field is arithmetic only, so each scan pass runs its
+    # slopes alone up to its first bracket; it must solve, or fail, as
+    # the passes on 32 lanes do
+    L, bd = parse(text), BoundaryData1D(0.0, 1.0, qa, qb)
+    assert euler._float_field(L).arithmetic_only
+    want = _solve_outcome(lambda: _lane_scan_solve(L, bd, alpha, n))
+    got = _solve_outcome(lambda: _bvp_arrays(solve_el_bvp(L, bd, alpha, n)))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1:] == want[1:]
+        return
+    assert got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(got[3], want[3])
 
 
 # of three position-dependent masses x 5 boundaries x 3 alphas at n = 400,

@@ -6,9 +6,12 @@ The compiled program runs each distinct operation once, in the order of
 its first occurrence, so it must give the same bits and, where evaluation
 fails, the same first error.  A pruned program, which returns only some of
 the entries, must give those entries and fail as the full program does.
-The shooting integrator runs the pruned program as a function of each RK4
-stage, screens a step once and replays it with each stage checked; it must
-give the bits, failures and first error of a plain RK4 on ``partials``.
+A float program, for Python float parameters, must give the bits of the
+array program on one-element arrays, or its first error without the node
+index.  The shooting integrator runs the pruned program as a function of
+each RK4 stage (a lone slope the float program, inlined in one loop),
+screens a step once and replays it with each stage checked; it must give
+the bits, failures and first error of a plain RK4 on ``partials``.
 """
 
 import builtins
@@ -47,7 +50,7 @@ from falva.exprdsl import (
     _is_complex_binding,
     _principal,
 )
-from falva.euler import _ACCEL_PARTIALS, _ACCEL_RETURNS, _integrate_el
+from falva.euler import _ACCEL_PARTIALS, _ACCEL_RETURNS, _FIELD, _integrate_el
 
 
 def _tree_eval(node, env):
@@ -329,6 +332,50 @@ def test_shooting_field_is_built_once_per_lagrangian(tmp_path, monkeypatch):
             "--n", "400", "--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
     assert len(builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# float programs against the array program
+
+FLOAT_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 800.0,
+                                1e200, -1e-200, math.inf, math.nan])
+
+
+@settings(max_examples=400)
+@given(text=st.one_of(EXPRESSIONS, EXPRESSIONS.map("({})^17".format)),
+       tuples=TUPLES, values=st.tuples(FLOAT_VALUES, FLOAT_VALUES, FLOAT_VALUES),
+       field=st.booleans())
+@example(text="sqrt(qdot) + log(q)", tuples=[("q",)], values=(-1.0, 1.0, 0.0),
+         field=False)
+@example(text="exp(q)*qdot^2/2", tuples=[], values=(1.0, 800.0, 0.0),
+         field=True)
+def test_float_program_matches_the_array_program(text, tuples, values, field):
+    # on Python floats, a float program returns Python floats with the bits
+    # of the array program on one-element arrays, or raises its EvalError
+    # without the node index.  A NaN may differ in its sign bit (numpy's
+    # array loop and its scalar path produce different NaNs for cos(inf)),
+    # which no result or CSV cell shows
+    expr = parse(text)
+    if field:  # the shooting field, with a damping
+        args = (_ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD)
+        values += (0.75,)
+    else:
+        returned = "".join(f"{{{i}}}, " for i in range(len(tuples) + 1))
+        args = (tuple(tuples), False, None, (NAMES, returned))
+    floats = exprdsl._program(expr, *args, True)
+    got = _outcome(lambda: floats(*values))
+    want = _outcome(lambda: exprdsl._program(expr, *args)(
+        *(np.array([value]) for value in values)))
+    if want[0] == "error":
+        assert got == want[:2] + (re.sub(r" \(node 0\)$", "", want[2]), None)
+        return
+    assert got[0] == "ok", got
+    assert len(got[1]) == len(want[1])
+    for g, w in zip(got[1], want[1]):
+        w = np.asarray(w, dtype=float)
+        assert type(g) is float, (g, w)
+        assert (math.isnan(g) and np.isnan(w).all()
+                or np.float64(g).tobytes() == w.tobytes()), (g, w)
 
 
 # ---------------------------------------------------------------------------
