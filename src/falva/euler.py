@@ -35,9 +35,10 @@ as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
 the shooting root runs on at most BVP_COARSE_NODES intervals, which match
 at the same time t - epsilon as the full n, and at n itself up to that
 size; a root next to a lost lane is bracketed by lone runs between the
-two.  A scan pass runs on lane arrays, or, where the shooting field is
-arithmetic only, as lone runs in slope order up to its first bracket,
-with the same result.  ``solve_el_bvp`` tells how.
+two.  Of several brackets, a pass takes the one nearest the straight-line
+slope.  A scan pass runs on lane arrays, or, where the shooting field is
+arithmetic only, as lone runs outward from that slope up to its first
+bracket, with the same result.  ``solve_el_bvp`` tells how.
 
 Shooting integrator.  Every shooting run, a lone slope or a scan on lane
 arrays, goes through ``_integrate_el``.  Its field is one compiled
@@ -125,6 +126,14 @@ BVP_ROOT_TOL = 1e-10
 # lone runs that bisect the interval between a finite scan lane and a lost
 # neighbour, down to 2^-30 of the lane spacing
 BVP_EDGE_STEPS = 30
+# the scan lanes in order of their slope's distance from the scan scale:
+# lane k scans x_k * scale, x = linspace(-SPAN, SPAN, SLOPES), which lies
+# |x_k - 1| * |scale| from it for either sign of the scale (17, 18, 16, 19,
+# 15, ... for 32 lanes); each lane's place in that order is its rank.  A
+# Python sort, as numpy's first argsort adds 0.4 MB to a process's RSS
+_SCAN_ORDER = tuple(sorted(range(BVP_SCAN_SLOPES), key=lambda k: abs(
+    BVP_SCAN_SPAN * (2.0 * k / (BVP_SCAN_SLOPES - 1) - 1.0) - 1.0)))
+_SCAN_RANK = tuple(map(_SCAN_ORDER.index, range(BVP_SCAN_SLOPES)))
 MINIMIZE_MAX_ITER = 10000
 MINIMIZE_GRAD_TOL = 1e-9
 
@@ -607,36 +616,47 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     A scan pass integrates 32 slopes across [-10, 10] * (qb - qa)/(t - a);
     when qb == qa the scan scale falls back to 1/(t - a).  A slope whose
     trajectory blows up or meets a vanishing d2L/dqdot^2 drops out and
-    bounds no bracket.  A pass is one integration on lane arrays, unless
-    the float program of the shooting field is arithmetic only (no check
-    and no call, read from the compiled program): then it integrates the
-    slopes alone, in slope order, and stops after the first bracket, and
-    a pass at m < n keeps only each slope's endpoint gap and failure.  The
-    result is the lane pass's: a lone run has the bits and the failure of
-    its lane, a field with no check cannot raise EvalError, so the slopes
-    after the first bracket change neither the bracket nor the error, and
-    a pass with no bracket runs all 32 slopes, so the bisection next to a
-    lost lane and the scan's error read the same gaps and failures.  Alone,
-    a slope runs on Python floats (see ``_integrate_el``), which beats 32
-    lanes of numpy calls only while a stage calls no numpy function.
+    bounds no bracket.  Of the pairs of neighbouring slopes whose endpoint
+    gaps change sign, the pass takes the bracket nearest the scan scale
+    (the straight-line slope unless qb == qa): the one whose farther end
+    comes first when the slopes are ordered by their distance from the
+    scale (``_nearest_bracket``).  With several roots, the rule picks one
+    by where its slope lies, so it need not be the action's minimizer.
+
+    A pass is one integration on lane arrays, unless the float program of
+    the shooting field is arithmetic only (no check and no call, read from
+    the compiled program): then it integrates the slopes alone, outward
+    from the scale in that order (lane 17 first, then 18, 16, 19, ...),
+    and stops at the first bracket two visited neighbours form, which is
+    the nearest one, and a pass at m < n keeps only each slope's endpoint
+    gap and failure.
+    The result is the lane pass's: a lone run has the bits and the failure
+    of its lane, a field with no check cannot raise EvalError, so the
+    slopes not visited change neither the bracket nor the error, and a pass
+    with no bracket runs all 32 slopes, so the bisection next to a lost lane
+    and the scan's error read the same gaps and failures.  Alone, a slope
+    runs on Python floats (see ``_integrate_el``), which beats 32 lanes of
+    numpy calls only while a stage calls no numpy function.
 
     The scan runs in up to two passes, on m = min(n, BVP_COARSE_NODES)
     intervals and then on n.  eps = max(0.02 (t-a), 2 (t-a)/n) is
     0.02 (t-a) from BVP_COARSE_NODES on, so a coarse pass matches at the
-    same time t - eps as a pass at n.  A pass accepts its first bracket if
-    the two ends, integrated alone at n, bracket there too, and the root
+    same time t - eps as a pass at n.  A pass accepts its nearest bracket
+    if the two ends, integrated alone at n, bracket there too, and the root
     search starts from them.  These are the slopes and gaps a pass at n
-    gives whenever its first bracket is the same one, and a lone run has
+    gives whenever its nearest bracket is the same one, and a lone run has
     the bits of its scan lane, so the result is that pass's.  A coarse pass
     that finds no such bracket, or raises EvalError,
     SingularLagrangianError or StepFailure, hands over to the pass at n,
     whose errors propagate; a problem with no bracket therefore pays for
-    both passes.  At n <= BVP_COARSE_NODES the one pass runs at n.  If the
-    pass at n finds no bracket, lone runs at n bisect each interval between
-    a finite lane and a lost neighbour (``_bracket_at_lost_lane``), and the
-    first sign change they meet is the bracket; if there is none, the pass
-    raises the first vanished curvature it met, else the StepFailure of the
-    lowest failed slope, else a BracketingError.
+    both passes.  A lone pass at n reads the slopes already run at n (the
+    coarse bracket's ends) instead of running them again.  At
+    n <= BVP_COARSE_NODES the one pass runs at n.  If the pass at n finds
+    no bracket, lone runs at n bisect each interval between a finite lane
+    and a lost neighbour (``_bracket_at_lost_lane``), in slope order, and
+    the first sign change they meet is the bracket; if there is none, the
+    pass raises the first vanished curvature it met, else the StepFailure
+    of the lowest failed slope, else a BracketingError.
 
     Only runs at n are kept.  The root search reuses them and integrates
     only the slopes it adds; it stops at an endpoint gap of BVP_ROOT_TOL
@@ -685,25 +705,32 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
 
     def scan(m):
         """The gaps and failures of the slopes at m: one run on lane arrays,
-        or lone runs in slope order up to the first bracket."""
+        or lone runs in _SCAN_ORDER up to the first bracket (NaN for a slope
+        not run); at n a slope already run is read from ``runs``."""
         if not lazy:
             return integrate(slopes, m)
-        gaps, failures = [], []
-        for v0 in slopes.tolist():
-            (gap,), (failure,) = integrate(v0, m)
-            gaps.append(float(gap))
-            failures.append(failure)
-            if _first_bracket(gaps[-2:]) == 0:
+        gaps, failures = [math.nan] * len(slopes), [None] * len(slopes)
+        for j in _SCAN_ORDER:
+            v0 = float(slopes[j])
+            if m == n and v0 in runs:
+                _, q, _, failures[j] = runs[v0]
+                gaps[j] = float(q[-1]) - target
+            else:
+                (gaps[j],), (failures[j],) = integrate(v0, m)
+            # the visited lanes are contiguous, so lane j closes at most
+            # one bracket, with its one visited neighbour
+            near = gaps[max(j - 1, 0):j + 2]
+            if any(map(_is_bracket, near, near[1:])):
                 break
         return gaps, failures
 
     for m in dict.fromkeys((min(n, BVP_COARSE_NODES), n)):
         try:
             gaps, failures = scan(m)  # NaN where a slope failed
-            i = _first_bracket(gaps)
+            i = _nearest_bracket(gaps)
             # a bracket holds if its two ends, run alone at n, bracket
-            if i is not None and _first_bracket(
-                    [endpoint_gap(float(v0)) for v0 in slopes[i:i + 2]]) == 0:
+            if i is not None and _is_bracket(
+                    *[endpoint_gap(float(v0)) for v0 in slopes[i:i + 2]]):
                 bracket = slopes[i], slopes[i + 1]
                 break
         except (EvalError, SingularLagrangianError, StepFailure):
@@ -723,15 +750,18 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
                      v0=float(v0), matched_time=grid.t, target=target)
 
 
-def _first_bracket(gaps):
-    """Index i of the first pair of finite gaps i, i+1 whose signs do not
-    strictly agree, or None."""
-    for i in range(len(gaps) - 1):
-        pair = gaps[i:i + 2]
-        if np.isfinite(pair).all() and (pair[0] <= 0.0 <= pair[1]
-                                         or pair[1] <= 0.0 <= pair[0]):
-            return i
-    return None
+def _is_bracket(gap, other):
+    """Whether two gaps are finite and their signs do not strictly agree."""
+    return (math.isfinite(gap) and math.isfinite(other)
+            and (gap <= 0.0 <= other or other <= 0.0 <= gap))
+
+
+def _nearest_bracket(gaps):
+    """Index i of the bracket nearest the scan scale, or None: of the pairs
+    of neighbouring scan lanes i, i+1 whose gaps bracket (``_is_bracket``),
+    the one whose farther end comes first in _SCAN_ORDER."""
+    brackets = [i for i in range(len(gaps) - 1) if _is_bracket(*gaps[i:i + 2])]
+    return min(brackets, key=lambda i: max(_SCAN_RANK[i:i + 2]), default=None)
 
 
 def _bracket_at_lost_lane(slopes, gaps, lone_gap):
@@ -739,7 +769,7 @@ def _bracket_at_lost_lane(slopes, gaps, lone_gap):
     None.
 
     Each pair of neighbouring lanes, one finite and one lost, is bisected in
-    scan order with BVP_EDGE_STEPS lone runs (``lone_gap``, NaN for a lost
+    slope order with BVP_EDGE_STEPS lone runs (``lone_gap``, NaN for a lost
     run): a lost midpoint moves the lost end, a finite midpoint whose gap
     has the finite end's strict sign moves the finite end, and any other
     midpoint closes the bracket.
