@@ -34,25 +34,22 @@ caller that knows the value of the sought path at t - epsilon can pass it
 as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
 the shooting root runs on at most BVP_COARSE_NODES intervals, which match
 at the same time t - epsilon as the full n, and at n itself up to that
-size; a root next to a lost lane is bracketed by lone runs between the
-two.  Of several brackets, a pass takes the one nearest the straight-line
-slope.  A scan pass runs on lane arrays, or, where the shooting field is
-arithmetic only, as lone runs outward from that slope up to its first
-bracket, with the same result.  ``solve_el_bvp`` tells how.
+size; a root next to a lost slope is bracketed by runs between the two.
+A scan pass runs its slopes one at a time, outward from the
+straight-line slope, up to the first bracket, which is the one nearest
+that slope.  ``solve_el_bvp`` tells how.
 
-Shooting integrator.  Every shooting run, a lone slope or a scan on lane
-arrays, goes through ``_integrate_el``.  Its field is one compiled
-program per Lagrangian, a function of an RK4 stage's (qdot, q, tau) and
-damping that returns the force and d2L/dqdot^2.  A scan steps on lane
-arrays.  A lone slope runs a loop generated per Lagrangian
+Shooting integrator.  Every shooting run, of one slope, goes through
+``_integrate_el``.  Its field is one compiled program per Lagrangian, a
+function of an RK4 stage's (qdot, q, tau) and damping that returns the
+force and d2L/dqdot^2.  The run is a loop generated per Lagrangian
 (``_rk4_loop``): the whole RK4 integration on Python floats, with the
-four stages of the field's float program inlined, which runs the lane
+four stages of the field's float program inlined, which runs the array
 program's IEEE operations in the same order.  A step runs unchecked and
 is screened once, on its new (q, v) and its four curvatures; a step that
-fails the screen or raises is replayed with each stage checked, on lane
-arrays, a lone slope as one lane.  So a lost lane, a failure's tau and
-the first error are those of a run checked at every stage, and a lone
-slope fails exactly as its lane in a scan.
+fails the screen or raises is replayed with each stage checked, on
+one-element arrays.  So a failure's tau and the first error are those of
+a run checked at every stage.
 """
 
 from __future__ import annotations
@@ -123,17 +120,16 @@ BVP_SCAN_SLOPES = 32
 BVP_COARSE_NODES = math.ceil(2.0 / IVP_MARGIN_FRACTION)
 BVP_SCAN_SPAN = 10.0
 BVP_ROOT_TOL = 1e-10
-# lone runs that bisect the interval between a finite scan lane and a lost
-# neighbour, down to 2^-30 of the lane spacing
+# runs that bisect the interval between a finite scan slope and a lost
+# neighbour, down to 2^-30 of the slope spacing
 BVP_EDGE_STEPS = 30
-# the scan lanes in order of their slope's distance from the scan scale:
-# lane k scans x_k * scale, x = linspace(-SPAN, SPAN, SLOPES), which lies
+# the scan slopes in order of their distance from the scan scale: slope k
+# is x_k * scale, x = linspace(-SPAN, SPAN, SLOPES), which lies
 # |x_k - 1| * |scale| from it for either sign of the scale (17, 18, 16, 19,
-# 15, ... for 32 lanes); each lane's place in that order is its rank.  A
-# Python sort, as numpy's first argsort adds 0.4 MB to a process's RSS
+# 15, ... for 32 slopes).  A Python sort, as numpy's first argsort adds
+# 0.4 MB to a process's RSS
 _SCAN_ORDER = tuple(sorted(range(BVP_SCAN_SLOPES), key=lambda k: abs(
     BVP_SCAN_SPAN * (2.0 * k / (BVP_SCAN_SLOPES - 1) - 1.0) - 1.0)))
-_SCAN_RANK = tuple(map(_SCAN_ORDER.index, range(BVP_SCAN_SLOPES)))
 MINIMIZE_MAX_ITER = 10000
 MINIMIZE_GRAD_TOL = 1e-9
 
@@ -385,7 +381,7 @@ def _stage_failure(curvature, tau):
 
 def _float_field(L):
     """The shooting field of ``L`` as a float program (see
-    ``exprdsl._compile``): the same operations as the lane program, on
+    ``exprdsl._compile``): the same operations as the array program, on
     Python floats."""
     return _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD, True)
 
@@ -455,43 +451,35 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
         qddot = (dL/dq - (1-alpha)/(t-tau) dL/dqdot
                  - d2L/dqdot dq * qdot - d2L/dqdot dtau) / d2L/dqdot^2
 
-    from q0 at a to the truncated time t - eps, one lane per slope in
-    ``v0``.  Returns (grid, Q, V, failures) with node samples in rows; a
-    lane's samples are NaN from its first non-finite RK4 stage on, and
-    failures[i] is the SingularLagrangianError or StepFailure of lane i's
-    first failed stage (None if it got through), the same whether the slope
-    runs alone or in a scan.
+    from (q0, v0) at a to the truncated time t - eps.  Returns (grid, q, v,
+    failure) with the node samples: NaN from the run's first non-finite RK4
+    stage on, and ``failure`` the SingularLagrangianError or StepFailure of
+    that stage, None if the run got through.
 
     The field is one compiled program of the stage's (qdot, q, tau) and
     damping (1-alpha)/(t-tau) that returns the numerator and d2L/dqdot^2: the
     real-mode program of ``[value, *_ACCEL_PARTIALS]`` pruned to the five
     partials it reads, so every check of all seven trees still runs in its
     place and an error is the one ``partials`` raises.  One RK4 step
-    advances the pair (q, v).  Several slopes run it on lane arrays.  A lone
-    slope runs the generated loop of its float program (``_rk4_loop``): the
-    whole unchecked integration on Python floats, with the four stages
-    inlined, which spares numpy's per-call cost on one-element arrays.  The
-    float program runs the lane program's IEEE operations in the same order,
-    so the bits are the same either way, and every lane matches its lone
-    run.
+    advances the pair (q, v).  The run is the generated loop of the field's
+    float program (``_rk4_loop``): the whole unchecked integration on Python
+    floats, with the four stages inlined, which spares numpy's per-call cost
+    on one-element arrays.  The float program runs the array program's IEEE
+    operations in the same order, so the bits are the same either way.
 
     A step first runs unchecked and is screened once: it stands if the new
     (q, v) and the sum of its four curvatures are finite, since a stage with
     a non-finite derivative, or a zero curvature, makes q or v non-finite.
-    A step that fails the screen or raises (EvalError, or a float division
-    by a zero curvature) is replayed with the checks of each stage, always
-    on lane arrays; the loop of a lone run stops at that step, which is
-    replayed as one lane:
-    - a lane whose stage has a zero d2L/dqdot^2 or a non-finite derivative
-      records that failure and rides along as NaN from that stage on, so a
-      check of tau alone still fails in the rest of the step;
-    - an EvalError propagates from its stage, with its node index;
-    - the run ends once every lane is lost, a step after a lane was lost
-      runs checked, and a lone run whose lane survives goes back to its
-      loop at the next step.
-    The replay is the checked integration itself, so the failures, their
-    tau and the first error do not depend on the screen, and a lone run
-    fails exactly as its scan lane.
+    The loop stops at a step that fails the screen or raises (EvalError, or
+    a float division by a zero curvature), and that step is replayed with
+    the checks of each stage, on one-element arrays:
+    - a stage with a zero d2L/dqdot^2 or a non-finite derivative records
+      that failure, and the rest of the step runs on NaN, so a check of tau
+      alone still fails there, and the run ends;
+    - an EvalError propagates from its stage, at node index 0;
+    - a step that passes goes back to the loop at the next step.
+    The replay is the checked integration itself, so the failure, its tau
+    and the first error do not depend on the screen.
     """
     _check_path_problem(L, alpha)
     n = Grid1D(a, t, n).n  # a GridError for a bad n, before eps divides by it
@@ -507,87 +495,57 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     starts, mids, ends = (taus.tolist() for taus in stage_times)
     d_starts, d_mids, d_ends = (((1.0 - alpha) / (t - taus)).tolist()
                                 for taus in stage_times)
-    v0 = np.atleast_1d(np.asarray(v0, dtype=np.float64))
-    m = v0.shape[0]
     field = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD)
-    failures = [None] * m
-    dead = np.zeros(m, dtype=bool)
-    lost = []  # the lanes in ``dead``, in the order they failed
-
-    def step(stage, q, v, k):
-        """The RK4 step from node k on lane arrays; returns the new (q, v)
-        and the sum of the four curvatures.  ``stage`` is the field or
-        ``checked``, and each stage's q-increment is its v.  Component by
-        component, the operations and their order are those of
-        ``ode_step_rk4`` on the stacked state (q, v), and of ``_RK4_LOOP``."""
-        force, c1 = stage(v, q, starts[k], d_starts[k])
-        a1 = force / c1
-        v2 = v + half * a1
-        force, c2 = stage(v2, q + half * v, mids[k], d_mids[k])
-        a2 = force / c2
-        v3 = v + half * a2
-        force, c3 = stage(v3, q + half * v2, mids[k], d_mids[k])
-        a3 = force / c3
-        v4 = v + h * a3
-        force, c4 = stage(v4, q + h * v3, ends[k], d_ends[k])
-        a4 = force / c4
-        return (q + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
-                v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4), c1 + c2 + c3 + c4)
+    failure = None
 
     def checked(qdot, q, tau, damping):
         """The field with the checks of one stage (see above)."""
-        if lost:
-            q, qdot = np.where(dead, np.nan, q), np.where(dead, np.nan, qdot)
+        nonlocal failure
+        if failure is not None:
+            q, qdot = np.full((2, 1), np.nan)
         force, curvature = field(qdot, q, tau, damping)
         # the force is an array, as it holds -d2L/dqdot dq * qdot, so a zero
         # curvature divides it into inf or NaN; a literal or scalar
         # curvature is a float (np.float64 is one too)
-        curvatures = np.broadcast_to(curvature, (m,))
-        ok = (np.isfinite(qdot) & np.isfinite(force / curvature)
-              & np.isfinite(curvatures))
-        for i in np.flatnonzero(~(ok | dead)):
-            failures[i] = _stage_failure(float(curvatures[i]), tau)
-            lost.append(i)
-        dead[lost] = True
+        curvature_value = float(np.broadcast_to(curvature, (1,))[0])
+        ok = np.isfinite(qdot) & np.isfinite(force / curvature)
+        if failure is None and not (ok[0] and math.isfinite(curvature_value)):
+            failure = _stage_failure(curvature_value, tau)
         return force, curvature
 
+    def step(q, v, k):
+        """The checked RK4 step from node k; returns the new (q, v).  Each
+        stage's q-increment is its v.  Component by component, the
+        operations and their order are those of ``ode_step_rk4`` on the
+        stacked state (q, v), and of ``_RK4_LOOP``."""
+        force, c1 = checked(v, q, starts[k], d_starts[k])
+        a1 = force / c1
+        v2 = v + half * a1
+        force, c2 = checked(v2, q + half * v, mids[k], d_mids[k])
+        a2 = force / c2
+        v3 = v + half * a2
+        force, c3 = checked(v3, q + half * v2, mids[k], d_mids[k])
+        a3 = force / c3
+        v4 = v + h * a3
+        force, c4 = checked(v4, q + h * v3, ends[k], d_ends[k])
+        a4 = force / c4
+        return (q + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+
+    run = _rk4_loop(_float_field(L))
+    stages = (h, half, sixth, starts, mids, ends, d_starts, d_mids, d_ends)
+    rows = [float(q0), float(v0)]  # q and v at each node reached, flat
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if m == 1:
-            run = _rk4_loop(_float_field(L))
-            stages = (h, half, sixth, starts, mids, ends, d_starts, d_mids, d_ends)
-            rows = [float(q0), float(v0[0])]  # q and v at each node reached
-            k = run(rows, 0, grid.n, *stages)
-            while k < grid.n:
-                q_next, v_next, _ = step(checked, *np.reshape(rows[-2:], (2, 1)), k)
-                if lost:
-                    break
-                rows += float(q_next[0]), float(v_next[0])
-                k = run(rows, k + 1, grid.n, *stages)
-        else:
-            q, v = np.full(m, float(q0)), v0
-            rows = [(q, v)]  # lost lanes as NaN
-            for k in range(grid.n):
-                if not lost:
-                    # the screen: a sum is finite only if each of its terms
-                    # is, and a sum of finite terms that overflows costs a
-                    # replay, not a result
-                    try:
-                        q_next, v_next, curvature = step(field, q, v, k)
-                        passed = math.isfinite((q_next + v_next + curvature).sum())
-                    except (EvalError, ArithmeticError):
-                        passed = False
-                if lost or not passed:
-                    q_next, v_next, _ = step(checked, q, v, k)
-                q, v = q_next, v_next
-                if lost:
-                    if len(lost) == m:
-                        break
-                    q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
-                rows.append((q, v))
-    qs, vs = np.full((2, grid.n + 1, m), np.nan)
-    reached = np.reshape(rows, (-1, 2, m)).transpose(1, 0, 2)
-    qs[:reached.shape[1]], vs[:reached.shape[1]] = reached
-    return grid, qs, vs, failures
+        k = run(rows, 0, grid.n, *stages)
+        while k < grid.n:
+            q_next, v_next = step(*np.reshape(rows[-2:], (2, 1)), k)
+            if failure is not None:
+                break
+            rows += float(q_next[0]), float(v_next[0])
+            k = run(rows, k + 1, grid.n, *stages)
+    q, v = np.full((2, grid.n + 1), np.nan)
+    q[:len(rows) // 2], v[:len(rows) // 2] = np.reshape(rows, (-1, 2)).T
+    return grid, q, v, failure
 
 
 def solve_el_ivp(L: LagrangianExpr, a: float, t: float, q0: float, v0: float,
@@ -598,10 +556,10 @@ def solve_el_ivp(L: LagrangianExpr, a: float, t: float, q0: float, v0: float,
     so n must be at least 3; returns (q, qdot) sampled on the truncated
     grid.
     """
-    grid, qs, vs, failures = _integrate_el(L, a, t, q0, v0, alpha, n)
-    if failures[0] is not None:
-        raise failures[0]
-    return GridFunction(grid, qs[:, 0]), GridFunction(grid, vs[:, 0])
+    grid, q, qdot, failure = _integrate_el(L, a, t, q0, v0, alpha, n)
+    if failure is not None:
+        raise failure
+    return GridFunction(grid, q), GridFunction(grid, qdot)
 
 
 def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
@@ -613,48 +571,38 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     O(eps^min(1, 2-alpha)) endpoint defect; pass ``qb_at_margin`` (the value
     of the sought path at t - eps) to match without it.
 
-    A scan pass integrates 32 slopes across [-10, 10] * (qb - qa)/(t - a);
-    when qb == qa the scan scale falls back to 1/(t - a).  A slope whose
+    A scan pass runs up to 32 slopes across [-10, 10] * (qb - qa)/(t - a);
+    when qb == qa the scan scale falls back to 1/(t - a).  Each slope runs
+    alone (see ``_integrate_el``), outward from the scale in order of its
+    distance from it (``_SCAN_ORDER``: slope 17 first, then 18, 16, 19,
+    ...), and the pass stops at the first bracket, a pair of neighbouring
+    slopes whose endpoint gaps change sign.  That is the bracket nearest
+    the scan scale (the straight-line slope unless qb == qa): of all the
+    brackets of the 32 slopes, the one whose farther end comes first in
+    that order.  With several roots, the rule picks one by where its slope
+    lies, so it need not be the action's minimizer.  A slope whose
     trajectory blows up or meets a vanishing d2L/dqdot^2 drops out and
-    bounds no bracket.  Of the pairs of neighbouring slopes whose endpoint
-    gaps change sign, the pass takes the bracket nearest the scan scale
-    (the straight-line slope unless qb == qa): the one whose farther end
-    comes first when the slopes are ordered by their distance from the
-    scale (``_nearest_bracket``).  With several roots, the rule picks one
-    by where its slope lies, so it need not be the action's minimizer.
-
-    A pass is one integration on lane arrays, unless the float program of
-    the shooting field is arithmetic only (no check and no call, read from
-    the compiled program): then it integrates the slopes alone, outward
-    from the scale in that order (lane 17 first, then 18, 16, 19, ...),
-    and stops at the first bracket two visited neighbours form, which is
-    the nearest one, and a pass at m < n keeps only each slope's endpoint
-    gap and failure.
-    The result is the lane pass's: a lone run has the bits and the failure
-    of its lane, a field with no check cannot raise EvalError, so the
-    slopes not visited change neither the bracket nor the error, and a pass
-    with no bracket runs all 32 slopes, so the bisection next to a lost lane
-    and the scan's error read the same gaps and failures.  Alone, a slope
-    runs on Python floats (see ``_integrate_el``), which beats 32 lanes of
-    numpy calls only while a stage calls no numpy function.
+    bounds no bracket; an EvalError of a slope ends the pass, and the
+    slopes the pass did not reach raise none.  A pass with no bracket runs
+    all 32 slopes.
 
     The scan runs in up to two passes, on m = min(n, BVP_COARSE_NODES)
     intervals and then on n.  eps = max(0.02 (t-a), 2 (t-a)/n) is
     0.02 (t-a) from BVP_COARSE_NODES on, so a coarse pass matches at the
-    same time t - eps as a pass at n.  A pass accepts its nearest bracket
-    if the two ends, integrated alone at n, bracket there too, and the root
-    search starts from them.  These are the slopes and gaps a pass at n
-    gives whenever its nearest bracket is the same one, and a lone run has
-    the bits of its scan lane, so the result is that pass's.  A coarse pass
+    same time t - eps as a pass at n.  A pass accepts its bracket if the
+    two ends, run at n, bracket there too, and the root search starts
+    from them.  These are the slopes and gaps a pass at n gives whenever
+    its bracket is the same one, so the result is that pass's.  A coarse
+    pass keeps only each slope's endpoint gap and failure.  A coarse pass
     that finds no such bracket, or raises EvalError,
     SingularLagrangianError or StepFailure, hands over to the pass at n,
     whose errors propagate; a problem with no bracket therefore pays for
-    both passes.  A lone pass at n reads the slopes already run at n (the
+    both passes.  The pass at n reads the slopes already run at n (the
     coarse bracket's ends) instead of running them again.  At
     n <= BVP_COARSE_NODES the one pass runs at n.  If the pass at n finds
-    no bracket, lone runs at n bisect each interval between a finite lane
-    and a lost neighbour (``_bracket_at_lost_lane``), in slope order, and
-    the first sign change they meet is the bracket; if there is none, the
+    no bracket, runs at n bisect each interval between a finite slope and
+    a lost neighbour (``_bracket_at_lost_lane``), in slope order, and the
+    first sign change they meet is the bracket; if there is none, the
     pass raises the first vanished curvature it met, else the StepFailure
     of the lowest failed slope, else a BracketingError.
 
@@ -678,57 +626,46 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
 
     runs = {}  # v0 -> (grid, q, qdot, failure) at n; no slope runs twice
 
-    def integrate(v0s, m):
-        grid, qs, vs, failures = _integrate_el(L, bd.a, bd.t, bd.qa, v0s, alpha, m)
-        if m == n:
-            for i, v0 in enumerate(np.atleast_1d(v0s)):
-                runs[float(v0)] = grid, qs[:, i], vs[:, i], failures[i]
-        return qs[-1] - target, failures
+    def integrate(v0, m):
+        """The endpoint gap and failure of slope v0 at m intervals."""
+        out = runs.get(v0) if m == n else None
+        if out is None:
+            out = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, m)
+            if m == n:
+                runs[v0] = out
+        return float(out[1][-1]) - target, out[3]
 
     def endpoint_gap(v0):
-        if v0 not in runs:
-            integrate(v0, n)
-        _, q, _, failure = runs[v0]
+        gap, failure = integrate(v0, n)
         if failure is not None:
             raise failure
-        return float(q[-1]) - target
+        return gap
 
     def lone_gap(v0):
-        """The gap of a lone run at n, NaN where the run fails."""
+        """The gap of a run at n, NaN where the run fails."""
         try:
             return endpoint_gap(v0)
         except (EvalError, SingularLagrangianError, StepFailure):
             return math.nan
 
-    _check_path_problem(L, alpha)  # the first integration's own errors
-    lazy = _float_field(L).arithmetic_only
-
     def scan(m):
-        """The gaps and failures of the slopes at m: one run on lane arrays,
-        or lone runs in _SCAN_ORDER up to the first bracket (NaN for a slope
-        not run); at n a slope already run is read from ``runs``."""
-        if not lazy:
-            return integrate(slopes, m)
+        """The gaps and failures of the slopes at m, run in _SCAN_ORDER up to
+        the first bracket (NaN and None for a slope not run), and the lower
+        index of that bracket, or None."""
         gaps, failures = [math.nan] * len(slopes), [None] * len(slopes)
         for j in _SCAN_ORDER:
-            v0 = float(slopes[j])
-            if m == n and v0 in runs:
-                _, q, _, failures[j] = runs[v0]
-                gaps[j] = float(q[-1]) - target
-            else:
-                (gaps[j],), (failures[j],) = integrate(v0, m)
-            # the visited lanes are contiguous, so lane j closes at most
-            # one bracket, with its one visited neighbour
-            near = gaps[max(j - 1, 0):j + 2]
-            if any(map(_is_bracket, near, near[1:])):
-                break
-        return gaps, failures
+            gaps[j], failures[j] = integrate(float(slopes[j]), m)
+            # the slopes run are contiguous, so slope j closes at most one
+            # bracket, with its one neighbour already run
+            for i in (j - 1, j):
+                if 0 <= i < len(slopes) - 1 and _is_bracket(*gaps[i:i + 2]):
+                    return gaps, failures, i
+        return gaps, failures, None
 
     for m in dict.fromkeys((min(n, BVP_COARSE_NODES), n)):
         try:
-            gaps, failures = scan(m)  # NaN where a slope failed
-            i = _nearest_bracket(gaps)
-            # a bracket holds if its two ends, run alone at n, bracket
+            gaps, failures, i = scan(m)  # NaN where a slope failed
+            # a bracket holds if its two ends, run at n, bracket
             if i is not None and _is_bracket(
                     *[endpoint_gap(float(v0)) for v0 in slopes[i:i + 2]]):
                 bracket = slopes[i], slopes[i + 1]
@@ -756,20 +693,12 @@ def _is_bracket(gap, other):
             and (gap <= 0.0 <= other or other <= 0.0 <= gap))
 
 
-def _nearest_bracket(gaps):
-    """Index i of the bracket nearest the scan scale, or None: of the pairs
-    of neighbouring scan lanes i, i+1 whose gaps bracket (``_is_bracket``),
-    the one whose farther end comes first in _SCAN_ORDER."""
-    brackets = [i for i in range(len(gaps) - 1) if _is_bracket(*gaps[i:i + 2])]
-    return min(brackets, key=lambda i: max(_SCAN_RANK[i:i + 2]), default=None)
-
-
 def _bracket_at_lost_lane(slopes, gaps, lone_gap):
-    """A bracket (finite end, midpoint) found next to a lost scan lane, or
+    """A bracket (finite end, midpoint) found next to a lost scan slope, or
     None.
 
-    Each pair of neighbouring lanes, one finite and one lost, is bisected in
-    slope order with BVP_EDGE_STEPS lone runs (``lone_gap``, NaN for a lost
+    Each pair of neighbouring slopes, one finite and one lost, is bisected
+    in slope order with BVP_EDGE_STEPS runs (``lone_gap``, NaN for a lost
     run): a lost midpoint moves the lost end, a finite midpoint whose gap
     has the finite end's strict sign moves the finite end, and any other
     midpoint closes the bracket.
@@ -793,9 +722,9 @@ def _bracket_at_lost_lane(slopes, gaps, lone_gap):
 
 
 def _scan_failure(failures):
-    """The error a scan with no bracket raises, or None if no lane failed:
+    """The error a scan with no bracket raises, or None if no slope failed:
     the vanished curvature met first, since a degenerate Lagrangian is the
-    likelier cause, else the first lane's StepFailure."""
+    likelier cause, else the first slope's StepFailure."""
     singular = [f for f in failures if isinstance(f, SingularLagrangianError)]
     if singular:
         return min(singular, key=lambda f: f.tau)

@@ -424,7 +424,7 @@ class _Compiler:
         self.complex_mode = complex_mode
         self.params = params  # None: the variables are looked up in env
         self.floats = floats  # a float program (see ``_compile``)
-        # (register, check, lines, operands, raises, calls) of each operation
+        # (register, check, lines, operands, raises) of each operation
         self.ops = []
         self.names = {}  # literal name -> value, bound in the program's namespace
         self.refs = {}  # key -> operand text
@@ -437,12 +437,11 @@ class _Compiler:
             self.names[name] = value
         return self.refs[key]
 
-    def _emit(self, key, operands, lines, check=None, raises=False, calls=False):
+    def _emit(self, key, operands, lines, check=None, raises=False):
         """Register for ``key``.  The first time, the operation is recorded
         as its value ``lines``, with ``{r}`` for the register, and its
         ``check``: None or an (operand, condition, message) triple that runs
-        just before them.  ``raises`` marks value lines that can fail, and
-        ``calls`` value lines that call a function."""
+        just before them.  ``raises`` marks value lines that can fail."""
         ref = self.refs.get(key)
         if ref is None:
             ref = self.refs[key] = f"r{len(self.refs)}"
@@ -452,7 +451,7 @@ class _Compiler:
                                   if self.floats
                                   else f"_check({condition}, {message!r})")
             self.ops.append((ref, check, [line.format(r=ref) for line in lines],
-                             operands, raises, calls or raises))
+                             operands, raises))
         return ref
 
     def _helper(self, call):
@@ -518,7 +517,7 @@ class _Compiler:
             return self._emit(("^", a, n), (a,), [f"{{r}} = {' * '.join([a] * n)}"],
                               check)
         return self._emit(("^", a, n), (a,), [self._helper(f"_intpow({a}, {n})")],
-                          check, calls=True)
+                          check)
 
     def _call(self, fn, a):
         if fn not in _FUNCTIONS:
@@ -535,8 +534,7 @@ class _Compiler:
             check = a, f"{a} < 0", "sqrt of a negative value in real mode"
         line = (f"{{r}} = _float_sqrt({a})" if self.floats and fn == "sqrt"
                 else self._helper(f"_{fn}({arg})"))
-        return self._emit((fn, a), (a,), [line], check, raises=fn == "sign",
-                          calls=True)
+        return self._emit((fn, a), (a,), [line], check, raises=fn == "sign")
 
 
 def _compile(trees, complex_mode: bool, returns=None, signature=None,
@@ -572,10 +570,9 @@ def _compile(trees, complex_mode: bool, returns=None, signature=None,
     to ``_WRITTEN_POWER`` is written out as the products of ``_intpow``; and
     no register is deleted.  Besides ``source`` it has the attributes
     ``body``, its lines before the return, ``returned``, the returned
-    expression, ``reads``, the parameters that the body or a returned entry
-    reads, and ``arithmetic_only``: true when the body holds no check and
-    calls no function, so that the program cannot raise.  The other names
-    these lines read are the function's ``__globals__``.
+    expression, and ``reads``, the parameters that the body or a returned
+    entry reads.  The other names these lines read are the function's
+    ``__globals__``.
     """
     params, result = signature or (None, None)
     compiler = _Compiler(complex_mode, params, floats)
@@ -584,15 +581,13 @@ def _compile(trees, complex_mode: bool, returns=None, signature=None,
         outputs = [outputs[i] for i in returns]
     live = set(outputs)
     steps = []  # (lines, operands they read) of each emitted operation, last first
-    arithmetic_only = True
-    for ref, check, lines, operands, raises, calls in reversed(compiler.ops):
+    for ref, check, lines, operands, raises in reversed(compiler.ops):
         if returns is not None and not raises and ref not in live:
             lines, operands = [], ()
         if check is not None:
             lines = [check[1]] + lines
             operands = operands + (check[0],)
         if lines:
-            arithmetic_only &= check is None and not calls
             live.update(operands)
             steps.append((lines, operands))
     steps.reverse()
@@ -618,7 +613,6 @@ def _compile(trees, complex_mode: bool, returns=None, signature=None,
     if floats:
         program.body, program.returned = body, returned
         program.reads = tuple(name for name in params if name in live)
-        program.arithmetic_only = arithmetic_only
     return program
 
 

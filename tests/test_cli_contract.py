@@ -640,6 +640,22 @@ def test_solve_bvp_scan_error_names_node_0(tmp_path, n):
                       "(node 0)\n")
 
 
+# the far scan slopes drive q below -1, where log(1+q) fails: at boundary
+# (0, 1) the scan stops at the bracket next to the straight-line slope
+# before it runs them, while the root at (0.5, -2) lies past q = -1, so the
+# slopes near it fail, each as a run of its own, at node 0
+@pytest.mark.parametrize("boundary, status, stderr", [
+    ("0,1", 0, ""),
+    ("0.5,-2", 3,
+     "FALVA-ERR eval: log of a non-positive value in real mode (node 0)\n"),
+], ids=["solves", "root-past-the-domain"])
+def test_solve_bvp_scans_only_up_to_its_bracket(tmp_path, boundary, status,
+                                                stderr):
+    argv = ["solve-bvp", "--lagrangian", "qdot^2/2 + log(1+q)", "--alpha",
+            "0.5", "--domain", "0,1", "--boundary", boundary, "--n", "400"]
+    assert _run_quietly(argv, tmp_path / "out.csv") == (status, stderr, [])
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("solve-ivp", ["--q0", "0", "--v0", "1"]),
     ("solve-bvp", ["--boundary", "0,1"]),

@@ -457,16 +457,20 @@ class TestSolveBvp:
 
 
 class TestShootingLanes:
-    """Each lane of a batched integration fails on its own and matches its
-    lone run bit for bit; the root search reads the scan's lanes."""
+    """Each shooting slope runs alone and fails on its own; the scan runs
+    the slopes outward from the straight-line slope, and the root search
+    reads the scan's runs."""
+
+    # the slopes of each case below that fail; the others get through
+    _LOST = {QUARTIC: [*range(11), *range(21, 32)], "exp(qdot) + exp(-qdot)": [2]}
 
     @pytest.mark.parametrize("text, slopes", [
-        # 22 of the 32 lanes blow up, at different steps and stages
+        # 22 of the 32 slopes blow up, at different steps and stages
         (QUARTIC, np.linspace(-20.0, 20.0, 32)),
         ("sqrt(1+qdot^2)*exp(-q/3)", np.linspace(-20.0, 20.0, 12)),
         # d2L/dqdot^2 = exp(qdot) + exp(-qdot) overflows at v0 = 720 only
         ("exp(qdot) + exp(-qdot)", np.array([-1.0, 0.0, 720.0, 1.0])),
-        # each runtime helper and a checked division, on floats when alone
+        # each runtime helper and a checked division, on floats
         ("qdot^2/2 + abs(q)", np.linspace(-20.0, 20.0, 12)),
         ("qdot^2/2 + (1+q^2)^0.75", np.linspace(-20.0, 20.0, 12)),
         ("qdot^2/2 + q/(2+q^2)", np.linspace(-20.0, 20.0, 12)),
@@ -474,42 +478,43 @@ class TestShootingLanes:
     ])
     def test_lane_parity(self, text, slopes):
         L = parse(text)
-        grid, qs, vs, failures = _integrate_el(L, 0.0, 1.0, 0.0, slopes, 0.5, 100)
-        assert qs.shape == vs.shape == (101, len(slopes))
+        lost = []
         for i, v0 in enumerate(slopes):
-            lone_grid, q1, v1, (lone,) = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
-            assert lone_grid == grid
-            assert np.array_equal(qs[:, i], q1[:, 0], equal_nan=True)
-            assert np.array_equal(vs[:, i], v1[:, 0], equal_nan=True)
-            # a failed lane ends in NaN, a finished one does not
-            assert np.isnan(qs[-1, i]) == (lone is not None)
-            if lone is None:
-                assert failures[i] is None
+            grid, q, v, failure = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            assert q.shape == v.shape == (101,)
+            # a failed run ends in NaN, a finished one does not
+            assert np.isnan(q[-1]) == (failure is not None)
+            if failure is None:
+                # solve_el_ivp returns the run's bits
+                q1, v1 = solve_el_ivp(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+                assert q1.grid == grid
+                assert np.array_equal(q1.values, q) and np.array_equal(v1.values, v)
                 continue
-            assert isinstance(failures[i], StepFailure)
-            assert str(failures[i]) == str(lone)
-            assert failures[i].tau == lone.tau
-            # solve_el_ivp raises the lone lane's failure
+            lost.append(i)
+            assert isinstance(failure, StepFailure)
+            # solve_el_ivp raises the run's failure
             with pytest.raises(StepFailure) as info:
                 solve_el_ivp(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
-            assert (str(info.value), info.value.tau) == (str(lone), lone.tau)
+            assert (str(info.value), info.value.tau) == (str(failure), failure.tau)
+        assert lost == self._LOST.get(text, [])
 
     def test_lane_failure_kinds(self):
-        _, qs, _, failures = _integrate_el(parse("exp(qdot) + exp(-qdot)"), 0.0,
-                                           1.0, 0.0, [0.0, 720.0], 0.5, 50)
-        assert failures[0] is None
-        assert str(failures[1]) == "d2L/dqdot^2 is not finite at tau = 0"
-        assert failures[1].tau == 0.0
-        assert np.all(np.isnan(qs[1:, 1])) and np.all(np.isfinite(qs[:, 0]))
-        _, _, _, failures = _integrate_el(parse(QUARTIC), 0.0, 1.0, 0.0,
-                                          [300.0], 0.5, 400)
-        assert str(failures[0]).startswith("non-finite derivative at tau = ")
+        L = parse("exp(qdot) + exp(-qdot)")
+        _, q0, _, failure = _integrate_el(L, 0.0, 1.0, 0.0, 0.0, 0.5, 50)
+        assert failure is None and np.all(np.isfinite(q0))
+        _, q1, _, failure = _integrate_el(L, 0.0, 1.0, 0.0, 720.0, 0.5, 50)
+        assert str(failure) == "d2L/dqdot^2 is not finite at tau = 0"
+        assert failure.tau == 0.0
+        assert np.all(np.isnan(q1[1:]))
+        _, _, _, failure = _integrate_el(parse(QUARTIC), 0.0, 1.0, 0.0, 300.0,
+                                         0.5, 400)
+        assert str(failure).startswith("non-finite derivative at tau = ")
 
     def test_check_of_tau_alone_fails_in_the_rest_of_a_failed_step(self):
-        # every lane is lost at a mid stage of step k, by a blow-up at the
+        # each run is lost at a mid stage of step k, by a blow-up at the
         # second stage or by d2L/dqdot^2 = (tau - s)^2 = 0 at both, and
         # log(c - tau) fails at its fourth stage, tau = c: the rest of the
-        # step runs on NaN, so the lone run raises the scan's EvalError
+        # step runs on NaN, so the run raises the EvalError
         grid = Grid1D(0.0, 0.98, 100)
         taus, h, k = grid.nodes.tolist(), grid.h, 40
         s, c = taus[k] + 0.5 * h, taus[k] + h
@@ -517,41 +522,34 @@ class TestShootingLanes:
         for lose in (f"qdot^2/2 + exp({rate!r}*(tau - {d!r}))*q",
                      f"qdot^2/2*(tau - {s!r})^2"):
             L = parse(f"{lose} + log({c!r} - tau)*q")
-            for v0 in ([0.5, 1.0], 0.5):
+            for v0 in (0.5, 1.0):
                 with pytest.raises(EvalError, match="^log of a non-positive value in real mode$"):
                     _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
 
     @pytest.mark.parametrize("text, slopes, lost", [
-        # d2L/dqdot^2 = 0 everywhere: every lane fails at tau = 0
+        # d2L/dqdot^2 = 0 everywhere: every run fails at tau = 0
         ("q*qdot", [0.0, 1.0], [True, True]),
-        # exp(-q) underflows to 0 on the steep lanes only
+        # exp(-q) underflows to 0 on the steep slopes only
         ("exp(-q)*qdot^2/2", [1.0, 20.0, -1.0, 40.0], [False, True, False, True]),
     ], ids=["q*qdot", "exp(-q)*qdot^2/2"])
     def test_zero_curvature_fails_its_lane(self, text, slopes, lost):
         L = parse(text)
-        _, qs, vs, failures = _integrate_el(L, 0.0, 1.0, 0.0, slopes, 0.5, 100)
-        assert [f is not None for f in failures] == lost
-        for i, v0 in enumerate(slopes):
-            # a lone run has the bits of its lane and records its failure
-            _, q1, v1, (lone,) = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
-            assert np.array_equal(qs[:, i], q1[:, 0], equal_nan=True)
-            assert np.array_equal(vs[:, i], v1[:, 0], equal_nan=True)
-            if not lost[i]:
-                assert lone is None
+        for v0, want in zip(slopes, lost):
+            _, q, _, failure = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+            if not want:
+                assert failure is None and np.isfinite(q[-1])
                 continue
-            assert isinstance(lone, SingularLagrangianError)
-            assert isinstance(failures[i], SingularLagrangianError)
-            assert (str(failures[i]), failures[i].tau) == (str(lone), lone.tau)
-            assert np.isnan(qs[-1, i])
+            assert isinstance(failure, SingularLagrangianError)
+            assert np.isnan(q[-1])
             # solve_el_ivp raises the recorded failure
             with pytest.raises(SingularLagrangianError) as info:
                 solve_el_ivp(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
-            assert (str(info.value), info.value.tau) == (str(lone), lone.tau)
+            assert (str(info.value), info.value.tau) == (str(failure), failure.tau)
 
     _SINGULAR, _STEP = SingularLagrangianError, StepFailure
 
     @pytest.mark.parametrize("text, slopes, pinned", [
-        # exp(-q) underflows to 0 on the steep lanes: in the middle of a
+        # exp(-q) underflows to 0 on the steep slopes: in the middle of a
         # step (slopes 20 and 60), at its end (30) and at its start (40)
         ("exp(-q)*qdot^2/2", [1.0, 20.0, 30.0, 40.0, 60.0], [
             None,
@@ -559,48 +557,48 @@ class TestShootingLanes:
             (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0.0784", 0.0784, 8),
             (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0.0588", 0.0588, 7),
             (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0.0441", 0.0441, 5)]),
-        # d2L/dqdot^2 = 0 everywhere: every lane fails at its first stage
+        # d2L/dqdot^2 = 0 everywhere: every run fails at its first stage
         ("q*qdot", [0.0, 1.0], [
             (_SINGULAR, "d2L/dqdot^2 vanished at tau = 0", 0.0, 1)] * 2),
-        # the quartic's far lanes blow up in the middle of a step
+        # the quartic's far slopes blow up in the middle of a step
         (QUARTIC, [2.0, -20.0, 20.0], [
             None,
             (_STEP, "non-finite derivative at tau = 0.5439", 0.5439, 56),
             (_STEP, "non-finite derivative at tau = 0.5439", 0.5439, 56)]),
     ], ids=["exp(-q)*qdot^2/2", "q*qdot", QUARTIC])
     def test_lanes_that_fail_mid_step(self, text, slopes, pinned):
-        # a step that loses a lane fails the screen and is replayed with each
-        # stage checked: each lane's error, its tau and its first NaN row
-        _, qs, vs, failures = _integrate_el(parse(text), 0.0, 1.0, 0.0, slopes,
-                                            0.5, 100)
-        for i, want in enumerate(pinned):
+        # a step that loses its run fails the screen and is replayed with
+        # each stage checked: each run's error, its tau and its first NaN row
+        for v0, want in zip(slopes, pinned):
+            _, q, v, failure = _integrate_el(parse(text), 0.0, 1.0, 0.0, v0,
+                                             0.5, 100)
             if want is None:
-                assert failures[i] is None
-                assert np.isfinite(qs[:, i]).all() and np.isfinite(vs[:, i]).all()
+                assert failure is None
+                assert np.isfinite(q).all() and np.isfinite(v).all()
                 continue
             kind, message, tau, row = want
-            assert type(failures[i]) is kind
-            assert (str(failures[i]), failures[i].tau) == (message, tau)
-            assert np.isfinite(qs[:row, i]).all() and np.isnan(qs[row:, i]).all()
-            assert np.isnan(vs[row:, i]).all()
+            assert type(failure) is kind
+            assert (str(failure), failure.tau) == (message, tau)
+            assert np.isfinite(q[:row]).all() and np.isnan(q[row:]).all()
+            assert np.isnan(v[row:]).all()
 
-    @pytest.mark.parametrize("v0", [[0.0, 1e-10], 0.0, 1e-10])
+    @pytest.mark.parametrize("v0", [0.0, 1e-10])
     def test_an_infinite_curvature_alone_fails_the_screen(self, v0):
         # d2L/dqdot^2 = 2 q overflows at q = 1e308, while dL/dqdot = 2 q qdot
         # does not: qddot = force/inf is 0 and (q, v) stay finite, so only the
         # curvatures in the screen send the step to its checked replay
-        _, qs, _, failures = _integrate_el(parse("q*qdot^2"), 0.0, 1.0, 1e308,
-                                           v0, 0.5, 10)
-        assert [(type(f), str(f), f.tau) for f in failures] == [
-            (StepFailure, "d2L/dqdot^2 is not finite at tau = 0", 0.0)] * np.size(v0)
-        assert (qs[0] == 1e308).all() and np.isnan(qs[1:]).all()
+        _, q, _, failure = _integrate_el(parse("q*qdot^2"), 0.0, 1.0, 1e308,
+                                         v0, 0.5, 10)
+        assert (type(failure), str(failure), failure.tau) == (
+            StepFailure, "d2L/dqdot^2 is not finite at tau = 0", 0.0)
+        assert q[0] == 1e308 and np.isnan(q[1:]).all()
 
     def test_an_error_of_a_lost_lane_is_not_raised(self):
-        # every lane blows up at the second stage of step k; run unchecked,
+        # each run blows up at the second stage of step k; run unchecked,
         # its fourth stage then reads q = inf, and log(10 - q) fails there,
         # or d2L/dqdot^2 = (tau - c)^2 vanishes there, at tau = c.  The
         # checked replay runs those stages on NaN, which no check fails, so
-        # each lane, and a lone run alike, records its StepFailure
+        # the run records its StepFailure
         grid = Grid1D(0.0, 0.98, 100)
         taus, h, k = grid.nodes.tolist(), grid.h, 40
         c, d, rate = taus[k] + h, taus[k] + 0.25 * h, 8000.0 / h
@@ -609,17 +607,16 @@ class TestShootingLanes:
         for text in (f"qdot^2/2 + {blow_up} + log(10 - q)",
                      f"qdot^2/2*(tau - {c!r})^2 + {blow_up}"):
             L = parse(text)
-            for v0 in ([0.5, 1.0], [0.5]):
-                _, qs, _, failures = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
-                assert [(type(f), str(f)) for f in failures] == [
-                    (StepFailure, message)] * len(v0)
-                assert np.isfinite(qs[:k + 1]).all() and np.isnan(qs[k + 1:]).all()
+            for v0 in (0.5, 1.0):
+                _, q, _, failure = _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
+                assert (type(failure), str(failure)) == (StepFailure, message)
+                assert np.isfinite(q[:k + 1]).all() and np.isnan(q[k + 1:]).all()
             with pytest.raises(StepFailure, match=f"^{re.escape(message)}$"):
                 solve_el_ivp(L, 0.0, 1.0, 0.0, 0.5, 0.5, 100)
 
     def test_no_bracket_reports_the_first_vanished_curvature(self):
-        # the lanes up to -7.74 each underflow exp(q) to 0, the steepest
-        # first; every finite lane, and every lone run between lane 15 and
+        # the slopes up to -7.74 each underflow exp(q) to 0, the steepest
+        # first; every finite slope, and every run between slope 15 and
         # its lost neighbour 14, ends below the target 8
         with pytest.raises(SingularLagrangianError) as info:
             solve_el_bvp(parse("exp(q)*qdot^2/2"),
@@ -627,15 +624,17 @@ class TestShootingLanes:
         assert str(info.value) == "d2L/dqdot^2 vanished at tau = 0.028175"
 
     def test_a_root_next_to_a_lost_lane_is_bisected(self, monkeypatch):
-        # the lanes from 17 up each underflow exp(-q) to 0, and the root
-        # lies between lane 16 and the lost lane 17: lone runs at n bisect
-        # that interval until a gap changes sign
+        # the slopes from 17 up each underflow exp(-q) to 0, and the root
+        # lies between slope 16 and the lost slope 17, so no two slopes
+        # bracket: the coarse pass and the pass at n each run all 32
+        # slopes, then runs at n bisect that interval until a gap changes
+        # sign, and the root search runs at n
         calls = self._count_integrations(monkeypatch)
         res = solve_el_bvp(parse("exp(-q)*qdot^2/2"),
                            BoundaryData1D(0.0, 1.0, 0.0, 3.0), 0.75, 400)
         assert abs(float(res.q.values[-1]) - 3.0) < 3e-10
-        assert calls[:2] == [(1, 100), (1, 400)]
-        assert set(calls[2:]) == {(0, 400)}
+        assert calls[:64] == [100] * 32 + [400] * 32
+        assert set(calls[64:]) == {400}
 
     @pytest.mark.parametrize("lost_above", [True, False])
     def test_edge_bisection_moves_one_end_per_run(self, lost_above):
@@ -669,13 +668,13 @@ class TestShootingLanes:
 
     @staticmethod
     def _count_integrations(monkeypatch, edit=None):
-        """Record (ndim of the slopes, n) per integration; ``edit(v0, n,
-        out)`` may change the returned (grid, Q, V, failures) or raise."""
+        """Record n per integration; ``edit(v0, n, out)`` may change the
+        returned (grid, q, qdot, failure) or raise."""
         calls = []
         integrate = euler._integrate_el
 
         def counted(L, a, t, q0, v0, alpha, n):
-            calls.append((np.ndim(v0), n))
+            calls.append(n)
             out = integrate(L, a, t, q0, v0, alpha, n)
             return out if edit is None else edit(v0, n, out)
 
@@ -683,9 +682,9 @@ class TestShootingLanes:
         return calls
 
     def test_scan_order_runs_outward_from_the_straight_line_slope(self):
-        # lane k scans x_k * scale with x = linspace(-10, 10, 32); lane 17
-        # (x = 0.968) is nearest 1, then 18, 16, 19, ...: lane 17 + k is
-        # 0.645 k - 0.032 from 1, lane 17 - k 0.645 k + 0.032
+        # slope k is x_k * scale with x = linspace(-10, 10, 32); slope 17
+        # (x = 0.968) is nearest 1, then 18, 16, 19, ...: slope 17 + k is
+        # 0.645 k - 0.032 from 1, slope 17 - k 0.645 k + 0.032
         order = euler._SCAN_ORDER
         assert order[:9] == (17, 18, 16, 19, 15, 20, 14, 21, 13)
         assert order[-6:] == (4, 31, 3, 2, 1, 0)
@@ -694,17 +693,23 @@ class TestShootingLanes:
             slopes = np.linspace(-10.0 * scale, 10.0 * scale, 32)
             assert np.all(np.diff(np.abs(slopes[list(order)] - scale)) > 0)
 
-    def test_the_bracket_nearest_the_scale_is_taken(self):
+    def test_the_bracket_nearest_the_scale_is_taken(self, monkeypatch):
         # brackets (2, 3) and (17, 18), and (18, 19) whose farther end 19
         # comes after 18 in the scan order
         gaps = [-1.0] * 3 + [1.0] * 15 + [-1.0, 1.0] + [math.nan] * 12
-        assert euler._nearest_bracket(gaps) == 17
-        assert euler._nearest_bracket(gaps[:17] + [math.nan] * 15) == 2
-        assert euler._nearest_bracket([1.0] * 32) is None
+        assert _nearest_bracket([1.0] * 32) is None
+        slopes = np.linspace(-10.0, 10.0, 32)
+        for gaps, i in ((gaps, 17), (gaps[:17] + [math.nan] * 15, 2)):
+            assert _nearest_bracket(gaps) == i
+            # a shooting field whose endpoint gap to qb = 1 interpolates
+            # ``gaps`` between the slopes: the root lies in bracket i
+            monkeypatch.setattr(euler, "_integrate_el", _gap_field(slopes, gaps))
+            res = solve_el_bvp(parse(FREE), _BD, 0.5, 400)
+            assert slopes[i] < res.v0 < slopes[i + 1]
 
-    # ``scanned`` is the number of lone scan runs, in _SCAN_ORDER (17, 18,
-    # 16, 19, 15, 20, ...) up to the lane that closes the bracket: the free
-    # particle's root lies between lanes 17 and 18 (runs 17, 18: 2), the
+    # ``scanned`` is the number of scan runs, in _SCAN_ORDER (17, 18, 16,
+    # 19, 15, 20, ...) up to the slope that closes the bracket: the free
+    # particle's root lies between slopes 17 and 18 (runs 17, 18: 2), the
     # oscillator's between 18 and 19 (17, 18, 16, 19: 4), and between 19
     # and 20 for the oscillator from qa = 1e-170 (17, 18, 16, 19, 15, 20: 6)
     _LINEAR_CASES = pytest.mark.parametrize("text, qa, qb, scanned", [
@@ -719,60 +724,96 @@ class TestShootingLanes:
     @_LINEAR_CASES
     def test_linear_problem_integrates_twice(self, monkeypatch, text, qa, qb,
                                              scanned):
-        # up to BVP_COARSE_NODES the scan runs at n.  Both fields are
-        # arithmetic only, so the scan runs its slopes alone, outward from
-        # the straight-line slope up to the first bracket, and then the
-        # secant root runs once; the bracket ends come from the scan
+        # up to BVP_COARSE_NODES the scan runs at n.  The scan runs its
+        # slopes outward from the straight-line slope up to the first
+        # bracket, and then the secant root runs once; the bracket ends
+        # come from the scan
         calls = self._count_integrations(monkeypatch)
         solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 100)
-        assert calls == [(0, 100)] * (scanned + 1)
+        assert calls == [100] * (scanned + 1)
 
     @_LINEAR_CASES
     def test_linear_problem_scans_coarse_then_runs_three_slopes(
             self, monkeypatch, text, qa, qb, scanned):
-        # the lone scan runs at BVP_COARSE_NODES up to the first bracket, the
+        # the scan runs at BVP_COARSE_NODES up to the first bracket, the
         # two bracket ends at n, then the secant root
         calls = self._count_integrations(monkeypatch)
         solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 400)
-        assert calls == [(0, 100)] * scanned + [(0, 400)] * 3
+        assert calls == [100] * scanned + [400] * 3
 
     def test_quartic_integrations(self, monkeypatch):
-        # lone scan runs of lanes 17 and 18, which bracket, then the bracket
+        # scan runs of slopes 17 and 18, which bracket, then the bracket
         # ends and nine root-search runs at n
         calls = self._count_integrations(monkeypatch)
         res = solve_el_bvp(parse(QUARTIC), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
                            0.5, 400)
-        assert calls == [(0, 100)] * 2 + [(0, 400)] * 11
+        assert calls == [100] * 2 + [400] * 11
         assert res.v0 == 1.4261737846979154
+
+
+# the scan slopes as multiples of the scan scale (qb - qa)/(t - a)
+_SCAN_X = np.linspace(-10.0, 10.0, 32)
+
+
+def _scan_gaps(L, bd, alpha, m):
+    """The full 32-slope scan of ``bd`` at m, from 32 lone runs: the slopes,
+    each one's run (q, qdot, failure) and its endpoint gap to qb, NaN where
+    the run failed."""
+    scale = (bd.qb - bd.qa) / (bd.t - bd.a) or 1.0 / (bd.t - bd.a)
+    slopes = np.linspace(-10.0 * scale, 10.0 * scale, 32)
+    runs = [_integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, m)[1:]
+            for v0 in slopes.tolist()]
+    return slopes, runs, [float(q[-1]) - bd.qb for q, _, _ in runs]
+
+
+def _brackets(gaps):
+    """The lower index i of each pair of neighbouring gaps that change sign;
+    a NaN gap compares false, so a failed run bounds no bracket."""
+    return [i for i in range(len(gaps) - 1) if gaps[i] <= 0.0 <= gaps[i + 1]
+            or gaps[i + 1] <= 0.0 <= gaps[i]]
+
+
+def _nearest_bracket(gaps):
+    """The root rule, stated as a reference: of the brackets of a full scan,
+    the one whose farther end is nearest the scan scale, or None.  Slope k
+    lies |x_k - 1| * |scale| from the scale, and no two k tie."""
+    return min(_brackets(gaps), key=lambda i: max(abs(_SCAN_X[i:i + 2] - 1.0)),
+               default=None)
+
+
+def _gap_field(slopes, gaps):
+    """A stand-in for _integrate_el whose endpoint gap to qb = 1 is ``gaps``
+    at ``slopes`` and linear in between, and whose run fails where that gap
+    is NaN."""
+    table = dict(zip(slopes.tolist(), gaps))
+
+    def integrate(L, a, t, q0, v0, alpha, n):
+        grid = Grid1D(a, t - max(0.02 * (t - a), 2.0 * (t - a) / n), n)
+        gap = table[v0] if v0 in table else float(np.interp(v0, slopes, gaps))
+        q = np.full(n + 1, 1.0 + gap)
+        return grid, q, q, StepFailure("lost", tau=a) if math.isnan(gap) else None
+    return integrate
 
 
 def _full_scan_solve(L, bd, alpha, n):
     """The shooting solve with its 32-slope scan at the full n, built from
-    _integrate_el and find_root, from the library's one bracket rule, the
-    bracket nearest the scan scale; returns (v0, q, qdot, brackets), where
-    brackets counts the sign changes of the scan."""
-    scale = (bd.qb - bd.qa) / (bd.t - bd.a) or 1.0 / (bd.t - bd.a)
-    slopes = np.linspace(-10.0 * scale, 10.0 * scale, 32)
-    _, qs, vs, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, n)
-    runs = {float(s): (qs[:, i], vs[:, i]) for i, s in enumerate(slopes)}
-    gaps = qs[-1] - bd.qb
-    # a NaN gap compares false, so a failed lane bounds no bracket
-    brackets = [i for i in range(31) if gaps[i] <= 0.0 <= gaps[i + 1]
-                or gaps[i + 1] <= 0.0 <= gaps[i]]
+    _integrate_el, find_root and the reference root rule; returns (v0, q,
+    qdot, brackets), where brackets counts the sign changes of the scan."""
+    slopes, scan, gaps = _scan_gaps(L, bd, alpha, n)
+    runs = {v0: run[:2] for v0, run in zip(slopes.tolist(), scan)}
 
     def gap(v0):
         if v0 not in runs:
-            _, q, qdot, (failure,) = _integrate_el(L, bd.a, bd.t, bd.qa, v0,
-                                                   alpha, n)
+            _, q, qdot, failure = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
             if failure is not None:
                 raise failure
-            runs[v0] = q[:, 0], qdot[:, 0]
+            runs[v0] = q, qdot
         return float(runs[v0][0][-1]) - bd.qb
 
-    i = euler._nearest_bracket(gaps)
+    i = _nearest_bracket(gaps)
     tol = euler.BVP_ROOT_TOL * max(abs(bd.qa), abs(bd.qb))
     v0 = find_root(gap, slopes[i], slopes[i + 1], tol=tol)
-    return (v0, *runs[v0], len(brackets))
+    return (v0, *runs[v0], len(_brackets(gaps)))
 
 
 class TestCoarseScan:
@@ -802,25 +843,24 @@ class TestCoarseScan:
         assert np.array_equal(res.q.values, q)
         assert np.array_equal(res.qdot.values, qdot)
 
-    # the oscillator's field is arithmetic only, so each scan pass runs its
-    # slopes alone in _SCAN_ORDER up to the first bracket, here slopes 18
-    # and 19 (runs 17, 18, 16, 19: 4), and the secant root then runs once.
-    # Where the coarse scan is made to end at 0 for lanes up to 16 and at 2
-    # above, its first bracket is lanes 16 and 17 (runs 17, 18, 16: 3), two
-    # slopes that end below the target at n
+    # each scan pass runs the oscillator's slopes in _SCAN_ORDER up to the
+    # first bracket, here slopes 18 and 19 (runs 17, 18, 16, 19: 4), and
+    # the secant root then runs once.  Where the coarse scan is made to end
+    # at 0 for slopes up to 16 and at 2 above, its first bracket is slopes
+    # 16 and 17 (runs 17, 18, 16: 3), two slopes that end below the target
+    # at n
     @pytest.mark.parametrize("fault, expected", [
         # 3 coarse runs, the 2 bracket ends, then 18 and 19 at n (16 and 17
         # are read from the runs at n) and the root
-        ("no bracket at n", [(0, 100)] * 3 + [(0, 400)] * 5),
+        ("no bracket at n", [100] * 3 + [400] * 5),
         # the first coarse run, 4 runs at n and the root
-        ("coarse scan fails", [(0, 100)] + [(0, 400)] * 5),
+        ("coarse scan fails", [100] + [400] * 5),
         # 4 coarse runs, the first bracket end (18), which raises and so
         # runs again in the 4 runs at n, and the root
-        ("bracket end fails at n", [(0, 100)] * 4 + [(0, 400)] * 6),
+        ("bracket end fails at n", [100] * 4 + [400] * 6),
         # 3 coarse runs, the first bracket end (16), whose failure stands at
         # n, then 17, 18 and 19 at n and the root
-        ("bracket end records a failure at n",
-         [(0, 100)] * 3 + [(0, 400)] * 5),
+        ("bracket end records a failure at n", [100] * 3 + [400] * 5),
     ])
     def test_falls_back_to_the_full_scan(self, monkeypatch, fault, expected):
         # the full scan runs and gives its own result, and no slope that
@@ -833,22 +873,23 @@ class TestCoarseScan:
             coarse = n == euler.BVP_COARSE_NODES
             if fault in ("no bracket at n", "bracket end records a failure at n") \
                     and coarse:
-                out[1][-1] = np.where(np.atleast_1d(v0) <= slopes[16], 0.0, 2.0)
+                out[1][-1] = 0.0 if v0 <= slopes[16] else 2.0
             elif fault == "coarse scan fails" and coarse:
                 raise EvalError("a check failed on the coarse grid")
             elif fault == "bracket end fails at n" and not coarse:
                 lone_runs.append(v0)
                 if len(lone_runs) == 1:
-                    # a lone run raises only an EvalError; its failures are
+                    # a run raises only an EvalError; its failure is
                     # recorded, as below
                     raise EvalError("a check failed at n")
             elif fault == "bracket end records a failure at n" and not coarse:
                 lone_runs.append(v0)
                 if len(lone_runs) == 1:
-                    # the run ends as a lone run that blew up at 0.5 does
-                    grid, qs, vs, failures = out
-                    qs[grid.nodes >= 0.5] = vs[grid.nodes >= 0.5] = np.nan
-                    failures[0] = StepFailure("non-finite derivative", tau=0.5)
+                    # the run ends as a run that blew up at 0.5 does
+                    grid, q, qdot, _ = out
+                    q[grid.nodes >= 0.5] = qdot[grid.nodes >= 0.5] = np.nan
+                    out = grid, q, qdot, StepFailure("non-finite derivative",
+                                                     tau=0.5)
             if not coarse:
                 ran_at_n.append(float(v0))
             return out
@@ -863,6 +904,8 @@ class TestCoarseScan:
         assert np.array_equal(res.qdot.values, qdot)
 
     def test_no_bracket_raises_the_full_scan_error(self, monkeypatch):
+        # no two slopes bracket and none is lost, so the coarse pass and the
+        # pass at n each run all 32 slopes, and no bisection runs
         calls = TestShootingLanes._count_integrations(monkeypatch)
         with pytest.raises(BracketingError) as info:
             solve_el_bvp(parse("qdot^2/2 + 80*cos(q)"),
@@ -870,32 +913,28 @@ class TestCoarseScan:
         assert str(info.value) == (
             "no sign change across 32 shooting slopes in [-10, 10]; the "
             "boundary problem appears to have no solution in the scanned family")
-        assert calls == [(1, 100), (1, 400)]
+        assert calls == [100] * 32 + [400] * 32
 
 
 def _first_bracket_in_slope_order(gaps):
     """The bracket rule before the scan ran outward: the lowest i whose
     gaps i, i+1 bracket, or None."""
-    return next((i for i in range(len(gaps) - 1)
-                 if euler._is_bracket(*gaps[i:i + 2])), None)
+    return next(iter(_brackets(gaps)), None)
 
 
-def _lane_scan_solve(L, bd, alpha, n, choose=euler._nearest_bracket):
-    """(v0, q, qdot) of the shooting solve with each scan pass on 32 lanes,
-    or the error it raises: a pass at min(n, BVP_COARSE_NODES), then one at
-    n, each accepting the bracket ``choose(gaps)`` (by default the library's
-    rule, the bracket nearest the scan scale) if the two ends bracket at n,
-    then the bisection next to a lost lane, then the scan's error."""
+def _full_scan_passes_solve(L, bd, alpha, n, choose=_nearest_bracket):
+    """(v0, q, qdot) of the shooting solve with each scan pass a full
+    32-slope scan, or the error it raises: a pass at min(n,
+    BVP_COARSE_NODES), then one at n, each accepting the bracket
+    ``choose(gaps)`` (by default the reference root rule, the bracket
+    nearest the scan scale) if the two ends bracket at n, then the
+    bisection next to a lost slope, then the scan's error."""
     tol = euler.BVP_ROOT_TOL * (max(abs(bd.qa), abs(bd.qb)) or 1.0)
-    scale = (bd.qb - bd.qa) / (bd.t - bd.a) or 1.0 / (bd.t - bd.a)
-    slopes = np.linspace(-10.0 * scale, 10.0 * scale, 32)
     runs = {}  # v0 -> (q, qdot, failure) at n
 
     def gap(v0):
         if v0 not in runs:
-            _, q, qdot, (failure,) = _integrate_el(L, bd.a, bd.t, bd.qa, v0,
-                                                   alpha, n)
-            runs[v0] = q[:, 0], qdot[:, 0], failure
+            runs[v0] = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)[1:]
         q, _, failure = runs[v0]
         if failure is not None:
             raise failure
@@ -908,11 +947,10 @@ def _lane_scan_solve(L, bd, alpha, n, choose=euler._nearest_bracket):
             return math.nan
 
     for m in dict.fromkeys((min(n, euler.BVP_COARSE_NODES), n)):
-        _, qs, vs, failures = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, m)
+        slopes, scan, gaps = _scan_gaps(L, bd, alpha, m)
+        failures = [failure for _, _, failure in scan]
         if m == n:
-            runs.update((float(v0), (qs[:, i], vs[:, i], failures[i]))
-                        for i, v0 in enumerate(slopes))
-        gaps = qs[-1] - bd.qb
+            runs.update(zip(slopes.tolist(), scan))
         i = choose(gaps)
         try:
             if i is not None and euler._is_bracket(
@@ -964,17 +1002,16 @@ POLYNOMIALS = st.lists(
 # the first coarse bracket's upper end blows up at n; the pass at n solves
 @example(text="qdot^2/2 + 5*q^2 + 5*tau*qdot^2 + -1*q^2*qdot^2", alpha=0.75,
          qa=0.0, qb=0.0, n=400)
-# no bracket in either pass; the root lies next to a lost lane
+# no bracket in either pass; the root lies next to a lost slope
 @example(text="qdot^2/2 + 1*q^4", alpha=0.75, qa=0.0, qb=5.0, n=150)
-# every lane blows up
+# every slope blows up
 @example(text=QUARTIC, alpha=0.5, qa=0.0, qb=50.0, n=400)
-def test_lone_scan_runs_give_the_lane_scan_result(text, alpha, qa, qb, n):
-    # a polynomial field is arithmetic only, so each scan pass runs its
-    # slopes alone up to its first bracket; it must solve, or fail, as
-    # the passes on 32 lanes do
+def test_lone_scan_runs_give_the_full_scan_result(text, alpha, qa, qb, n):
+    # each scan pass runs its slopes outward up to its first bracket; it
+    # must solve, or fail, as passes that run all 32 slopes and take the
+    # bracket nearest the scan scale do
     L, bd = parse(text), BoundaryData1D(0.0, 1.0, qa, qb)
-    assert euler._float_field(L).arithmetic_only
-    want = _solve_outcome(lambda: _lane_scan_solve(L, bd, alpha, n))
+    want = _solve_outcome(lambda: _full_scan_passes_solve(L, bd, alpha, n))
     got = _solve_outcome(lambda: _bvp_arrays(solve_el_bvp(L, bd, alpha, n)))
     assert got[0] == want[0], (got, want)
     if got[0] == "error":
@@ -986,13 +1023,8 @@ def test_lone_scan_runs_give_the_lane_scan_result(text, alpha, qa, qb, n):
 
 
 def _scan_brackets(L, bd, alpha, n):
-    """The number of brackets of the 32-lane scan at n."""
-    scale = (bd.qb - bd.qa) / (bd.t - bd.a) or 1.0 / (bd.t - bd.a)
-    slopes = np.linspace(-10.0 * scale, 10.0 * scale, 32)
-    with np.errstate(all="ignore"):
-        _, qs, _, _ = _integrate_el(L, bd.a, bd.t, bd.qa, slopes, alpha, n)
-    gaps = qs[-1] - bd.qb
-    return sum(euler._is_bracket(*gaps[i:i + 2]) for i in range(31))
+    """The number of brackets of the full 32-slope scan at n."""
+    return len(_brackets(_scan_gaps(L, bd, alpha, n)[2]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1006,14 +1038,14 @@ def _scan_brackets(L, bd, alpha, n):
 @example(text="exp(-q)*qdot^2/2", alpha=0.75, qa=0.0, qb=2.0, n=150)
 @example(text=OSC, alpha=0.25, qa=0.5, qb=-2.0, n=50)
 def test_a_single_bracket_keeps_its_bits(text, alpha, qa, qb, n):
-    # where the 32-lane scan at n brackets one root, the root does not
+    # where the full 32-slope scan at n brackets one root, the root does not
     # depend on the bracket rule: the solve has the bits of a solve that
     # takes the first bracket in slope order, as the scan did before it
     # ran outward from the straight-line slope
     L, bd = parse(text), BoundaryData1D(0.0, 1.0, qa, qb)
     if _scan_brackets(L, bd, alpha, n) != 1:
         return
-    want = _solve_outcome(lambda: _lane_scan_solve(
+    want = _solve_outcome(lambda: _full_scan_passes_solve(
         L, bd, alpha, n, choose=_first_bracket_in_slope_order))
     got = _solve_outcome(lambda: _bvp_arrays(solve_el_bvp(L, bd, alpha, n)))
     assert got[0] == want[0], (got, want)
@@ -1025,7 +1057,7 @@ def test_a_single_bracket_keeps_its_bits(text, alpha, qa, qb, n):
     assert np.array_equal(got[3], want[3])
 
 
-# boundary problems on [0, 1] from qa = 0 whose 32-lane scan at n = 400
+# boundary problems on [0, 1] from qa = 0 whose full 32-slope scan at n = 400
 # brackets several roots, each named by its slope v0: first the root that
 # solve_el_bvp returns, in the bracket nearest the straight-line slope,
 # last the one in the bracket lowest in slope order, which it returned
@@ -1073,8 +1105,8 @@ def test_several_roots_give_the_nearest(text, alpha, qb, roots, minimized):
 
 
 # of three position-dependent masses x 5 boundaries x 3 alphas at n = 400,
-# the 11 whose root lies between the last finite scan lane and a lost one,
-# which no pair of scan lanes brackets
+# the 11 whose root lies between the last finite scan slope and a lost one,
+# which no pair of scan slopes brackets
 _LOST_NEIGHBOUR = {("exp(-q)*qdot^2/2", 3.0, 0.75),
                    ("qdot^2/2*exp(-q^2)", 1.0, 0.75)} | {
     ("qdot^2/2*exp(-q^2)", qb, alpha)
@@ -1086,21 +1118,45 @@ _LOST_NEIGHBOUR = {("exp(-q)*qdot^2/2", 3.0, 0.75),
     for text in ("exp(-q)*qdot^2/2", "exp(q)*qdot^2/2", "qdot^2/2*exp(-q^2)")
     for qb in (0.5, 1.0, 2.0, 3.0, -2.0) for alpha in (0.25, 0.5, 0.75)])
 def test_zero_curvature_lanes_leave_the_root_to_the_others(text, qb, alpha):
-    # far lanes drive |q| up until d2L/dqdot^2 underflows to 0; the other
-    # lanes bracket the root, or, for _LOST_NEIGHBOUR, lone runs between
-    # the last finite lane and its lost neighbour do, and the two routes
-    # agree as in criterion 6
+    # far slopes drive |q| up until d2L/dqdot^2 underflows to 0; the other
+    # slopes bracket the root, or, for _LOST_NEIGHBOUR, runs between the
+    # last finite slope and its lost neighbour do, and the two routes agree
+    # as in criterion 6
     n = 400
     eps = max(0.02, 2.0 / n)
     L, bd = parse(text), BoundaryData1D(0.0, 1.0, 0.0, qb)
-    _, qs, _, failures = _integrate_el(L, 0.0, 1.0, 0.0,
-                                       np.linspace(-10.0 * qb, 10.0 * qb, 32), alpha, n)
-    assert any(isinstance(f, SingularLagrangianError) for f in failures)
+    _, runs, _ = _scan_gaps(L, bd, alpha, n)
+    assert any(isinstance(f, SingularLagrangianError) for _, _, f in runs)
     dm = direct_minimize(L, bd, alpha, n)
     assert dm.converged
     target = float(np.interp(1.0 - eps, dm.q.grid.nodes, dm.q.values))
-    assert (euler._nearest_bracket(qs[-1] - target) is None) == (
-        (text, qb, alpha) in _LOST_NEIGHBOUR)
+    gaps = [float(q[-1]) - target for q, _, _ in runs]
+    assert (_nearest_bracket(gaps) is None) == ((text, qb, alpha) in _LOST_NEIGHBOUR)
+    res = solve_el_bvp(L, bd, alpha, n, qb_at_margin=target)
+    bn = res.q.grid.nodes
+    gap = np.abs(np.interp(bn, dm.q.grid.nodes, dm.q.values) - res.q.values)
+    assert np.max(gap[bn <= 1.0 - 5.0 * eps]) < 1e-3
+
+
+@pytest.mark.parametrize("text, alpha, qa, qb", [
+    ("qdot^2/2 + log(1+q)", 0.5, 0.0, 1.0),
+    ("qdot^2/2*sqrt(1+q)", 0.75, 0.0, 3.0),
+    ("qdot^2/2 + sqrt(2-q)", 0.5, 0.5, -2.0),
+])
+def test_far_slopes_out_of_the_domain_leave_the_root_to_the_scan(text, alpha,
+                                                                 qa, qb):
+    # the far scan slopes drive q out of the field's real domain, where a
+    # check raises EvalError; the scan stops at the bracket next to the
+    # straight-line slope before it runs them, and the two routes agree as
+    # in criterion 6
+    n = 400
+    eps = max(0.02, 2.0 / n)
+    L, bd = parse(text), BoundaryData1D(0.0, 1.0, qa, qb)
+    with pytest.raises(EvalError):
+        solve_el_ivp(L, 0.0, 1.0, qa, -10.0 * (qb - qa), alpha, n)
+    dm = direct_minimize(L, bd, alpha, n)
+    assert dm.converged
+    target = float(np.interp(1.0 - eps, dm.q.grid.nodes, dm.q.values))
     res = solve_el_bvp(L, bd, alpha, n, qb_at_margin=target)
     bn = res.q.grid.nodes
     gap = np.abs(np.interp(bn, dm.q.grid.nodes, dm.q.values) - res.q.values)
@@ -1119,9 +1175,9 @@ class TestEnergyBalance:
         L, alpha, t = parse(text), 0.5, 1.0
         errors = []
         for n in (200, 400, 800):
-            grid, qs, vs, failures = _integrate_el(L, 0.0, t, 0.0, 0.7, alpha, n)
-            assert failures == [None]
-            q, v, tau = qs[:, 0], vs[:, 0], grid.nodes
+            grid, q, v, failure = _integrate_el(L, 0.0, t, 0.0, 0.7, alpha, n)
+            assert failure is None
+            tau = grid.nodes
             value, l_v, l_tau = partials(L, [("qdot",), ("tau",)],
                                          {"qdot": v, "q": q, "tau": tau})
             energy = v * l_v - value

@@ -396,7 +396,7 @@ def _reference_rk4(L, q0, slopes, alpha, n):
     the match time 1 - eps, by classical RK4 on lane arrays, one lane per
     slope, with the field from the env-dict ``partials`` program and every
     stage checked.  A lane whose derivative is not finite records its error
-    and rides along as NaN; one slope is a scan of one lane."""
+    and rides along as NaN."""
     grid = Grid1D(0.0, 1.0 - max(0.02, 2.0 / n), n)
     h, m = grid.h, len(slopes)
     failures = [None] * m
@@ -468,14 +468,14 @@ SLOPES = st.lists(st.sampled_from([0.0, 1.0, -2.5, 3.0, 40.0, -300.0, 1e200]),
 @given(text=st.one_of(EXPRESSIONS, EXPRESSIONS.map("qdot^2/2 + ({})".format)),
        q0=REALS, slopes=SLOPES, alpha=st.sampled_from([0.25, 0.5, 0.75]),
        n=st.integers(3, 12))
-# lanes that lose their curvature mid-step, and one that overflows
+# slopes that lose their curvature mid-step, and one that overflows
 @example(text="exp(-q)*qdot^2/2", q0=0.0, slopes=[1.0, 20.0, 30.0, 60.0],
          alpha=0.5, n=100)
 @example(text="qdot^2/2 + q^4/4", q0=0.0, slopes=[2.0, -20.0, 300.0],
          alpha=0.5, n=100)
 # d2L/dqdot^2 = 2 q overflows at q = 1e308 while the force stays finite
 @example(text="q*qdot^2", q0=1e308, slopes=[0.0, 1e-10], alpha=0.5, n=10)
-# a check of tau alone, which fails at tau = 0.5 in every lane
+# a check of tau alone, which fails at tau = 0.5 for every slope
 @example(text="qdot^2/2 + log(0.5 - tau)*q", q0=0.0, slopes=[1.0, 2.0],
          alpha=0.5, n=100)
 # a zero curvature at the mid stages, then a check of tau alone at the end
@@ -488,16 +488,10 @@ def test_shooting_matches_a_plain_rk4(text, q0, slopes, alpha, n):
     L = parse(text)
 
     def fused(v0):
-        return _integrate_el(L, 0.0, 1.0, q0, v0, alpha, n)[1:]
+        """The run of v0 as the reference's one-lane (Q, V, failures)."""
+        _, q, v, failure = _integrate_el(L, 0.0, 1.0, q0, v0, alpha, n)
+        return q[:, None], v[:, None], [failure]
 
-    scan = _run_outcome(lambda: fused(np.array(slopes)))
-    _assert_same_run(scan, _run_outcome(
-        lambda: _reference_rk4(L, q0, slopes, alpha, n)))
-    for i, slope in enumerate(slopes):
-        lone = _run_outcome(lambda: fused(slope))
-        _assert_same_run(lone, _run_outcome(
+    for slope in slopes:
+        _assert_same_run(_run_outcome(lambda: fused(slope)), _run_outcome(
             lambda: _reference_rk4(L, q0, [slope], alpha, n)))
-        if scan[0] == lone[0] == "ok":
-            # a lone run has the bits and the failure of its scan lane
-            _assert_same_run(lone, ("ok", scan[1][:, i:i + 1],
-                                    scan[2][:, i:i + 1], [scan[3][i]]))
