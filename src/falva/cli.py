@@ -19,9 +19,15 @@ the order given.
 All output is CSV: one leading comment line with the tool version and the
 order-pair convention, optional further comment lines with scalar results,
 a header row, then data rows.  Each runner returns its library result as
-comments and columns, and one formatter writes every float with 17
-significant digits and LF line endings, so identical specs produce
-byte-identical files.  A large table's rows are formatted in forked
+comments and columns, and every float is written as ``'%.17g' % x`` writes
+it, with LF line endings, so identical specs produce byte-identical files.
+The rows are formatted in blocks of ``_BLOCK_ROWS``: a block of at least
+``_VECTOR_ROWS`` floats of a column goes through ``csvfmt.fields``, exact
+integer arithmetic on whole arrays that hands Python's ``'%.17g'`` only
+the cells it cannot prove (a tie or near-tie at the 18th digit, a
+subnormal, ±inf, NaN, a misjudged decade); shorter blocks, strings and the
+comment lines are formatted cell by cell.  A table of at least
+2 x ``_CELLS_PER_PROCESS`` = 800 000 cells is formatted in forked
 processes, one row chunk per usable CPU, into the same bytes.  Failures
 print a single "FALVA-ERR <code>: ..." line on stderr and exit with status
 2 (validation) or 3 (numerical).  A run dispatches with numpy's
@@ -441,8 +447,8 @@ class _Table(NamedTuple):
     """One CSV output: comment (key, value) pairs, a header and its columns.
 
     A column is a numpy array of floats, integers (0/1 flags, counts) or
-    formatted strings, written in row-major order, or a sequence of floats
-    and strings.
+    NUL-padded byte fields (``_coordinates``), written in row-major order,
+    or a sequence of floats and strings.
     ``failure`` is raised after the file is written.
     """
 
@@ -464,37 +470,99 @@ def _text(value) -> str:
 
 def _coordinates(grids):
     """The coordinate columns of a deriv or residual table, in row-major
-    order: each node is formatted once by ``_text``, and its string is
-    repeated along the other axes as a broadcast view."""
-    axes = [np.array(list(map(_text, g.nodes.tolist())), dtype=object)
-            for g in grids]
+    order.  The nodes of each axis are formatted once, into NUL-padded byte
+    fields without the places that no node uses, and repeated along the
+    other axes as a broadcast view."""
+    from . import csvfmt  # imported on first use: see _fields
+
+    axes = []
+    for g in grids:
+        nodes = csvfmt.fields(g.nodes)[0]
+        nodes = np.ascontiguousarray(nodes[:, nodes.any(axis=0)])
+        axes.append(nodes.view(f"S{nodes.shape[1]}").ravel())
     return np.meshgrid(*axes, indexing="ij", copy=False)
 
 
-def _cells(column):
-    """Row-template field and cell values of one output column.
+# Below this many rows a block of a float column is formatted cell by cell:
+# on a 2-vCPU Xeon (Python 3.11, numpy 2.4) ``csvfmt.fields`` costs some
+# 105 us, its hundred-odd numpy calls, plus 0.06 us a float, and
+# ``'%.17g'`` about 0.6 us a float, so they break even near 190 floats.
+_VECTOR_ROWS = 192
 
-    A numeric array is formatted cell by cell as the rows are written; an
-    object array holds formatted strings, so a broadcast column of them
-    (``_coordinates``) costs one format call per stored value, not per cell.
-    The values are a flat array, row i at index i, so any row range of a
-    table can be formatted on its own (``_write_rows``).
+
+def _fields(column, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo`` to ``hi - 1`` of an output column as a (rows, width) uint8
+    array of NUL-padded byte fields.
+
+    A column is a numpy array, read in row-major order, or a sequence.  A
+    block of at least ``_VECTOR_ROWS`` floats goes through
+    ``csvfmt.fields``, an integer or flag array through ``astype``, and an
+    array of byte fields (``_coordinates``) is gathered as it is.  Shorter
+    float blocks and sequences of floats and strings are formatted cell by
+    cell by ``_text``.
     """
     if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        field = "%s" if kind == "O" else "%d" if kind in "biu" else "%.17g"
-        return field, column.ravel()
-    return "%s", np.array(list(map(_text, column)), dtype=object)
+        values = column.flat[lo:hi]  # only these rows, also of a broadcast view
+        kind = values.dtype.kind
+    else:
+        values, kind = column[lo:hi], None
+    if kind == "f" and hi - lo >= _VECTOR_ROWS:
+        # imported here, not with this module: a process that writes no
+        # large float column never compiles or loads it
+        from . import csvfmt
+
+        return csvfmt.fields(values)[0]
+    if kind == "b":
+        values = values.view(np.uint8) + np.uint8(ord("0"))
+    elif kind in ("i", "u"):
+        values = values.astype("S")
+    elif kind != "S":
+        cells = values.tolist() if kind else values
+        values = np.array([_text(value).encode() for value in cells], dtype="S")
+    return values.view(np.uint8).reshape(hi - lo, values.dtype.itemsize)
+
+
+# Rows per block of ``_format_rows``.  A block's fields, its byte rows and
+# their copies are the writer's only large temporaries: at most 1.4 MB for
+# a 2D residual table (six cells a row), where a chunk of rows as Python
+# objects took some 3 MB more; a block of 8192 rows measured no faster.
+_BLOCK_ROWS = 4096
+
+
+def _format_rows(fh, columns, lo: int, hi: int) -> None:
+    """Write rows ``lo`` to ``hi - 1`` of a table to the binary file ``fh``,
+    ``_BLOCK_ROWS`` at a time: the fields of each column (``_fields``) and
+    the separators fill one byte block, and its bytes other than NUL are
+    the rows.  Nothing before row ``lo`` is read, so a forked child neither
+    walks the rows before its chunk nor writes to the parent's objects."""
+    for start in range(lo, hi, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, hi)
+        blocks = [_fields(column, start, stop) for column in columns]
+        ends = np.cumsum([b.shape[1] + 1 for b in blocks])
+        rows = np.empty((stop - start, int(ends[-1])), dtype=np.uint8)
+        for block, end in zip(blocks, ends):
+            rows[:, end - 1 - block.shape[1]:end - 1] = block
+            rows[:, end - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        blocks = None  # freed before the copies below
+        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 # A table is split into row chunks, one per usable CPU, only while each
-# chunk holds at least this many cells.  On a 2-vCPU Xeon (Python 3.11),
-# forking and reaping a 70 MB interpreter took 1.5 to 1.9 ms (median of 200;
-# 2.3 ms at 94 MB), appending a 2.4 MB chunk file 2 ms, and a cell costs
-# about 0.5 us to format (0.7 to 1.0 us a %.17g float, less a string or an
-# int).  A chunk of this size takes about 50 ms, so the fork and the merge
-# cost it under a tenth.
-_CELLS_PER_PROCESS = 100_000
+# chunk holds at least this many cells.  On a 2-vCPU Xeon (Python 3.11,
+# numpy 2.4), forking and reaping a 70 MB interpreter took 1.5 to 1.9 ms
+# (median of 200; 2.3 ms at 94 MB) and appending a 2.4 MB chunk file 2 ms,
+# while a cell costs about 0.1 us to format and join.  A chunk of this
+# size takes about 40 ms, so the fork and the merge cost it a tenth.  The
+# fork also costs the parent a copy-on-write fault, some 4.5 us, for each
+# heap page it writes afterwards, in the write and in the calls after it.
+# So a 2D residual at n = 256 (396 294 cells) stays in one process: with
+# the second vCPU idle, split in two it took 3.47 to 3.86 calibration
+# units a job, one process 2.82 to 3.07, faster in 10 of 10 alternating
+# 30 s runs.  Only tables of 800 000 cells or more are split, such as a
+# 2D residual at n >= 365; there a gain was not shown (n = 512: the write
+# took 168 to 260 ms split, 157 to 250 ms in one process).
+_CELLS_PER_PROCESS = 400_000
 
 
 def _processes(cells: int) -> int:
@@ -509,15 +577,7 @@ def _processes(cells: int) -> int:
     return max(1, min(cpus, cells // _CELLS_PER_PROCESS))
 
 
-def _format_rows(fh, template, cells, lo: int, hi: int) -> None:
-    """Write rows ``lo`` to ``hi - 1`` of a table through its row template.
-    Only these rows become Python objects, here, so a forked child neither
-    walks the rows before its chunk nor writes to the parent's objects."""
-    rows = zip(*(column[lo:hi].tolist() for column in cells))
-    fh.writelines(template % row for row in rows)
-
-
-def _fork_rows(part, template, cells, lo: int, hi: int):
+def _fork_rows(part, columns, lo: int, hi: int):
     """Fork a child that writes rows ``lo`` to ``hi - 1`` to the temporary
     file ``part`` and exits with status 0, or 1 if that fails; return its
     pid.  The child leaves by ``os._exit`` whatever happens, so it never
@@ -531,9 +591,8 @@ def _fork_rows(part, template, cells, lo: int, hi: int):
         return pid
     status = 1
     try:
-        with open(part.fileno(), "w", encoding="utf-8", newline="\n",
-                  closefd=False) as out:
-            _format_rows(out, template, cells, lo, hi)
+        with open(part.fileno(), "wb", closefd=False) as out:
+            _format_rows(out, columns, lo, hi)
         status = 0
     finally:
         if pid == 0:
@@ -541,8 +600,18 @@ def _fork_rows(part, template, cells, lo: int, hi: int):
     return None
 
 
-def _write_rows(fh, template, cells) -> None:
-    """Write every row of a table to the text file ``fh``.
+def _rows(columns) -> int:
+    """The row count of a table's columns; a ValueError, an internal error,
+    if they differ."""
+    lengths = {column.size if isinstance(column, np.ndarray) else len(column)
+               for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns of unequal lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
+def _write_rows(fh, columns, rows: int) -> None:
+    """Write the ``rows`` rows of a table to the binary file ``fh``.
 
     The rows are split into ``_processes`` contiguous chunks.  This process
     formats the first chunk into ``fh`` while a forked child formats each
@@ -552,19 +621,18 @@ def _write_rows(fh, template, cells) -> None:
     or a temporary file that cannot be made, forks nothing.  The bytes are
     those of one loop over every row.
     """
-    rows = min(map(len, cells))
     with contextlib.ExitStack() as stack:
         try:
             parts = [stack.enter_context(tempfile.TemporaryFile())
-                     for _ in range(_processes(rows * len(cells)) - 1)]
+                     for _ in range(_processes(rows * len(columns)) - 1)]
         except OSError:
             parts = []  # the files made so far close with the stack
         bounds = [rows * i // (len(parts) + 1) for i in range(len(parts) + 2)]
         pids = []
         try:
             for part, lo, hi in zip(parts, bounds[1:], bounds[2:]):
-                pids.append(_fork_rows(part, template, cells, lo, hi))
-            _format_rows(fh, template, cells, 0, bounds[1])
+                pids.append(_fork_rows(part, columns, lo, hi))
+            _format_rows(fh, columns, 0, bounds[1])
         finally:
             failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids if pid)
         if failed:
@@ -572,25 +640,23 @@ def _write_rows(fh, template, cells) -> None:
         fh.flush()
         for part in parts:
             part.seek(0)
-            shutil.copyfileobj(part, fh.buffer)
+            shutil.copyfileobj(part, fh)
 
 
 def _write_csv(path: str, kind: str, table: _Table) -> None:
-    """Write a table: the version line, its comments, its header and one
-    row template applied to every row (``_write_rows``, which splits a
-    large table over forked processes).  Numeric cells are formatted as the
-    rows are written; a broadcast column of strings was formatted once per
-    stored value (``_cells``)."""
+    """Write a table: the version line, its comments, its header and its
+    rows (``_write_rows``, which splits a large table over forked
+    processes).  Columns of unequal lengths are an internal error, raised
+    before the file is opened."""
+    rows = _rows(table.columns)
     lead = f"falva {__version__} kind={kind} orders[{ORDER_CONVENTION}]"
     head = [f"# {lead}\n"]
     head += [f"# {key}={_text(value)}\n" for key, value in table.comments]
     head.append(",".join(table.header) + "\n")
-    fields, cells = zip(*map(_cells, table.columns))
-    template = ",".join(fields) + "\n"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(head)
-            _write_rows(fh, template, cells)
+        with open(path, "wb") as fh:
+            fh.write("".join(head).encode())
+            _write_rows(fh, table.columns, rows)
     except OSError as err:
         raise SpecError(f"cannot write output file {path!r}: {err}") from None
 

@@ -476,7 +476,8 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     - a stage with a zero d2L/dqdot^2 or a non-finite derivative records
       that failure, and the rest of the step runs on NaN, so a check of tau
       alone still fails there, and the run ends;
-    - an EvalError propagates from its stage, at node index 0;
+    - an EvalError propagates from its stage, naming the node k the step
+      starts from and the stage's tau (one of tau alone names neither);
     - a step that passes goes back to the loop at the next step.
     The replay is the checked integration itself, so the failure, its tau
     and the first error do not depend on the screen.
@@ -498,12 +499,20 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     field = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD)
     failure = None
 
-    def checked(qdot, q, tau, damping):
-        """The field with the checks of one stage (see above)."""
+    def checked(k, qdot, q, tau, damping):
+        """The field with the checks of one stage of the step from node k
+        (see above)."""
         nonlocal failure
         if failure is not None:
             q, qdot = np.full((2, 1), np.nan)
-        force, curvature = field(qdot, q, tau, damping)
+        try:
+            force, curvature = field(qdot, q, tau, damping)
+        except EvalError as err:
+            if err.index is None:  # a check of tau alone names no node
+                raise
+            message = str(err).removesuffix(f" (node {err.index})")
+            raise EvalError(f"{message} (step from node {k}, at tau = {tau!r})",
+                            index=k) from None
         # the force is an array, as it holds -d2L/dqdot dq * qdot, so a zero
         # curvature divides it into inf or NaN; a literal or scalar
         # curvature is a float (np.float64 is one too)
@@ -518,16 +527,16 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
         stage's q-increment is its v.  Component by component, the
         operations and their order are those of ``ode_step_rk4`` on the
         stacked state (q, v), and of ``_RK4_LOOP``."""
-        force, c1 = checked(v, q, starts[k], d_starts[k])
+        force, c1 = checked(k, v, q, starts[k], d_starts[k])
         a1 = force / c1
         v2 = v + half * a1
-        force, c2 = checked(v2, q + half * v, mids[k], d_mids[k])
+        force, c2 = checked(k, v2, q + half * v, mids[k], d_mids[k])
         a2 = force / c2
         v3 = v + half * a2
-        force, c3 = checked(v3, q + half * v2, mids[k], d_mids[k])
+        force, c3 = checked(k, v3, q + half * v2, mids[k], d_mids[k])
         a3 = force / c3
         v4 = v + h * a3
-        force, c4 = checked(v4, q + h * v3, ends[k], d_ends[k])
+        force, c4 = checked(k, v4, q + h * v3, ends[k], d_ends[k])
         a4 = force / c4
         return (q + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
                 v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4))

@@ -598,7 +598,7 @@ def test_solve_ivp_domain_error_names_node_0(tmp_path, term, q0, message):
     argv = ["solve-ivp", "--lagrangian", "qdot^2/2 + " + term, "--alpha", "0.5",
             "--domain", "0,1", "--n", "50", "--q0", q0, "--v0", "0"]
     stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
-    assert stderr == f"FALVA-ERR eval: {message} (node 0)\n"
+    assert stderr == f"FALVA-ERR eval: {message} (step from node 0, at tau = 0.0)\n"
 
 
 def _step_40_terms():
@@ -637,17 +637,20 @@ def test_solve_bvp_scan_error_names_node_0(tmp_path, n):
             "--domain", "0,1", "--n", n, "--boundary", "0,1"]
     stderr = _assert_one_error_line(argv, tmp_path / "out.csv")
     assert stderr == ("FALVA-ERR eval: log of a non-positive value in real mode "
-                      "(node 0)\n")
+                      "(step from node 0, at tau = 0.0)\n")
 
 
 # the far scan slopes drive q below -1, where log(1+q) fails: at boundary
 # (0, 1) the scan stops at the bracket next to the straight-line slope
 # before it runs them, while the root at (0.5, -2) lies past q = -1, so the
-# slopes near it fail, each as a run of its own, at node 0
+# slopes near it fail, each as a run of its own; the error names the grid
+# node its failing step starts from and the tau of the failing stage, the
+# end of that step
 @pytest.mark.parametrize("boundary, status, stderr", [
     ("0,1", 0, ""),
     ("0.5,-2", 3,
-     "FALVA-ERR eval: log of a non-positive value in real mode (node 0)\n"),
+     "FALVA-ERR eval: log of a non-positive value in real mode "
+     "(step from node 122, at tau = 0.30135)\n"),
 ], ids=["solves", "root-past-the-domain"])
 def test_solve_bvp_scans_only_up_to_its_bracket(tmp_path, boundary, status,
                                                 stderr):

@@ -361,7 +361,7 @@ class TestSolveIvp:
         with pytest.raises(EvalError) as info:
             solve_el_ivp(parse("qdot^2/2 + " + term), 0.0, 1.0, q0, 0.0, 0.5, 50)
         assert info.value.index == 0
-        assert str(info.value).endswith(" (node 0)")
+        assert str(info.value).endswith(" (step from node 0, at tau = 0.0)")
 
     def test_check_of_tau_alone_names_no_node(self):
         with pytest.raises(EvalError) as info:

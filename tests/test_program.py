@@ -404,8 +404,15 @@ def _reference_rk4(L, q0, slopes, alpha, n):
 
     def derivative(q, v, tau):
         q, v = np.where(dead, np.nan, q), np.where(dead, np.nan, v)
-        _, l_qd, l_qdqd, l_q, l_qdq, _, l_qdtau = partials(
-            L, _ACCEL_PARTIALS, {"qdot": v, "q": q, "tau": tau})
+        try:
+            _, l_qd, l_qdqd, l_q, l_qdq, _, l_qdtau = partials(
+                L, _ACCEL_PARTIALS, {"qdot": v, "q": q, "tau": tau})
+        except EvalError as err:  # named by the step's node and the stage's tau
+            if err.index is None:
+                raise
+            message = str(err).removesuffix(f" (node {err.index})")
+            raise EvalError(f"{message} (step from node {node}, at tau = {tau!r})",
+                            index=node) from None
         force = l_q - (1.0 - alpha) / (1.0 - tau) * l_qd - l_qdq * v - l_qdtau
         curvature = np.broadcast_to(l_qdqd, (m,))
         acc = force / l_qdqd
@@ -417,7 +424,7 @@ def _reference_rk4(L, q0, slopes, alpha, n):
 
     q, v = np.full(m, float(q0)), np.array(slopes, dtype=float)
     rows = [(q, v)]
-    for tau in grid.nodes.tolist()[:-1]:
+    for node, tau in enumerate(grid.nodes.tolist()[:-1]):
         if dead.all():
             break
         v1, a1 = derivative(q, v, tau)
