@@ -470,14 +470,12 @@ def _text(value) -> str:
 
 def _coordinates(grids):
     """The coordinate columns of a deriv or residual table, in row-major
-    order.  The nodes of each axis are formatted once, into NUL-padded byte
-    fields without the places that no node uses, and repeated along the
-    other axes as a broadcast view."""
-    from . import csvfmt  # imported on first use: see _fields
-
+    order.  The nodes of each axis are formatted once (``_fields``), into
+    NUL-padded byte fields without the places that no node uses, and
+    repeated along the other axes as a broadcast view."""
     axes = []
     for g in grids:
-        nodes = csvfmt.fields(g.nodes)[0]
+        nodes = _fields(g.nodes, 0, g.n + 1)
         nodes = np.ascontiguousarray(nodes[:, nodes.any(axis=0)])
         axes.append(nodes.view(f"S{nodes.shape[1]}").ravel())
     return np.meshgrid(*axes, indexing="ij", copy=False)
@@ -560,8 +558,14 @@ def _format_rows(fh, columns, lo: int, hi: int) -> None:
 # the second vCPU idle, split in two it took 3.47 to 3.86 calibration
 # units a job, one process 2.82 to 3.07, faster in 10 of 10 alternating
 # 30 s runs.  Only tables of 800 000 cells or more are split, such as a
-# 2D residual at n >= 365; there a gain was not shown (n = 512: the write
-# took 168 to 260 ms split, 157 to 250 ms in one process).
+# 2D residual at n >= 365.  There the split pays on whole fresh
+# ``python -m falva residual`` calls (field2d's Lagrangian and path, split
+# and one process alternating, same bytes): at n = 1024 (6.3M cells) it
+# was faster in 10 of 10 pairs, medians 1.12 s against 1.49 s, and in 7
+# of 8 in a second set; at n = 768 (3.5M cells) in 9 of 10, 0.71 s against
+# 0.78 s.  At n = 512 (1.6M cells) it was unresolved (2 of 10, then 6 of
+# 8).  An ordered thread pool over row blocks was slower than one process
+# (1.84 s against 1.54 s at n = 1024).
 _CELLS_PER_PROCESS = 400_000
 
 

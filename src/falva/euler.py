@@ -40,16 +40,17 @@ straight-line slope, up to the first bracket, which is the one nearest
 that slope.  ``solve_el_bvp`` tells how.
 
 Shooting integrator.  Every shooting run, of one slope, goes through
-``_integrate_el``.  Its field is one compiled program per Lagrangian, a
-function of an RK4 stage's (qdot, q, tau) and damping that returns the
-force and d2L/dqdot^2.  The run is a loop generated per Lagrangian
-(``_rk4_loop``): the whole RK4 integration on Python floats, with the
-four stages of the field's float program inlined, which runs the array
-program's IEEE operations in the same order.  A step runs unchecked and
-is screened once, on its new (q, v) and its four curvatures; a step that
-fails the screen or raises is replayed with each stage checked, on
-one-element arrays.  So a failure's tau and the first error are those of
-a run checked at every stage.
+``_integrate_el``.  Its field is one compiled float program per
+Lagrangian, a function of an RK4 stage's (qdot, q, tau) and damping on
+Python floats that returns the force and d2L/dqdot^2, with the bits of
+the array program.  The run is a loop generated per Lagrangian
+(``_rk4_loop``): the whole RK4 integration, with the field inlined in
+each of the four stages.  A step runs unchecked and is screened once, on
+its new (q, v) and its four curvatures; a step that fails the screen or
+raises is replayed by a step generated from the same RK4 text, whose
+stages call the same program with their checks.  So a failure's tau and
+the first error are those of a run checked at every stage, and every
+EvalError names the node its step starts from and the stage's tau.
 """
 
 from __future__ import annotations
@@ -373,43 +374,23 @@ def _stage_failure(curvature, tau):
     tells whether the curvature was finite there."""
     if curvature == 0:
         return SingularLagrangianError(
-            f"d2L/dqdot^2 vanished at tau = {float(tau):g}", tau=tau)
+            f"d2L/dqdot^2 vanished at tau = {tau:g}", tau=tau)
     return StepFailure(f"non-finite derivative at tau = {tau!r}"
                        if math.isfinite(curvature)
                        else f"d2L/dqdot^2 is not finite at tau = {tau:g}", tau=tau)
 
 
-def _float_field(L):
-    """The shooting field of ``L`` as a float program (see
-    ``exprdsl._compile``): the same operations as the array program, on
-    Python floats."""
-    return _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD, True)
-
-
-# the unchecked RK4 loop of ``_integrate_el`` on Python floats, from node j
-# on.  {stageN} stands for stage N: the field's parameters, its body, and
-# its returned force and curvature cN.  ``rows`` holds q and v of each node
-# reached, flat; each step appends its pair, and the loop returns the first
-# step that raises or fails the screen, or ``steps``
+# ``run`` is the unchecked RK4 loop of ``_integrate_el`` on Python floats,
+# from node j on: it appends q and v of each node reached to ``rows`` and
+# returns the first step that raises or fails the screen, or ``steps``.
+# ``step`` is the checked replay of step j.  Both run ``_rk4_step``
 _RK4_LOOP = """\
 def run(rows, j, steps, h, half, sixth, starts, mids, ends, d_starts, d_mids,
         d_ends):
     qn, vn = rows[-2:]
     try:
         for j in range(j, steps):
-{stage1}
-            a1 = force / c1
-            v2 = vn + half * a1
-{stage2}
-            a2 = force / c2
-            v3 = vn + half * a2
-{stage3}
-            a3 = force / c3
-            v4 = vn + h * a3
-{stage4}
-            a4 = force / c4
-            q_next = qn + sixth * (vn + 2.0 * v2 + 2.0 * v3 + v4)
-            v_next = vn + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+{loop}
             if not _isfinite(q_next + v_next + (c1 + c2 + c3 + c4)):
                 return j
             qn, vn = q_next, v_next
@@ -417,32 +398,62 @@ def run(rows, j, steps, h, half, sixth, starts, mids, ends, d_starts, d_mids,
     except (EvalError, ArithmeticError):
         return j
     return steps
+
+def step(checked, qn, vn, j, h, half, sixth, starts, mids, ends, d_starts,
+         d_mids, d_ends):
+{replay}
+    return q_next, v_next
 """
-# the field's (qdot, q, tau, damping) at each stage of _RK4_LOOP, as in
-# ``_integrate_el``'s ``step``; None keeps the value of the stage before
+# the field's (qdot, q, tau, damping) at each RK4 stage; None keeps the last
 _RK4_STAGES = (("vn", "qn", "starts[j]", "d_starts[j]"),
                ("v2", "qn + half * vn", "mids[j]", "d_mids[j]"),
                ("v3", "qn + half * v2", None, None),
                ("v4", "qn + h * v3", "ends[j]", "d_ends[j]"))
 
 
+def _rk4_step(stages, indent):
+    """The text of one RK4 step from (qn, vn) at node j to (q_next, v_next),
+    indented; ``stages`` holds the lines of each stage, which set the field's
+    parameters and leave its force and curvature cN.  The operations and
+    their order are those of ``ode_step_rk4`` on the stacked state (q, v)."""
+    text = """\
+{0}
+a1 = force / c1
+v2 = vn + half * a1
+{1}
+a2 = force / c2
+v3 = vn + half * a2
+{2}
+a3 = force / c3
+v4 = vn + h * a3
+{3}
+a4 = force / c4
+q_next = qn + sixth * (vn + 2.0 * v2 + 2.0 * v3 + v4)
+v_next = vn + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)"""
+    lines = text.format(*map("\n".join, stages)).splitlines()
+    return "\n".join(" " * indent + line for line in lines)
+
+
 @functools.lru_cache(maxsize=128)
 def _rk4_loop(field):
-    """The generated RK4 loop of the float program ``field``, with its four
-    stages inlined (``_RK4_LOOP``); built once per program.  A stage sets
-    only the parameters that the field reads, and the force reads qdot and
-    damping."""
+    """``run`` and ``step`` of ``_RK4_LOOP`` for the float program
+    ``field``, built once per program.  A stage of ``run`` sets the
+    parameters that the field or the force reads and runs the field's
+    lines; a stage of ``step`` sets them all and calls ``checked``."""
     reads = set(field.reads) | {"qdot", "damping"}
-    stages = {}
+    loop, replay = [], []
     for i, values in enumerate(_RK4_STAGES, 1):
-        lines = [f"{name} = {value}" for name, value in zip(_FIELD[0], values)
-                 if value is not None and name in reads]
-        lines += field.body + [f"force, c{i} = {field.returned}"]
-        stages[f"stage{i}"] = "\n".join(" " * 12 + line for line in lines)
-    source = _RK4_LOOP.format(**stages)
+        sets = [(name, value) for name, value in zip(_FIELD[0], values)
+                if value is not None]
+        loop.append([f"{name} = {value}" for name, value in sets if name in reads]
+                    + field.body + [f"force, c{i} = {field.returned}"])
+        replay.append([f"{name} = {value}" for name, value in sets]
+                      + [f"force, c{i} = checked(j, qdot, q, tau, damping)"])
+    source = _RK4_LOOP.format(loop=_rk4_step(loop, 12),
+                              replay=_rk4_step(replay, 4))
     namespace = dict(field.__globals__, _isfinite=math.isfinite)
     exec(compile(source, "<falva rk4 loop>", "exec"), namespace)
-    return namespace["run"]
+    return namespace["run"], namespace["step"]
 
 
 def _integrate_el(L, a, t, q0, v0, alpha, n):
@@ -456,28 +467,26 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     stage on, and ``failure`` the SingularLagrangianError or StepFailure of
     that stage, None if the run got through.
 
-    The field is one compiled program of the stage's (qdot, q, tau) and
-    damping (1-alpha)/(t-tau) that returns the numerator and d2L/dqdot^2: the
-    real-mode program of ``[value, *_ACCEL_PARTIALS]`` pruned to the five
-    partials it reads, so every check of all seven trees still runs in its
-    place and an error is the one ``partials`` raises.  One RK4 step
-    advances the pair (q, v).  The run is the generated loop of the field's
-    float program (``_rk4_loop``): the whole unchecked integration on Python
-    floats, with the four stages inlined, which spares numpy's per-call cost
-    on one-element arrays.  The float program runs the array program's IEEE
-    operations in the same order, so the bits are the same either way.
+    The field is one compiled float program of the stage's (qdot, q, tau)
+    and damping (1-alpha)/(t-tau) that returns the numerator and
+    d2L/dqdot^2: the real-mode program of ``[value, *_ACCEL_PARTIALS]``
+    pruned to the five partials it reads, so every check of all seven trees
+    still runs in its place and an error is the one ``partials`` raises,
+    with the bits of ``partials`` on one-element arrays.  The run is a loop
+    generated per field (``_rk4_loop``), with the field inlined in each of
+    the four stages of an RK4 step of the pair (q, v).
 
     A step first runs unchecked and is screened once: it stands if the new
     (q, v) and the sum of its four curvatures are finite, since a stage with
     a non-finite derivative, or a zero curvature, makes q or v non-finite.
     The loop stops at a step that fails the screen or raises (EvalError, or
-    a float division by a zero curvature), and that step is replayed with
-    the checks of each stage, on one-element arrays:
+    a float division by a zero curvature), and that step is replayed from
+    the same RK4 text with the checks of each stage:
     - a stage with a zero d2L/dqdot^2 or a non-finite derivative records
       that failure, and the rest of the step runs on NaN, so a check of tau
       alone still fails there, and the run ends;
     - an EvalError propagates from its stage, naming the node k the step
-      starts from and the stage's tau (one of tau alone names neither);
+      starts from and the stage's tau;
     - a step that passes goes back to the loop at the next step.
     The replay is the checked integration itself, so the failure, its tau
     and the first error do not depend on the screen.
@@ -496,61 +505,35 @@ def _integrate_el(L, a, t, q0, v0, alpha, n):
     starts, mids, ends = (taus.tolist() for taus in stage_times)
     d_starts, d_mids, d_ends = (((1.0 - alpha) / (t - taus)).tolist()
                                 for taus in stage_times)
-    field = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD)
+    field = _program(L, _ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD, True)
     failure = None
 
     def checked(k, qdot, q, tau, damping):
         """The field with the checks of one stage of the step from node k
-        (see above)."""
+        (see above); NaN once the step has failed, so no division raises."""
         nonlocal failure
         if failure is not None:
-            q, qdot = np.full((2, 1), np.nan)
+            q = qdot = math.nan
         try:
             force, curvature = field(qdot, q, tau, damping)
         except EvalError as err:
-            if err.index is None:  # a check of tau alone names no node
-                raise
-            message = str(err).removesuffix(f" (node {err.index})")
-            raise EvalError(f"{message} (step from node {k}, at tau = {tau!r})",
+            raise EvalError(f"{err} (step from node {k}, at tau = {tau!r})",
                             index=k) from None
-        # the force is an array, as it holds -d2L/dqdot dq * qdot, so a zero
-        # curvature divides it into inf or NaN; a literal or scalar
-        # curvature is a float (np.float64 is one too)
-        curvature_value = float(np.broadcast_to(curvature, (1,))[0])
-        ok = np.isfinite(qdot) & np.isfinite(force / curvature)
-        if failure is None and not (ok[0] and math.isfinite(curvature_value)):
-            failure = _stage_failure(curvature_value, tau)
-        return force, curvature
+        if failure is None and not (curvature != 0 and all(map(
+                math.isfinite, (qdot, force / curvature, curvature)))):
+            failure = _stage_failure(curvature, tau)
+        return (force, curvature) if failure is None else (math.nan, math.nan)
 
-    def step(q, v, k):
-        """The checked RK4 step from node k; returns the new (q, v).  Each
-        stage's q-increment is its v.  Component by component, the
-        operations and their order are those of ``ode_step_rk4`` on the
-        stacked state (q, v), and of ``_RK4_LOOP``."""
-        force, c1 = checked(k, v, q, starts[k], d_starts[k])
-        a1 = force / c1
-        v2 = v + half * a1
-        force, c2 = checked(k, v2, q + half * v, mids[k], d_mids[k])
-        a2 = force / c2
-        v3 = v + half * a2
-        force, c3 = checked(k, v3, q + half * v2, mids[k], d_mids[k])
-        a3 = force / c3
-        v4 = v + h * a3
-        force, c4 = checked(k, v4, q + h * v3, ends[k], d_ends[k])
-        a4 = force / c4
-        return (q + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4),
-                v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
-
-    run = _rk4_loop(_float_field(L))
+    run, step = _rk4_loop(field)
     stages = (h, half, sixth, starts, mids, ends, d_starts, d_mids, d_ends)
     rows = [float(q0), float(v0)]  # q and v at each node reached, flat
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         k = run(rows, 0, grid.n, *stages)
         while k < grid.n:
-            q_next, v_next = step(*np.reshape(rows[-2:], (2, 1)), k)
+            q_next, v_next = step(checked, *rows[-2:], k, *stages)
             if failure is not None:
                 break
-            rows += float(q_next[0]), float(v_next[0])
+            rows += q_next, v_next
             k = run(rows, k + 1, grid.n, *stages)
     q, v = np.full((2, grid.n + 1), np.nan)
     q[:len(rows) // 2], v[:len(rows) // 2] = np.reshape(rows, (-1, 2)).T

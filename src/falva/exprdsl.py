@@ -64,7 +64,8 @@ parameters in real mode.  A float program runs the same IEEE operations in
 the same order and returns Python floats with the bits of the array
 program on one-element arrays (a NaN may differ in its sign bit), or
 raises its first EvalError without a node index.  The shooting integrator
-inlines its lines into one RK4 loop per Lagrangian for a lone slope.
+inlines its lines into one RK4 loop per Lagrangian, and calls it to
+replay a step with every stage checked.
 """
 
 from __future__ import annotations
@@ -265,7 +266,9 @@ def parse(source: str) -> LagrangianExpr:
     programs built for it so far (the last ``_PARSED_TEXTS`` texts are
     kept).  Syntax errors raise ExprSyntaxError with a 1-based byte offset;
     an unknown function name raises the distinct UnknownFunctionError.  A
-    failed parse is not kept.
+    text that nests too deeply for Python's recursion limit raises
+    ExprSyntaxError as well, here or when a derivative or program of it is
+    first built (``_program``).  A failed parse is not kept.
     """
     # checked before the cache lookup, which would raise TypeError on an
     # unhashable value
@@ -278,7 +281,11 @@ def parse(source: str) -> LagrangianExpr:
 def _parsed(source: str) -> LagrangianExpr:
     """The expression of a non-blank ``source``, built once per kept text."""
     parser = _Parser(_tokenize(source))
-    ast = parser.parse_expr()
+    try:
+        ast = parser.parse_expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply",
+                              parser.peek()[2]) from None
     kind, text, offset = parser.peek()
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing input {text!r}", offset)
@@ -627,9 +634,12 @@ def _program(expr: LagrangianExpr, variable_tuples: tuple, complex_mode: bool,
     key = (variable_tuples, complex_mode, returns, signature, floats)
     program = expr._programs.get(key)
     if program is None:
-        trees = [expr.ast] + [_derivative(expr, v) for v in variable_tuples]
-        program = expr._programs[key] = _compile(trees, complex_mode, returns,
-                                                 signature, floats)
+        try:
+            trees = [expr.ast] + [_derivative(expr, v) for v in variable_tuples]
+            program = _compile(trees, complex_mode, returns, signature, floats)
+        except RecursionError:  # a tree as deep as a long chain of one operator
+            raise ExprSyntaxError("expression nests too deeply", 1) from None
+        expr._programs[key] = program
     return program
 
 

@@ -34,6 +34,7 @@ from falva import (
     OrderSet,
     SpecError,
     action_1d,
+    action_1d_cresson,
     action_nd,
     axis_cresson,
     cresson,
@@ -615,9 +616,11 @@ _MID, _END, _BLOW_UP = _step_40_terms()
 
 @pytest.mark.parametrize("L, stderr", [
     # a zero d2L/dqdot^2 at the mid stages, then log(0) at the end stage: the
-    # lone run records the zero curvature and the rest of its step raises
+    # lone run records the zero curvature and the rest of its step raises,
+    # named by the step's node and the end stage's tau
     (f"qdot^2/2*(tau - {_MID!r})^2 + log({_END!r} - tau)*q",
-     "FALVA-ERR eval: log of a non-positive value in real mode\n"),
+     "FALVA-ERR eval: log of a non-positive value in real mode "
+     f"(step from node 40, at tau = {_END!r})\n"),
     # a blow-up at the second stage, then a zero curvature at the end stage:
     # the lone run keeps its first failure
     (f"qdot^2/2*(tau - {_END!r})^2 + {_BLOW_UP}",
@@ -1437,3 +1440,168 @@ def test_a_right_deriv_sweep_given_alpha_and_beta_reads_no_alpha(tmp_path):
 def test_the_checked_values_and_the_grid_keys_cover_every_key():
     given = {key.partition(".")[0] for key in [*CHECKED_VALUES, *GRIDS[3]]}
     assert given | {"out", "format"} == set(cli._KEYS)
+
+
+# ---------------------------------------------------------------------------
+# error and success paths of the front end that no other test reaches
+
+PROBLEM_1D = ["--lagrangian", "qdot^2/2", "--alpha", "0.5", "--n", "8"]
+ACTION_1D = ["action", *PROBLEM_1D, "--path", "tau"]
+
+
+def _spec_file(tmp_path, text):
+    path = tmp_path / "problem.spec"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("spec, argv, line", [
+    ("kind=action\nlagrangian\n", [*ACTION_1D, *UNIT],
+     "{spec}:2: expected key=value, got 'lagrangian'"),
+    ("bogus=1\n", [*ACTION_1D, *UNIT], "{spec}:1: unknown key 'bogus'"),
+    ("kind=residual\n", [*ACTION_1D, *UNIT],
+     "spec file kind 'residual' conflicts with subcommand 'action'"),
+    (None, [*ACTION_1D, *UNIT * 4], "too many --domain axes (max 3)"),
+    (None, ACTION_1D, "missing required key 'domain' (or 'domain.x')"),
+    ("domain=0,1\ndomain.z=0,1\n", ACTION_1D, "domain.z given without domain.y"),
+    (None, [*ACTION_1D, *UNIT, "--gamma", "x"],
+     "key 'gamma': expected RE,IM or i or -i, got 'x'"),
+    (None, ["action", "--lagrangian", "(qx^2+qy^2)/2", "--path", "x*y",
+            "--alpha", "0.5,0.5,0.5", *UNIT, *UNIT, "--n", "8"],
+     "'alpha' needs 1 or 2 entries for dimension 2"),
+    (None, ["action", *PROBLEM_1D, "--path", "z*tau", *UNIT],
+     "path expression uses ['z']; allowed coordinates are ['tau']"),
+    (None, ["solve-bvp", *PROBLEM_1D, *UNIT, *UNIT, "--boundary", "0,1"],
+     "solve-bvp is one-dimensional"),
+    (None, ["sweep", "--lagrangian", "qdot^2/2", "--alpha", "0.5,1.5", "--n", "8",
+            "--path", "tau", *UNIT],
+     "sweep alpha 1.5 outside (0,1)"),
+    (None, [], "missing subcommand; expected one of deriv, action, residual, "
+     "solve-ivp, solve-bvp, minimize, sweep"),
+], ids=["spec-line-without-equals", "unknown-spec-key", "spec-kind-conflict",
+        "four-domains", "no-domain", "domain-z-without-y", "bad-gamma",
+        "three-alphas-in-2d", "unknown-coordinate", "solve-bvp-in-2d",
+        "sweep-alpha-outside", "no-subcommand"])
+def test_front_end_error_paths(tmp_path, spec, argv, line):
+    if spec is not None:
+        spec = _spec_file(tmp_path, spec)
+        argv = [*argv, "--spec", spec]
+    out = tmp_path / "out.csv"
+    assert _assert_one_error_line(argv, out) == (
+        f"FALVA-ERR spec: {line.format(spec=spec)}\n")
+    assert not out.exists()
+
+
+def test_a_field_file_without_a_shape_line_is_a_spec_error(tmp_path):
+    field = tmp_path / "field.csv"
+    field.write_text("0.0\n0.5\n1.0\n")
+    argv = ["action", "--lagrangian", "qdot^2/2", "--alpha", "0.5", "--n", "2",
+            "--path-file", str(field), *UNIT]
+    assert _assert_one_error_line(argv, tmp_path / "out.csv") == (
+        f"FALVA-ERR spec: field file {str(field)!r} must start with a "
+        "'shape,...' line\n")
+
+
+@pytest.mark.parametrize("gamma, weight", [("i", 1j), ("0.5", 0.5 + 0j)])
+def test_gamma_i_and_a_real_gamma_are_the_library_weight(tmp_path, gamma, weight):
+    out = tmp_path / "out.csv"
+    assert _run_quietly([*ACTION_1D, *UNIT, "--gamma", gamma], out) == (0, "", [])
+    grid = _line(8)
+    av = action_1d_cresson(parse("qdot^2/2"), GridFunction(grid, grid.nodes.copy()),
+                           OrderSet.for_1d(0.5, 0.5, weight))
+    _, header, columns = _read_csv(out)
+    assert header == ["value_re", "value_im", "singular_excluded"]
+    assert columns == [[_cell(av.value.real)], [_cell(av.value.imag)],
+                       [str(av.singular_nodes_excluded)]]
+
+
+def test_a_minimize_sweep_row_that_does_not_converge(tmp_path):
+    # L = q has a zero Hessian, so the first Newton solve fails and the
+    # minimizer stops unconverged; the row records it and the sweep goes on
+    argv = ["sweep", "--sweep-kind", "minimize", "--lagrangian", "q", "--alpha",
+            "0.25,0.5", *UNIT, "--n", "8", "--boundary", "0,1"]
+    assert not direct_minimize(parse("q"), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
+                               0.25, 8).converged
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out) == (0, "", [])
+    _, header, columns = _read_csv(out)
+    assert header == ["alpha", "value_re", "value_im", "status"]
+    assert columns[3] == ["FALVA-ERR noconv"] * 2
+
+
+def _python_m_falva(argv, out):
+    """(exit status, stderr) of ``python -m falva`` in a fresh process,
+    where the recursion limit meets the same stack depth as a user's call."""
+    proc = subprocess.run([sys.executable, "-m", "falva", *argv, "--out", str(out)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def _nested(k):
+    return "(" * k + "qdot^2/2" + ")" * k
+
+
+def _sum(m):
+    return "+".join(["qdot^2/2"] * m)
+
+
+def _product(m):
+    return "*".join(["(1+q^2)"] * m) + "*qdot^2"
+
+
+_DEEP_RUNS = {
+    "action": ["action", "--alpha", "0.5", *UNIT, "--n", "20", "--path", "tau^2"],
+    "residual": ["residual", "--alpha", "0.5", *UNIT, "--n", "20", "--path", "tau^2"],
+    "minimize": ["minimize", "--alpha", "0.5", *UNIT, "--n", "20", "--boundary", "0,1"],
+    "solve-bvp": ["solve-bvp", "--alpha", "0.5", *UNIT, "--n", "20", "--boundary", "0,1"],
+    "solve-ivp": ["solve-ivp", "--alpha", "0.5", *UNIT, "--n", "20", "--q0", "0",
+                  "--v0", "1"],
+}
+
+
+def _deep(kind, text):
+    return [*_DEEP_RUNS[kind], "--lagrangian=" + text]
+
+
+# the smallest sizes that passed Python's recursion limit, each on the
+# subcommands where it did: in the parser (nesting, leading minus signs),
+# in a compiled program (a long sum) or in a derivative tree (a product,
+# whose second derivatives minimize reads).  Each ends in one error line
+@pytest.mark.parametrize("argv", [
+    _deep("action", _nested(196)), _deep("solve-ivp", _nested(196)),
+    ["deriv", "--path=" + "(" * 196 + "tau^2" + ")" * 196, "--alpha", "0.5",
+     *UNIT, "--n", "8"],
+    *[_deep(kind, _sum(326)) for kind in ("action", "residual", "minimize",
+                                         "solve-bvp")],
+    _deep("minimize", _product(110)), _deep("residual", _product(164)),
+    _deep("solve-bvp", _product(164)), _deep("action", _product(325)),
+    _deep("action", "-" * 491 + "qdot^2/2"),
+], ids=["nested-196-action", "nested-196-solve-ivp", "nested-196-deriv-path",
+        "sum-326-action", "sum-326-residual", "sum-326-minimize",
+        "sum-326-solve-bvp", "product-110-minimize", "product-164-residual",
+        "product-164-solve-bvp", "product-325-action", "minus-491-action"])
+def test_a_too_deep_expression_is_a_parse_error(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    status, stderr = _python_m_falva(argv, out)
+    assert status == 2 and re.fullmatch(
+        r"FALVA-ERR parse: expression nests too deeply at offset \d+\n", stderr), stderr
+    assert not out.exists()
+
+
+def test_a_325_term_sum_still_runs_an_action(tmp_path):
+    out = tmp_path / "out.csv"
+    assert _python_m_falva(_deep("action", _sum(325)), out) == (0, "")
+    assert _read_csv(out)[1] == ["value_re", "value_im", "singular_excluded"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["deriv", "--path", "tau^1.5", "--alpha", "0.5", *UNIT, "--n", "20"],
+    ["residual", *LINE_1D, *PATH_1D],
+], ids=["deriv", "residual"])
+def test_a_small_table_leaves_the_vector_formatter_unimported(tmp_path, argv):
+    code = ("import sys; from falva.cli import main; "
+            f"status = main({[*argv, '--out', str(tmp_path / 'out.csv')]!r}); "
+            "print(status, 'falva.csvfmt' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")

@@ -363,12 +363,16 @@ class TestSolveIvp:
         assert info.value.index == 0
         assert str(info.value).endswith(" (step from node 0, at tau = 0.0)")
 
-    def test_check_of_tau_alone_names_no_node(self):
+    def test_check_of_tau_alone_names_the_step(self):
+        # a check that reads only tau is named like any other: by the node
+        # its step starts from and the tau of the failing stage, here the
+        # mid stage of the step from node 26 (0.4992) on the grid [0, 0.96]
         with pytest.raises(EvalError) as info:
             solve_el_ivp(parse("qdot^2/2 + log(0.5 - tau)*q"), 0.0, 1.0, 0.0,
                          1.0, 0.5, 50)
-        assert info.value.index is None
-        assert str(info.value) == "log of a non-positive value in real mode"
+        assert info.value.index == 26
+        assert str(info.value) == ("log of a non-positive value in real mode "
+                                   "(step from node 26, at tau = 0.5088)")
 
     @pytest.mark.parametrize("text, end", [
         (OSC, (0.40267547202531223, 0.025655805718367487)),
@@ -514,16 +518,19 @@ class TestShootingLanes:
         # each run is lost at a mid stage of step k, by a blow-up at the
         # second stage or by d2L/dqdot^2 = (tau - s)^2 = 0 at both, and
         # log(c - tau) fails at its fourth stage, tau = c: the rest of the
-        # step runs on NaN, so the run raises the EvalError
+        # step runs on NaN, so the run raises the EvalError, named by node k
+        # and the fourth stage's tau
         grid = Grid1D(0.0, 0.98, 100)
         taus, h, k = grid.nodes.tolist(), grid.h, 40
         s, c = taus[k] + 0.5 * h, taus[k] + h
         d, rate = taus[k] + 0.25 * h, 8000.0 / h
+        message = ("log of a non-positive value in real mode "
+                   f"(step from node {k}, at tau = {c!r})")
         for lose in (f"qdot^2/2 + exp({rate!r}*(tau - {d!r}))*q",
                      f"qdot^2/2*(tau - {s!r})^2"):
             L = parse(f"{lose} + log({c!r} - tau)*q")
             for v0 in (0.5, 1.0):
-                with pytest.raises(EvalError, match="^log of a non-positive value in real mode$"):
+                with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
                     _integrate_el(L, 0.0, 1.0, 0.0, v0, 0.5, 100)
 
     @pytest.mark.parametrize("text, slopes, lost", [

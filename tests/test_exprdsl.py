@@ -83,6 +83,18 @@ class TestParse:
         again = parse("q + 0")  # the least recently used text went first
         assert again is not first and again.ast == first.ast
 
+    def test_a_text_nested_past_the_recursion_limit_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="^expression nests too deeply "):
+            parse("(" * 2000 + "q" + ")" * 2000)
+        # a long sum parses, but its tree is as deep as the sum is long; the
+        # program that fails is not kept, so the next call fails the same way
+        expr = parse("+".join(["q"] * 2000))
+        for _ in range(2):
+            with pytest.raises(ExprSyntaxError) as info:
+                evaluate(expr, {"q": 1.0})
+            assert str(info.value) == "expression nests too deeply at offset 1"
+        assert expr._programs == {}
+
     def test_trailing_tokens(self):
         with pytest.raises(ExprSyntaxError):
             parse("q 2")
