@@ -32,12 +32,10 @@ truncated time t - epsilon.  By default the match target is the raw
 boundary value, which leaves an O(epsilon^(2-alpha)) endpoint defect; a
 caller that knows the value of the sought path at t - epsilon can pass it
 as ``qb_at_margin`` to remove the defect.  The slope scan that brackets
-the shooting root runs on at most BVP_COARSE_NODES intervals, which match
-at the same time t - epsilon as the full n, and at n itself up to that
-size; a root next to a lost slope is bracketed by runs between the two.
-A scan pass runs its slopes one at a time, outward from the
+the shooting root runs at n, its slopes one at a time, outward from the
 straight-line slope, up to the first bracket, which is the one nearest
-that slope.  ``solve_el_bvp`` tells how.
+that slope; a root next to a lost slope is bracketed by runs between the
+two.  ``solve_el_bvp`` tells how.
 
 Shooting integrator.  Every shooting run, of one slope, goes through
 ``_integrate_el``.  Its field is one compiled float program per
@@ -116,9 +114,6 @@ __all__ = [
 RESIDUAL_MARGIN_FRACTION = 0.05
 IVP_MARGIN_FRACTION = 0.02
 BVP_SCAN_SLOPES = 32
-# the fewest intervals at which 2 (t-a)/n <= IVP_MARGIN_FRACTION (t-a), so
-# that the match time t - eps no longer depends on n
-BVP_COARSE_NODES = math.ceil(2.0 / IVP_MARGIN_FRACTION)
 BVP_SCAN_SPAN = 10.0
 BVP_ROOT_TOL = 1e-10
 # runs that bisect the interval between a finite scan slope and a lost
@@ -546,8 +541,12 @@ def solve_el_ivp(L: LagrangianExpr, a: float, t: float, q0: float, v0: float,
 
     Stops at the truncated time t - eps, eps = max(0.02 (t-a), 2 (t-a)/n),
     so n must be at least 3; returns (q, qdot) sampled on the truncated
-    grid.
+    grid.  A non-finite q0 or v0 raises DomainError before any step.
     """
+    if not (math.isfinite(q0) and math.isfinite(v0)):
+        raise DomainError(
+            f"initial data must be finite, got q0 = {float(q0)!r}, "
+            f"v0 = {float(v0)!r}")
     grid, q, qdot, failure = _integrate_el(L, a, t, q0, v0, alpha, n)
     if failure is not None:
         raise failure
@@ -563,51 +562,34 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
     O(eps^min(1, 2-alpha)) endpoint defect; pass ``qb_at_margin`` (the value
     of the sought path at t - eps) to match without it.
 
-    A scan pass runs up to 32 slopes across [-10, 10] * (qb - qa)/(t - a);
-    when qb == qa the scan scale falls back to 1/(t - a).  Each slope runs
-    alone (see ``_integrate_el``), outward from the scale in order of its
-    distance from it (``_SCAN_ORDER``: slope 17 first, then 18, 16, 19,
-    ...), and the pass stops at the first bracket, a pair of neighbouring
+    The scan runs up to 32 slopes across [-10, 10] * (qb - qa)/(t - a) at
+    n; when qb == qa the scan scale falls back to 1/(t - a).  Each slope
+    runs alone (see ``_integrate_el``), outward from the scale in order of
+    its distance from it (``_SCAN_ORDER``: slope 17 first, then 18, 16, 19,
+    ...), and the scan stops at the first bracket, a pair of neighbouring
     slopes whose endpoint gaps change sign.  That is the bracket nearest
     the scan scale (the straight-line slope unless qb == qa): of all the
     brackets of the 32 slopes, the one whose farther end comes first in
     that order.  With several roots, the rule picks one by where its slope
     lies, so it need not be the action's minimizer.  A slope whose
     trajectory blows up or meets a vanishing d2L/dqdot^2 drops out and
-    bounds no bracket; an EvalError of a slope ends the pass, and the
-    slopes the pass did not reach raise none.  A pass with no bracket runs
-    all 32 slopes.
-
-    The scan runs in up to two passes, on m = min(n, BVP_COARSE_NODES)
-    intervals and then on n.  eps = max(0.02 (t-a), 2 (t-a)/n) is
-    0.02 (t-a) from BVP_COARSE_NODES on, so a coarse pass matches at the
-    same time t - eps as a pass at n.  A pass accepts its bracket if the
-    two ends, run at n, bracket there too, and the root search starts
-    from them.  These are the slopes and gaps a pass at n gives whenever
-    its bracket is the same one, so the result is that pass's.  A coarse
-    pass keeps only each slope's endpoint gap and failure.  A coarse pass
-    that finds no such bracket, or raises EvalError,
-    SingularLagrangianError or StepFailure, hands over to the pass at n,
-    whose errors propagate; a problem with no bracket therefore pays for
-    both passes.  The pass at n reads the slopes already run at n (the
-    coarse bracket's ends) instead of running them again.  At
-    n <= BVP_COARSE_NODES the one pass runs at n.  If the pass at n finds
-    no bracket, runs at n bisect each interval between a finite slope and
-    a lost neighbour (``_bracket_at_lost_lane``), in slope order, and the
+    bounds no bracket; an EvalError of a slope propagates, and the slopes
+    the scan did not reach raise none.  A scan with no bracket runs all 32
+    slopes; then runs bisect each interval between a finite slope and a
+    lost neighbour (``_bracket_at_lost_lane``), in slope order, and the
     first sign change they meet is the bracket; if there is none, the
-    pass raises the first vanished curvature it met, else the StepFailure
+    solve raises the first vanished curvature it met, else the StepFailure
     of the lowest failed slope, else a BracketingError.
 
-    Only runs at n are kept.  The root search reuses them and integrates
-    only the slopes it adds; it stops at an endpoint gap of BVP_ROOT_TOL
-    times the boundary data's scale, max(|qa|, |qb|, |target|), or times 1
-    when all three are zero.  A non-finite ``qb_at_margin`` raises
-    DomainError, and an n that is not an integer >= 3 GridError.
+    The root search reuses the scan's runs and integrates only the slopes
+    it adds; it stops at an endpoint gap of BVP_ROOT_TOL times the boundary
+    data's scale, max(|qa|, |qb|, |target|), or times 1 when all three are
+    zero.  A non-finite ``qb_at_margin`` raises DomainError, and an n that
+    is not an integer >= 3 GridError.
     """
     target = float(bd.qb if qb_at_margin is None else qb_at_margin)
     if not math.isfinite(target):
         raise DomainError(f"the margin target must be finite, got {target!r}")
-    n = Grid1D(bd.a, bd.t, n).n  # a GridError for a bad n, before min() reads it
     tol = BVP_ROOT_TOL * (max(abs(bd.qa), abs(bd.qb), abs(target)) or 1.0)
     scale = (bd.qb - bd.qa) / (bd.t - bd.a)
     if scale == 0.0:
@@ -616,63 +598,50 @@ def solve_el_bvp(L: LagrangianExpr, bd: BoundaryData1D, alpha: float, n: int,
         slopes = np.linspace(-BVP_SCAN_SPAN * scale, BVP_SCAN_SPAN * scale,
                              BVP_SCAN_SLOPES)
 
-    runs = {}  # v0 -> (grid, q, qdot, failure) at n; no slope runs twice
+    runs = {}  # v0 -> (grid, q, qdot, failure); no slope runs twice
 
-    def integrate(v0, m):
-        """The endpoint gap and failure of slope v0 at m intervals."""
-        out = runs.get(v0) if m == n else None
+    def integrate(v0):
+        """The endpoint gap and failure of slope v0."""
+        out = runs.get(v0)
         if out is None:
-            out = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, m)
-            if m == n:
-                runs[v0] = out
+            out = runs[v0] = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
         return float(out[1][-1]) - target, out[3]
 
     def endpoint_gap(v0):
-        gap, failure = integrate(v0, n)
+        gap, failure = integrate(v0)
         if failure is not None:
             raise failure
         return gap
 
     def lone_gap(v0):
-        """The gap of a run at n, NaN where the run fails."""
+        """The gap of a run, NaN where the run fails."""
         try:
             return endpoint_gap(v0)
         except (EvalError, SingularLagrangianError, StepFailure):
             return math.nan
 
-    def scan(m):
-        """The gaps and failures of the slopes at m, run in _SCAN_ORDER up to
-        the first bracket (NaN and None for a slope not run), and the lower
-        index of that bracket, or None."""
-        gaps, failures = [math.nan] * len(slopes), [None] * len(slopes)
+    # NaN and None for a slope not run or, in gaps, one that failed
+    gaps, failures = [math.nan] * len(slopes), [None] * len(slopes)
+
+    def scan():
+        """Run the slopes in _SCAN_ORDER up to the first bracket and return
+        it, or None."""
         for j in _SCAN_ORDER:
-            gaps[j], failures[j] = integrate(float(slopes[j]), m)
+            gaps[j], failures[j] = integrate(float(slopes[j]))
             # the slopes run are contiguous, so slope j closes at most one
             # bracket, with its one neighbour already run
             for i in (j - 1, j):
                 if 0 <= i < len(slopes) - 1 and _is_bracket(*gaps[i:i + 2]):
-                    return gaps, failures, i
-        return gaps, failures, None
+                    return slopes[i], slopes[i + 1]
+        return None
 
-    for m in dict.fromkeys((min(n, BVP_COARSE_NODES), n)):
-        try:
-            gaps, failures, i = scan(m)  # NaN where a slope failed
-            # a bracket holds if its two ends, run at n, bracket
-            if i is not None and _is_bracket(
-                    *[endpoint_gap(float(v0)) for v0 in slopes[i:i + 2]]):
-                bracket = slopes[i], slopes[i + 1]
-                break
-        except (EvalError, SingularLagrangianError, StepFailure):
-            if m == n:
-                raise
-    else:
-        bracket = _bracket_at_lost_lane(slopes, gaps, lone_gap)
-        if bracket is None:
-            raise _scan_failure(failures) or BracketingError(
-                f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
-                f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem "
-                "appears to have no solution in the scanned family"
-            )
+    bracket = scan() or _bracket_at_lost_lane(slopes, gaps, lone_gap)
+    if bracket is None:
+        raise _scan_failure(failures) or BracketingError(
+            f"no sign change across {BVP_SCAN_SLOPES} shooting slopes in "
+            f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem "
+            "appears to have no solution in the scanned family"
+        )
     v0 = find_root(endpoint_gap, *bracket, tol=tol)
     grid, q, qdot, _ = runs[v0]  # find_root returns a point it evaluated
     return BvpResult(q=GridFunction(grid, q), qdot=GridFunction(grid, qdot),
@@ -748,9 +717,10 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
     fixed at (qa, qb).  Termination: gradient sup-norm below
     MINIMIZE_GRAD_TOL, or ``max_iter`` iterations, in which case the result
     is flagged non-converged; so is a run whose line search or tridiagonal
-    solve fails.  The objective and the line search's slope are numpy sums
-    (``_weighted_sum``), so the result does not depend on the BLAS thread
-    count.
+    solve fails.  A ``start`` path with a non-finite interior value raises
+    DomainError before the first iteration.  The objective and the line
+    search's slope are numpy sums (``_weighted_sum``), so the result does
+    not depend on the BLAS thread count.
     """
     _check_path_problem(L, alpha)
     grid = Grid1D(bd.a, bd.t, n)
@@ -805,6 +775,11 @@ def direct_minimize(L: LagrangianExpr, bd: BoundaryData1D, alpha: float,
         if qv.shape != nodes.shape:
             raise GridError("start path does not match the grid")
         qv[0], qv[-1] = bd.qa, bd.qb
+        bad = np.flatnonzero(~np.isfinite(qv))
+        if bad.size:
+            k = int(bad[0])
+            raise DomainError(
+                f"start path must be finite, got {float(qv[k])!r} at node {k}")
 
     # an overflowing trial step is rejected by the line search, not reported
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

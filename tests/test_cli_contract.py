@@ -507,6 +507,21 @@ def test_non_finite_margin_target_is_bad_input(tmp_path, value):
     assert _run_quietly(argv, tmp_path / "out.csv")[0] == 2
 
 
+@pytest.mark.parametrize("key", ["q0", "v0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_initial_data_is_bad_input(tmp_path, key, value):
+    # refused before the run, as the boundary data and the margin target are
+    argv = _argv("solve-ivp")
+    at = argv.index(f"--{key}")
+    argv = argv[:at] + argv[at + 2:] + [f"--{key}={value}"]
+    data = {"q0": 0.0, "v0": 1.0, key: float(value)}
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out) == (2, (
+        f"FALVA-ERR domain: initial data must be finite, got "
+        f"q0 = {data['q0']!r}, v0 = {data['v0']!r}\n"), [])
+    assert not out.exists()
+
+
 # every slope of the scan blows up before the match time
 QUARTIC_BVP = ["solve-bvp", "--lagrangian", "qdot^2/2 + q^4/4", "--alpha", "0.5",
                "--domain", "0,1", "--n", "400", "--boundary", "0,50"]
@@ -632,8 +647,8 @@ def test_solve_ivp_reports_what_its_scan_lane_meets(tmp_path, L, stderr):
     assert _run_quietly(argv, tmp_path / "out.csv") == (3, stderr, [])
 
 
-# q = 0 at the first node: every scan slope fails there, on the coarse grid
-# (n = 400) as on the only one (n = 50), and the scan at n reports it
+# q = 0 at the first node: the first scan slope fails there, at n = 50 as
+# at n = 400, and the scan reports it
 @pytest.mark.parametrize("n", ["50", "400"])
 def test_solve_bvp_scan_error_names_node_0(tmp_path, n):
     argv = ["solve-bvp", "--lagrangian", "qdot^2/2 + log(q)", "--alpha", "0.5",

@@ -374,6 +374,17 @@ class TestSolveIvp:
         assert str(info.value) == ("log of a non-positive value in real mode "
                                    "(step from node 26, at tau = 0.5088)")
 
+    @pytest.mark.parametrize("q0, v0", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (0.0, -math.inf), (0.0, math.nan)])
+    def test_non_finite_initial_data_is_a_domain_error(self, monkeypatch, q0,
+                                                       v0):
+        # refused before any step runs
+        monkeypatch.setattr(euler, "_integrate_el", None)
+        with pytest.raises(DomainError) as info:
+            solve_el_ivp(parse(FREE), 0.0, 1.0, q0, v0, 0.5, 50)
+        assert str(info.value) == (
+            f"initial data must be finite, got q0 = {q0!r}, v0 = {v0!r}")
+
     @pytest.mark.parametrize("text, end", [
         (OSC, (0.40267547202531223, 0.025655805718367487)),
         ("qdot^2/2 + q^4/4 + tau*q", (0.5824264045313686, 0.26879172307142907)),
@@ -633,15 +644,14 @@ class TestShootingLanes:
     def test_a_root_next_to_a_lost_lane_is_bisected(self, monkeypatch):
         # the slopes from 17 up each underflow exp(-q) to 0, and the root
         # lies between slope 16 and the lost slope 17, so no two slopes
-        # bracket: the coarse pass and the pass at n each run all 32
-        # slopes, then runs at n bisect that interval until a gap changes
-        # sign, and the root search runs at n
+        # bracket: the scan runs all 32 slopes, then runs bisect that
+        # interval until a gap changes sign, and the root search runs
         calls = self._count_integrations(monkeypatch)
         res = solve_el_bvp(parse("exp(-q)*qdot^2/2"),
                            BoundaryData1D(0.0, 1.0, 0.0, 3.0), 0.75, 400)
         assert abs(float(res.q.values[-1]) - 3.0) < 3e-10
-        assert calls[:64] == [100] * 32 + [400] * 32
-        assert set(calls[64:]) == {400}
+        assert calls[:32] == [400] * 32
+        assert set(calls[32:]) == {400}
 
     @pytest.mark.parametrize("lost_above", [True, False])
     def test_edge_bisection_moves_one_end_per_run(self, lost_above):
@@ -718,43 +728,38 @@ class TestShootingLanes:
     # 19, 15, 20, ...) up to the slope that closes the bracket: the free
     # particle's root lies between slopes 17 and 18 (runs 17, 18: 2), the
     # oscillator's between 18 and 19 (17, 18, 16, 19: 4), and between 19
-    # and 20 for the oscillator from qa = 1e-170 (17, 18, 16, 19, 15, 20: 6)
-    _LINEAR_CASES = pytest.mark.parametrize("text, qa, qb, scanned", [
+    # and 20 for the oscillator from qa = 1e-170 (17, 18, 16, 19, 15, 20: 6).
+    # At 1e200 and 1e-170 the secant step's product overflows or
+    # underflows, and the step takes the quotient first.  The ids of the
+    # cases at n = 100 leave n out
+    _LINEAR_CASES = [
         (FREE, 0.0, 1.0, 2), (OSC, 0.0, 1.0, 4), (FREE, 0.0, 1e200, 2),
         (OSC, 0.0, 1e200, 4), (FREE, 1e-170, 2e-170, 2),
         (OSC, 1e-170, 2e-170, 6),
-    ], ids=[FREE, OSC, FREE + "-1e200", OSC + "-1e200", FREE + "-1e-170",
-            OSC + "-1e-170"])
+    ]
+    _LINEAR_IDS = [FREE, OSC, FREE + "-1e200", OSC + "-1e200",
+                   FREE + "-1e-170", OSC + "-1e-170"]
 
-    # at 1e200 and 1e-170 the secant step's product overflows or
-    # underflows, and the step takes the quotient first
-    @_LINEAR_CASES
-    def test_linear_problem_integrates_twice(self, monkeypatch, text, qa, qb,
-                                             scanned):
-        # up to BVP_COARSE_NODES the scan runs at n.  The scan runs its
-        # slopes outward from the straight-line slope up to the first
-        # bracket, and then the secant root runs once; the bracket ends
-        # come from the scan
+    @pytest.mark.parametrize("n, text, qa, qb, scanned", [
+        (n, *case) for case in _LINEAR_CASES for n in (100, 400)
+    ], ids=[name if n == 100 else f"{name}-n400"
+            for name in _LINEAR_IDS for n in (100, 400)])
+    def test_linear_problem_integrates_twice(self, monkeypatch, n, text, qa,
+                                             qb, scanned):
+        # the scan runs its slopes at n, outward from the straight-line
+        # slope up to the first bracket, whose ends the secant step reads
+        # from the scan; then the root runs once
         calls = self._count_integrations(monkeypatch)
-        solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 100)
-        assert calls == [100] * (scanned + 1)
-
-    @_LINEAR_CASES
-    def test_linear_problem_scans_coarse_then_runs_three_slopes(
-            self, monkeypatch, text, qa, qb, scanned):
-        # the scan runs at BVP_COARSE_NODES up to the first bracket, the
-        # two bracket ends at n, then the secant root
-        calls = self._count_integrations(monkeypatch)
-        solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, 400)
-        assert calls == [100] * scanned + [400] * 3
+        solve_el_bvp(parse(text), BoundaryData1D(0.0, 1.0, qa, qb), 0.5, n)
+        assert calls == [n] * (scanned + 1)
 
     def test_quartic_integrations(self, monkeypatch):
-        # scan runs of slopes 17 and 18, which bracket, then the bracket
-        # ends and nine root-search runs at n
+        # scan runs of slopes 17 and 18, which bracket, then nine
+        # root-search runs
         calls = self._count_integrations(monkeypatch)
         res = solve_el_bvp(parse(QUARTIC), BoundaryData1D(0.0, 1.0, 0.0, 1.0),
                            0.5, 400)
-        assert calls == [100] * 2 + [400] * 11
+        assert calls == [400] * 11
         assert res.v0 == 1.4261737846979154
 
 
@@ -802,142 +807,21 @@ def _gap_field(slopes, gaps):
     return integrate
 
 
-def _full_scan_solve(L, bd, alpha, n):
-    """The shooting solve with its 32-slope scan at the full n, built from
-    _integrate_el, find_root and the reference root rule; returns (v0, q,
-    qdot, brackets), where brackets counts the sign changes of the scan."""
-    slopes, scan, gaps = _scan_gaps(L, bd, alpha, n)
-    runs = {v0: run[:2] for v0, run in zip(slopes.tolist(), scan)}
-
-    def gap(v0):
-        if v0 not in runs:
-            _, q, qdot, failure = _integrate_el(L, bd.a, bd.t, bd.qa, v0, alpha, n)
-            if failure is not None:
-                raise failure
-            runs[v0] = q, qdot
-        return float(runs[v0][0][-1]) - bd.qb
-
-    i = _nearest_bracket(gaps)
-    tol = euler.BVP_ROOT_TOL * max(abs(bd.qa), abs(bd.qb))
-    v0 = find_root(gap, slopes[i], slopes[i + 1], tol=tol)
-    return (v0, *runs[v0], len(_brackets(gaps)))
-
-
-class TestCoarseScan:
-    """Above BVP_COARSE_NODES intervals the scan runs on BVP_COARSE_NODES,
-    which match at the same time t - eps; the result keeps the bits of a
-    scan at the full n."""
-
-    def test_coarse_grid_matches_at_the_same_time(self):
-        assert euler.BVP_COARSE_NODES == 100
-        grid, *_ = _integrate_el(parse(FREE), 0.0, 1.0, 0.0, 1.0, 0.5, 400)
-        coarse, *_ = _integrate_el(parse(FREE), 0.0, 1.0, 0.0, 1.0, 0.5, 100)
-        assert coarse.t == grid.t
-
-    @pytest.mark.parametrize("text, alpha, qb, several_roots", [
-        (FREE, 0.5, 1.0, False), (FREE, 0.75, 1.0, False),
-        (OSC, 0.5, 1.0, False), (OSC, 0.75, 1.0, False),
-        (QUARTIC, 0.5, 1.0, False),
-        ("qdot^2/2 - q^4", 0.75, 1.0, True),
-        ("qdot^2/2 + 20*cos(q)*q", 0.5, 1.0, True),
-    ])
-    def test_bits_of_the_full_scan(self, text, alpha, qb, several_roots):
-        L, bd = parse(text), BoundaryData1D(0.0, 1.0, 0.0, qb)
-        v0, q, qdot, brackets = _full_scan_solve(L, bd, alpha, 400)
-        assert (brackets > 1) == several_roots
-        res = solve_el_bvp(L, bd, alpha, 400)
-        assert res.v0 == v0
-        assert np.array_equal(res.q.values, q)
-        assert np.array_equal(res.qdot.values, qdot)
-
-    # each scan pass runs the oscillator's slopes in _SCAN_ORDER up to the
-    # first bracket, here slopes 18 and 19 (runs 17, 18, 16, 19: 4), and
-    # the secant root then runs once.  Where the coarse scan is made to end
-    # at 0 for slopes up to 16 and at 2 above, its first bracket is slopes
-    # 16 and 17 (runs 17, 18, 16: 3), two slopes that end below the target
-    # at n
-    @pytest.mark.parametrize("fault, expected", [
-        # 3 coarse runs, the 2 bracket ends, then 18 and 19 at n (16 and 17
-        # are read from the runs at n) and the root
-        ("no bracket at n", [100] * 3 + [400] * 5),
-        # the first coarse run, 4 runs at n and the root
-        ("coarse scan fails", [100] + [400] * 5),
-        # 4 coarse runs, the first bracket end (18), which raises and so
-        # runs again in the 4 runs at n, and the root
-        ("bracket end fails at n", [100] * 4 + [400] * 6),
-        # 3 coarse runs, the first bracket end (16), whose failure stands at
-        # n, then 17, 18 and 19 at n and the root
-        ("bracket end records a failure at n", [100] * 3 + [400] * 5),
-    ])
-    def test_falls_back_to_the_full_scan(self, monkeypatch, fault, expected):
-        # the full scan runs and gives its own result, and no slope that
-        # ran to its end at n runs again
-        lone_runs, ran_at_n = [], []
-        L, bd = parse(OSC), BoundaryData1D(0.0, 1.0, 0.0, 1.0)
-        slopes = np.linspace(-10.0, 10.0, 32)
-
-        def edit(v0, n, out):
-            coarse = n == euler.BVP_COARSE_NODES
-            if fault in ("no bracket at n", "bracket end records a failure at n") \
-                    and coarse:
-                out[1][-1] = 0.0 if v0 <= slopes[16] else 2.0
-            elif fault == "coarse scan fails" and coarse:
-                raise EvalError("a check failed on the coarse grid")
-            elif fault == "bracket end fails at n" and not coarse:
-                lone_runs.append(v0)
-                if len(lone_runs) == 1:
-                    # a run raises only an EvalError; its failure is
-                    # recorded, as below
-                    raise EvalError("a check failed at n")
-            elif fault == "bracket end records a failure at n" and not coarse:
-                lone_runs.append(v0)
-                if len(lone_runs) == 1:
-                    # the run ends as a run that blew up at 0.5 does
-                    grid, q, qdot, _ = out
-                    q[grid.nodes >= 0.5] = qdot[grid.nodes >= 0.5] = np.nan
-                    out = grid, q, qdot, StepFailure("non-finite derivative",
-                                                     tau=0.5)
-            if not coarse:
-                ran_at_n.append(float(v0))
-            return out
-
-        v0, q, qdot, _ = _full_scan_solve(L, bd, 0.5, 400)
-        calls = TestShootingLanes._count_integrations(monkeypatch, edit)
-        res = solve_el_bvp(L, bd, 0.5, 400)
-        assert calls == expected
-        assert len(set(ran_at_n)) == len(ran_at_n)
-        assert res.v0 == v0
-        assert np.array_equal(res.q.values, q)
-        assert np.array_equal(res.qdot.values, qdot)
-
-    def test_no_bracket_raises_the_full_scan_error(self, monkeypatch):
-        # no two slopes bracket and none is lost, so the coarse pass and the
-        # pass at n each run all 32 slopes, and no bisection runs
-        calls = TestShootingLanes._count_integrations(monkeypatch)
-        with pytest.raises(BracketingError) as info:
-            solve_el_bvp(parse("qdot^2/2 + 80*cos(q)"),
-                         BoundaryData1D(0.0, 1.0, 0.0, 1.0), 0.5, 400)
-        assert str(info.value) == (
-            "no sign change across 32 shooting slopes in [-10, 10]; the "
-            "boundary problem appears to have no solution in the scanned family")
-        assert calls == [100] * 32 + [400] * 32
-
-
 def _first_bracket_in_slope_order(gaps):
     """The bracket rule before the scan ran outward: the lowest i whose
     gaps i, i+1 bracket, or None."""
     return next(iter(_brackets(gaps)), None)
 
 
-def _full_scan_passes_solve(L, bd, alpha, n, choose=_nearest_bracket):
-    """(v0, q, qdot) of the shooting solve with each scan pass a full
-    32-slope scan, or the error it raises: a pass at min(n,
-    BVP_COARSE_NODES), then one at n, each accepting the bracket
-    ``choose(gaps)`` (by default the reference root rule, the bracket
-    nearest the scan scale) if the two ends bracket at n, then the
-    bisection next to a lost slope, then the scan's error."""
+def _full_scan_solve(L, bd, alpha, n, choose=_nearest_bracket):
+    """(v0, q, qdot) of the shooting solve with a full 32-slope scan at n,
+    built from _integrate_el, find_root and the reference root rule, or the
+    error it raises: the bracket ``choose(gaps)`` (by default the bracket
+    nearest the scan scale), else the bisection next to a lost slope, else
+    the scan's error."""
     tol = euler.BVP_ROOT_TOL * (max(abs(bd.qa), abs(bd.qb)) or 1.0)
-    runs = {}  # v0 -> (q, qdot, failure) at n
+    slopes, scan, gaps = _scan_gaps(L, bd, alpha, n)
+    runs = dict(zip(slopes.tolist(), scan))  # v0 -> (q, qdot, failure)
 
     def gap(v0):
         if v0 not in runs:
@@ -950,26 +834,16 @@ def _full_scan_passes_solve(L, bd, alpha, n, choose=_nearest_bracket):
     def lone_gap(v0):
         try:
             return gap(v0)
-        except (SingularLagrangianError, StepFailure):
+        except (EvalError, SingularLagrangianError, StepFailure):
             return math.nan
 
-    for m in dict.fromkeys((min(n, euler.BVP_COARSE_NODES), n)):
-        slopes, scan, gaps = _scan_gaps(L, bd, alpha, m)
-        failures = [failure for _, _, failure in scan]
-        if m == n:
-            runs.update(zip(slopes.tolist(), scan))
-        i = choose(gaps)
-        try:
-            if i is not None and euler._is_bracket(
-                    *[gap(float(v0)) for v0 in slopes[i:i + 2]]):
-                bracket = slopes[i], slopes[i + 1]
-                break
-        except (SingularLagrangianError, StepFailure):
-            assert m < n
+    i = choose(gaps)
+    if i is not None:
+        bracket = slopes[i], slopes[i + 1]
     else:
         bracket = euler._bracket_at_lost_lane(slopes, gaps, lone_gap)
         if bracket is None:
-            raise euler._scan_failure(failures) or BracketingError(
+            raise euler._scan_failure([f for *_, f in scan]) or BracketingError(
                 f"no sign change across 32 shooting slopes in "
                 f"[{slopes[0]:g}, {slopes[-1]:g}]; the boundary problem "
                 "appears to have no solution in the scanned family")
@@ -991,6 +865,76 @@ def _solve_outcome(fn):
     return ("ok", *out)
 
 
+def _bvp_outcome(L, bd, alpha, n):
+    """_solve_outcome of solve_el_bvp, checking that no slope runs twice at
+    one n."""
+    runs = []
+    integrate = euler._integrate_el
+
+    def counted(L, a, t, q0, v0, alpha, n):
+        runs.append((v0, n))
+        return integrate(L, a, t, q0, v0, alpha, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(euler, "_integrate_el", counted)
+        got = _solve_outcome(lambda: _bvp_arrays(solve_el_bvp(L, bd, alpha, n)))
+    assert len(set(runs)) == len(runs), runs
+    return got
+
+
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1:] == want[1:]
+        return
+    assert got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(got[3], want[3])
+
+
+# (text, alpha, qa, qb, several_roots); an id names qa only where it is not 0
+_FULL_SCAN_CASES = [
+    (FREE, 0.5, 0.0, 1.0, False), (FREE, 0.75, 0.0, 1.0, False),
+    (OSC, 0.5, 0.0, 1.0, False), (OSC, 0.75, 0.0, 1.0, False),
+    (QUARTIC, 0.5, 0.0, 1.0, False),
+    ("qdot^2/2 - q^4", 0.75, 0.0, 1.0, True),
+    ("qdot^2/2 + 20*cos(q)*q", 0.5, 0.0, 1.0, True),
+    # the root rule gives v0 = 4.02953725048196 (-1.61 times the scale
+    # -2.5); the root -13.532879437954978 (5.41 times the scale) has a
+    # bracket too, but farther from the straight-line slope
+    ("qdot^2/2 + 5*q^2 + 5*tau*qdot^2 + -1*q^2*qdot^2", 0.5, 0.5, -2.0, True),
+]
+
+
+class TestCoarseScan:
+    """The scan at n has the bits of the full 32-slope scan at n
+    (``_full_scan_solve``), and runs no slope twice.  The class keeps the
+    name it had while a coarse-grid pass ran first."""
+
+    @pytest.mark.parametrize(
+        "text, alpha, qa, qb, several_roots", _FULL_SCAN_CASES,
+        ids=["-".join(map(str, (text, alpha, *[qa][:qa != 0.0], qb, several)))
+             for text, alpha, qa, qb, several in _FULL_SCAN_CASES])
+    def test_bits_of_the_full_scan(self, text, alpha, qa, qb, several_roots):
+        L, bd = parse(text), BoundaryData1D(0.0, 1.0, qa, qb)
+        assert (_scan_brackets(L, bd, alpha, 400) > 1) == several_roots
+        want = _solve_outcome(lambda: _full_scan_solve(L, bd, alpha, 400))
+        assert want[0] == "ok"
+        _assert_same_outcome(_bvp_outcome(L, bd, alpha, 400), want)
+
+    def test_no_bracket_raises_the_full_scan_error(self, monkeypatch):
+        # no two slopes bracket and none is lost, so the scan runs all 32
+        # slopes once, and no bisection runs
+        L, bd = parse("qdot^2/2 + 80*cos(q)"), BoundaryData1D(0.0, 1.0, 0.0, 1.0)
+        want = _solve_outcome(lambda: _full_scan_solve(L, bd, 0.5, 400))
+        assert want == ("error", BracketingError, (
+            "no sign change across 32 shooting slopes in [-10, 10]; the "
+            "boundary problem appears to have no solution in the scanned family"))
+        calls = TestShootingLanes._count_integrations(monkeypatch)
+        _assert_same_outcome(_bvp_outcome(L, bd, 0.5, 400), want)
+        assert calls == [400] * 32
+
+
 _MONOMIALS = ("q", "q^2", "q^3", "q^4", "tau*q", "qdot^4", "qdot*q",
               "q^2*qdot^2", "qdot^3", "tau*qdot^2")
 POLYNOMIALS = st.lists(
@@ -1004,29 +948,22 @@ POLYNOMIALS = st.lists(
        qa=st.sampled_from([0.0, 0.5]),
        qb=st.sampled_from([1.0, 2.0, -2.0, 0.3, 0.0, 5.0, 50.0]),
        n=st.sampled_from([50, 150, 400]))
-# no bracket in either pass
+# no bracket, and no slope lost
 @example(text="qdot^2/2 + 20*qdot*q", alpha=0.25, qa=0.0, qb=5.0, n=150)
-# the first coarse bracket's upper end blows up at n; the pass at n solves
+# one bracket, between slopes 15 and 16, among ten lost slopes
 @example(text="qdot^2/2 + 5*q^2 + 5*tau*qdot^2 + -1*q^2*qdot^2", alpha=0.75,
          qa=0.0, qb=0.0, n=400)
-# no bracket in either pass; the root lies next to a lost slope
+# no bracket; the root lies next to a lost slope
 @example(text="qdot^2/2 + 1*q^4", alpha=0.75, qa=0.0, qb=5.0, n=150)
 # every slope blows up
 @example(text=QUARTIC, alpha=0.5, qa=0.0, qb=50.0, n=400)
 def test_lone_scan_runs_give_the_full_scan_result(text, alpha, qa, qb, n):
-    # each scan pass runs its slopes outward up to its first bracket; it
-    # must solve, or fail, as passes that run all 32 slopes and take the
-    # bracket nearest the scan scale do
+    # the scan runs its slopes outward up to its first bracket; it must
+    # solve, or fail, as a scan that runs all 32 slopes and takes the
+    # bracket nearest the scan scale does
     L, bd = parse(text), BoundaryData1D(0.0, 1.0, qa, qb)
-    want = _solve_outcome(lambda: _full_scan_passes_solve(L, bd, alpha, n))
-    got = _solve_outcome(lambda: _bvp_arrays(solve_el_bvp(L, bd, alpha, n)))
-    assert got[0] == want[0], (got, want)
-    if got[0] == "error":
-        assert got[1:] == want[1:]
-        return
-    assert got[1] == want[1]
-    assert np.array_equal(got[2], want[2])
-    assert np.array_equal(got[3], want[3])
+    _assert_same_outcome(_bvp_outcome(L, bd, alpha, n), _solve_outcome(
+        lambda: _full_scan_solve(L, bd, alpha, n)))
 
 
 def _scan_brackets(L, bd, alpha, n):
@@ -1052,16 +989,10 @@ def test_a_single_bracket_keeps_its_bits(text, alpha, qa, qb, n):
     L, bd = parse(text), BoundaryData1D(0.0, 1.0, qa, qb)
     if _scan_brackets(L, bd, alpha, n) != 1:
         return
-    want = _solve_outcome(lambda: _full_scan_passes_solve(
-        L, bd, alpha, n, choose=_first_bracket_in_slope_order))
-    got = _solve_outcome(lambda: _bvp_arrays(solve_el_bvp(L, bd, alpha, n)))
-    assert got[0] == want[0], (got, want)
-    if got[0] == "error":  # the root search met a failing slope
-        assert got[1:] == want[1:]
-        return
-    assert got[1] == want[1]
-    assert np.array_equal(got[2], want[2])
-    assert np.array_equal(got[3], want[3])
+    # an error is the root search's, where it met a failing slope
+    _assert_same_outcome(_bvp_outcome(L, bd, alpha, n), _solve_outcome(
+        lambda: _full_scan_solve(L, bd, alpha, n,
+                                 choose=_first_bracket_in_slope_order)))
 
 
 # boundary problems on [0, 1] from qa = 0 whose full 32-slope scan at n = 400
@@ -1225,6 +1156,21 @@ class TestDirectMinimize:
         dm2 = direct_minimize(L, bd, 0.4, 150, start=start)
         assert dm1.converged and dm2.converged
         assert np.max(np.abs(dm1.q.values - dm2.q.values)) < 1e-6
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_a_domain_error(self, monkeypatch, value):
+        # the end values of a start path are replaced by the boundary data,
+        # so only an interior value is refused, before the first objective
+        bd = BoundaryData1D(0.0, 1.0, 0.0, 1.0)
+        start = np.linspace(0.0, 1.0, 21)
+        start[0] = start[-1] = value
+        assert direct_minimize(parse(FREE), bd, 0.5, 20, start=start).converged
+        start[10] = value
+        monkeypatch.setattr(euler, "_eval_field", None)
+        with pytest.raises(DomainError) as info:
+            direct_minimize(parse(FREE), bd, 0.5, 20, start=start)
+        assert str(info.value) == (
+            f"start path must be finite, got {value!r} at node 10")
 
     def test_iteration_cap_flagged(self):
         # a quadratic converges in one Newton step, this one does not
