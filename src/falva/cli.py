@@ -21,12 +21,14 @@ order-pair convention, optional further comment lines with scalar results,
 a header row, then data rows.  Each runner returns its library result as
 comments and columns, and every float is written as ``'%.17g' % x`` writes
 it, with LF line endings, so identical specs produce byte-identical files.
-The rows are formatted in blocks of ``_BLOCK_ROWS``: a block of at least
-``_VECTOR_ROWS`` floats of a column goes through ``csvfmt.fields``, exact
-integer arithmetic on whole arrays that hands Python's ``'%.17g'`` only
-the cells it cannot prove (a tie or near-tie at the 18th digit, a
-subnormal, ±inf, NaN, a misjudged decade); shorter blocks, strings and the
-comment lines are formatted cell by cell.  A table of at least
+The rows are formatted in blocks of ``_BLOCK_ROWS``.  The float array
+columns of a block, and the nodes of every axis of a grid, are formatted
+together: at least ``_VECTOR_FLOATS`` floats in all go through one
+``csvfmt.fields`` call, exact integer arithmetic on whole arrays that
+hands Python's ``'%.17g'`` only the cells it cannot prove (a tie or
+near-tie at the 18th digit, a subnormal, ±inf, NaN, a misjudged decade);
+fewer floats, strings and the comment lines are formatted cell by
+cell.  A table of at least
 2 x ``_CELLS_PER_PROCESS`` = 800 000 cells is formatted in forked
 processes, one row chunk per usable CPU, into the same bytes.  Failures
 print a single "FALVA-ERR <code>: ..." line on stderr and exit with status
@@ -470,72 +472,106 @@ def _text(value) -> str:
 
 def _coordinates(grids):
     """The coordinate columns of a deriv or residual table, in row-major
-    order.  The nodes of each axis are formatted once (``_fields``), into
-    NUL-padded byte fields without the places that no node uses, and
-    repeated along the other axes as a broadcast view."""
+    order.  The nodes of every axis are formatted once, together
+    (``_float_fields``), into NUL-padded byte fields without the places
+    that no node of the axis uses, and repeated along the other axes as a
+    broadcast view."""
     axes = []
-    for g in grids:
-        nodes = _fields(g.nodes, 0, g.n + 1)
+    for nodes in _float_fields([g.nodes for g in grids]):
         nodes = np.ascontiguousarray(nodes[:, nodes.any(axis=0)])
         axes.append(nodes.view(f"S{nodes.shape[1]}").ravel())
     return np.meshgrid(*axes, indexing="ij", copy=False)
 
 
-# Below this many rows a block of a float column is formatted cell by cell:
-# on a 2-vCPU Xeon (Python 3.11, numpy 2.4) ``csvfmt.fields`` costs some
-# 105 us, its hundred-odd numpy calls, plus 0.06 us a float, and
-# ``'%.17g'`` about 0.6 us a float, so they break even near 190 floats.
-_VECTOR_ROWS = 192
+# Below this many floats in all, the float columns of a block (or the axes
+# of a grid) are formatted cell by cell.  On a 2-vCPU Xeon (Python 3.11,
+# numpy 2.4), ``_float_fields`` on three arrays cost some 190 us through
+# ``csvfmt.fields``, its hundred-odd numpy calls, plus 0.09 us a float, and
+# 1.0 to 1.15 us a float cell by cell.  In four interleaved scans from 120
+# to 330 floats (one on a host 1.5 times slower) the two crossed between
+# 171 and 186 floats.
+_VECTOR_FLOATS = 184
+
+
+def _cells(values) -> np.ndarray:
+    """The fields of a sequence of floats and strings, formatted cell by
+    cell by ``_text``, as a (len(values), width) uint8 array."""
+    values = np.array([_text(value).encode() for value in values], dtype="S")
+    return values.view(np.uint8).reshape(len(values), values.dtype.itemsize)
+
+
+def _float_fields(arrays) -> list:
+    """The fields of each one-dimensional float array of ``arrays``, as a
+    (size, width) uint8 array of NUL-padded byte fields.
+
+    Arrays of at least ``_VECTOR_FLOATS`` floats in all are laid end to end
+    in one float64 buffer and go through one ``csvfmt.fields`` call; fewer
+    floats are formatted cell by cell by ``_text``.
+    """
+    sizes = [array.size for array in arrays]
+    if sum(sizes) < _VECTOR_FLOATS:
+        return [_cells(array.tolist()) for array in arrays]
+    # imported here, not with this module: a process that writes no large
+    # float block never compiles or loads it
+    from . import csvfmt
+
+    ends = np.cumsum(sizes).tolist()
+    buffer = np.empty(ends[-1])
+    for array, size, end in zip(arrays, sizes, ends):
+        buffer[end - size:end] = array
+    fields = csvfmt.fields(buffer)[0]
+    return [fields[end - size:end] for size, end in zip(sizes, ends)]
 
 
 def _fields(column, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo`` to ``hi - 1`` of an output column as a (rows, width) uint8
+    """Rows ``lo`` to ``hi - 1`` of an output column other than a float
+    array (those go through ``_float_fields``) as a (rows, width) uint8
     array of NUL-padded byte fields.
 
-    A column is a numpy array, read in row-major order, or a sequence.  A
-    block of at least ``_VECTOR_ROWS`` floats goes through
-    ``csvfmt.fields``, an integer or flag array through ``astype``, and an
-    array of byte fields (``_coordinates``) is gathered as it is.  Shorter
-    float blocks and sequences of floats and strings are formatted cell by
-    cell by ``_text``.
+    A column is a numpy array, read in row-major order, or a sequence.  An
+    integer or flag array goes through ``astype``, an array of byte fields
+    (``_coordinates``) is gathered as it is, and an object array or a
+    sequence of floats and strings is formatted cell by cell by ``_text``.
     """
-    if isinstance(column, np.ndarray):
-        values = column.flat[lo:hi]  # only these rows, also of a broadcast view
-        kind = values.dtype.kind
-    else:
-        values, kind = column[lo:hi], None
-    if kind == "f" and hi - lo >= _VECTOR_ROWS:
-        # imported here, not with this module: a process that writes no
-        # large float column never compiles or loads it
-        from . import csvfmt
-
-        return csvfmt.fields(values)[0]
+    if not isinstance(column, np.ndarray):
+        return _cells(column[lo:hi])
+    values = column.flat[lo:hi]  # only these rows, also of a broadcast view
+    kind = values.dtype.kind
     if kind == "b":
         values = values.view(np.uint8) + np.uint8(ord("0"))
     elif kind in ("i", "u"):
         values = values.astype("S")
     elif kind != "S":
-        cells = values.tolist() if kind else values
-        values = np.array([_text(value).encode() for value in cells], dtype="S")
+        return _cells(values.tolist())
     return values.view(np.uint8).reshape(hi - lo, values.dtype.itemsize)
 
 
-# Rows per block of ``_format_rows``.  A block's fields, its byte rows and
-# their copies are the writer's only large temporaries: at most 1.4 MB for
-# a 2D residual table (six cells a row), where a chunk of rows as Python
-# objects took some 3 MB more; a block of 8192 rows measured no faster.
+# Rows per block of ``_format_rows``.  A block's fields, the work arrays of
+# the one ``csvfmt.fields`` call on its floats, its byte rows and their
+# copies are the writer's only large temporaries: at most 2.6 MB for a 2D
+# residual table (six cells a row, three of them floats; by tracemalloc),
+# where a chunk of rows as Python objects took some 3 MB more; a block of
+# 8192 rows measured no faster.
 _BLOCK_ROWS = 4096
 
 
 def _format_rows(fh, columns, lo: int, hi: int) -> None:
     """Write rows ``lo`` to ``hi - 1`` of a table to the binary file ``fh``,
-    ``_BLOCK_ROWS`` at a time: the fields of each column (``_fields``) and
-    the separators fill one byte block, and its bytes other than NUL are
-    the rows.  Nothing before row ``lo`` is read, so a forked child neither
-    walks the rows before its chunk nor writes to the parent's objects."""
+    ``_BLOCK_ROWS`` at a time: the fields of the block's float array
+    columns, all together (``_float_fields``), and of each other column
+    (``_fields``) and the separators fill one byte block, and its bytes
+    other than NUL are the rows.  Nothing before row ``lo`` is read, so a
+    forked child neither walks the rows before its chunk nor writes to the
+    parent's objects."""
+    is_float = [isinstance(column, np.ndarray) and column.dtype.kind == "f"
+                for column in columns]
     for start in range(lo, hi, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, hi)
-        blocks = [_fields(column, start, stop) for column in columns]
+        # only these rows, also of a broadcast or strided view
+        float_blocks = _float_fields(
+            [column.flat[start:stop] for column, f in zip(columns, is_float) if f])
+        blocks = [float_blocks.pop(0) if f else _fields(column, start, stop)
+                  for column, f in zip(columns, is_float)]
         ends = np.cumsum([b.shape[1] + 1 for b in blocks])
         rows = np.empty((stop - start, int(ends[-1])), dtype=np.uint8)
         for block, end in zip(blocks, ends):

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from falva import cli
+from falva import cli, csvfmt
 from falva.cli import main
 from falva.numcore import Grid1D
 
@@ -177,15 +177,29 @@ def test_a_3d_deriv_is_split_into_the_serial_bytes(tmp_path, forks, monkeypatch)
     _assert_no_child()
 
 
-# (rows, columns) of the tables below: two on either side of the row count
-# from which a float block takes the vectorised formatter, and the row
-# block size B with B - 1 and B + 1
-SHAPES = [(10, 19), (12, 16), (63, 65), (64, 64), (17, 241)]
+# (rows, columns) of the tables below, whose blocks hold two float columns:
+# two row counts on either side of half the float count V from which a
+# block takes the vectorised formatter, two where each float column alone
+# holds more than V floats, and the row block size B with B - 1 and B + 1
+SHAPES = [(7, 13), (4, 23), (10, 19), (12, 16), (63, 65), (64, 64), (17, 241)]
+
+# (rows, columns, csvfmt.fields calls) of _strided_table, four float
+# columns a row: the floats of a block just under V and at V, in a table of
+# one block and in the last, shorter block of a longer one, and a table of
+# three blocks
+STRIDED_SHAPES = [(3, 15, 0), (2, 23, 1), (41, 101, 1), (38, 109, 2),
+                  (67, 131, 3)]
 
 
 def test_the_shapes_straddle_the_crossover_and_the_block_size():
-    v, b = cli._VECTOR_ROWS, cli._BLOCK_ROWS
-    assert sorted(m * n for m, n in SHAPES) == [v - 2, v, b - 1, b, b + 1]
+    v, b = cli._VECTOR_FLOATS, cli._BLOCK_ROWS
+    assert sorted(2 * m * n for m, n in SHAPES[:2]) == [v - 2, v]
+    assert v < min(m * n for m, n in SHAPES[2:4])
+    assert sorted(m * n for m, n in SHAPES[4:]) == [b - 1, b, b + 1]
+    rows = [m * n for m, n, _ in STRIDED_SHAPES]
+    assert [r // b for r in rows] == [0, 0, 1, 1, 2]
+    assert [4 * (r % b) for r in rows[:4]] == [v - 4, v, v - 4, v]
+    assert 4 * (rows[4] % b) > v
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: str(s[0] * s[1]))
@@ -205,6 +219,107 @@ def test_every_column_kind_is_the_bytes_of_one_loop(tmp_path, monkeypatch, forks
     assert len(forks) == (2 if split else 0)
     assert _body(out.read_bytes(), table) == _serial([*_nodes(*grids), *edge.columns])
     _assert_no_child()
+
+
+@pytest.fixture
+def fields_calls(monkeypatch):
+    """The float counts of the ``csvfmt.fields`` calls made in this
+    process, in order."""
+    calls = []
+    real = csvfmt.fields
+
+    def counting_fields(x):
+        calls.append(x.size)
+        return real(x)
+
+    monkeypatch.setattr(csvfmt, "fields", counting_fields)
+    return calls
+
+
+def _strided_table(m: int, n: int) -> cli._Table:
+    """Four float columns that are views, not arrays of their own (the real
+    and imaginary parts of a complex array, a broadcast of m values over n
+    columns and a reversed array), each after an integer, flag or string
+    column, over m * n rows, the floats cycling through the extremes of
+    %.17g."""
+    index = np.arange(m * n)
+    floats = np.array(EDGE_FLOATS)[index % len(EDGE_FLOATS)]
+    pairs = np.empty(m * n, dtype=complex)
+    pairs.real, pairs.imag = floats, -floats[::-1]
+    columns = [index * 7 - 3, pairs.real, index % 3 == 0, pairs.imag,
+               [f"s{i}" for i in index],
+               np.broadcast_to(floats[:m, None], (m, n)), index % 2 == 1,
+               floats[::-1]]
+    return cli._Table([("note", "strided")], list("abcdefgh"), columns)
+
+
+@pytest.mark.parametrize("shape", STRIDED_SHAPES, ids=lambda s: str(s[0] * s[1]))
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_the_float_columns_of_a_block_share_one_formatter_call(
+        tmp_path, monkeypatch, forks, fields_calls, shape, split):
+    # the threshold counts the floats of a block, over every float column;
+    # a forked child's calls are not seen here
+    m, n, calls = shape
+    table = _strided_table(m, n)
+    cells = len(table.columns) * m * n
+    monkeypatch.setattr(cli, "_CELLS_PER_PROCESS", cells // 3 if split else cells + 1)
+    out = tmp_path / "out.csv"
+    cli._write_csv(str(out), "test", table)
+    assert len(forks) == (2 if split else 0)
+    if not split:
+        b = cli._BLOCK_ROWS
+        assert fields_calls == [4 * min(b, m * n - lo)
+                                for lo in range(0, m * n, b)][:calls]
+    assert _body(out.read_bytes(), table) == _serial(table.columns)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("under", [1, 0], ids=["under", "at"])
+def test_the_axes_of_a_grid_share_one_formatter_call(tmp_path, fields_calls, under):
+    # each axis short of the threshold, the nodes of both just under or at it
+    v = cli._VECTOR_FLOATS
+    grids = Grid1D(-1e-5, 2e-4, v // 2 - 1), Grid1D(1e15, 3e17, v - v // 2 - 1 - under)
+    table = cli._Table([], ["x", "y"], cli._coordinates(grids))
+    assert fields_calls == ([] if under else [v])
+    out = tmp_path / "out.csv"
+    cli._write_csv(str(out), "test", table)
+    assert _body(out.read_bytes(), table) == _serial(_nodes(*grids))
+
+
+RESIDUAL_2D = ["residual", "--lagrangian", "(qx^2 + qy^2)/2 + q*x*y",
+               "--alpha", "0.45", "--beta", "0.6", "--delta", "0.35", "--chi", "0.7",
+               "--gamma=0.3,-0.4", "--domain", "0,1", "--domain", "0,1",
+               "--path", "sin(1.7*x)*cos(2.3*y) + 0.4"]
+
+
+@pytest.mark.parametrize("n, calls", [
+    # 130 nodes go cell by cell; two blocks of three float columns
+    (64, [3 * 4096, 3 * 129]),
+    # 514 nodes in one call, then 16 full blocks and one of 513 rows
+    (256, [514] + [3 * 4096] * 16 + [3 * 513]),
+], ids=["n64", "n256"])
+def test_a_2d_residual_makes_one_formatter_call_per_block(tmp_path, monkeypatch,
+                                                          fields_calls, n, calls):
+    out = tmp_path / "out.csv"
+    status, seen = _spied_main(monkeypatch, [*RESIDUAL_2D, "--n", str(n)], out)
+    assert status == 0 and fields_calls == calls
+    [columns] = seen
+    grid = Grid1D(0.0, 1.0, n)
+    assert out.read_bytes().endswith(_serial([*_nodes(grid, grid), *columns[2:]]))
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["minimize", "--lagrangian", "qdot^2/2 - q^2/2", "--alpha", "0.5",
+      "--domain", "0,1", "--boundary", "0,0.7", "--n", "1600"], [2 * 1601]),
+    (["solve-bvp", "--lagrangian", "qdot^2/2 - q^2/2", "--alpha", "0.5",
+      "--domain", "0,1", "--boundary", "0,0.7", "--n", "400"], [3 * 401]),
+], ids=["minimize", "solve-bvp"])
+def test_a_1d_extremal_table_makes_one_formatter_call(tmp_path, monkeypatch,
+                                                      fields_calls, argv, calls):
+    out = tmp_path / "out.csv"
+    status, [columns] = _spied_main(monkeypatch, argv, out)
+    assert status == 0 and fields_calls == calls
+    assert out.read_bytes().endswith(_serial(columns))
 
 
 @pytest.mark.parametrize("n", [4, 300, 5000])
