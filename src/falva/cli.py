@@ -28,7 +28,11 @@ together: at least ``_VECTOR_FLOATS`` floats in all go through one
 hands Python's ``'%.17g'`` only the cells it cannot prove (a tie or
 near-tie at the 18th digit, a subnormal, ±inf, NaN, a misjudged decade);
 fewer floats, strings and the comment lines are formatted cell by
-cell.  A table of at least
+cell.  An array column of any layout, a broadcast coordinate column
+included, is read block by block through views of its rows (``_read``)
+and copied once on its way to its fields, which are placed in the rows
+whole; a float column's fields leave out the sign place and the exponent
+places where no value of the block uses them.  A table of at least
 2 x ``_CELLS_PER_PROCESS`` = 800 000 cells is formatted in forked
 processes, one row chunk per usable CPU, into the same bytes.  Failures
 print a single "FALVA-ERR <code>: ..." line on stderr and exit with status
@@ -475,12 +479,37 @@ def _coordinates(grids):
     order.  The nodes of every axis are formatted once, together
     (``_float_fields``), into NUL-padded byte fields without the places
     that no node of the axis uses, and repeated along the other axes as a
-    broadcast view."""
+    broadcast view, so no column is built at table size: the writer reads
+    each block of rows from the view (``_read``)."""
     axes = []
-    for nodes in _float_fields([g.nodes for g in grids]):
+    for nodes in _float_fields([(g.nodes, 0, g.n + 1) for g in grids]):
         nodes = np.ascontiguousarray(nodes[:, nodes.any(axis=0)])
         axes.append(nodes.view(f"S{nodes.shape[1]}").ravel())
     return np.meshgrid(*axes, indexing="ij", copy=False)
+
+
+def _read(array: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """``out``, a contiguous 1D array, filled with elements ``lo`` to
+    ``hi - 1`` of ``array`` in row-major order straight from views of it,
+    whatever its layout (broadcast, strided, transposed, reversed): a
+    slice of a 1D or C-contiguous array, else the run of whole subarrays
+    between the partial ones at either end, each of those read alike."""
+    if array.ndim <= 1 or array.flags.c_contiguous:
+        out[:] = array.reshape(-1)[lo:hi]
+        return out
+    inner = math.prod(array.shape[1:])
+    first, head = divmod(lo, inner)
+    last, tail = divmod(hi, inner)
+    if first == last and tail:  # inside one subarray; else empty or whole ones
+        return _read(array[first], head, tail, out)
+    if head:
+        _read(array[first], head, inner, out[:inner - head])
+        first += 1
+    whole = out[first * inner - lo:last * inner - lo]  # element k is out[k - lo]
+    whole.reshape(last - first, *array.shape[1:])[...] = array[first:last]
+    if tail:
+        _read(array[last], 0, tail, out[last * inner - lo:])
+    return out
 
 
 # Below this many floats in all, the float columns of a block (or the axes
@@ -500,27 +529,37 @@ def _cells(values) -> np.ndarray:
     return values.view(np.uint8).reshape(len(values), values.dtype.itemsize)
 
 
-def _float_fields(arrays) -> list:
-    """The fields of each one-dimensional float array of ``arrays``, as a
-    (size, width) uint8 array of NUL-padded byte fields.
+def _float_fields(parts) -> list:
+    """The fields of the floats of ``parts``, a list of (array, lo, hi):
+    elements ``lo`` to ``hi - 1`` of a float array in row-major order.
+    Each part's fields are a (hi - lo, width) uint8 array of NUL-padded
+    byte fields.
 
-    Arrays of at least ``_VECTOR_FLOATS`` floats in all are laid end to end
-    in one float64 buffer and go through one ``csvfmt.fields`` call; fewer
-    floats are formatted cell by cell by ``_text``.
+    Parts of at least ``_VECTOR_FLOATS`` floats in all are read end to end
+    into one float64 buffer (``_read``) and go through one ``csvfmt.fields``
+    call, each part's fields without the sign place or the five exponent
+    places where none of them uses it; fewer floats are formatted cell by
+    cell by ``_text``.
     """
-    sizes = [array.size for array in arrays]
+    sizes = [hi - lo for _, lo, hi in parts]
     if sum(sizes) < _VECTOR_FLOATS:
-        return [_cells(array.tolist()) for array in arrays]
+        return [_cells(_read(array, lo, hi, np.empty(hi - lo)).tolist())
+                for array, lo, hi in parts]
     # imported here, not with this module: a process that writes no large
     # float block never compiles or loads it
     from . import csvfmt
 
     ends = np.cumsum(sizes).tolist()
     buffer = np.empty(ends[-1])
-    for array, size, end in zip(arrays, sizes, ends):
-        buffer[end - size:end] = array
+    for (array, lo, hi), end in zip(parts, ends):
+        _read(array, lo, hi, buffer[end - (hi - lo):end])
     fields = csvfmt.fields(buffer)[0]
-    return [fields[end - size:end] for size, end in zip(sizes, ends)]
+    blocks = [fields[end - size:end] for size, end in zip(sizes, ends)]
+    # a field that Python's formatter wrote is at most 24 bytes, so an "e" in
+    # the first exponent place marks every field that uses those places
+    e = csvfmt.WIDTH - 5
+    return [block[:, 0 if block[:, 0].any() else 1:None if block[:, e].any() else e]
+            for block in blocks]
 
 
 def _fields(column, lo: int, hi: int) -> np.ndarray:
@@ -528,14 +567,15 @@ def _fields(column, lo: int, hi: int) -> np.ndarray:
     array (those go through ``_float_fields``) as a (rows, width) uint8
     array of NUL-padded byte fields.
 
-    A column is a numpy array, read in row-major order, or a sequence.  An
-    integer or flag array goes through ``astype``, an array of byte fields
-    (``_coordinates``) is gathered as it is, and an object array or a
-    sequence of floats and strings is formatted cell by cell by ``_text``.
+    A column is a numpy array, read in row-major order (``_read``), or a
+    sequence.  An integer or flag array goes through ``astype``, an array
+    of byte fields (``_coordinates``) is read as it is, and an object
+    array or a sequence of floats and strings is formatted cell by cell by
+    ``_text``.
     """
     if not isinstance(column, np.ndarray):
         return _cells(column[lo:hi])
-    values = column.flat[lo:hi]  # only these rows, also of a broadcast view
+    values = _read(column, lo, hi, np.empty(hi - lo, column.dtype))
     kind = values.dtype.kind
     if kind == "b":
         values = values.view(np.uint8) + np.uint8(ord("0"))
@@ -546,12 +586,14 @@ def _fields(column, lo: int, hi: int) -> np.ndarray:
     return values.view(np.uint8).reshape(hi - lo, values.dtype.itemsize)
 
 
-# Rows per block of ``_format_rows``.  A block's fields, the work arrays of
-# the one ``csvfmt.fields`` call on its floats, its byte rows and their
-# copies are the writer's only large temporaries: at most 2.6 MB for a 2D
-# residual table (six cells a row, three of them floats; by tracemalloc),
-# where a chunk of rows as Python objects took some 3 MB more; a block of
-# 8192 rows measured no faster.
+# Rows per block of ``_format_rows``.  A block's fields, the float64 buffer
+# and work arrays of the one ``csvfmt.fields`` call on its floats, the rows
+# read from each other array column, its byte rows and their copies are the
+# writer's only large temporaries: 2.4 MB at most for a 2D residual table
+# (six cells a row, three of them floats; by tracemalloc, the same at
+# n = 256 and n = 512), where a chunk of rows as Python objects took some
+# 3 MB more.  Blocks of 2048 and 1024 rows measured slower, and a block of
+# 8192 rows would double the temporaries for a few percent at most.
 _BLOCK_ROWS = 4096
 
 
@@ -559,23 +601,25 @@ def _format_rows(fh, columns, lo: int, hi: int) -> None:
     """Write rows ``lo`` to ``hi - 1`` of a table to the binary file ``fh``,
     ``_BLOCK_ROWS`` at a time: the fields of the block's float array
     columns, all together (``_float_fields``), and of each other column
-    (``_fields``) and the separators fill one byte block, and its bytes
-    other than NUL are the rows.  Nothing before row ``lo`` is read, so a
-    forked child neither walks the rows before its chunk nor writes to the
-    parent's objects."""
+    (``_fields``) are placed whole in one byte block with the separators,
+    and its bytes other than NUL are the rows.  An array column's rows are
+    copied once, from views of it (``_read``), on their way to its fields.
+    Nothing before row ``lo`` is read, so a forked child neither walks the
+    rows before its chunk nor writes to the parent's objects."""
     is_float = [isinstance(column, np.ndarray) and column.dtype.kind == "f"
                 for column in columns]
     for start in range(lo, hi, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, hi)
-        # only these rows, also of a broadcast or strided view
         float_blocks = _float_fields(
-            [column.flat[start:stop] for column, f in zip(columns, is_float) if f])
+            [(column, start, stop) for column, f in zip(columns, is_float) if f])
         blocks = [float_blocks.pop(0) if f else _fields(column, start, stop)
                   for column, f in zip(columns, is_float)]
         ends = np.cumsum([b.shape[1] + 1 for b in blocks])
         rows = np.empty((stop - start, int(ends[-1])), dtype=np.uint8)
         for block, end in zip(blocks, ends):
-            rows[:, end - 1 - block.shape[1]:end - 1] = block
+            # each field placed whole, as one void item, not byte by byte
+            item = f"V{block.shape[1]}"
+            rows[:, end - 1 - block.shape[1]:end - 1].view(item)[...] = block.view(item)
             rows[:, end - 1] = ord(",")
         rows[:, -1] = ord("\n")
         blocks = None  # freed before the copies below
@@ -586,8 +630,9 @@ def _format_rows(fh, columns, lo: int, hi: int) -> None:
 # chunk holds at least this many cells.  On a 2-vCPU Xeon (Python 3.11,
 # numpy 2.4), forking and reaping a 70 MB interpreter took 1.5 to 1.9 ms
 # (median of 200; 2.3 ms at 94 MB) and appending a 2.4 MB chunk file 2 ms,
-# while a cell costs about 0.1 us to format and join.  A chunk of this
-# size takes about 40 ms, so the fork and the merge cost it a tenth.  The
+# while a cell costs about 0.07 us to format and join (a 2D residual table
+# at n = 256 in 27 ms of CPU time).  A chunk of this size takes about
+# 27 ms, so the fork and the merge cost it about a seventh.  The
 # fork also costs the parent a copy-on-write fault, some 4.5 us, for each
 # heap page it writes afterwards, in the write and in the calls after it.
 # So a 2D residual at n = 256 (396 294 cells) stays in one process: with

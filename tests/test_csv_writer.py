@@ -1,16 +1,22 @@
-"""The CSV writer: every column kind is written as a serial loop over the
-rows would write it, with %d, %.17g or the string itself, whether a block
-of rows takes the vectorised float formatter or goes cell by cell; a large
-table is formatted in forked processes, one contiguous row chunk each, into
-the same bytes; no child outlives a call, and nothing but the output file
-is written."""
+"""The CSV writer: every column kind, in every array layout, is written as
+a serial loop over the rows would write it, with %d, %.17g or the string
+itself, whether a block of rows takes the vectorised float formatter or
+goes cell by cell; arrays are read through views, never through ``flat``
+and never built at table size, and a block's float fields drop the places
+none of them uses; a large table is formatted in forked processes, one
+contiguous row chunk each, into the same bytes; no child outlives a call,
+and nothing but the output file is written."""
 
+import io
 import os
 import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from falva import cli, csvfmt
 from falva.cli import main
@@ -24,6 +30,8 @@ EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
+    if isinstance(value, bytes):
+        return value.decode()
     if isinstance(value, (bool, np.bool_, int, np.integer)):
         return "%d" % value
     return "%.17g" % value
@@ -31,7 +39,8 @@ def _cell(value) -> str:
 
 def _serial(columns) -> bytes:
     """The rows of ``columns`` as one loop over them writes them, each cell
-    by %d, %.17g or as it is, built here and not by the writer."""
+    by %d, %.17g or as it is (a byte field decoded), built here and not by
+    the writer."""
     cells = [column.ravel().tolist() if isinstance(column, np.ndarray)
              else list(column) for column in columns]
     return "".join(",".join(map(_cell, row)) + "\n" for row in zip(*cells)).encode()
@@ -463,3 +472,231 @@ def test_a_failed_fork_formats_its_chunk_in_this_process(tmp_path, monkeypatch):
     out = tmp_path / "out.csv"
     assert main([*RESIDUAL_8, "--out", str(out)]) == 0
     assert out.read_bytes() == serial
+
+
+def _split_cpus(monkeypatch, cells: int, split: bool) -> None:
+    """Four usable CPUs, and a cell threshold that splits a table of
+    ``cells`` cells into three chunks, or keeps it whole."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    monkeypatch.setattr(cli, "_CELLS_PER_PROCESS",
+                        max(1, cells // 3) if split else cells + 1)
+
+
+def _written(columns) -> bytes:
+    """The rows ``_write_rows`` writes for ``columns``."""
+    fh = io.BytesIO()
+    cli._write_rows(fh, columns, cli._rows(columns))
+    return fh.getvalue()
+
+
+def _layout(kind: str, values: np.ndarray, shape: tuple):
+    """A column of ``shape`` in the layout ``kind``, from the flat array
+    ``values`` of at least prod(shape) entries."""
+    m, k = shape
+    size = m * k
+    if kind == "contiguous":
+        return values[:size].reshape(shape)
+    if kind in ("real", "imag"):
+        pairs = np.empty(shape, dtype=complex)
+        pairs.real = values[:size].reshape(shape)
+        pairs.imag = values[::-1][:size].reshape(shape)
+        return getattr(pairs, kind)
+    if kind == "reversed":
+        return values[:size].reshape(shape)[::-1, ::-1]
+    if kind == "broadcast-rows":
+        return np.broadcast_to(values[:m, None], shape)
+    if kind == "broadcast-columns":
+        return np.broadcast_to(values[:k], shape)
+    if kind == "transposed":
+        return values[:size].reshape(k, m).T
+    assert kind == "fortran"
+    return np.asfortranarray(values[:size].reshape(shape))
+
+
+LAYOUTS = ["contiguous", "real", "imag", "reversed", "broadcast-rows",
+           "broadcast-columns", "transposed", "fortran"]
+KINDS = [*(f"float {layout}" for layout in LAYOUTS), "int", "flag",
+         "bytes reversed", "bytes transposed", "coordinates", "sequence"]
+
+
+@st.composite
+def _tables(draw):
+    """(columns, the columns as ``_serial`` reads them): columns of one
+    shape, floats in every layout the writer reads, integers, flags, byte
+    fields, the coordinates of a grid (read back as its nodes) and
+    sequences of floats and strings, the floats drawn from ``st.floats()``
+    and repeated in a drawn order.  The shapes hold row counts on either
+    side of the float count from which a block is vectorised and of the
+    row block size."""
+    shape = draw(st.one_of(
+        st.sampled_from([*SHAPES, *((m, n) for m, n, _ in STRIDED_SHAPES)]),
+        st.tuples(st.integers(1, 24), st.integers(1, 24))))
+    size = shape[0] * shape[1]
+    pool = np.array(draw(st.lists(st.floats(), min_size=1, max_size=24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=7))
+    columns, serial = [], []
+    for kind in kinds:
+        values = pool[rng.integers(0, pool.size, size)]
+        if kind.startswith("float"):
+            column = _layout(kind.split()[1], values, shape)
+        elif kind == "int":
+            column = rng.integers(-10**12, 10**12, shape)
+        elif kind == "flag":
+            column = _layout("transposed", values > 0, shape)
+        elif kind.startswith("bytes"):
+            text = np.array([b"f%d" % i for i in rng.integers(0, 10**6, size)])
+            column = _layout(kind.split()[1], text, shape)
+        elif kind == "sequence":
+            column = [str(v) if i % 3 == 0 else v
+                      for i, v in enumerate(values.tolist())]
+        elif min(shape) > 2:
+            grids = Grid1D(-1e-5, 2e-4, shape[0] - 1), Grid1D(1e15, 3e17, shape[1] - 1)
+            columns += cli._coordinates(grids)
+            serial += _nodes(*grids)
+            continue
+        else:
+            continue
+        columns.append(column)
+        serial.append(column)
+    return (columns, serial) if columns else ([pool], [pool])
+
+
+@settings(max_examples=40)
+@given(table=_tables())
+def test_every_layout_of_every_column_kind_is_the_bytes_of_one_loop(table):
+    # serial and split three ways, into the bytes of one loop over the rows
+    columns, serial = table
+    cells = len(columns) * cli._rows(columns)
+    for split in (False, True):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _split_cpus(monkeypatch, cells, split)
+            assert _written(columns) == _serial(serial)
+    _assert_no_child()
+
+
+def _arrays_of_every_layout() -> list:
+    """Arrays of up to four axes whose row-major elements no single view
+    of a 1D array holds, and a 0-d, a 1D strided and a C-contiguous one."""
+    cube = np.arange(24.0).reshape(2, 3, 4)
+    pairs = cube * (1 + 1j)
+    return [np.array(7.0), np.arange(30.0)[::-3], cube, cube.transpose(2, 0, 1),
+            cube[::-1, :, ::-2], np.asfortranarray(cube), pairs.imag,
+            np.broadcast_to(np.arange(3.0)[None, :, None], (2, 3, 4)),
+            np.broadcast_to(cube[:, :1, :], (2, 3, 4)),
+            np.broadcast_to(cube, (2, 2, 3, 4)).transpose(1, 0, 3, 2),
+            np.arange(12).reshape(3, 4).T.astype("S2")]
+
+
+@pytest.mark.parametrize("array", _arrays_of_every_layout(),
+                         ids=lambda a: "x".join(map(str, a.shape)) + str(a.strides))
+def test_a_read_of_any_range_is_those_elements_in_row_major_order(array):
+    flat = array.ravel()
+    for lo in range(flat.size + 1):
+        for hi in range(lo, flat.size + 1):
+            out = cli._read(array, lo, hi, np.empty(hi - lo, array.dtype))
+            assert out.tolist() == flat[lo:hi].tolist(), (lo, hi)
+
+
+class _NoFlat(np.ndarray):
+    """An array whose ``flat`` raises: the writer reads it through views."""
+
+    @property
+    def flat(self):
+        raise AssertionError("a column was read through flat")
+
+
+def _residual_values(n: int) -> list:
+    """The columns of a 2D residual table on an n x n grid after its two
+    coordinate columns: the field, the real and imaginary parts of a
+    complex residual and the exclusion flags."""
+    grid = Grid1D(0.0, 1.0, n)
+    x, y = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    q = np.sin(1.7 * x) * np.cos(2.3 * y) - 0.1
+    residual = (q - 0.4) * 1e-3 + 1j * (0.5 - q)
+    return [q, residual.real, residual.imag, np.abs(q) < 0.1]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_no_column_is_read_through_flat(monkeypatch, forks, split):
+    # a residual table over two blocks, and a float column in each other
+    # layout; a forked child that reads flat fails the write
+    grid = Grid1D(0.0, 1.0, 70)
+    columns = _residual_values(70)
+    values = columns[0].ravel()
+    columns += [_layout(layout, values, (71, 71)) for layout in LAYOUTS[3:]]
+    expected = _serial([*_nodes(grid, grid), *columns])
+    columns = [*cli._coordinates((grid, grid)), *columns]
+    _split_cpus(monkeypatch, len(columns) * values.size, split)
+    assert _written([column.view(_NoFlat) for column in columns]) == expected
+    assert len(forks) == (2 if split else 0)
+    _assert_no_child()
+
+
+class _Discard:
+    """A binary file that keeps nothing written to it."""
+
+    def write(self, data):
+        pass
+
+
+def _peak(n: int) -> int:
+    """The peak of the memory, by tracemalloc, that the coordinate columns
+    of a 2D residual table on an n x n grid and the writing of the table
+    allocate in this process."""
+    grid = Grid1D(0.0, 1.0, n)
+    values = _residual_values(n)
+    columns = [*cli._coordinates((grid, grid)), *values]
+    cli._format_rows(_Discard(), columns, 0, cli._rows(columns))  # warm
+    tracemalloc.start()
+    try:
+        columns = [*cli._coordinates((grid, grid)), *values]
+        cli._format_rows(_Discard(), columns, 0, cli._rows(columns))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_writer_memory_does_not_grow_with_the_table():
+    # the writer's temporaries are a block's at four times the rows: no
+    # column is built at table size (a coordinate column of the larger
+    # table would be 3.2 MB, against some 2.4 MB for a block)
+    assert _peak(512) < 1.25 * _peak(256)
+
+
+def _block_widths(column, other) -> list:
+    """The widths of the fields ``_float_fields`` gives each block of the
+    float columns ``column`` and ``other``."""
+    rows, b = column.size, cli._BLOCK_ROWS
+    return [[f.shape[1] for f in cli._float_fields([(column, lo, min(lo + b, rows)),
+                                                     (other, lo, min(lo + b, rows))])]
+            for lo in range(0, rows, b)]
+
+
+@pytest.mark.parametrize("value, width", [
+    (-1.5, 24),  # the sign place
+    (1.5e20, 28),  # the five exponent places
+    (2.0**-25, 24),  # Python's formatter: a tie at the 18th digit
+    (float("nan"), 24),
+], ids=["negative", "exponent", "tie", "nan"])
+@pytest.mark.parametrize("row", ["first", "block-last", "block-first", "last"])
+def test_a_block_drops_the_places_none_of_its_fields_uses(tmp_path, value, width,
+                                                          row):
+    # two blocks of two float columns, both vectorised; one value of the
+    # first column needs a place the others leave empty: its block keeps
+    # that place, every other block of either column drops the sign place
+    # and the exponent places (29 - 1 - 5 bytes)
+    b = cli._BLOCK_ROWS
+    rows = b + 100
+    assert 2 * (rows - b) >= cli._VECTOR_FLOATS
+    at = {"first": 0, "block-last": b - 1, "block-first": b, "last": rows - 1}[row]
+    column, other = np.sqrt(np.arange(2.0, rows + 2)), np.arange(rows) / 7.0 + 1.0
+    column[at] = value
+    assert csvfmt.WIDTH == 29
+    assert _block_widths(column, other) == [[width if at // b == block else 23, 23]
+                                            for block in (0, 1)]
+    out = tmp_path / "out.csv"
+    table = cli._Table([], ["a", "b"], [column, other])
+    cli._write_csv(str(out), "test", table)
+    assert _body(out.read_bytes(), table) == _serial([column, other])
