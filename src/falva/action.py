@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 # partial is not called here; perfbench/spans.py wraps it at this name
-from .exprdsl import LagrangianExpr, evaluate, partial, partials
+from .exprdsl import LagrangianExpr, _complex_mode, _program, evaluate, partial
 from .fracops import GridFunctionND, OrderSet, as_nd, axis_cresson
 from .numcore import (
     GridFunction,
@@ -109,11 +109,19 @@ def _eval_field(expr, env, shape, offsets=None):
 
 def _partial_fields(expr, variable_tuples, env, shape, offsets=None):
     """The partial of ``expr`` by each of ``variable_tuples``, one program for
-    all.  A tuple with a variable that ``expr`` does not use gives exactly 0:
-    its tree is a literal, so the program keeps its operations and errors."""
-    used = [v for v in variable_tuples if expr.free_vars.issuperset(v)]
+    all, with the bits of ``partials(...)[1:]``.  The program is pruned to
+    return only the partials: the operations that only the value needs are
+    left out, while each domain check of the value tree still runs in its
+    place, so the first error is that of ``partials``.  A tuple with a
+    variable that ``expr`` does not use gives exactly 0: its tree is a
+    literal, so the program keeps its operations and errors."""
+    used = tuple(v for v in variable_tuples if expr.free_vars.issuperset(v))
+    found = {}
     try:
-        found = dict(zip(used, partials(expr, used, env)[1:])) if used else {}
+        if used:
+            program = _program(expr, used, _complex_mode(env),
+                               tuple(range(1, len(used) + 1)))
+            found = dict(zip(used, program(env)))
     except EvalError as err:
         raise _locate(err, shape, offsets) from None
     return [_broadcast(found.get(v, 0.0), shape) for v in variable_tuples]

@@ -14,7 +14,9 @@ The parser is built once per process, and expressions are parsed through
 the shared cache of ``parse``, so a repeated call rebuilds neither.
 Axis-specific keys carry .x/.y/.z suffixes (domain.y=0,1); bare
 "domain"/"n" mean the x axis.  A sweep runs its alpha values serially, in
-the order given.
+the order given, and builds what no alpha changes once for all its rows
+(``_Inputs``): the grids, the Lagrangian, the sampled field and, for a 1D
+action, the velocity samples and the classical reference.
 
 All output is CSV: one leading comment line with the tool version and the
 order-pair convention, optional further comment lines with scalar results,
@@ -439,10 +441,32 @@ def _field_for(spec: Spec, grids) -> np.ndarray:
     raise SpecError("missing required key 'path' (or 'path_file')")
 
 
-def _qdot_for(spec: Spec, grid: Grid1D):
-    if "qdot" not in spec.table:
-        return None
-    return _sample_expression(spec, "qdot", SLOTS[1][1], (grid,))
+class _Inputs:
+    """What a deriv, action or residual run of ``kind`` takes from its spec
+    whatever its orders: the grids, the Lagrangian (None for a deriv) and
+    the sampled field, read in that order when built.  The velocity
+    samples and, for a 1D action, the classical reference are built on
+    first use and kept, so a run meets their errors where it reads them.
+    A sweep builds one and hands it to every alpha row."""
+
+    def __init__(self, spec: Spec, kind: str):
+        self.spec = spec
+        self.grids = spec.grids()
+        self.expr = None if kind == "deriv" else spec.expr("lagrangian")
+        self.values = _field_for(spec, self.grids)
+
+    @functools.cached_property
+    def qdot(self):
+        """The velocity samples of a 1D run's ``qdot`` key, or None."""
+        if "qdot" not in self.spec.table:
+            return None
+        return _sample_expression(self.spec, "qdot", SLOTS[1][1], self.grids)
+
+    @functools.cached_property
+    def reference(self) -> float:
+        """The alpha-free ``trapezoid_action`` of a 1D action."""
+        q = GridFunction(self.grids[0], self.values)
+        return trapezoid_action(self.expr, q, qdot=self.qdot)
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +774,10 @@ def _write_csv(path: str, kind: str, table: _Table) -> None:
 # runners: each computes a library result and returns it as a _Table
 
 
-def _derivative(spec: Spec):
-    """(grids, sampled field, derivative) for a deriv spec."""
-    grids = spec.grids()
+def _derivative(spec: Spec, inputs: _Inputs):
+    """The derivative of a deriv spec's sampled field."""
+    grids, values = inputs.grids, inputs.values
     dim = len(grids)
-    values = _field_for(spec, grids)
     field = GridFunctionND(grids, values)
     axis_name = spec.get("axis", "x")
     axis = _AXES.index(axis_name)
@@ -768,59 +791,57 @@ def _derivative(spec: Spec):
         pair = (_check_order(f"left[{axis}]", left),
                 _check_order(f"right[{axis}]", right))
         orders = OrderSet((pair,) * dim, spec.gamma_w())
-        return grids, values, axis_cresson(field, axis, orders)
+        return axis_cresson(field, axis, orders)
     if dim > 1:
         raise SpecError("ND deriv supports only the cresson operator")
     f = GridFunction(grids[0], values)
     if operator == "left":
-        return grids, values, rl_left(f, spec.scalar("alpha"))
+        return rl_left(f, spec.scalar("alpha"))
     # right reads beta, or alpha when beta is not given
-    return grids, values, rl_right(f, spec.scalar("beta" if "beta" in spec.table
-                                                  else "alpha"))
+    return rl_right(f, spec.scalar("beta" if "beta" in spec.table else "alpha"))
 
 
 def _run_deriv(spec: Spec) -> _Table:
-    grids, values, out = _derivative(spec)
+    inputs = _Inputs(spec, spec.kind)
+    grids, values = inputs.grids, inputs.values
+    out = _derivative(spec, inputs)
     header = [*SLOTS[len(grids)][1], "f_re", "f_im", "deriv_re", "deriv_im",
               "flagged"]
     return _Table([], header, [*_coordinates(grids), values.real, values.imag,
                                out.values.real, out.values.imag, out.flags])
 
 
-def _functional(spec: Spec, classic, cresson_1d, axes_2, axes_n):
+def _functional(spec: Spec, inputs: _Inputs, classic, cresson_1d, axes_2, axes_n):
     """Apply an action or residual functional to the spec's sampled field.
 
     The four functionals cover the 1D classic and Cresson variants and the
-    2D and ND fields; returns (result, grids, sampled field, velocity
-    samples), the last from the ``qdot`` key of a 1D classic functional and
-    None otherwise.
+    2D and ND fields; the 1D classic one reads the velocity samples of the
+    ``qdot`` key.
     """
-    grids = spec.grids()
+    grids, expr, values = inputs.grids, inputs.expr, inputs.values
     dim = len(grids)
-    expr = spec.expr("lagrangian")
-    values = _field_for(spec, grids)
     if dim == 1:
         q = GridFunction(grids[0], values)
         implied = "cresson" if {"gamma", "beta"} & spec.table.keys() else "classic"
         if spec.get("variant", implied) == "classic":
             alpha = spec.scalar("alpha")
-            qdot = _qdot_for(spec, grids[0])
-            return classic(expr, q, alpha, qdot=qdot), grids, values, qdot
-        return cresson_1d(expr, q, _orders_for(spec, dim)), grids, values, None
+            return classic(expr, q, alpha, qdot=inputs.qdot)
+        return cresson_1d(expr, q, _orders_for(spec, dim))
     spec.get("variant")  # cresson: Spec rejects classic here
     field = GridFunctionND(grids, values)
     orders = _orders_for(spec, dim)
     observer = tuple(g.t for g in grids)
     functional = axes_2 if dim == 2 else axes_n
-    return functional(expr, field, orders, observer), grids, values, None
+    return functional(expr, field, orders, observer)
 
 
-def _action(spec: Spec):
-    return _functional(spec, action_1d, action_1d_cresson, action_2d, action_nd)
+def _action(spec: Spec, inputs: _Inputs):
+    return _functional(spec, inputs, action_1d, action_1d_cresson, action_2d,
+                       action_nd)
 
 
 def _run_action(spec: Spec) -> _Table:
-    av = _action(spec)[0]
+    av = _action(spec, _Inputs(spec, spec.kind))
     comments = [("observer", av.observer), ("weight_orders", av.weight_orders)]
     if av.qdot_source:
         comments.append(("qdot_source", av.qdot_source))
@@ -829,18 +850,19 @@ def _run_action(spec: Spec) -> _Table:
                    np.array([av.singular_nodes_excluded])])
 
 
-def _residual_field(spec: Spec):
-    return _functional(spec, el_residual_1d, el_residual_1d_cresson,
+def _residual_field(spec: Spec, inputs: _Inputs):
+    return _functional(spec, inputs, el_residual_1d, el_residual_1d_cresson,
                        el_residual_2d, el_residual_nd)
 
 
 def _run_residual(spec: Spec) -> _Table:
-    rf, grids, values, _ = _residual_field(spec)
+    inputs = _Inputs(spec, spec.kind)
+    rf = _residual_field(spec, inputs)
     residual = rf.residual.values
     comments = [("sup_norm", rf.sup_norm), ("epsilon_margin", rf.epsilon_margin)]
-    header = [*SLOTS[len(grids)][1], "q", "residual_re", "residual_im",
+    header = [*SLOTS[len(inputs.grids)][1], "q", "residual_re", "residual_im",
               "excluded"]
-    return _Table(comments, header, [*_coordinates(grids), values,
+    return _Table(comments, header, [*_coordinates(inputs.grids), inputs.values,
                                      residual.real, residual.imag, rf.excluded])
 
 
@@ -919,22 +941,20 @@ def _run_minimize(spec: Spec) -> _Table:
                   failure)
 
 
-def _sweep_value(spec: Spec):
+def _sweep_value(spec: Spec, inputs: _Inputs):
     """Scalar summary of one sweep entry, read from the library result:
-    (complex value, classical_ref or None)."""
+    (complex value, classical_ref or None).  ``inputs`` is the sweep's,
+    None for a kind that samples no field."""
     kind = spec.kind
     if kind == "action":
-        av, grids, values, qdot = _action(spec)
-        if len(grids) != 1:
+        av = _action(spec, inputs)
+        if len(inputs.grids) != 1:
             return av.value, None
-        if qdot is None:  # the Cresson variant does not read the velocity
-            qdot = _qdot_for(spec, grids[0])
-        q = GridFunction(grids[0], values)
-        return av.value, trapezoid_action(spec.expr("lagrangian"), q, qdot=qdot)
+        return av.value, inputs.reference
     if kind == "deriv":
-        return complex(_derivative(spec)[2].values.flat[-1]), None
+        return complex(_derivative(spec, inputs).values.flat[-1]), None
     if kind == "residual":
-        return complex(_residual_field(spec)[0].sup_norm), None
+        return complex(_residual_field(spec, inputs).sup_norm), None
     if kind == "solve-ivp":
         return complex(_ivp(spec)[0].values[-1]), None
     if kind == "solve-bvp":
@@ -946,16 +966,29 @@ def _sweep_value(spec: Spec):
 
 
 def _run_sweep(spec: Spec) -> _Table:
+    """One row per alpha, in the order given.  The grids, the Lagrangian and
+    the sampled field, which no alpha changes, are built once for all the
+    rows (``_Inputs``), and so are a 1D action's velocity samples and
+    classical reference, on the first row that reads them; an error
+    building them is the status of every row that would read it."""
     alphas = spec.floats("alpha")
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise SpecError(f"sweep alpha {a!r} outside (0,1)")
     kind = spec.get("sweep_kind", "action")
+    inputs = failure = None
+    if kind in ("deriv", "action", "residual"):
+        try:
+            inputs = _Inputs(spec, kind)
+        except FalvaError as err:
+            failure = err
     rows, read = [], set()
     for alpha in alphas:
         try:
+            if failure is not None:
+                raise failure
             row = Spec(kind, dict(spec.table, alpha=_text(alpha)))
-            value, ref = _sweep_value(row)
+            value, ref = _sweep_value(row, inputs)
         except FalvaError as err:
             rows.append(("", "", f"FALVA-ERR {err.code}", ""))
         else:

@@ -828,41 +828,35 @@ def _solve_tridiagonal(diag, off, rhs):
     positive (Nocedal & Wright, section 3.4); at 10 times, T + s I is
     diagonally dominant.  Returns None if no shift works, which happens
     only for non-finite or all-zero entries.
+
+    The forward substitution L y = rhs runs in the factorization loop, which
+    keeps the multipliers and y / pivot for the back substitution; a shift
+    whose pivots fail discards both.  The operations and their order are
+    those of factorizing first and substituting after.
     """
     scale = float(np.max(np.abs(np.concatenate([diag, off]))))
     if not 0.0 < scale < math.inf:
         return None
     d, e, b = diag.tolist(), off.tolist(), rhs.tolist()
     for factor in (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
-        factors = _ldl_tridiagonal(d, e, factor * scale)
-        if factors is not None:
-            break
+        shift = factor * scale
+        quotients, mults = [], []
+        p, y = d[0] + shift, b[0]
+        for di, ei, bi in zip(d[1:], e, b[1:]):
+            if not p > 0.0:
+                break
+            quotients.append(y / p)
+            li = ei / p
+            mults.append(li)
+            p = di + shift - li * ei
+            y = bi - li * y
+        else:
+            if p > 0.0:
+                quotients.append(y / p)
+                break
     else:
         return None
-    pivots, mults = factors
-    y = [b[0]]
-    for bi, li in zip(b[1:], mults):
-        y.append(bi - li * y[-1])
-    x = [y[-1] / pivots[-1]]
-    for yi, pi, li in zip(y[-2::-1], pivots[-2::-1], mults[::-1]):
-        x.append(yi / pi - li * x[-1])
+    x = [quotients[-1]]
+    for qi, li in zip(quotients[-2::-1], mults[::-1]):
+        x.append(qi - li * x[-1])
     return np.array(x[::-1])
-
-
-def _ldl_tridiagonal(d, e, shift):
-    """Pivots and multipliers of T + shift I = L D L^T, or None as soon as
-    a pivot is not positive."""
-    pivots = []
-    mults = []
-    p = d[0] + shift
-    for di, ei in zip(d[1:], e):
-        if not p > 0.0:
-            return None
-        pivots.append(p)
-        li = ei / p
-        mults.append(li)
-        p = di + shift - li * ei
-    if not p > 0.0:
-        return None
-    pivots.append(p)
-    return pivots, mults

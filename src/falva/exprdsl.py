@@ -46,7 +46,8 @@ checks and node indices therefore mean the same for a derivative as for
 the value.
 
 A caller inside the package can ask for a pruned program that returns only
-some of the entries (the RK4 field reads five of its seven).  The trees
+some of the entries (the RK4 field reads five of its seven, and the partial
+fields of the residuals and the minimizer all but the value).  The trees
 are walked in the same order, and an operation is emitted only if a
 returned entry or a check reads it; every check, every variable lookup and
 every helper that can raise keeps its place.  A pruned program therefore

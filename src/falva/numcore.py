@@ -12,6 +12,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ class Grid1D:
 
     ``t`` doubles as the observer time of the functionals built on the grid.
     Only uniform grids exist: there is no constructor for anything else.
+    ``nodes`` is built on first access and kept: every access returns the
+    same read-only array, so writing into it raises a ValueError.
     """
 
     a: float
@@ -83,9 +86,11 @@ class Grid1D:
     def h(self) -> float:
         return (self.t - self.a) / self.n
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.t, self.n + 1)
+        nodes = np.linspace(self.a, self.t, self.n + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def _checked_samples(values, flags, shape: tuple):

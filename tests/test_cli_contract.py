@@ -1197,11 +1197,10 @@ def test_classic_variant_on_a_plane_is_one_spec_error(tmp_path, kind, via):
     assert _run_quietly(argv, out)[:2] == (0, "")
 
 
-def test_a_sweep_parses_each_text_once_and_samples_each_row_once(tmp_path,
-                                                                 monkeypatch):
+def test_a_sweep_parses_each_text_once_and_samples_once(tmp_path, monkeypatch):
     # the rows share the parsed Lagrangian, path and velocity; a classic
-    # action row samples the path and the velocity once each, for the
-    # action and its classical reference alike.  A parse is a miss of the
+    # action sweep samples the path and the velocity once each, for every
+    # row's action and classical reference alike.  A parse is a miss of the
     # shared parse cache, which starts empty
     exprdsl._parsed.cache_clear()
     evaluations = []
@@ -1212,7 +1211,61 @@ def test_a_sweep_parses_each_text_once_and_samples_each_row_once(tmp_path,
             "--alpha", "0.25,0.5,0.75", "--domain", "0,1", "--n", "64",
             "--path", "sin(tau)", "--qdot", "cos(tau)"]
     assert _run_quietly(argv, tmp_path / "out.csv")[:2] == (0, "")
-    assert (exprdsl._parsed.cache_info().misses, len(evaluations)) == (3, 6)
+    assert (exprdsl._parsed.cache_info().misses, len(evaluations)) == (3, 2)
+
+
+def _line_sweep(extra):
+    """A 1D action sweep of ``extra`` with a default Lagrangian and n."""
+    defaults = {"--lagrangian": "qdot^2/2 - q^2/2", "--n": "16"}
+    return ["sweep", "--domain", "0,1", *extra,
+            *(token for flag, value in defaults.items() if flag not in extra
+              for token in (flag, value))]
+
+
+@pytest.mark.parametrize("extra, statuses", [
+    # a path or velocity that cannot be sampled fails every row alike
+    (["--path", "log(tau - 2)", "--alpha", "0.25,0.5,0.75"], ["eval"] * 3),
+    (["--path", "sin(tau)", "--qdot", "log(tau - 2)", "--alpha", "0.25,0.5,0.75"],
+     ["eval"] * 3),
+    (["--path", "log(tau - 2)", "--qdot", "log(tau - 2)", "--gamma", "i",
+      "--alpha", "0.25,0.5"], ["eval"] * 2),
+    # a Cresson row reads the velocity after its action, for the classical
+    # reference: the action's error comes first where both fail
+    (["--path", "sin(tau)", "--qdot", "log(tau - 2)", "--gamma", "i",
+      "--alpha", "1e-310,0.5"], ["domain", "eval"]),
+    (["--n", "2", "--path", "1", "--qdot", "log(tau - 2)", "--gamma", "i",
+      "--alpha", "0.25,0.5"], ["grid", "grid"]),
+    # the reference alone fails: log(q) is complex in the action only
+    (["--lagrangian", "log(q)", "--path", "tau - 0.55", "--gamma", "i",
+      "--alpha", "0.25,0.5"], ["eval", "eval"]),
+    (["--path", "sin(tau)", "--qdot", "cos(tau)", "--alpha", "1e-310,0.5"],
+     ["domain", "ok"]),
+])
+def test_a_sweep_row_reports_the_first_error_it_meets(tmp_path, extra, statuses):
+    out = tmp_path / "out.csv"
+    assert _run_quietly(_line_sweep(extra), out) == (0, "", [])
+    _, header, columns = _read_csv(out)
+    assert header[3:] == ["status", "classical_ref"]
+    assert columns[3] == [s if s == "ok" else f"FALVA-ERR {s}" for s in statuses]
+
+
+def test_a_path_file_sweep_reads_its_file_once(tmp_path, monkeypatch):
+    field = tmp_path / "field.csv"
+    field.write_text("shape,9\n" + "".join(f"{k * k / 64}\n" for k in range(9)),
+                     encoding="utf-8")
+    reads = []
+    read_ = cli._read_field_file
+    monkeypatch.setattr(cli, "_read_field_file",
+                        lambda *args: reads.append(1) or read_(*args))
+    for kind in ("action", "residual", "deriv"):
+        argv = ["sweep", "--sweep-kind", kind, "--alpha", "0.25,0.5,0.75",
+                "--domain", "0,1", "--n", "8", "--path-file", str(field)]
+        if kind != "deriv":
+            argv += ["--lagrangian", "qdot^2/2 - q^2/2"]
+        out = tmp_path / f"{kind}.csv"
+        assert _run_quietly(argv, out) == (0, "", [])
+        assert _read_csv(out)[2][3] == ["ok"] * 3
+    assert len(reads) == 3
 
 
 # one call of each subcommand; small, so that a fresh process runs it fast

@@ -1224,6 +1224,47 @@ class TestTridiagonalSolve:
         # a positive definite system keeps the Newton direction a descent one
         assert float(np.dot(rhs, x)) > 0.0
 
+    @staticmethod
+    def _two_pass(diag, off, rhs):
+        """The reference: factorize T + s I = L D L^T for the first shift
+        whose pivots are all positive, then substitute forward and back."""
+        scale = float(np.max(np.abs(np.concatenate([diag, off]))))
+        d, e, b = diag.tolist(), off.tolist(), rhs.tolist()
+        for factor in (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
+            shift = factor * scale
+            pivots, mults = [d[0] + shift], []
+            for di, ei in zip(d[1:], e):
+                if not pivots[-1] > 0.0:
+                    break
+                mults.append(ei / pivots[-1])
+                pivots.append(di + shift - mults[-1] * ei)
+            if len(pivots) == len(d) and pivots[-1] > 0.0:
+                break
+        y = [b[0]]
+        for bi, li in zip(b[1:], mults):
+            y.append(bi - li * y[-1])
+        x = [y[-1] / pivots[-1]]
+        for yi, pi, li in zip(y[-2::-1], pivots[-2::-1], mults[::-1]):
+            x.append(yi / pi - li * x[-1])
+        return np.array(x[::-1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 1599])
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "negative"])
+    def test_bits_of_a_two_pass_solve(self, m, kind):
+        # a definite system solves unshifted; the first pivot of the others
+        # is negative, so they take the shifted path
+        rng = np.random.default_rng([m, len(kind)])
+        diag = rng.uniform(2.5, 4.0, m)
+        if kind == "indefinite":
+            diag = rng.uniform(-1.0, 3.0, m)
+            diag[0] = -0.5
+        elif kind == "negative":
+            diag -= 4.5
+        off = rng.uniform(-1.0, 1.0, m - 1)
+        rhs = rng.normal(size=m)
+        x = _solve_tridiagonal(diag, off, rhs)
+        assert x.tobytes() == self._two_pass(diag, off, rhs).tobytes()
+
     def test_non_finite_or_zero_matrix_is_refused(self):
         rhs = np.ones(3)
         assert _solve_tridiagonal(np.zeros(3), np.zeros(2), rhs) is None

@@ -66,6 +66,21 @@ class TestGrid:
         assert np.allclose(np.diff(g.nodes), g.h)
         assert g.nodes[0] == 0.25 and g.nodes[-1] == 2.25
 
+    @pytest.mark.parametrize("a, t, n", [(0.0, 1.0, 16384), (0.25, 2.25, 8),
+                                         (-3.0, 0.1, 7)])
+    def test_nodes_are_built_once_and_read_only(self, a, t, n):
+        g = Grid1D(a, t, n)
+        nodes = g.nodes
+        assert g.nodes is nodes
+        assert not nodes.flags.writeable
+        assert nodes.tobytes() == np.linspace(a, t, n + 1).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            nodes *= 2.0
+        # equality and hashing still read the fields alone
+        assert g == Grid1D(a, t, n) and hash(g) == hash(Grid1D(a, t, n))
+
     def test_rejects_bad(self):
         with pytest.raises(GridError):
             Grid1D(1.0, 1.0, 4)

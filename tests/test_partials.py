@@ -74,6 +74,55 @@ class TestPartialFields:
                                    "(node 1) [grid node 3]")
 
 
+# Lagrangians whose value tree fails before any partial does, at a node
+# where q is 0 or negative
+FAILING_VALUES = ("qdot^2/2 + log(q)", "qdot^2/2 + sqrt(q)", "qdot^2/2 + q^0.5",
+                  "qdot^2/2 + 1/q", "qdot*q + 3/q + tau")
+
+
+class TestPrunedPartialFields:
+    """``_partial_fields`` runs the program pruned to the partials: the bits
+    of ``partials(...)[1:]``, and its first error."""
+
+    Q = np.array([0.5, 2.0, 0.0, -1.0])
+    TUPLES = ((("q",), ("qdot",)), (("qdot",), ("q",)), _HESSIAN_PARTIALS)
+
+    def _env(self, complex_mode, q):
+        qdot = np.array([1.0, -2.0, 3.0, 0.25])
+        if complex_mode:
+            qdot = qdot + np.array([0.5, -0.25, 0.0, 1.0]) * 1j
+        return {"qdot": qdot, "q": q, "tau": np.linspace(0.0, 0.75, 4)}
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("tuples", TUPLES)
+    @pytest.mark.parametrize("text", ["exp(-q)*qdot^2/2 + q^3*tau",
+                                      "sqrt(1 + qdot^2) + log(q)", "qdot^2/2",
+                                      "abs(q)*qdot + sin(tau)", *FAILING_VALUES])
+    def test_the_bits_of_partials(self, text, tuples, complex_mode):
+        L = parse(text)
+        env = self._env(complex_mode, np.array([0.5, 2.0, 1.5, 3.0]))
+        fields = _partial_fields(L, tuples, env, (4,))
+        full = dict(zip(tuples, partials(L, tuples, env)[1:]))
+        for v, field in zip(tuples, fields):
+            want = full[v] if L.free_vars.issuperset(v) else 0.0
+            want = np.broadcast_to(np.asarray(want), (4,))
+            assert field.dtype == want.dtype
+            assert field.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("tuples", TUPLES)
+    @pytest.mark.parametrize("text", FAILING_VALUES)
+    def test_the_first_error_of_the_value(self, text, tuples, complex_mode):
+        L = parse(text)
+        env = self._env(complex_mode, self.Q)
+        with pytest.raises(EvalError) as full:
+            partials(L, tuples, env)
+        with pytest.raises(EvalError) as pruned:
+            _partial_fields(L, tuples, env, (4,))
+        assert str(pruned.value) == f"{full.value} [grid node {full.value.index}]"
+        assert pruned.value.index == full.value.index
+
+
 def test_random_second_partials():
     """d_ab against central differences of ``partial`` (the criterion-9
     bound), symmetry d_ab == d_ba, and d_a, d_b equal to ``partial``."""

@@ -1,0 +1,284 @@
+"""Byte matrix of the falva command line.
+
+Runs a fixed list of calls through ``falva.cli.main`` in one process and
+prints one line per call: its name, the sha256 of the output file it wrote
+(``-`` when it wrote none), its exit status and its stderr.  Two source
+trees that print the same lines write the same bytes, exit statuses and
+messages for every call of the list.  To compare two trees, run the script
+of one of them with each tree's ``src`` and diff the outputs:
+
+    python tools/cli_matrix.py > change.txt
+    python tools/cli_matrix.py --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+The list covers every subcommand; 1D, 2D and 3D grids; the default, +i,
+-i and a general gamma; path files and spec files; sweeps of every kind,
+with rows that fail; and calls that fail before any output.  The calls run
+in a temporary directory that holds the input files, so every path in a
+message is relative and the lines do not depend on where the script runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# input files, written into the working directory before the calls
+FILES = {
+    "line.csv": "shape,9\n" + "".join(f"{0.1 * k * k:.17g}\n" for k in range(9)),
+    "plane.csv": "shape,5,5\n" + "".join(f"{0.5 + 0.1 * (k % 5) * (k // 5):.17g}\n"
+                                          for k in range(25)),
+    "short.csv": "shape,9\n1\n2\n",
+    "action.spec": ("kind=action\nlagrangian=qdot^2/2 - q^2/2\nalpha=0.5\n"
+                    "domain=0,1\nn=16\npath=sin(tau)\n"),
+    "unknown.spec": "kind=action\nlagrnagian=q\n",
+}
+
+L1 = ["--lagrangian", "qdot^2/2 - q^2/2"]
+LINE = ["--domain", "0,1", "--n", "16", "--path", "sin(tau) + tau^2"]
+PLANE = ["--domain", "0,1", "--domain", "0,2", "--n", "8", "--n", "6",
+         "--path", "sin(x)*cos(y) + x*y"]
+CUBE = ["--domain", "0,1", "--domain", "0,1", "--domain", "0,1", "--n", "4",
+        "--path", "x1*x2 + x3^2 + 1"]
+L2 = ["--lagrangian", "(qx^2 + qy^2)/2 + q*x*y"]
+L3 = ["--lagrangian", "(qx1^2 + qx2^2 + qx3^2)/2 + q^2"]
+BVP = ["--domain", "0,1", "--n", "40", "--boundary", "0,1"]
+
+# (name, argv without --out); each call writes out.csv, removed after it
+CALLS = (
+    # deriv
+    ("deriv-1d-default", ["deriv", "--alpha", "0.4", *LINE]),
+    ("deriv-1d-plus-i", ["deriv", "--alpha", "0.4", "--beta", "0.7", "--gamma", "i",
+                         *LINE]),
+    ("deriv-1d-minus-i", ["deriv", "--alpha", "0.4", "--gamma", "-i", *LINE]),
+    ("deriv-1d-gamma", ["deriv", "--alpha", "0.4", "--gamma=0.3,-0.7", *LINE]),
+    ("deriv-1d-left", ["deriv", "--operator", "left", "--alpha", "0.3", *LINE]),
+    ("deriv-1d-right", ["deriv", "--operator", "right", "--beta", "0.6", *LINE]),
+    ("deriv-1d-right-alpha", ["deriv", "--operator", "right", "--alpha", "0.6",
+                              *LINE]),
+    ("deriv-1d-file", ["deriv", "--alpha", "0.5", "--domain", "0,1", "--n", "8",
+                       "--path-file", "line.csv"]),
+    ("deriv-2d-y", ["deriv", "--alpha", "0.3,0.6", "--axis", "y",
+                    "--gamma=0.2,0.5", *PLANE]),
+    ("deriv-2d-file", ["deriv", "--alpha", "0.5", "--domain", "0,1", "--domain",
+                       "0,1", "--n", "4", "--path-file", "plane.csv"]),
+    ("deriv-3d-z", ["deriv", "--alpha", "0.5", "--axis", "z", *CUBE]),
+    ("deriv-2d-left", ["deriv", "--operator", "left", "--alpha", "0.5", *PLANE]),
+    ("deriv-axis-range", ["deriv", "--alpha", "0.5", "--axis", "y", *LINE]),
+    # action
+    ("action-classic-fd", ["action", *L1, "--alpha", "0.5", *LINE]),
+    ("action-classic-qdot", ["action", *L1, "--alpha", "0.5", "--domain", "0,1",
+                             "--n", "16", "--path", "sin(tau)", "--qdot",
+                             "cos(tau)"]),
+    ("action-cresson-default", ["action", *L1, "--alpha", "0.5", "--variant",
+                                "cresson", *LINE]),
+    ("action-cresson-plus-i", ["action", *L1, "--alpha", "0.5", "--gamma", "i",
+                               *LINE]),
+    ("action-cresson-minus-i", ["action", *L1, "--alpha", "0.5", "--gamma", "-i",
+                                *LINE]),
+    ("action-cresson-gamma", ["action", *L1, "--alpha", "0.5", "--beta", "0.3",
+                              "--gamma=0.3,-0.7", *LINE]),
+    ("action-file", ["action", *L1, "--alpha", "0.5", "--domain", "0,1", "--n",
+                     "8", "--path-file", "line.csv"]),
+    ("action-spec-file", ["action", "--spec", "action.spec"]),
+    ("action-spec-override", ["action", "--spec", "action.spec", "--alpha",
+                              "0.25"]),
+    ("action-2d", ["action", *L2, "--alpha", "0.4", "--beta", "0.6",
+                   "--gamma=0.5,0.5", *PLANE]),
+    ("action-3d", ["action", *L3, "--alpha", "0.3,0.5,0.7", *CUBE]),
+    ("action-log-q", ["action", "--lagrangian", "log(q)", "--alpha", "0.5",
+                      "--domain", "0,1", "--n", "16", "--path", "tau - 0.5"]),
+    ("action-slots", ["action", "--lagrangian", "qx^2", "--alpha", "0.5", *LINE]),
+    ("action-flagged", ["action", *L1, "--alpha", "0.5", "--gamma", "i",
+                        "--domain", "0,1", "--n", "16", "--path", "1 + tau"]),
+    # residual
+    ("residual-classic", ["residual", *L1, "--alpha", "0.5", *LINE]),
+    ("residual-classic-qdot", ["residual", "--lagrangian", "qdot^2/2 + log(q)",
+                               "--alpha", "0.5", "--domain", "0,1", "--n", "16",
+                               "--path", "1 + tau", "--qdot", "1"]),
+    ("residual-cresson", ["residual", *L1, "--alpha", "0.5", "--gamma", "-i",
+                          *LINE]),
+    ("residual-sqrt-q", ["residual", "--lagrangian", "qdot^2/2 + sqrt(q)",
+                         "--alpha", "0.5", "--domain", "0,1", "--n", "16",
+                         "--path", "tau - 0.5"]),
+    ("residual-pow-q", ["residual", "--lagrangian", "qdot^2/2 + q^0.5",
+                        "--alpha", "0.5", "--domain", "0,1", "--n", "16",
+                        "--path", "tau - 0.5"]),
+    ("residual-inv-q", ["residual", "--lagrangian", "qdot^2/2 + 1/q",
+                        "--alpha", "0.5", "--domain", "0,1", "--n", "16",
+                        "--path", "tau - 0.5"]),
+    ("residual-2d", ["residual", *L2, "--alpha", "0.4", "--beta", "0.6",
+                     "--delta", "0.5", "--chi", "0.7", "--gamma=0.3,0.2", *PLANE]),
+    ("residual-2d-file", ["residual", *L2, "--alpha", "0.5", "--domain", "0,1",
+                          "--domain", "0,1", "--n", "4", "--path-file",
+                          "plane.csv"]),
+    ("residual-3d", ["residual", *L3, "--alpha", "0.5", "--delta", "0.3", *CUBE]),
+    # solvers
+    ("solve-ivp", ["solve-ivp", *L1, "--alpha", "0.5", "--domain", "0,1", "--n",
+                   "40", "--q0", "0", "--v0", "1"]),
+    ("solve-bvp", ["solve-bvp", *L1, "--alpha", "0.5", *BVP]),
+    ("solve-bvp-margin", ["solve-bvp", *L1, "--alpha", "0.5", *BVP,
+                          "--margin-target", "0.9"]),
+    ("solve-bvp-log", ["solve-bvp", "--lagrangian", "qdot^2/2 + log(q)",
+                       "--alpha", "0.5", *BVP]),
+    ("minimize", ["minimize", *L1, "--alpha", "0.5", *BVP]),
+    ("minimize-quartic", ["minimize", "--lagrangian", "qdot^2/2 + q^4/4",
+                          "--alpha", "0.3", *BVP]),
+    ("minimize-length", ["minimize", "--lagrangian", "sqrt(1+qdot^2)", "--alpha",
+                         "0.5", *BVP]),
+    ("minimize-failing", ["minimize", "--lagrangian", "qdot^2/2 - 30*q^2",
+                          "--alpha", "0.5", "--domain", "0,1", "--n", "12",
+                          "--boundary", "0,1"]),
+    ("solve-bvp-no-bracket", ["solve-bvp", "--lagrangian", "qdot^2/2 - 30*q^2",
+                              "--alpha", "0.5", *BVP]),
+    # sweeps
+    ("sweep-action-classic", ["sweep", *L1, "--alpha", "0.25,0.5,0.75",
+                              "--domain", "0,1", "--n", "16", "--path", "sin(tau)",
+                              "--qdot", "cos(tau)"]),
+    ("sweep-action-fd", ["sweep", *L1, "--alpha", "0.25,0.5", *LINE]),
+    ("sweep-action-cresson", ["sweep", *L1, "--alpha", "0.25,0.5,0.75",
+                              "--gamma=0.3,-0.7", *LINE]),
+    ("sweep-action-cresson-qdot", ["sweep", *L1, "--alpha", "0.25,0.75",
+                                   "--gamma", "i", "--domain", "0,1", "--n", "16",
+                                   "--path", "sin(tau)", "--qdot", "cos(tau)"]),
+    ("sweep-action-file", ["sweep", *L1, "--alpha", "0.3,0.6", "--domain", "0,1",
+                           "--n", "8", "--path-file", "line.csv"]),
+    ("sweep-action-2d", ["sweep", "--sweep-kind", "action", *L2, "--alpha",
+                         "0.3,0.6", *PLANE]),
+    ("sweep-action-3d", ["sweep", *L3, "--alpha", "0.4,0.8", *CUBE]),
+    ("sweep-action-bad-path", ["sweep", *L1, "--alpha", "0.25,0.5", "--domain",
+                               "0,1", "--n", "16", "--path", "log(tau - 2)"]),
+    ("sweep-action-bad-qdot", ["sweep", *L1, "--alpha", "0.25,0.5", "--domain",
+                               "0,1", "--n", "16", "--path", "sin(tau)", "--qdot",
+                               "log(tau - 2)"]),
+    ("sweep-action-cresson-bad-qdot", ["sweep", *L1, "--alpha", "1e-310,0.5",
+                                       "--gamma", "i", "--domain", "0,1", "--n",
+                                       "16", "--path", "sin(tau)", "--qdot",
+                                       "log(tau - 2)"]),
+    ("sweep-action-grid-and-qdot", ["sweep", *L1, "--alpha", "0.25,0.5",
+                                    "--gamma", "i", "--domain", "0,1", "--n", "2",
+                                    "--path", "1", "--qdot", "log(tau - 2)"]),
+    ("sweep-action-bad-reference", ["sweep", "--lagrangian", "log(q)", "--alpha",
+                                    "0.25,0.5", "--gamma", "i", "--domain", "0,1",
+                                    "--n", "16", "--path", "tau - 0.55"]),
+    ("sweep-action-subnormal", ["sweep", *L1, "--alpha", "1e-310,0.5", *LINE]),
+    ("sweep-action-bad-n", ["sweep", *L1, "--alpha", "0.25,0.5", "--domain", "0,1",
+                            "--n", "1.5", "--path", "tau"]),
+    ("sweep-action-no-domain", ["sweep", *L1, "--alpha", "0.25,0.5", "--path",
+                                "tau"]),
+    ("sweep-action-bad-lagrangian", ["sweep", "--lagrangian", "qdot^", "--alpha",
+                                     "0.25,0.5", "--domain", "0,1", "--n", "16",
+                                     "--path", "log(tau - 2)"]),
+    ("sweep-action-unread-qdot", ["sweep", *L2, "--alpha", "0.3,0.6", *PLANE,
+                                  "--qdot", "1"]),
+    ("sweep-deriv", ["sweep", "--sweep-kind", "deriv", "--alpha", "1e-310,0.7",
+                     "--gamma=0.3,0.4", *LINE]),
+    ("sweep-deriv-2d", ["sweep", "--sweep-kind", "deriv", "--alpha", "0.2,0.7",
+                        "--axis", "y", *PLANE]),
+    ("sweep-deriv-left", ["sweep", "--sweep-kind", "deriv", "--operator", "left",
+                          "--alpha", "0.2,0.7", *LINE]),
+    ("sweep-deriv-bad-path", ["sweep", "--sweep-kind", "deriv", "--alpha",
+                              "0.2,0.7", "--domain", "0,1", "--n", "8",
+                              "--path-file", "short.csv"]),
+    ("sweep-residual", ["sweep", "--sweep-kind", "residual", *L1, "--alpha",
+                        "0.25,0.5,0.75", "--domain", "0,1", "--n", "16", "--path",
+                        "sin(tau)", "--qdot", "cos(tau)"]),
+    ("sweep-residual-cresson", ["sweep", "--sweep-kind", "residual", *L1,
+                                "--alpha", "1e-310,0.5", "--gamma", "-i", *LINE]),
+    ("sweep-residual-2d", ["sweep", "--sweep-kind", "residual", *L2, "--alpha",
+                           "0.3,0.6", "--gamma=0.3,0.2", *PLANE]),
+    ("sweep-residual-log", ["sweep", "--sweep-kind", "residual", "--lagrangian",
+                            "qdot^2/2 + log(q)", "--alpha", "0.25,0.5",
+                            "--domain", "0,1", "--n", "16", "--path", "tau - 0.5"]),
+    ("sweep-solve-ivp", ["sweep", "--sweep-kind", "solve-ivp", *L1, "--alpha",
+                         "1e-310,0.5", "--domain", "0,1", "--n", "40", "--q0", "0",
+                         "--v0", "1"]),
+    ("sweep-solve-bvp", ["sweep", "--sweep-kind", "solve-bvp", *L1, "--alpha",
+                         "0.25,0.5,0.75", *BVP]),
+    ("sweep-solve-bvp-failing", ["sweep", "--sweep-kind", "solve-bvp",
+                                 "--lagrangian", "qdot^2/2 - 30*q^2", "--alpha",
+                                 "1e-310,0.5", *BVP]),
+    ("sweep-minimize", ["sweep", "--sweep-kind", "minimize", *L1, "--alpha",
+                        "0.25,0.5", *BVP]),
+    ("sweep-minimize-failing", ["sweep", "--sweep-kind", "minimize",
+                                "--lagrangian", "qdot^2/2 - 30*q^2", "--alpha",
+                                "1e-310,0.5", "--domain", "0,1", "--n", "12",
+                                "--boundary", "0,1"]),
+    ("sweep-alpha-range", ["sweep", *L1, "--alpha", "0.5,1.0", *LINE]),
+    # failures before any output
+    ("no-subcommand", ["--alpha", "0.5"]),
+    ("unknown-flag", ["action", "--alpah", "0.5"]),
+    ("repeated-flag", ["action", *L1, "--alpha", "0.5", "--alpha", "0.6", *LINE]),
+    ("unknown-spec-key", ["action", "--spec", "unknown.spec"]),
+    ("missing-spec-file", ["action", "--spec", "missing.spec"]),
+    ("spec-kind-conflict", ["residual", "--spec", "action.spec"]),
+    ("bad-gamma", ["action", *L1, "--alpha", "0.5", "--gamma", "j", *LINE]),
+    ("bad-variant", ["action", *L2, "--alpha", "0.5", "--variant", "classic",
+                     *PLANE]),
+    ("alpha-range", ["action", *L1, "--alpha", "1.5", *LINE]),
+    ("alpha-list", ["action", *L1, "--alpha", "0.3,0.4", "--variant", "classic",
+                    *LINE]),
+    ("too-many-nodes", ["deriv", "--alpha", "0.5", "--domain", "0,1", "--domain",
+                        "0,1", "--n", "2048", "--path", "x"]),
+    ("path-and-file", ["action", *L1, "--alpha", "0.5", *LINE, "--path-file",
+                       "line.csv"]),
+    ("missing-path", ["action", *L1, "--alpha", "0.5", "--domain", "0,1", "--n",
+                      "16"]),
+    ("path-coordinates", ["action", *L1, "--alpha", "0.5", "--domain", "0,1",
+                          "--n", "16", "--path", "x"]),
+    ("file-shape", ["action", *L1, "--alpha", "0.5", "--domain", "0,1", "--n", "4",
+                    "--path-file", "line.csv"]),
+    ("unread-key", ["action", *L1, "--alpha", "0.5", "--q0", "1", *LINE]),
+    ("parse-error", ["action", "--lagrangian", "qdot^^2", "--alpha", "0.5", *LINE]),
+    ("bad-grid", ["action", *L1, "--alpha", "0.5", "--domain", "1,0", "--n", "16",
+                  "--path", "tau"]),
+    ("unwritable-out", ["action", *L1, "--alpha", "0.5", *LINE, "--out",
+                        "missing/out.csv"]),
+)
+
+
+def run_call(main, argv) -> str:
+    """One line for one call of ``main``: sha256 of out.csv, the exit
+    status and stderr, with the output file removed after it."""
+    if "--out" not in argv:
+        argv = [*argv, "--out", "out.csv"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(argv)
+    out = Path("out.csv")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    out.unlink(missing_ok=True)
+    return f"{digest} {status} {err.getvalue()!r}"
+
+
+def run(calls) -> list:
+    """The line "name sha256 status stderr" of each (name, argv) of
+    ``calls``, run through the ``falva.cli.main`` that ``import falva``
+    finds, in a temporary working directory."""
+    from falva.cli import main
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, text in FILES.items():
+                Path(name).write_text(text, encoding="utf-8")
+            return [f"{name} {run_call(main, argv)}" for name, argv in calls]
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src directory of the falva to run")
+    sys.path.insert(0, str(parser.parse_args().src.resolve()))
+    print("\n".join(run(CALLS)))
