@@ -34,7 +34,7 @@ from .errors import (
 )
 # partial is not called here; perfbench/spans.py wraps it at this name
 from .exprdsl import LagrangianExpr, _complex_mode, _program, evaluate, partial
-from .fracops import GridFunctionND, OrderSet, as_nd, axis_cresson
+from .fracops import GridFunctionND, OrderSet, axis_cresson
 from .numcore import (
     GridFunction,
     _weighted_sum,
@@ -283,7 +283,7 @@ def action_1d_cresson(L: LagrangianExpr, q: GridFunction,
                       orders: OrderSet) -> ActionValue:
     """Weighted action with the velocity slot fed by the combined
     fractional derivative of the path; complex-valued in general."""
-    return _weighted_action_core(L, as_nd(q), orders, SLOTS[1])
+    return _weighted_action_core(L, q, orders, SLOTS[1])
 
 
 def action_2d(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,

@@ -207,7 +207,7 @@ def _build_parser() -> _ArgumentParser:
 def _load_spec_file(path: str) -> dict:
     table = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as err:
         raise SpecError(f"cannot read spec file {path!r}: {err}") from None
@@ -402,7 +402,7 @@ def _sample_expression(spec: Spec, key: str, slot_names, grids) -> np.ndarray:
 
 def _read_field_file(path: str, grids) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except (OSError, UnicodeDecodeError) as err:
         raise SpecError(f"cannot read field file {path!r}: {err}") from None
@@ -444,16 +444,19 @@ def _field_for(spec: Spec, grids) -> np.ndarray:
 class _Inputs:
     """What a deriv, action or residual run of ``kind`` takes from its spec
     whatever its orders: the grids, the Lagrangian (None for a deriv) and
-    the sampled field, read in that order when built.  The velocity
-    samples and, for a 1D action, the classical reference are built on
-    first use and kept, so a run meets their errors where it reads them.
-    A sweep builds one and hands it to every alpha row."""
+    the sampled field, a checked GridFunctionND (a GridFunction in 1D),
+    read in that order when built.  The velocity samples and, for a 1D
+    action, the classical reference are built on first use and kept, so a
+    run meets their errors where it reads them.  A sweep builds one and
+    hands it to every alpha row."""
 
     def __init__(self, spec: Spec, kind: str):
         self.spec = spec
         self.grids = spec.grids()
         self.expr = None if kind == "deriv" else spec.expr("lagrangian")
-        self.values = _field_for(spec, self.grids)
+        values = _field_for(spec, self.grids)
+        self.field = (GridFunction(self.grids[0], values) if len(self.grids) == 1
+                      else GridFunctionND(self.grids, values))
 
     @functools.cached_property
     def qdot(self):
@@ -465,8 +468,7 @@ class _Inputs:
     @functools.cached_property
     def reference(self) -> float:
         """The alpha-free ``trapezoid_action`` of a 1D action."""
-        q = GridFunction(self.grids[0], self.values)
-        return trapezoid_action(self.expr, q, qdot=self.qdot)
+        return trapezoid_action(self.expr, self.field, qdot=self.qdot)
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +778,8 @@ def _write_csv(path: str, kind: str, table: _Table) -> None:
 
 def _derivative(spec: Spec, inputs: _Inputs):
     """The derivative of a deriv spec's sampled field."""
-    grids, values = inputs.grids, inputs.values
-    dim = len(grids)
-    field = GridFunctionND(grids, values)
+    field = inputs.field
+    dim = field.ndim
     axis_name = spec.get("axis", "x")
     axis = _AXES.index(axis_name)
     if axis >= dim:
@@ -794,16 +795,15 @@ def _derivative(spec: Spec, inputs: _Inputs):
         return axis_cresson(field, axis, orders)
     if dim > 1:
         raise SpecError("ND deriv supports only the cresson operator")
-    f = GridFunction(grids[0], values)
     if operator == "left":
-        return rl_left(f, spec.scalar("alpha"))
+        return rl_left(field, spec.scalar("alpha"))
     # right reads beta, or alpha when beta is not given
-    return rl_right(f, spec.scalar("beta" if "beta" in spec.table else "alpha"))
+    return rl_right(field, spec.scalar("beta" if "beta" in spec.table else "alpha"))
 
 
 def _run_deriv(spec: Spec) -> _Table:
     inputs = _Inputs(spec, spec.kind)
-    grids, values = inputs.grids, inputs.values
+    grids, values = inputs.grids, inputs.field.values
     out = _derivative(spec, inputs)
     header = [*SLOTS[len(grids)][1], "f_re", "f_im", "deriv_re", "deriv_im",
               "flagged"]
@@ -818,19 +818,17 @@ def _functional(spec: Spec, inputs: _Inputs, classic, cresson_1d, axes_2, axes_n
     2D and ND fields; the 1D classic one reads the velocity samples of the
     ``qdot`` key.
     """
-    grids, expr, values = inputs.grids, inputs.expr, inputs.values
-    dim = len(grids)
+    expr, field = inputs.expr, inputs.field
+    dim = field.ndim
     if dim == 1:
-        q = GridFunction(grids[0], values)
         implied = "cresson" if {"gamma", "beta"} & spec.table.keys() else "classic"
         if spec.get("variant", implied) == "classic":
             alpha = spec.scalar("alpha")
-            return classic(expr, q, alpha, qdot=inputs.qdot)
-        return cresson_1d(expr, q, _orders_for(spec, dim))
+            return classic(expr, field, alpha, qdot=inputs.qdot)
+        return cresson_1d(expr, field, _orders_for(spec, dim))
     spec.get("variant")  # cresson: Spec rejects classic here
-    field = GridFunctionND(grids, values)
     orders = _orders_for(spec, dim)
-    observer = tuple(g.t for g in grids)
+    observer = tuple(g.t for g in field.grids)
     functional = axes_2 if dim == 2 else axes_n
     return functional(expr, field, orders, observer)
 
@@ -862,8 +860,9 @@ def _run_residual(spec: Spec) -> _Table:
     comments = [("sup_norm", rf.sup_norm), ("epsilon_margin", rf.epsilon_margin)]
     header = [*SLOTS[len(inputs.grids)][1], "q", "residual_re", "residual_im",
               "excluded"]
-    return _Table(comments, header, [*_coordinates(inputs.grids), inputs.values,
-                                     residual.real, residual.imag, rf.excluded])
+    return _Table(comments, header, [*_coordinates(inputs.grids),
+                                     inputs.field.values, residual.real,
+                                     residual.imag, rf.excluded])
 
 
 def _line_grid(spec: Spec) -> Grid1D:

@@ -84,7 +84,7 @@ from .errors import (
 )
 # second_partials is not called here; perfbench/spans.py wraps it at this name
 from .exprdsl import LagrangianExpr, _program, second_partials
-from .fracops import GridFunctionND, OrderSet, as_1d, as_nd, axis_cresson
+from .fracops import GridFunctionND, OrderSet, axis_cresson
 # ode_step_rk4 is not called here; perfbench/spans.py wraps it at this name
 from .numcore import (
     Grid1D,
@@ -162,7 +162,7 @@ class ResidualField:
     modulus over non-excluded nodes.
     """
 
-    residual: object  # GridFunction or GridFunctionND
+    residual: object  # GridFunctionND, a GridFunction in 1D
     excluded: np.ndarray
     epsilon_margin: tuple
     sup_norm: float
@@ -320,8 +320,9 @@ def _el_residual_core(L: LagrangianExpr, field: GridFunctionND,
         total += adj.values + damping.reshape(along) * momenta[ax]
 
     res = np.where(excluded, 0.0 + 0.0j, lq - total)
-    residual = GridFunctionND(field.grids, res)
-    return _wrap_residual(residual if ndim > 1 else as_1d(residual), excluded, eps)
+    if ndim == 1:
+        return _wrap_residual(GridFunction(field.grids[0], res), excluded, eps)
+    return _wrap_residual(GridFunctionND(field.grids, res), excluded, eps)
 
 
 def el_residual_1d_cresson(L: LagrangianExpr, q: GridFunction,
@@ -334,7 +335,7 @@ def el_residual_1d_cresson(L: LagrangianExpr, q: GridFunction,
     Adj the combined operator with swapped order pair and negated gamma.
     Complex-valued in general.
     """
-    return _el_residual_core(L, as_nd(q), orders, SLOTS[1])
+    return _el_residual_core(L, q, orders, SLOTS[1])
 
 
 def el_residual_2d(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,

@@ -25,7 +25,10 @@ including their flags.
 
 N-dimensional fields live in row-major (C-order) storage; applying the
 operator along an axis is a gather of every 1D line parallel to that axis,
-a batched 1D apply, and a scatter back.
+a batched 1D apply, and a scatter back.  A field is a ``GridFunctionND``
+(defined in ``numcore``, listed here); a path's ``GridFunction`` is its
+one-axis case, so ``axis_cresson`` takes a path as it is, and ``cresson``
+only makes its one-axis result a ``GridFunction`` again (``as_1d``).
 
 The slope integral is a discrete convolution of each line's slopes with
 the product-integration weights.  It is evaluated for all lines at once
@@ -88,7 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, GridError
-from .numcore import Grid1D, GridFunction, _checked_samples, gamma
+from .numcore import GridFunction, GridFunctionND, gamma
 
 __all__ = [
     "OrderSet",
@@ -97,7 +100,6 @@ __all__ = [
     "rl_right",
     "cresson",
     "axis_cresson",
-    "as_nd",
     "as_1d",
     "ORDER_CONVENTION",
 ]
@@ -171,43 +173,6 @@ class OrderSet:
         """Order pairs swapped and gamma negated (the operator that appears
         on the adjoint side of the Euler-Lagrange equations)."""
         return OrderSet(tuple((r, l) for l, r in self.pairs), -self.gamma_w)
-
-
-@dataclass(frozen=True)
-class GridFunctionND:
-    """Samples of a field on a rectangular (tensor-product) grid.
-
-    ``values`` has shape (n_1+1, ..., n_N+1) in row-major storage; ``flags``
-    is a same-shaped boolean mask of singular nodes (see GridFunction).
-    """
-
-    grids: tuple
-    values: np.ndarray
-    flags: np.ndarray = None
-
-    def __post_init__(self):
-        grids = tuple(self.grids)
-        if not grids:
-            raise GridError("need at least one axis")
-        for g in grids:
-            if not isinstance(g, Grid1D):
-                raise GridError("grids must be Grid1D instances")
-        object.__setattr__(self, "grids", grids)
-        shape = tuple(g.n + 1 for g in grids)
-        v, f = _checked_samples(self.values, self.flags, shape)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "flags", f)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.grids)
-
-    def node_meshes(self):
-        return np.meshgrid(*[g.nodes for g in self.grids], indexing="ij")
-
-
-def as_nd(f: GridFunction) -> GridFunctionND:
-    return GridFunctionND((f.grid,), f.values, f.flags)
 
 
 def as_1d(f: GridFunctionND) -> GridFunction:
@@ -545,7 +510,7 @@ def cresson(f: GridFunction, orders: OrderSet) -> GridFunction:
     Always complex-valued; flags propagate from each operand that enters
     with a nonzero weight, plus any input flags.
     """
-    return as_1d(axis_cresson(as_nd(f), 0, orders))
+    return as_1d(axis_cresson(f, 0, orders))
 
 
 def axis_cresson(field: GridFunctionND, axis: int, orders: OrderSet) -> GridFunctionND:

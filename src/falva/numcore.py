@@ -1,10 +1,16 @@
 """Shared numerical kernel.
 
-Uniform grids and sampled functions on them, the Euler gamma function, a
+Uniform grids and the sampled fields on them, the Euler gamma function, a
 product-integration rule that absorbs the power-law observer weight
 (t - tau)^(alpha-1) exactly against piecewise-linear interpolants, a
 classical RK4 step, bracketed scalar root finding, and empirical
 convergence-order fits.
+
+A sampled field is a ``GridFunctionND``, one Grid1D per axis; a
+``GridFunction`` is the one-axis GridFunctionND of a path, so every
+operation on N-dimensional fields takes a path as it is.  The samples of
+either are checked in one place, when it is built.  ``GridFunctionND`` is
+listed among ``falva.fracops``'s public names, next to its operators.
 
 All operations are pure functions of their inputs; values are treated as
 immutable after construction.
@@ -116,23 +122,53 @@ def _checked_samples(values, flags, shape: tuple):
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    """Samples of a path on a Grid1D, real- or complex-valued.
+class GridFunctionND:
+    """Samples of a field on a rectangular (tensor-product) grid, real- or
+    complex-valued.
 
-    ``flags`` marks nodes where an operation documented an endpoint
-    singularity; the stored value there is a finite placeholder (the
-    divergent boundary contribution is omitted).  Downstream consumers must
-    exclude flagged nodes.
+    ``values`` has shape (n_1+1, ..., n_N+1) in row-major storage, one axis
+    per Grid1D of ``grids``.  ``flags`` is a same-shaped boolean mask of
+    nodes where an operation documented an endpoint singularity; the stored
+    value there is a finite placeholder (the divergent boundary
+    contribution is omitted), and downstream consumers must exclude flagged
+    nodes.  The samples are checked once, when the object is built.
     """
 
-    grid: Grid1D
+    grids: tuple
     values: np.ndarray
     flags: np.ndarray = None
 
     def __post_init__(self):
-        v, f = _checked_samples(self.values, self.flags, (self.grid.n + 1,))
+        grids = tuple(self.grids)
+        if not grids:
+            raise GridError("need at least one axis")
+        for g in grids:
+            if not isinstance(g, Grid1D):
+                raise GridError("grids must be Grid1D instances")
+        object.__setattr__(self, "grids", grids)
+        shape = tuple(g.n + 1 for g in grids)
+        v, f = _checked_samples(self.values, self.flags, shape)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "flags", f)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.grids)
+
+    def node_meshes(self):
+        return np.meshgrid(*[g.nodes for g in self.grids], indexing="ij")
+
+
+class GridFunction(GridFunctionND):
+    """Samples of a path on a Grid1D: the one-axis GridFunctionND, built
+    from its one grid, which ``grid`` returns."""
+
+    def __init__(self, grid: Grid1D, values, flags=None):
+        super().__init__((grid,), values, flags)
+
+    @property
+    def grid(self) -> Grid1D:
+        return self.grids[0]
 
 
 def _weights_from_nodes(nodes: np.ndarray, alpha: float, anchor: float) -> np.ndarray:

@@ -48,7 +48,7 @@ from falva import (
     solve_el_ivp,
     trapezoid_action,
 )
-from falva import cli, exprdsl, fracops
+from falva import cli, exprdsl, fracops, numcore
 from falva.cli import Spec, main
 
 UNIT = ["--domain", "0,1"]
@@ -1266,6 +1266,53 @@ def test_a_path_file_sweep_reads_its_file_once(tmp_path, monkeypatch):
         assert _run_quietly(argv, out) == (0, "", [])
         assert _read_csv(out)[2][3] == ["ok"] * 3
     assert len(reads) == 3
+
+
+@pytest.mark.parametrize("kind, checks", [("action", 4), ("residual", 13)])
+def test_a_sweep_checks_its_path_once(tmp_path, monkeypatch, kind, checks):
+    # one check of the sampled path for the whole sweep; an action row adds
+    # its operator result, a residual row its four fields
+    calls = []
+    checked = numcore._checked_samples
+    monkeypatch.setattr(numcore, "_checked_samples",
+                        lambda *args: calls.append(1) or checked(*args))
+    argv = ["sweep", "--sweep-kind", kind, "--lagrangian", "qdot^2/2 - q^2/2",
+            "--alpha", "0.25,0.5,0.75", "--gamma=0.3,-0.7", "--domain", "0,1",
+            "--n", "16", "--path", "sin(tau)"]
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out) == (0, "", [])
+    assert _read_csv(out)[2][3] == ["ok"] * 3
+    assert len(calls) == checks
+
+
+def _with_and_without_bom(tmp_path, name, text, argv_for):
+    """The output bytes of one call with the file ``name`` holding ``text``,
+    and of the same call with the file led by a UTF-8 byte-order mark."""
+    outputs = []
+    for lead in ("", "\ufeff"):
+        path = tmp_path / f"{len(outputs)}{name}"
+        path.write_text(lead + text, encoding="utf-8")
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert _run_quietly(argv_for(str(path)), out) == (0, "", [])
+        outputs.append(out.read_bytes())
+    return outputs
+
+
+def test_a_spec_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = ("kind=action\nlagrangian=qdot^2/2 - q^2/2\nalpha=0.5\n"
+            "domain=0,1\nn=16\npath=sin(tau)\n")
+    plain, marked = _with_and_without_bom(tmp_path, "run.spec", text,
+                                          lambda path: ["action", "--spec", path])
+    assert marked == plain
+
+
+def test_a_path_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = "shape,9\n" + "".join(f"{k * k / 64}\n" for k in range(9))
+    plain, marked = _with_and_without_bom(
+        tmp_path, "field.csv", text,
+        lambda path: ["residual", "--lagrangian", "qdot^2/2 - q^2/2", "--alpha",
+                      "0.5", "--domain", "0,1", "--n", "8", "--path-file", path])
+    assert marked == plain
 
 
 # one call of each subcommand; small, so that a fresh process runs it fast

@@ -26,6 +26,7 @@ from falva import (
     action_1d_cresson,
     action_2d,
     action_nd,
+    axis_cresson,
     cresson,
     el_residual_1d_cresson,
     el_residual_2d,
@@ -87,6 +88,11 @@ def test_1d_cresson_matches_nd_bit_for_bit(data, grid, pair, alpha, beta, gamma_
     assert a1 == an
     _same_residual(el_residual_1d_cresson(parse(text_1d), q1, orders),
                    el_residual_nd(parse(text_nd), qn, orders, (grid.t,)))
+    # a path is the one-axis field: the N-D operator takes it as it is
+    assert isinstance(q1, GridFunctionND)
+    d1, dn = axis_cresson(q1, 0, orders), axis_cresson(qn, 0, orders)
+    assert np.array_equal(d1.values, dn.values)
+    assert np.array_equal(d1.flags, dn.flags)
 
 
 @PROPERTY

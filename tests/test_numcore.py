@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,13 +13,19 @@ from falva import (
     GridFunction,
     GridFunctionND,
     GridError,
+    OrderSet,
     StepFailure,
+    action_1d_cresson,
+    cresson,
+    el_residual_1d_cresson,
     find_root,
     gamma,
     observed_order,
     ode_step_rk4,
+    parse,
     weighted_integral,
 )
+from falva import numcore
 
 
 class TestGamma:
@@ -115,6 +123,42 @@ class TestGrid:
         flags = np.array([False, False, True, False, False])
         gf = GridFunction(g, [0.0, 1.0, np.nan, 0.0, 0.0], flags)
         assert gf.flags[2]
+
+
+class TestGridFunction:
+    def test_copies_and_pickles_keep_the_class(self):
+        # the one-axis GridFunctionND has its own __init__, which a copy or
+        # an unpickled object never calls
+        g = Grid1D(0.0, 1.0, 4)
+        flags = np.array([True, False, False, False, False])
+        f = GridFunction(g, [np.nan, 1.0, 2.0, 3.0, 4.0], flags)
+        assert repr(f).startswith("GridFunction(grids=(Grid1D(")
+        for twin in (copy.copy(f), copy.deepcopy(f),
+                     pickle.loads(pickle.dumps(f))):
+            assert type(twin) is GridFunction
+            assert (twin.grid, twin.grids, twin.ndim) == (g, (g,), 1)
+            assert np.array_equal(twin.values, f.values, equal_nan=True)
+            assert np.array_equal(twin.flags, flags)
+
+
+@pytest.mark.parametrize("run, checks", [
+    # the operator's result is the one field the action builds
+    (action_1d_cresson, 1),
+    # the forward and the adjoint result, the momentum, the residual
+    (el_residual_1d_cresson, 4),
+    # the operator's N-D result and its GridFunction (as_1d)
+    (lambda L, q, orders: cresson(q, orders), 2),
+])
+def test_a_built_path_is_checked_by_no_call(monkeypatch, run, checks):
+    g = Grid1D(0.0, 1.0, 16)
+    q = GridFunction(g, np.sin(g.nodes))
+    L, orders = parse("qdot^2/2 - q^2/2"), OrderSet.for_1d(0.4, 0.6, 0.3 - 0.7j)
+    calls = []
+    checked = numcore._checked_samples
+    monkeypatch.setattr(numcore, "_checked_samples",
+                        lambda *args: calls.append(1) or checked(*args))
+    run(L, q, orders)
+    assert len(calls) == checks
 
 
 class TestWeightedIntegral:

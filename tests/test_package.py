@@ -22,7 +22,7 @@ def test_public_names_are_the_module_lists():
     modules = (numcore, exprdsl, fracops, action, euler, errors)
     names = ["__version__"] + [name for m in modules for name in m.__all__]
     assert sorted(falva.__all__) == sorted(names)
-    assert len(set(falva.__all__)) == len(falva.__all__) == 59
+    assert len(set(falva.__all__)) == len(falva.__all__) == 58
     for module in modules:
         for name in module.__all__:
             assert getattr(falva, name) is getattr(module, name), name

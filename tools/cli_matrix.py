@@ -13,7 +13,9 @@ of one of them with each tree's ``src`` and diff the outputs:
 
 The list covers every subcommand; 1D, 2D and 3D grids; the default, +i,
 -i and a general gamma; path files and spec files; sweeps of every kind,
-with rows that fail; and calls that fail before any output.  The calls run
+with rows that fail; and calls that fail before any output, among them a
+path file with a NaN node.  The spec and path files led by a UTF-8
+byte-order mark give the bytes of the same files without it.  The calls run
 in a temporary directory that holds the input files, so every path in a
 message is relative and the lines do not depend on where the script runs.
 """
@@ -37,10 +39,16 @@ FILES = {
     "plane.csv": "shape,5,5\n" + "".join(f"{0.5 + 0.1 * (k % 5) * (k // 5):.17g}\n"
                                           for k in range(25)),
     "short.csv": "shape,9\n1\n2\n",
+    # a 1D path with nan at node 4: the sampled field's check rejects it
+    "nanline.csv": "shape,9\n" + "".join("nan\n" if k == 4 else f"{0.1 * k:.17g}\n"
+                                         for k in range(9)),
     "action.spec": ("kind=action\nlagrangian=qdot^2/2 - q^2/2\nalpha=0.5\n"
                     "domain=0,1\nn=16\npath=sin(tau)\n"),
     "unknown.spec": "kind=action\nlagrnagian=q\n",
 }
+# the same files led by a UTF-8 byte-order mark, as some editors save them
+FILES["bom.spec"] = "\ufeff" + FILES["action.spec"]
+FILES["bomline.csv"] = "\ufeff" + FILES["line.csv"]
 
 L1 = ["--lagrangian", "qdot^2/2 - q^2/2"]
 LINE = ["--domain", "0,1", "--n", "16", "--path", "sin(tau) + tau^2"]
@@ -66,6 +74,9 @@ CALLS = (
                               *LINE]),
     ("deriv-1d-file", ["deriv", "--alpha", "0.5", "--domain", "0,1", "--n", "8",
                        "--path-file", "line.csv"]),
+    ("deriv-1d-left-nan", ["deriv", "--operator", "left", "--alpha", "0.3",
+                           "--domain", "0,1", "--n", "8", "--path-file",
+                           "nanline.csv"]),
     ("deriv-2d-y", ["deriv", "--alpha", "0.3,0.6", "--axis", "y",
                     "--gamma=0.2,0.5", *PLANE]),
     ("deriv-2d-file", ["deriv", "--alpha", "0.5", "--domain", "0,1", "--domain",
@@ -91,6 +102,12 @@ CALLS = (
     ("action-spec-file", ["action", "--spec", "action.spec"]),
     ("action-spec-override", ["action", "--spec", "action.spec", "--alpha",
                               "0.25"]),
+    ("action-spec-bom", ["action", "--spec", "bom.spec"]),
+    ("action-file-bom", ["action", *L1, "--alpha", "0.5", "--domain", "0,1", "--n",
+                         "8", "--path-file", "bomline.csv"]),
+    ("action-file-nan", ["action", *L1, "--alpha", "0.5", "--variant", "cresson",
+                         "--domain", "0,1", "--n", "8", "--path-file",
+                         "nanline.csv"]),
     ("action-2d", ["action", *L2, "--alpha", "0.4", "--beta", "0.6",
                    "--gamma=0.5,0.5", *PLANE]),
     ("action-3d", ["action", *L3, "--alpha", "0.3,0.5,0.7", *CUBE]),
@@ -115,6 +132,8 @@ CALLS = (
     ("residual-inv-q", ["residual", "--lagrangian", "qdot^2/2 + 1/q",
                         "--alpha", "0.5", "--domain", "0,1", "--n", "16",
                         "--path", "tau - 0.5"]),
+    ("residual-file-nan", ["residual", *L1, "--alpha", "0.5", "--domain", "0,1",
+                           "--n", "8", "--path-file", "nanline.csv"]),
     ("residual-2d", ["residual", *L2, "--alpha", "0.4", "--beta", "0.6",
                      "--delta", "0.5", "--chi", "0.7", "--gamma=0.3,0.2", *PLANE]),
     ("residual-2d-file", ["residual", *L2, "--alpha", "0.5", "--domain", "0,1",
@@ -151,6 +170,9 @@ CALLS = (
                                    "--path", "sin(tau)", "--qdot", "cos(tau)"]),
     ("sweep-action-file", ["sweep", *L1, "--alpha", "0.3,0.6", "--domain", "0,1",
                            "--n", "8", "--path-file", "line.csv"]),
+    ("sweep-action-file-nan", ["sweep", *L1, "--alpha", "0.25,0.5,0.75",
+                               "--gamma=0.3,-0.7", "--domain", "0,1", "--n", "8",
+                               "--path-file", "nanline.csv"]),
     ("sweep-action-2d", ["sweep", "--sweep-kind", "action", *L2, "--alpha",
                          "0.3,0.6", *PLANE]),
     ("sweep-action-3d", ["sweep", *L3, "--alpha", "0.4,0.8", *CUBE]),
