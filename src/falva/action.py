@@ -114,7 +114,14 @@ def _partial_fields(expr, variable_tuples, env, shape, offsets=None):
     left out, while each domain check of the value tree still runs in its
     place, so the first error is that of ``partials``.  A tuple with a
     variable that ``expr`` does not use gives exactly 0: its tree is a
-    literal, so the program keeps its operations and errors."""
+    literal, so the program keeps its operations and errors.
+
+    Each returned array has ``shape``, is writeable and is the caller's
+    own: a program output is copied only when it is a scalar or a
+    broadcast, when it may share memory with an input in ``env`` (the
+    partial of ``qx*qy`` by ``qx`` is ``qy`` itself) or with a field
+    already returned (``(qx + qy)^2/2`` has one array for both partials).
+    The rest are returned as they are, so no field is held twice."""
     used = tuple(v for v in variable_tuples if expr.free_vars.issuperset(v))
     found = {}
     try:
@@ -124,7 +131,15 @@ def _partial_fields(expr, variable_tuples, env, shape, offsets=None):
             found = dict(zip(used, program(env)))
     except EvalError as err:
         raise _locate(err, shape, offsets) from None
-    return [_broadcast(found.get(v, 0.0), shape) for v in variable_tuples]
+    fields = []
+    for v in variable_tuples:
+        field = found.get(v, 0.0)
+        if (np.shape(field) != shape or not field.flags.writeable
+                or any(np.may_share_memory(field, other)
+                       for other in (*env.values(), *fields))):
+            field = _broadcast(field, shape)
+        fields.append(field)
+    return fields
 
 
 def _locate(err: EvalError, shape, offsets) -> EvalError:

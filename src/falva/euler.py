@@ -151,7 +151,7 @@ _HESSIAN_PARTIALS = (("qdot",), ("qdot", "qdot"), ("q",), ("q", "qdot"),
                      ("q", "q"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualField:
     """Per-node Euler-Lagrange residual with its exclusion bookkeeping.
 
@@ -159,7 +159,8 @@ class ResidualField:
     (grid boundary, the epsilon margin below each observer time, flagged
     singular nodes); the residual value is zero there.  ``epsilon_margin``
     holds the excluded interval length per axis; ``sup_norm`` is the max
-    modulus over non-excluded nodes.
+    modulus over non-excluded nodes.  Equality and hashing are by
+    identity, as for the fields.
     """
 
     residual: object  # GridFunctionND, a GridFunction in 1D
@@ -273,26 +274,39 @@ def _wrap_residual(residual, excluded, eps):
 def _fix_flagged_line_ends(p: np.ndarray, flags: np.ndarray, axis: int) -> np.ndarray:
     """Replace flagged endpoint values along ``axis`` by linear extrapolation
     from the two adjacent nodes, so the adjoint operator never consumes a
-    singular placeholder."""
-    moved = np.moveaxis(p, axis, -1).copy()
+    singular placeholder.  The ends are patched on one C-order copy of
+    ``p``; with no end flagged, ``p`` itself is returned."""
     fmoved = np.moveaxis(flags, axis, -1)
     start = fmoved[..., 0]
     end = fmoved[..., -1]
+    if not (start.any() or end.any()):
+        return p
+    fixed = p.copy()
+    moved = np.moveaxis(fixed, axis, -1)
     if start.any():
         moved[..., 0] = np.where(start, 2.0 * moved[..., 1] - moved[..., 2],
                                  moved[..., 0])
     if end.any():
         moved[..., -1] = np.where(end, 2.0 * moved[..., -2] - moved[..., -3],
                                   moved[..., -1])
-    return np.moveaxis(moved, -1, axis)
+    return fixed
 
 
 def _el_residual_core(L: LagrangianExpr, field: GridFunctionND,
                       orders: OrderSet, slots) -> ResidualField:
+    """The residual dL/dq - sum over axes of (Adj p + damping p), p the
+    momentum dL/dqx_i, with its exclusions.
+
+    Each field-sized array is released after its last use, so that the
+    working set stays near seven complex fields: the forward operators
+    and node meshes once the partials exist, and each axis's momentum
+    once its adjoint and damping term do.  An axis's term is summed into
+    its adjoint's own array before it is added to the total."""
     env, flags = _fractional_env(L, field, orders, slots)
     ndim = field.ndim
     shape = field.values.shape
     lq, *momenta = _partial_fields(L, (("q",), *zip(slots[0])), env, shape)
+    del env
 
     excluded = flags.copy()
     eps = []
@@ -308,16 +322,22 @@ def _el_residual_core(L: LagrangianExpr, field: GridFunctionND,
         cut[0] = cut[-1] = True
         excluded |= cut.reshape(along)
 
-        p_fixed = _fix_flagged_line_ends(momenta[ax], flags, ax)
+        p, momenta[ax] = momenta[ax], None
         adj = axis_cresson(
-            GridFunctionND(field.grids, p_fixed), ax, adjoint_orders
+            GridFunctionND(field.grids, _fix_flagged_line_ends(p, flags, ax)),
+            ax, adjoint_orders,
         )
         excluded |= adj.flags
         with np.errstate(divide="ignore"):
             damping = np.where(line < grid.t,
                                (1.0 - orders.weight_order(ax)) / (grid.t - line),
                                0.0)
-        total += adj.values + damping.reshape(along) * momenta[ax]
+        term = damping.reshape(along) * p
+        del p
+        # the sum goes into adj's values, complex and this call's own, so a
+        # real momentum gives a complex sum too
+        total += np.add(adj.values, term, out=adj.values)
+        del adj, term
 
     res = np.where(excluded, 0.0 + 0.0j, lq - total)
     if ndim == 1:

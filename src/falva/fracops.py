@@ -76,7 +76,11 @@ for a line at the 2^22-node cap, so at most 192 MB.  The two weighted
 spectra of a call are built from the plans and the factor per call and
 not kept.  Neither are a call's temporaries; under the command line on
 glibc they come from heap the process keeps (``cli._keep_freed_heap``)
-rather than from pages mapped and faulted in again on every call.
+rather than from pages mapped and faulted in again on every call.  Lines
+go through the transforms in blocks of at most ``_FFT_BLOCK`` = 2^14
+transform entries, so the temporaries of a block (32 lines of a 257-node
+axis) are a few hundred KB and do not add to the peak of a field-sized
+call such as the Euler-Lagrange residual.
 """
 
 from __future__ import annotations
@@ -185,9 +189,11 @@ def as_1d(f: GridFunctionND) -> GridFunction:
 # batched 1D kernels; ``vals`` has one line per row
 
 # Transform entries per FFT batch: lines go through the transform at most
-# _FFT_BLOCK // size at a time, which keeps the temporaries of wide fields
-# small.
-_FFT_BLOCK = 2**16
+# _FFT_BLOCK // size at a time (at least one), which keeps the temporaries of
+# wide fields small.  Blocks of 2^12 to 2^18 entries ran equally fast on a
+# 257 x 257 field, where a 2D residual's peak was 13.4 complex fields at
+# 2^16 entries and 11.5 at 2^14 with every field kept to the end of the call.
+_FFT_BLOCK = 2**14
 
 # Kernel plans kept by _line_kernel: at most _KERNEL_PLANS of them and
 # _KERNEL_PLAN_BYTES of arrays in all (the sizes are in the module notes).

@@ -121,7 +121,7 @@ def _checked_samples(values, flags, shape: tuple):
     return v, f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunctionND:
     """Samples of a field on a rectangular (tensor-product) grid, real- or
     complex-valued.
@@ -132,6 +132,8 @@ class GridFunctionND:
     value there is a finite placeholder (the divergent boundary
     contribution is omitted), and downstream consumers must exclude flagged
     nodes.  The samples are checked once, when the object is built.
+    Equality and hashing are by identity; compare the samples of two
+    fields with ``np.array_equal``.
     """
 
     grids: tuple

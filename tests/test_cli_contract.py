@@ -576,6 +576,35 @@ def test_overflow_ends_in_one_error_line(tmp_path, argv, status, line):
         assert _run_quietly(argv, tmp_path / "out.csv")[0] == status
 
 
+UNDERFLOW_2D = ["residual", "--lagrangian", "(qx^2+qy^2)/2", "--alpha", "0.5",
+                "--beta", "0.6", "--gamma=0.3,0.2", "--n", "6", "--n", "5",
+                "--path", "1 + x + y"]
+UNDERFLOW_3D = ["residual", "--lagrangian", "(qx1^2+qx2^2+qx3^2)/2", "--alpha",
+                "0.5", "--delta", "0.3", "--gamma=0.3,0.2", "--n", "4", "--n", "3",
+                "--n", "5", "--path", "1 + x1 + x2 + x3"]
+
+
+# the step of one axis underflows (a domain of 0,1e-320), and the error names
+# the first bad node by its row-major (C-order) index in the (7, 6) or
+# (5, 4, 6) grid: node (1, 0) is 6 and (0, 1) is 1 in 2D; (1, 0, 0) is 24,
+# (0, 1, 0) is 6 and (0, 0, 1) is 1 in 3D
+@pytest.mark.parametrize("tiny, node", [(0, 6), (1, 1)], ids=["x", "y"])
+def test_a_2d_step_underflow_names_a_c_order_node(tmp_path, tiny, node):
+    domains = ["1e-320" if axis == tiny else "1" for axis in range(2)]
+    argv = [*UNDERFLOW_2D, *(f"--domain=0,{t}" for t in domains)]
+    assert _assert_one_error_line(argv, tmp_path / "out.csv") == (
+        f"FALVA-ERR grid: non-finite value at unflagged node {node}\n")
+
+
+@pytest.mark.parametrize("tiny, node", [(0, 24), (1, 6), (2, 1)],
+                         ids=["x1", "x2", "x3"])
+def test_a_3d_step_underflow_names_a_c_order_node(tmp_path, tiny, node):
+    domains = ["1e-320" if axis == tiny else "1" for axis in range(3)]
+    argv = [*UNDERFLOW_3D, *(f"--domain=0,{t}" for t in domains)]
+    assert _assert_one_error_line(argv, tmp_path / "out.csv") == (
+        f"FALVA-ERR grid: non-finite value at unflagged node {node}\n")
+
+
 # each call overflows on its way to its result, and a run dispatches with
 # numpy's floating-point warnings off: the error line, or nothing at exit 0,
 # is all it prints.  The straight start path of both minimize cases

@@ -140,6 +140,19 @@ class TestGridFunction:
             assert np.array_equal(twin.values, f.values, equal_nan=True)
             assert np.array_equal(twin.flags, flags)
 
+    def test_equality_and_hashing_are_by_identity(self):
+        # == compares no samples (np.array_equal does), so it never raises
+        g = Grid1D(0.0, 1.0, 4)
+        f, twin = GridFunction(g, np.zeros(5)), GridFunction(g, np.zeros(5))
+        assert f == f
+        assert f != twin
+        assert hash(f) == hash(f)
+        assert len({f, twin}) == 2
+        field = GridFunctionND((g, g), np.zeros((5, 5)))
+        assert field == field
+        assert field != GridFunctionND((g, g), np.zeros((5, 5)))
+        assert len({field, f, twin}) == 3
+
 
 @pytest.mark.parametrize("run, checks", [
     # the operator's result is the one field the action builds

@@ -123,6 +123,40 @@ class TestPrunedPartialFields:
         assert pruned.value.index == full.value.index
 
 
+class TestPartialFieldsOwnTheirArrays:
+    """Every array ``_partial_fields`` returns is the caller's own: a
+    writeable field that shares memory with no input and no other partial,
+    with the bits of ``partials(...)[1:]``."""
+
+    SHAPE = (5, 4)
+    TUPLES = (("q",), ("qx",), ("qy",))
+
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    @pytest.mark.parametrize("text", [
+        "(qx + qy)^2/2",  # one array for both momenta
+        "qx*qy",  # each momentum is the other input
+        "q*qx + q*qy",  # both momenta are the input q
+        "qx + qy",  # constant partials: floats
+    ])
+    def test_each_field_is_its_own(self, text, complex_mode):
+        rng = np.random.default_rng(7)
+        env = {name: rng.standard_normal(self.SHAPE) for name in ("q", "qx", "qy")}
+        if complex_mode:
+            env = {name: v + 0.5j * rng.standard_normal(self.SHAPE)
+                   for name, v in env.items()}
+        L = parse(text)
+        fields = _partial_fields(L, self.TUPLES, env, self.SHAPE)
+        for k, (field, want) in enumerate(zip(fields,
+                                              partials(L, self.TUPLES, env)[1:])):
+            assert field.shape == self.SHAPE
+            assert field.flags.writeable
+            others = [*env.values(), *fields[:k], *fields[k + 1:]]
+            assert not any(np.shares_memory(field, other) for other in others)
+            want = np.broadcast_to(np.asarray(want), self.SHAPE)
+            assert field.dtype == want.dtype
+            assert field.tobytes() == want.tobytes()
+
+
 def test_random_second_partials():
     """d_ab against central differences of ``partial`` (the criterion-9
     bound), symmetry d_ab == d_ba, and d_a, d_b equal to ``partial``."""

@@ -11,10 +11,12 @@ of one of them with each tree's ``src`` and diff the outputs:
     python tools/cli_matrix.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
-The list covers every subcommand; 1D, 2D and 3D grids; the default, +i,
--i and a general gamma; path files and spec files; sweeps of every kind,
-with rows that fail; and calls that fail before any output, among them a
-path file with a NaN node.  The spec and path files led by a UTF-8
+The list covers every subcommand; 1D, 2D and 3D grids, among them a 3D
+box whose axes differ in length, extent and orders, so that a swap of two
+axes shows; the default, +i, -i and a general gamma; path files and spec
+files; sweeps of every kind, with rows that fail; and calls that fail
+before any output, among them a path file with a NaN node and residuals
+whose step underflows along one axis, which name a node in C order.  The spec and path files led by a UTF-8
 byte-order mark give the bytes of the same files without it.  The calls run
 in a temporary directory that holds the input files, so every path in a
 message is relative and the lines do not depend on where the script runs.
@@ -56,6 +58,19 @@ PLANE = ["--domain", "0,1", "--domain", "0,2", "--n", "8", "--n", "6",
          "--path", "sin(x)*cos(y) + x*y"]
 CUBE = ["--domain", "0,1", "--domain", "0,1", "--domain", "0,1", "--n", "4",
         "--path", "x1*x2 + x3^2 + 1"]
+# three axes of different lengths and extents, a path nonzero on every
+# start plane (flagged) and per-axis orders: a swap of two axes shows
+BOX = ["--domain", "0,1", "--domain", "0,2", "--domain", "-1,0.5", "--n", "5",
+       "--n", "4", "--n", "6", "--path", "1 + x1 + 2*x2 + x3^2",
+       "--alpha", "0.3,0.5,0.7", "--delta", "0.6,0.4,0.2", "--gamma=0.3,0.2"]
+# the step of one axis underflows: the error names a C-order node
+TINY = "0,1e-320"
+UNDERFLOW_2D = ["residual", "--lagrangian", "(qx^2+qy^2)/2", "--alpha", "0.5",
+                "--beta", "0.6", "--gamma=0.3,0.2", "--n", "6", "--n", "5",
+                "--path", "1 + x + y"]
+UNDERFLOW_3D = ["residual", "--lagrangian", "(qx1^2+qx2^2+qx3^2)/2", "--alpha",
+                "0.5", "--delta", "0.3", "--gamma=0.3,0.2", "--n", "4", "--n", "3",
+                "--n", "5", "--path", "1 + x1 + x2 + x3"]
 L2 = ["--lagrangian", "(qx^2 + qy^2)/2 + q*x*y"]
 L3 = ["--lagrangian", "(qx1^2 + qx2^2 + qx3^2)/2 + q^2"]
 BVP = ["--domain", "0,1", "--n", "40", "--boundary", "0,1"]
@@ -111,6 +126,7 @@ CALLS = (
     ("action-2d", ["action", *L2, "--alpha", "0.4", "--beta", "0.6",
                    "--gamma=0.5,0.5", *PLANE]),
     ("action-3d", ["action", *L3, "--alpha", "0.3,0.5,0.7", *CUBE]),
+    ("action-3d-box", ["action", *L3, *BOX]),
     ("action-log-q", ["action", "--lagrangian", "log(q)", "--alpha", "0.5",
                       "--domain", "0,1", "--n", "16", "--path", "tau - 0.5"]),
     ("action-slots", ["action", "--lagrangian", "qx^2", "--alpha", "0.5", *LINE]),
@@ -140,6 +156,15 @@ CALLS = (
                           "--domain", "0,1", "--n", "4", "--path-file",
                           "plane.csv"]),
     ("residual-3d", ["residual", *L3, "--alpha", "0.5", "--delta", "0.3", *CUBE]),
+    ("residual-3d-box", ["residual", *L3, *BOX]),
+    ("residual-2d-tiny-x", [*UNDERFLOW_2D, "--domain", TINY, "--domain", "0,1"]),
+    ("residual-2d-tiny-y", [*UNDERFLOW_2D, "--domain", "0,1", "--domain", TINY]),
+    ("residual-3d-tiny-x1", [*UNDERFLOW_3D, "--domain", TINY, "--domain", "0,1",
+                             "--domain", "0,1"]),
+    ("residual-3d-tiny-x2", [*UNDERFLOW_3D, "--domain", "0,1", "--domain", TINY,
+                             "--domain", "0,1"]),
+    ("residual-3d-tiny-x3", [*UNDERFLOW_3D, "--domain", "0,1", "--domain", "0,1",
+                             "--domain", TINY]),
     # solvers
     ("solve-ivp", ["solve-ivp", *L1, "--alpha", "0.5", "--domain", "0,1", "--n",
                    "40", "--q0", "0", "--v0", "1"]),
