@@ -37,6 +37,7 @@ from .exprdsl import LagrangianExpr, _complex_mode, _program, evaluate, partial
 from .fracops import GridFunctionND, OrderSet, axis_cresson
 from .numcore import (
     GridFunction,
+    _observer_time,
     _weighted_sum,
     _weights_from_nodes,
     central_diff,
@@ -323,7 +324,7 @@ def action_nd(L: LagrangianExpr, q: GridFunctionND, orders: OrderSet,
 
 
 def _check_observer(q: GridFunctionND, observer) -> None:
-    obs = tuple(float(v) for v in np.atleast_1d(observer))
+    obs = tuple(_observer_time(v) for v in np.atleast_1d(observer))
     uppers = tuple(g.t for g in q.grids)
     if len(obs) != len(uppers) or any(
         abs(o - u) > 1e-12 * max(1.0, abs(u)) for o, u in zip(obs, uppers)

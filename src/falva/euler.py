@@ -89,6 +89,7 @@ from .fracops import GridFunctionND, OrderSet, axis_cresson
 from .numcore import (
     Grid1D,
     GridFunction,
+    _observer_time,
     _weighted_sum,
     central_diff,
     find_root,
@@ -213,11 +214,13 @@ def rayleigh(L: LagrangianExpr, qdot: GridFunction, q: GridFunction,
              alpha: float, t_observer: float, tau=None) -> GridFunction:
     """Dissipation samples R = (1 - alpha) L(qdot, q, tau) / (t - tau).
 
-    Every tau node must lie strictly below the observer time.
+    The observer time must be finite, and every tau node must lie
+    strictly below it.
     """
     _check_slots(L, _PATH_SLOTS)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0,1], got {alpha!r}")
+    t_observer = _observer_time(t_observer)
     qd, _ = _qdot_samples(q, qdot, "rayleigh")
     nodes = q.grid.nodes if tau is None else np.asarray(tau, dtype=np.float64)
     if nodes.shape != q.values.shape:
@@ -240,12 +243,12 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     with the partials sampled along the path and the middle term taken by
     central differences of the sampled partial.  ``observer`` defaults to
     the grid's upper limit (pass the original observer time when the path
-    itself was truncated).
+    itself was truncated); it must be finite.
     """
     _check_path_problem(L, alpha)
     if np.iscomplexobj(q.values):
         raise DomainError("el_residual_1d expects a real-valued path")
-    t_obs = q.grid.t if observer is None else float(observer)
+    t_obs = q.grid.t if observer is None else _observer_time(observer)
     if t_obs < q.grid.t:
         raise DomainError("observer lies below the path's upper grid limit")
     qd, _ = _qdot_samples(q, qdot, "el_residual_1d")

@@ -18,10 +18,10 @@ Evaluation runs in real mode when every binding is real and in complex
 mode otherwise.  Real mode raises on domain violations (sqrt/log of a
 non-positive value, a negative base under a fractional power) instead of
 silently switching branches; complex mode uses principal branches, and
-takes a real-typed argument of sqrt, log or a general power as complex
-when it holds a negative value (any other argument keeps its bits).
-Bindings may be numpy arrays, in which case evaluation is elementwise and
-errors carry the flat index of the first offending node.
+every real-typed argument of sqrt, log or a general power is taken as
+complex.  Bindings may be numpy arrays, in which case evaluation is
+elementwise: the value at a node depends on that node alone, never on
+the others.  Errors carry the flat index of the first offending node.
 
 ``parse`` returns one shared expression per source text: the last
 ``_PARSED_TEXTS`` texts are kept, so a text parsed again, by a later CLI
@@ -63,7 +63,7 @@ damping, and returns the stage's force and d2L/dqdot^2.  ``evaluate``,
 Such a program can also be compiled in float mode, for Python float
 parameters in real mode.  A float program runs the same IEEE operations in
 the same order and returns Python floats with the bits of the array
-program on one-element arrays (a NaN may differ in its sign bit), or
+program at every node (a NaN may differ in its sign bit), or
 raises its first EvalError without a node index.  The shooting integrator
 inlines its lines into one RK4 loop per Lagrangian, and calls it to
 replay a step with every stage checked.
@@ -321,9 +321,9 @@ def _is_complex_binding(v):
 
 
 def _principal(x):
-    """``x`` as complex if it is real-typed and holds a negative element, so
-    that complex mode takes principal branches; otherwise ``x`` itself."""
-    if _is_complex_binding(x) or not np.any(np.asarray(x) < 0):
+    """``x`` as complex, so that complex mode takes principal branches at
+    every node; a complex ``x`` is returned as it is."""
+    if _is_complex_binding(x):
         return x
     return np.asarray(x, dtype=np.complex128) if np.ndim(x) else complex(x)
 
@@ -388,14 +388,12 @@ def _sign(x):
 
 
 def _real_power(base, expo):
-    """base^expo in real mode for an exponent that is not an integer literal."""
+    """base^expo in real mode for an exponent that is not an integer literal:
+    ``np.power`` at every node, after its two domain checks."""
     _check(np.real(base) < 0, "negative base under a fractional power in real mode")
-    zero = np.asarray(np.real(base) == 0)
-    if np.any(zero):
-        _check(zero & np.asarray(np.real(expo) <= 0),
-               "zero base under a non-positive power")
-        return np.power(base, expo)  # 0^positive = 0, elementwise
-    return np.exp(expo * np.log(base))
+    _check((np.real(base) == 0) & (np.real(expo) <= 0),
+           "zero base under a non-positive power")
+    return np.power(base, expo)
 
 
 def _complex_power(base, expo):

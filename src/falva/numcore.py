@@ -80,6 +80,9 @@ class Grid1D:
             raise GridError("grid endpoints must be finite")
         if not self.t > self.a:
             raise GridError(f"grid needs t > a, got a={self.a!r}, t={self.t!r}")
+        if not math.isfinite(self.t - self.a):
+            raise GridError(f"grid width t - a overflows, got a={self.a!r}, "
+                            f"t={self.t!r}")
         try:
             whole = int(self.n) == self.n
         except (TypeError, ValueError, OverflowError):  # None, NaN, inf
@@ -97,6 +100,15 @@ class Grid1D:
         nodes = np.linspace(self.a, self.t, self.n + 1)
         nodes.flags.writeable = False
         return nodes
+
+
+def _observer_time(value) -> float:
+    """``value`` as an observer time: a float, or a DomainError that names
+    the observer if it is not finite."""
+    t = float(value)
+    if not math.isfinite(t):
+        raise DomainError(f"observer time must be finite, got {t!r}")
+    return t
 
 
 def _checked_samples(values, flags, shape: tuple):
@@ -217,9 +229,10 @@ def product_weights(grid: Grid1D, alpha: float, observer: float = None) -> np.nd
 
     ``observer`` defaults to the grid's upper limit; it may exceed it, which
     is used when quadrature is restricted away from a flagged endpoint while
-    the weight stays anchored at the original observer time.
+    the weight stays anchored at the original observer time.  A non-finite
+    observer is a DomainError.
     """
-    anchor = grid.t if observer is None else float(observer)
+    anchor = grid.t if observer is None else _observer_time(observer)
     return _weights_from_nodes(grid.nodes, float(alpha), anchor)
 
 
@@ -276,8 +289,9 @@ def ode_step_rk4(state, field, tau: float, h: float) -> np.ndarray:
 def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
     """Bracketed bisection/secant hybrid.
 
-    Requires g(lo) and g(hi) not to share a strict sign (their signs are
-    compared, never their product, which can overflow or underflow);
+    Requires g(lo) and g(hi) not to be NaN and not to share a strict sign
+    (their signs are compared, never their product, which can overflow or
+    underflow; an infinite end still brackets);
     returns x with |g(x)| <= tol or with the final bracket width <= tol.
     A secant candidate that is not strictly inside the bracket is formed
     again with the quotient taken first, which survives gaps and widths
@@ -286,6 +300,10 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
     """
     a, b = float(lo), float(hi)
     fa, fb = float(g(a)), float(g(b))
+    if math.isnan(fa) or math.isnan(fb):
+        raise BracketingError(
+            f"g is NaN at an end of [{a:g}, {b:g}]: g(lo)={fa:g}, g(hi)={fb:g}"
+        )
     if abs(fa) <= tol:
         return a
     if abs(fb) <= tol:
@@ -321,17 +339,18 @@ def find_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) 
 def observed_order(errors) -> float:
     """Least-squares slope of log(err) against log(h).
 
-    ``errors`` is a sequence of (h, err) pairs with h strictly decreasing
-    and err > 0.
+    ``errors`` is a sequence of (h, err) pairs with h finite, positive and
+    strictly decreasing and err finite and positive.
     """
     pts = [(float(h), float(e)) for h, e in errors]
     if len(pts) < 2:
         raise ArgumentError("observed_order needs at least 2 (h, err) points")
     hs = np.array([p[0] for p in pts])
     es = np.array([p[1] for p in pts])
-    if not np.all(hs > 0.0) or not np.all(np.diff(hs) < 0.0):
-        raise ArgumentError("step sizes must be positive and strictly decreasing")
-    if not np.all(es > 0.0):
-        raise ArgumentError("errors must be positive")
+    if not np.all((hs > 0.0) & np.isfinite(hs)) or not np.all(np.diff(hs) < 0.0):
+        raise ArgumentError("step sizes must be finite, positive and strictly "
+                            "decreasing")
+    if not np.all((es > 0.0) & np.isfinite(es)):
+        raise ArgumentError("errors must be finite and positive")
     slope, _ = np.polyfit(np.log(hs), np.log(es), 1)
     return float(slope)

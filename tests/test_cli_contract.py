@@ -608,7 +608,8 @@ def test_a_3d_step_underflow_names_a_c_order_node(tmp_path, tiny, node):
 # each call overflows on its way to its result, and a run dispatches with
 # numpy's floating-point warnings off: the error line, or nothing at exit 0,
 # is all it prints.  The straight start path of both minimize cases
-# overflows, and the error names the boundary data
+# overflows, and the error names the boundary data; a domain whose width
+# overflows is a grid error, raised before any node is built
 @pytest.mark.parametrize("argv, status, stderr", [
     (["minimize", "--lagrangian", "q^2", "--alpha", "1e-300", "--domain", "0,1",
       "--n", "2", "--boundary=1e308,-1e308"], 2,
@@ -626,8 +627,11 @@ def test_a_3d_step_underflow_names_a_c_order_node(tmp_path, tiny, node):
       "--gamma=0,1"], 2, "FALVA-ERR domain: action value is not finite\n"),
     (["solve-bvp", "--lagrangian", "1/qdot", "--alpha", "1e-300", "--domain",
       "-1e300,1e300", "--n", "1000", "--boundary=0,1e308"], 0, ""),
+    (["action", "--lagrangian", "qdot^2/2", "--alpha", "0.5", "--domain",
+      "-1e308,1e308", "--n", "4", "--path", "tau"], 2,
+     "FALVA-ERR grid: grid width t - a overflows, got a=-1e+308, t=1e+308\n"),
 ], ids=["minimize-nan-start", "minimize-inf-start", "deriv-huge-gamma",
-        "cresson-action-overflow", "bvp-gap-overflow"])
+        "cresson-action-overflow", "bvp-gap-overflow", "grid-width-overflow"])
 def test_overflow_prints_no_numpy_warning(tmp_path, argv, status, stderr):
     assert _run_quietly(argv, tmp_path / "out.csv") == (status, stderr, [])
 

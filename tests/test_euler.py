@@ -23,6 +23,8 @@ from falva import (
     SlotMismatchError,
     StepFailure,
     action_1d,
+    action_2d,
+    action_nd,
     direct_minimize,
     el_residual_1d,
     el_residual_1d_cresson,
@@ -30,10 +32,12 @@ from falva import (
     el_residual_nd,
     parse,
     partial,
+    product_weights,
     rayleigh,
     solve_el_bvp,
     solve_el_ivp,
     trapezoid_action,
+    weighted_integral,
 )
 from falva import euler, find_root, observed_order, partials
 from falva.euler import _integrate_el, _solve_tridiagonal
@@ -85,6 +89,32 @@ def test_path_routes_share_one_order_check(route, alpha):
     with pytest.raises(DomainError) as info:
         _PATH_ROUTES[route](parse(FREE), alpha)
     assert str(info.value) == f"alpha must lie in (0,1), got {alpha!r}"
+
+
+_PLANE = GridFunctionND((Grid1D(0.0, 1.0, 8),) * 2, np.zeros((9, 9)))
+_PLANE_ORDERS = OrderSet.for_2d(0.5, 0.5, 0.5, 0.5, -1j)
+
+# every entry point that takes an observer time, each as route(observer)
+_OBSERVER_ROUTES = {
+    "action_2d": lambda t: action_2d(parse("q"), _PLANE, _PLANE_ORDERS, (t, 1.0)),
+    "action_nd": lambda t: action_nd(parse("q"), _PLANE, _PLANE_ORDERS, (1.0, t)),
+    "el_residual_2d": lambda t: el_residual_2d(parse("q^2/2"), _PLANE,
+                                               _PLANE_ORDERS, (t, 1.0)),
+    "el_residual_nd": lambda t: el_residual_nd(parse("q^2/2"), _PLANE,
+                                               _PLANE_ORDERS, (1.0, t)),
+    "el_residual_1d": lambda t: el_residual_1d(parse(FREE), _PATH, 0.5, observer=t),
+    "product_weights": lambda t: product_weights(_PATH.grid, 0.5, observer=t),
+    "weighted_integral": lambda t: weighted_integral(_PATH, 0.5, observer=t),
+    "rayleigh": lambda t: rayleigh(parse(FREE), _BELOW, _BELOW, 0.5, t),
+}
+
+
+@pytest.mark.parametrize("observer", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", _OBSERVER_ROUTES)
+def test_a_non_finite_observer_is_one_domain_error(route, observer):
+    with pytest.raises(DomainError) as info:
+        _OBSERVER_ROUTES[route](observer)
+    assert str(info.value) == f"observer time must be finite, got {observer!r}"
 
 
 _FLAGGED_ROUTES = {

@@ -153,18 +153,29 @@ class TestEvaluate:
     ])
     def test_real_argument_in_complex_mode(self, text, fn):
         # a complex binding elsewhere sets complex mode; the real-typed
-        # argument with a negative element takes the principal branch
+        # argument is taken as complex, and a negative element takes the
+        # principal branch
         q = np.array([0.1, 0.7, 1.5])
         out = evaluate(parse(text + " + 0*w"), {"q": q, "w": 1j})
         assert np.array_equal(out, fn((q - 0.5).astype(complex)))
         scalar = evaluate(parse(text + " + 0*w"), {"q": 0.25, "w": 1j})
         assert scalar == fn(complex(-0.25))
 
-    def test_nonnegative_argument_in_complex_mode_keeps_its_bits(self):
+    def test_fractional_power_of_a_node_ignores_the_other_nodes(self):
+        # np.power at every node: 2^0.5 is sqrt(2), with or without a zero
+        # base at another node
+        assert evaluate(parse("2^0.5"), {}) == math.sqrt(2.0)
+        out = evaluate(parse("q^0.5"), {"q": np.array([2.0, 0.0])})
+        assert out[0] == math.sqrt(2.0) and out[1] == 0.0
+
+    def test_nonnegative_argument_in_complex_mode_is_complex(self):
+        # every real-typed argument is taken as complex in complex mode; a
+        # non-negative one keeps the values of its real sqrt
         q = np.array([0.6, 0.7, 1.5])
         out = evaluate(parse("sqrt(q - 0.5)"), {"q": q, "w": 1j})
-        assert out.dtype == np.float64
-        assert np.array_equal(out, np.sqrt(q - 0.5))
+        assert out.dtype == np.complex128
+        assert np.array_equal(out.real, np.sqrt(q - 0.5))
+        assert not out.imag.any()
 
     def test_unbound_variable(self):
         with pytest.raises(EvalError, match="unbound"):

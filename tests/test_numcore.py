@@ -97,6 +97,10 @@ class TestGrid:
         for n in (float("nan"), float("inf"), None):
             with pytest.raises(GridError):
                 Grid1D(0.0, 1.0, n)
+        with pytest.raises(GridError, match=r"^grid width t - a overflows, got "
+                                            r"a=-1e\+308, t=1e\+308$"):
+            Grid1D(-1e308, 1e308, 4)
+        assert Grid1D(-1e308, 7e307, 4).h == 4.25e307  # a finite width passes
 
     def test_rejects_nonfinite_values(self):
         g = Grid1D(0.0, 1.0, 4)
@@ -285,6 +289,19 @@ class TestFindRoot:
         with pytest.raises(BracketingError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
+    @pytest.mark.parametrize("nan_at", [(0.0,), (1.0,), (0.0, 1.0), None])
+    def test_a_nan_end_does_not_bracket(self, nan_at):
+        # NaN at lo, at hi, at both ends, or everywhere
+        def g(x):
+            return math.nan if nan_at is None or x in nan_at else x - 0.3
+
+        with pytest.raises(BracketingError, match=r"^g is NaN at an end of \[0, 1\]"):
+            find_root(g, 0.0, 1.0, 1e-12)
+
+    def test_an_infinite_end_still_brackets(self):
+        g = lambda x: -math.inf if x == 0.0 else x - 0.3  # noqa: E731
+        assert find_root(g, 0.0, 1.0, 1e-12) == pytest.approx(0.3, abs=1e-12)
+
     def test_tiny_values_are_compared_by_sign(self):
         # products of two values near 1e-170 underflow to zero
         g = lambda x: 1e-170 * (x - 0.3)  # noqa: E731
@@ -341,6 +358,13 @@ class TestObservedOrder:
         with pytest.raises(ArgumentError):
             observed_order([(0.1, 0.01)])
 
-    def test_rejects_increasing_h(self):
-        with pytest.raises(ArgumentError):
-            observed_order([(0.05, 1.0), (0.1, 2.0)])
+    @pytest.mark.parametrize("err", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_an_error_that_is_not_finite_and_positive(self, err):
+        with pytest.raises(ArgumentError, match="errors must be finite and positive"):
+            observed_order([(0.1, 1.0), (0.05, err)])
+
+    @pytest.mark.parametrize("errors", [[(0.05, 1.0), (0.1, 2.0)],
+                                        [(math.inf, 1.0), (0.1, 0.5)]])
+    def test_rejects_increasing_or_infinite_h(self, errors):
+        with pytest.raises(ArgumentError, match="step sizes must be finite"):
+            observed_order(errors)

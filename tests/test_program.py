@@ -7,11 +7,13 @@ its first occurrence, so it must give the same bits and, where evaluation
 fails, the same first error.  A pruned program, which returns only some of
 the entries, must give those entries and fail as the full program does.
 A float program, for Python float parameters, must give the bits of the
-array program on one-element arrays, or its first error without the node
-index.  The shooting integrator runs the pruned float program of each RK4
-stage, inlined in one loop, screens a step once and replays it with each
-stage checked through the same program; it must give the bits, failures
-and first error of a plain RK4 on ``partials``.
+array program at every node, or its first error without the node index.
+The value at a node of an array evaluation must have the bits of that node
+evaluated alone: no node depends on another.  The shooting integrator runs
+the pruned float program of each RK4 stage, inlined in one loop, screens a
+step once and replays it with each stage checked through the same program;
+it must give the bits, failures and first error of a plain RK4 on
+``partials``.
 """
 
 import builtins
@@ -87,16 +89,11 @@ def _tree_eval(node, env):
         expo = walk(node.rhs)
         if complex_mode:
             _check(base == 0, "zero base under a general power")
-            base = _principal(base)
-        else:
-            _check(np.real(base) < 0,
-                   "negative base under a fractional power in real mode")
-            zero = np.asarray(np.real(base) == 0)
-            if np.any(zero):
-                _check(zero & np.asarray(np.real(expo) <= 0),
-                       "zero base under a non-positive power")
-                return np.power(base, expo)
-        return np.exp(expo * np.log(base))
+            return np.exp(expo * np.log(_principal(base)))
+        _check(np.real(base) < 0, "negative base under a fractional power in real mode")
+        _check((np.real(base) == 0) & (np.real(expo) <= 0),
+               "zero base under a non-positive power")
+        return np.power(base, expo)
 
     def call(node):
         arg = walk(node.arg)
@@ -181,10 +178,11 @@ TUPLES = st.lists(st.lists(st.sampled_from(NAMES), min_size=1, max_size=2)
 
 
 @st.composite
-def environments(draw):
-    """Scalars and length-3 arrays holding zeros and negatives, all real or
-    some complex; now and then one variable is left unbound."""
-    complex_mode = draw(st.booleans())
+def environments(draw, complex_mode=st.booleans()):
+    """Scalars and length-3 arrays holding zeros and negatives, all real or,
+    in complex mode, some complex; now and then one variable is left
+    unbound."""
+    complex_mode = draw(complex_mode)
     env = {}
     for name in NAMES:
         scalar = COMPLEXES if complex_mode and draw(st.booleans()) else REALS
@@ -211,6 +209,41 @@ def test_program_matches_the_tree_walk(text, env, tuples):
                          _outcome(lambda: _tree_eval(expr.ast, env)))
     _assert_same_outcome(_outcome(lambda: partials(expr, tuples, env)),
                          _outcome(lambda: _tree_partials(expr, tuples, env)))
+
+
+def _node(env, k):
+    """``env`` with each array binding cut to its node ``k``."""
+    return {name: v[k:k + 1] if np.ndim(v) else v for name, v in env.items()}
+
+
+# all real, or with a complex binding that the expressions do not read, so
+# that every binding they read may be real-typed in complex mode
+EITHER_MODE = st.one_of(environments(st.just(False)),
+                        environments(st.just(True)).map(lambda env: {**env, "z": 1j}))
+
+
+@settings(max_examples=400)
+@given(text=EXPRESSIONS, env=EITHER_MODE)
+@example(text="(q)^0.5", env={"q": np.array([0.0, 2.0, 3.0])})
+@example(text="log(q) + sqrt(qdot)", env={"q": np.array([0.7, -1.0, 2.0]),
+                                          "qdot": np.array([0.5, 3.0, -2.5]),
+                                          "z": 1j})
+def test_a_node_depends_on_that_node_alone(text, env):
+    # node k of an evaluation over arrays has the bits of node k evaluated
+    # alone, real or complex; where the arrays fail, their first failing
+    # node fails alone with the same error, and an error without a node
+    # fails every node
+    expr = parse(text)
+    whole = _outcome(lambda: evaluate(expr, env))
+    for k in range(3):
+        alone = _outcome(lambda: evaluate(expr, _node(env, k)))
+        if whole[0] == "ok":
+            value = whole[1]
+            _assert_same_outcome(alone, ("ok", value[k:k + 1] if np.ndim(value)
+                                         else value))
+        elif whole[3] in (None, k):
+            message = re.sub(r"\(node \d+\)$", "(node 0)", whole[2])
+            assert alone == whole[:2] + (message, None if whole[3] is None else 0)
 
 
 @settings(max_examples=400)
@@ -345,39 +378,47 @@ FLOAT_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 800.0,
 
 @settings(max_examples=400)
 @given(text=st.one_of(EXPRESSIONS, EXPRESSIONS.map("({})^17".format)),
-       tuples=TUPLES, values=st.tuples(FLOAT_VALUES, FLOAT_VALUES, FLOAT_VALUES),
+       tuples=TUPLES, nodes=st.lists(st.tuples(FLOAT_VALUES, FLOAT_VALUES,
+                                               FLOAT_VALUES), min_size=1, max_size=4),
        field=st.booleans())
-@example(text="sqrt(qdot) + log(q)", tuples=[("q",)], values=(-1.0, 1.0, 0.0),
+@example(text="sqrt(qdot) + log(q)", tuples=[("q",)], nodes=[(-1.0, 1.0, 0.0)],
          field=False)
-@example(text="exp(q)*qdot^2/2", tuples=[], values=(1.0, 800.0, 0.0),
+@example(text="exp(q)*qdot^2/2", tuples=[], nodes=[(1.0, 800.0, 0.0)],
          field=True)
-def test_float_program_matches_the_array_program(text, tuples, values, field):
-    # on Python floats, a float program returns Python floats with the bits
-    # of the array program on one-element arrays, or raises its EvalError
-    # without the node index.  A NaN may differ in its sign bit (numpy's
-    # array loop and its scalar path produce different NaNs for cos(inf)),
-    # which no result or CSV cell shows
+@example(text="(q)^0.5", tuples=[], nodes=[(1.0, 0.0, 0.0), (1.0, 2.0, 0.0)],
+         field=False)
+def test_float_program_matches_the_array_program(text, tuples, nodes, field):
+    # on the Python floats of each node, a float program returns Python
+    # floats with the bits of the array program at that node.  Where the
+    # array program fails, the float program of its failing node raises the
+    # same EvalError without the node index, and an error without a node
+    # fails every node.  A NaN may differ in its sign bit (numpy's array
+    # loop and its scalar path produce different NaNs for cos(inf)), which
+    # no result or CSV cell shows
     expr = parse(text)
     if field:  # the shooting field, with a damping
         args = (_ACCEL_PARTIALS, False, _ACCEL_RETURNS, _FIELD)
-        values += (0.75,)
+        nodes = [values + (0.75,) for values in nodes]
     else:
         returned = "".join(f"{{{i}}}, " for i in range(len(tuples) + 1))
         args = (tuple(tuples), False, None, (NAMES, returned))
     floats = exprdsl._program(expr, *args, True)
-    got = _outcome(lambda: floats(*values))
     want = _outcome(lambda: exprdsl._program(expr, *args)(
-        *(np.array([value]) for value in values)))
-    if want[0] == "error":
-        assert got == want[:2] + (re.sub(r" \(node 0\)$", "", want[2]), None)
-        return
-    assert got[0] == "ok", got
-    assert len(got[1]) == len(want[1])
-    for g, w in zip(got[1], want[1]):
-        w = np.asarray(w, dtype=float)
-        assert type(g) is float, (g, w)
-        assert (math.isnan(g) and np.isnan(w).all()
-                or np.float64(g).tobytes() == w.tobytes()), (g, w)
+        *(np.array(column) for column in zip(*nodes))))
+    for k, values in enumerate(nodes):
+        got = _outcome(lambda: floats(*values))
+        if want[0] == "error":
+            if want[3] in (None, k):
+                assert got == want[:2] + (re.sub(r" \(node \d+\)$", "", want[2]),
+                                          None)
+            continue
+        assert got[0] == "ok", got
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            w = np.broadcast_to(np.asarray(w, dtype=float), len(nodes))[k]
+            assert type(g) is float, (g, w)
+            assert (math.isnan(g) and np.isnan(w)
+                    or np.float64(g).tobytes() == w.tobytes()), (k, g, w)
 
 
 # ---------------------------------------------------------------------------

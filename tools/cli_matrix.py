@@ -287,6 +287,9 @@ CALLS = (
     ("parse-error", ["action", "--lagrangian", "qdot^^2", "--alpha", "0.5", *LINE]),
     ("bad-grid", ["action", *L1, "--alpha", "0.5", "--domain", "1,0", "--n", "16",
                   "--path", "tau"]),
+    ("grid-width-overflow", ["action", "--lagrangian", "qdot^2/2", "--alpha", "0.5",
+                             "--domain", "-1e308,1e308", "--n", "4", "--path",
+                             "tau"]),
     ("unwritable-out", ["action", *L1, "--alpha", "0.5", *LINE, "--out",
                         "missing/out.csv"]),
 )
