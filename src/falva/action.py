@@ -155,10 +155,21 @@ def _locate(err: EvalError, shape, offsets) -> EvalError:
     return EvalError(f"{err} [grid node {node}]", index=err.index)
 
 
+def _finite_samples(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, a raw sample array, or a GridError that names ``what``
+    and its first non-finite node."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise GridError(f"{what} holds a non-finite value at node "
+                        f"{int(np.argmax(bad))}")
+    return values
+
+
 def _qdot_samples(q: GridFunction, qdot, caller: str):
     """Velocity samples: supplied analytically or by central differences.
     The classic 1D route ``caller`` reads every node, so a flagged ``q`` or
-    ``qdot``, which holds a placeholder there, is a GridError."""
+    ``qdot``, which holds a placeholder there, is a GridError, and so is a
+    raw ``qdot`` array with a non-finite value."""
     for name, f in (("path", q), ("qdot", qdot)):
         if isinstance(f, GridFunction) and f.flags.any():
             raise GridError(f"{caller} expects an unflagged {name}")
@@ -171,7 +182,7 @@ def _qdot_samples(q: GridFunction, qdot, caller: str):
     v = np.asarray(qdot, dtype=np.float64)
     if v.shape != q.values.shape:
         raise GridError("qdot sample array does not match the path grid")
-    return v, "analytic"
+    return _finite_samples(v, "qdot sample array"), "analytic"
 
 
 def action_1d(L: LagrangianExpr, q: GridFunction, alpha: float,

@@ -445,16 +445,20 @@ class _Inputs:
     """What a deriv, action or residual run of ``kind`` takes from its spec
     whatever its orders: the grids, the Lagrangian (None for a deriv) and
     the sampled field, a checked GridFunctionND (a GridFunction in 1D),
-    read in that order when built.  The velocity samples and, for a 1D
-    action, the classical reference are built on first use and kept, so a
-    run meets their errors where it reads them.  A sweep builds one and
-    hands it to every alpha row."""
+    read in that order when built.  The field's samples, from the path
+    expression or the path file, are a read-only array that owns its
+    memory, so ``fracops`` keeps a 1D path's slope spectrum for as long as
+    the field lives and every Cresson row of a sweep shares it.  The
+    velocity samples and, for a 1D action, the classical reference are
+    built on first use and kept, so a run meets their errors where it
+    reads them.  A sweep builds one and hands it to every alpha row."""
 
     def __init__(self, spec: Spec, kind: str):
         self.spec = spec
         self.grids = spec.grids()
         self.expr = None if kind == "deriv" else spec.expr("lagrangian")
-        values = _field_for(spec, self.grids)
+        values = np.require(_field_for(spec, self.grids), requirements="O")
+        values.flags.writeable = False
         self.field = (GridFunction(self.grids[0], values) if len(self.grids) == 1
                       else GridFunctionND(self.grids, values))
 

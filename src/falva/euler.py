@@ -67,6 +67,7 @@ from .action import (
     _check_path_problem,
     _check_slots,
     _eval_field,
+    _finite_samples,
     _fractional_env,
     _partial_fields,
     _qdot_samples,
@@ -214,8 +215,8 @@ def rayleigh(L: LagrangianExpr, qdot: GridFunction, q: GridFunction,
              alpha: float, t_observer: float, tau=None) -> GridFunction:
     """Dissipation samples R = (1 - alpha) L(qdot, q, tau) / (t - tau).
 
-    The observer time must be finite, and every tau node must lie
-    strictly below it.
+    The observer time and every tau sample must be finite, and every tau
+    node must lie strictly below the observer.
     """
     _check_slots(L, _PATH_SLOTS)
     if not 0.0 < alpha <= 1.0:
@@ -225,6 +226,7 @@ def rayleigh(L: LagrangianExpr, qdot: GridFunction, q: GridFunction,
     nodes = q.grid.nodes if tau is None else np.asarray(tau, dtype=np.float64)
     if nodes.shape != q.values.shape:
         raise GridError("tau samples do not match the grid")
+    _finite_samples(nodes, "tau sample array")
     if np.max(nodes) >= t_observer:
         raise SingularNodeError(
             f"tau = {float(np.max(nodes))!r} is not strictly below t = {t_observer!r}"

@@ -24,8 +24,11 @@ its complex weight is nonzero, so the gamma_w = -i / +i collapses are exact
 including their flags.
 
 N-dimensional fields live in row-major (C-order) storage; applying the
-operator along an axis is a gather of every 1D line parallel to that axis,
-a batched 1D apply, and a scatter back.  A field is a ``GridFunctionND``
+operator along an axis is a batched 1D apply to every line parallel to
+that axis.  The lines are read through a view of the field and written
+through a view of the C-order result (``_line_view``), so along any axis
+the call holds no line-major copy of either; only the slopes are gathered,
+line by line.  A field is a ``GridFunctionND``
 (defined in ``numcore``, listed here); a path's ``GridFunction`` is its
 one-axis case, so ``axis_cresson`` takes a path as it is, and ``cresson``
 only makes its one-axis result a ``GridFunction`` again (``as_1d``).
@@ -45,7 +48,15 @@ far below the scheme's O(h^(2-al)) discretisation error there.
 
 The combined operator with both weights nonzero costs one forward
 transform per line (two for a complex line, its real and imaginary parts)
-and one inverse transform each for the real and imaginary parts of D.  L's
+and one inverse transform each for the real and imaginary parts of D.  The
+forward transform of a path is taken once per path, not once per call,
+when the path is one real line whose samples are read-only and own their
+memory, as the command line's are: its slopes' spectrum is kept with the
+path (``_slope_spectrum``), so every alpha row of a sweep shares it.  A
+writeable path is transformed on every call, and so is every line of an
+N-dimensional field.  Each block of lines is assembled in place: the
+inverse transform of the real part of D, its boundary terms, written into
+the result's real part, then the same for the imaginary part.  L's
 slope integral is the convolution with the left kernel's spectrum, moved
 one node on by a phase factor; R's is the correlation with the right
 kernel, whose spectrum is the conjugate, so no reflected copy is made.
@@ -74,13 +85,19 @@ apart from the plans, for the last three sizes (``_delay``, one size per
 axis of a 3D field): 16 to 32 B per cell, 0.25 MB at n = 16384 and 64 MB
 for a line at the 2^22-node cap, so at most 192 MB.  The two weighted
 spectra of a call are built from the plans and the factor per call and
-not kept.  Neither are a call's temporaries; under the command line on
-glibc they come from heap the process keeps (``cli._keep_freed_heap``)
+not kept.  A kept path's slope spectrum (``_SLOPE_SPECTRA``, keyed by the
+path and dropped with it) holds 8 B per transform entry: 256 KB at
+n = 16384 and 64 MB for a line at the 2^22-node cap, for as long as its
+path lives.  A call's temporaries are not kept either; under the command
+line on glibc they come from heap the process keeps (``cli._keep_freed_heap``)
 rather than from pages mapped and faulted in again on every call.  Lines
 go through the transforms in blocks of at most ``_FFT_BLOCK`` = 2^14
 transform entries, so the temporaries of a block (32 lines of a 257-node
 axis) are a few hundred KB and do not add to the peak of a field-sized
-call such as the Euler-Lagrange residual.
+call such as the Euler-Lagrange residual.  The product of a complex
+line's two spectra with the transfer spectra runs ``_PRODUCT_CHUNK`` =
+4096 entries at a time, so on a long line it adds no spectrum-sized
+temporary and the kept spectrum adds nothing to the residual's peak.
 """
 
 from __future__ import annotations
@@ -88,6 +105,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -200,6 +218,15 @@ _FFT_BLOCK = 2**14
 _KERNEL_PLANS = 6
 _KERNEL_PLAN_BYTES = 2**29
 
+# Spectrum entries per step of the product of a complex line's spectra
+# with the transfer spectra (``_complex_product``), so that its temporaries
+# stay small next to a long line's spectra.
+_PRODUCT_CHUNK = 4096
+
+# The slope spectrum of each kept path, by path; an entry goes with its
+# path (``_slope_spectrum``; sizes in the module notes).
+_SLOPE_SPECTRA = weakref.WeakKeyDictionary()
+
 
 class _PlanCacheInfo(NamedTuple):
     hits: int
@@ -286,6 +313,30 @@ def _line_kernel(nseg: int, h: float, order: float):
     for arr in (kern, spec, boundary):
         arr.flags.writeable = False
     return kern, spec, size, boundary
+
+
+def _line_view(a: np.ndarray, axis: int) -> np.ndarray:
+    """The lines of the C-order array ``a`` along ``axis`` as a view of it,
+    the nodes of each line on the last axis: (lines, nodes) when ``axis``
+    is the first or the last, else (outer, inner, nodes), since no 2D view
+    holds the lines of a middle axis.  Lines are numbered in C order of
+    the other axes."""
+    outer = math.prod(a.shape[:axis])
+    v = a.reshape(outer, a.shape[axis], -1).transpose(0, 2, 1)
+    if outer == 1:
+        return v[0]
+    if v.shape[1] == 1:
+        return v[:, 0]
+    return v
+
+
+def _at(lines: np.ndarray, rows):
+    """The index of the lines ``rows`` (line numbers: an index array or a
+    slice) in a ``_line_view``."""
+    if lines.ndim == 2:
+        return rows
+    lead = lines.shape[:-1]
+    return np.unravel_index(np.arange(math.prod(lead))[rows], lead)
 
 
 def _rl_left_lines(vals: np.ndarray, h: float, order: float):
@@ -389,97 +440,177 @@ def _transfer_spectra(lspec, rspec, size: int, w_left: complex,
     return to_re, to_im
 
 
+def _keeps_spectrum(field: GridFunctionND) -> bool:
+    """Whether the slope spectrum of ``field`` is kept (``_slope_spectrum``):
+    a one-axis real field whose samples are read-only and own their memory,
+    so they do not change after their check (see ``GridFunctionND``)."""
+    v = field.values
+    return (field.ndim == 1 and v.dtype == np.float64
+            and not v.flags.writeable and v.flags.owndata)
+
+
+def _slope_spectrum(slopes: np.ndarray, sel, size: int, path) -> np.ndarray:
+    """The real FFT of ``slopes[sel]`` at ``size`` points.  For ``path``,
+    a field whose spectrum is kept (``_keeps_spectrum``) and whose one line
+    ``slopes`` holds, it is taken on the first call and kept, read-only,
+    until the path is gone; for ``path`` None it is the caller's own."""
+    if path is None:
+        return np.fft.rfft(slopes[sel], size, axis=1)
+    spec = _SLOPE_SPECTRA.get(path)
+    if spec is None:
+        spec = np.fft.rfft(slopes[sel], size, axis=1)
+        spec.flags.writeable = False
+        # a thread that kept the same spectrum first wins; the bits agree
+        spec = _SLOPE_SPECTRA.setdefault(path, spec)
+    return spec
+
+
+def _complex_product(re: np.ndarray, im: np.ndarray, to_re, to_im) -> None:
+    """(re + i im) times (to_re + i to_im), in place in ``re`` and ``im``:
+    the spectra of a block of complex lines' real and imaginary parts
+    taken to those of D.  It runs ``_PRODUCT_CHUNK`` entries of each line
+    at a time, so no temporary is as large as a spectrum."""
+    for lo in range(0, re.shape[1], _PRODUCT_CHUNK):
+        c = slice(lo, lo + _PRODUCT_CHUNK)
+        r, i, t_re, t_im = re[:, c], im[:, c], to_re[c], to_im[c]
+        tmp = i * t_im
+        i *= t_re
+        i += r * t_im
+        r *= t_re
+        r -= tmp
+
+
+def _add_boundary(x: np.ndarray, terms, lbound, rbound) -> None:
+    """Add the boundary terms to ``x``, one part (real or imaginary) of a
+    block of lines of w_left L + w_right R.  ``terms`` holds (start values,
+    end values, left weight, right weight) per part of the lines' values;
+    the start value's term lies past node 0, the end value's before node
+    nseg, and a zero weight is skipped."""
+    # a zero value against an infinite factor (subnormal h) is NaN, which
+    # the caller's non-finite check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, end, wl, wr in terms:
+            if wl != 0:
+                term = start * lbound
+                term *= wl
+                x[:, 1:] += term
+            if wr != 0:
+                term = end * rbound
+                term *= wr
+                x[:, :-1] += term
+
+
 def _two_sided_lines(out, vals, slopes, rows, h: float, pair, w_left: complex,
-                     w_right: complex) -> None:
-    """Write w_left L + w_right R of the rows ``rows`` into ``out``, from
-    one real FFT of each row's slopes (two for a complex row: its real and
-    imaginary parts) and one inverse FFT each for the real and imaginary
-    parts of the sum (``_transfer_spectra``); the boundary terms are added
-    after.  Every product of a row with a spectrum broadcasts the spectrum
-    along the row, so a row's bits do not depend on the batch.  The rows'
-    slopes must be finite (the caller's check).
+                     w_right: complex, path=None) -> None:
+    """Write w_left L + w_right R of the lines ``rows`` (flat line numbers)
+    of ``vals`` into the same lines of ``out`` (both ``_line_view``s), from
+    one real FFT of each line's slopes (two for a complex line: its real
+    and imaginary parts) and one inverse FFT each for the real and
+    imaginary parts of the sum (``_transfer_spectra``).  ``slopes`` holds
+    the slopes of every line, (lines, cells); those of ``rows`` must be
+    finite (the caller's check).
+
+    Each part is assembled in place: its inverse FFT, then its boundary
+    terms, then written to ``out.real`` or ``out.imag``.  Every product of
+    a line with a spectrum broadcasts the spectrum along the line, so a
+    line's bits do not depend on the batch.  When ``rows`` are all the
+    lines, the blocks are slices, not copies.  ``path`` is the one-line
+    field of ``vals`` if its slope spectrum is kept (``_slope_spectrum``),
+    else None.
     """
     nseg = slopes.shape[1]
     _, lspec, size, lbound = _line_kernel(nseg, h, pair[0])
     _, rspec, _, rbound = _line_kernel(nseg, h, pair[1])
     to_re, to_im = _transfer_spectra(lspec, rspec, size, w_left, w_right)
     rbound = rbound[::-1]
-    parts = [(vals, 1.0)]
+    first, last = vals[..., :1].reshape(-1, 1), vals[..., -1:].reshape(-1, 1)
+    ends, units = [(first, last)], [1.0]
     if np.iscomplexobj(vals):
-        parts = [(vals.real, 1.0), (vals.imag, 1j)]
+        ends = [(first.real, last.real), (first.imag, last.imag)]
+        units = [1.0, 1j]
+    # the weights of the end values of each part of the lines, in the real
+    # and in the imaginary part of D
+    weights = {name: [(getattr(u * w_left, name), getattr(u * w_right, name))
+                      for u in units] for name in ("real", "imag")}
+    whole = rows.size == slopes.shape[0]
     step = max(1, _FFT_BLOCK // size)
     for lo in range(0, rows.size, step):
-        sel = rows[lo:lo + step]
+        sel = slice(lo, lo + step) if whole else rows[lo:lo + step]
         if np.iscomplexobj(slopes):
-            # (a + ib) (to_re + i to_im), taken part by part
             re = np.fft.rfft(slopes.real[sel], size, axis=1)
             im = np.fft.rfft(slopes.imag[sel], size, axis=1)
-            tmp = im * to_im
-            im *= to_re
-            im += re * to_im
-            re *= to_re
-            re -= tmp
-            del tmp
+            _complex_product(re, im, to_re, to_im)
         else:
-            im = np.fft.rfft(slopes[sel], size, axis=1)
-            re = im * to_re
-            im *= to_im
-        block = np.empty((sel.size, nseg + 1), dtype=np.complex128)
-        block.real = np.fft.irfft(re, size, axis=1)[:, :nseg + 1]
-        del re
-        block.imag = np.fft.irfft(im, size, axis=1)[:, :nseg + 1]
-        # the boundary terms, the start value's past node 0 and the end
-        # value's before node nseg; a zero value against an infinite factor
-        # (subnormal h) is NaN, which the caller's non-finite check reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            for line, unit in parts:
-                _add_weighted(block[:, 1:], unit * w_left, line[sel, :1] * lbound)
-                _add_weighted(block[:, :-1], unit * w_right,
-                              line[sel, -1:] * rbound)
-        out[sel] = block
+            spec = _slope_spectrum(slopes, sel, size, path)
+            re = spec * to_re
+            im = np.multiply(spec, to_im,
+                             out=spec if spec.flags.writeable else None)
+            del spec
+        # each part of D in turn: its inverse FFT (the spectrum is popped,
+        # so it is freed once transformed), its boundary terms, its place
+        spectra = {"real": re, "imag": im}
+        del re, im
+        at = _at(out, sel)
+        for name in ("real", "imag"):
+            x = np.fft.irfft(spectra.pop(name), size, axis=1)[:, :nseg + 1]
+            _add_boundary(x, [(s[sel], e[sel], wl, wr) for (s, e), (wl, wr)
+                              in zip(ends, weights[name])], lbound, rbound)
+            getattr(out, name)[at] = x
+            del x
 
 
 def _per_side_lines(vals: np.ndarray, h: float, pair, w_left: complex,
-                    w_right: complex):
-    """w_left L + w_right R with each side applied on its own: returns
-    (out, start_flags, end_flags).  An operand with an exactly-zero weight
-    is skipped, so its flags do not propagate."""
-    out = np.zeros(vals.shape, dtype=np.complex128)
+                    w_right: complex, out: np.ndarray):
+    """Write w_left L + w_right R of the lines ``vals``, (lines, nodes),
+    into ``out``, as many lines in a ``_line_view``, with each side applied
+    on its own: returns (start_flags, end_flags).  An operand with an
+    exactly-zero weight is skipped, so its flags do not propagate."""
+    out[...] = 0
     start = end = np.zeros(vals.shape[0], dtype=bool)
     if w_left != 0:
         lvals, start = _rl_left_lines(vals, h, pair[0])
-        _add_weighted(out, w_left, lvals)
+        _add_weighted(out, w_left, lvals.reshape(out.shape))
     if w_right != 0:
         rvals, end = _rl_right_lines(vals, h, pair[1])
-        _add_weighted(out, w_right, rvals)
-    return out, start, end
+        _add_weighted(out, w_right, rvals.reshape(out.shape))
+    return start, end
 
 
-def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex):
-    """Combined operator along the last axis: returns (out, start_flags,
-    end_flags).
+def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex,
+                   out: np.ndarray, path=None):
+    """Combined operator along the last axis of ``vals``, written into
+    ``out`` (both ``_line_view``s): returns (start_flags, end_flags), one
+    per line.
 
     At gamma_w = -i or +i one weight is exactly zero, and the other side
     alone is applied (``_per_side_lines``), so the collapses are exact.
-    Otherwise rows with finite slopes take the two-sided transform
-    (``_two_sided_lines``), and a row holding a non-finite slope applies
-    each side on its own, where the direct sum keeps the value local.
+    Otherwise lines with finite slopes take the two-sided transform
+    (``_two_sided_lines``; ``path`` as there), and a line holding a
+    non-finite slope applies each side on its own, where the direct sum
+    keeps the value local.
     """
     w_left = 0.5 * (1.0 + 1j * gamma_w)
     w_right = 0.5 * (1j * gamma_w - 1.0)
+    n = vals.shape[-1]
     if w_left == 0 or w_right == 0:
-        return _per_side_lines(vals, h, pair, w_left, w_right)
-    # a slope that overflows is kept: its row takes the per-side path
+        return _per_side_lines(vals.reshape(-1, n), h, pair, w_left, w_right,
+                               out)
+    # the slopes in line order; a slope that overflows is kept: its line
+    # takes the per-side route
+    slopes = np.empty(vals.shape[:-1] + (n - 1,), dtype=vals.dtype)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slopes = np.diff(vals, axis=1) / h
+        np.subtract(vals[..., 1:], vals[..., :-1], out=slopes)
+        slopes /= h
+    slopes = slopes.reshape(-1, n - 1)
     finite = np.isfinite(slopes).all(axis=1)
-    out = np.empty(vals.shape, dtype=np.complex128)
     _two_sided_lines(out, vals, slopes, np.flatnonzero(finite), h, pair,
-                     w_left, w_right)
+                     w_left, w_right, path)
     rest = np.flatnonzero(~finite)
     if rest.size:
-        out[rest] = _per_side_lines(vals[rest], h, pair, w_left, w_right)[0]
-    return out, vals[:, 0] != 0, vals[:, -1] != 0
+        lines = np.empty((rest.size, n), dtype=np.complex128)
+        _per_side_lines(vals[_at(vals, rest)], h, pair, w_left, w_right, lines)
+        out[_at(out, rest)] = lines
+    return vals[..., 0] != 0, vals[..., -1] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +662,14 @@ def axis_cresson(field: GridFunctionND, axis: int, orders: OrderSet) -> GridFunc
         raise DomainError(
             f"OrderSet has {orders.ndim} axes but the field has {field.ndim}"
         )
-    moved = np.moveaxis(field.values, axis, -1)
-    shape = moved.shape
-    lines = moved.reshape(-1, shape[-1])
-    out, start, end = _cresson_lines(
-        lines, field.grids[axis].h, orders.pair(axis), orders.gamma_w
+    values = np.empty(field.values.shape, dtype=np.complex128)
+    start, end = _cresson_lines(
+        _line_view(field.values, axis), field.grids[axis].h, orders.pair(axis),
+        orders.gamma_w, _line_view(values, axis),
+        field if _keeps_spectrum(field) else None,
     )
-    newflags = np.zeros(lines.shape, dtype=bool)
-    newflags[:, 0] |= start
-    newflags[:, -1] |= end
-    values = np.moveaxis(out.reshape(shape), -1, axis)
-    flags = np.moveaxis(newflags.reshape(shape), -1, axis) | field.flags
+    flags = field.flags.copy()
+    ends = _line_view(flags, axis)
+    ends[..., 0] |= start.reshape(ends.shape[:-1])
+    ends[..., -1] |= end.reshape(ends.shape[:-1])
     return GridFunctionND(field.grids, values, flags)

@@ -146,6 +146,14 @@ class GridFunctionND:
     nodes.  The samples are checked once, when the object is built.
     Equality and hashing are by identity; compare the samples of two
     fields with ``np.array_equal``.
+
+    A float64 or complex128 C-order ``values`` array is kept as it is, not
+    copied.  Samples given as a read-only array that owns its memory are
+    relied on not to change: ``fracops`` keeps the slope spectrum of such a
+    one-axis real field for as long as the field lives.  Re-enabling writes
+    on that array (``flags.writeable = True``), or writing through a view
+    made before it became read-only, is unsupported.  A writeable array
+    may be changed between calls; nothing derived from it is kept.
     """
 
     grids: tuple

@@ -1318,6 +1318,60 @@ def test_a_sweep_checks_its_path_once(tmp_path, monkeypatch, kind, checks):
     assert len(calls) == checks
 
 
+def _cresson_sweep(kind, alphas, source):
+    """A 1D Cresson sweep of ``kind`` over ``alphas`` on the path ``source``."""
+    functional = ([] if kind == "deriv" else
+                  ["--lagrangian", "qdot^2/2 - 1.2*q^2/2", "--variant", "cresson"])
+    return ["sweep", "--sweep-kind", kind, *functional, "--gamma=0.3,-0.7",
+            "--alpha", alphas, "--domain", "0,1", *source]
+
+
+@pytest.mark.parametrize("kind, transforms", [("action", 1), ("residual", 7)])
+def test_a_cresson_sweep_transforms_its_path_once(tmp_path, monkeypatch, kind,
+                                                  transforms):
+    # the rows share the slope spectrum of the sweep's read-only path; a
+    # residual row adds the two parts of its complex momentum.  A job of
+    # both sweeps, as line1d runs them, makes 1 + 7 = 8 forward transforms;
+    # with every row transforming the path it made 3 + 9 = 12
+    argv = _cresson_sweep(kind, "0.25,0.5,0.75",
+                          ["--n", "512", "--path", "0.9*tau^1.5"])
+    out = tmp_path / "out.csv"
+    assert _run_quietly(argv, out) == (0, "", [])  # builds the kernel plans
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(fracops.np.fft, "rfft",
+                        lambda *args, **kwargs: calls.append(1)
+                        or rfft(*args, **kwargs))
+    assert _run_quietly(argv, out) == (0, "", [])
+    assert _read_csv(out)[2][3] == ["ok"] * 3
+    assert len(calls) == transforms
+
+
+@pytest.mark.parametrize("alphas", ["0.25,0.5,0.75", "1e-310,0.5,0.75"])
+@pytest.mark.parametrize("source", ["path", "path-file"])
+@pytest.mark.parametrize("kind", ["action", "residual", "deriv"])
+def test_each_cresson_sweep_row_has_the_bytes_of_its_own_sweep(
+        tmp_path, kind, source, alphas):
+    # a row that reads the kept spectrum, one that fills it, and rows after
+    # a first row that failed write what a sweep of their alpha alone writes
+    field = tmp_path / "line.csv"
+    field.write_text("shape,17\n" + "".join(f"{math.sin(k / 16) + k * k / 256!r}\n"
+                                           for k in range(17)), encoding="utf-8")
+    path = {"path": ["--path", "sin(tau) + tau^2"],
+            "path-file": ["--path-file", str(field)]}[source]
+
+    def rows(alpha_list):
+        argv = _cresson_sweep(kind, alpha_list, ["--n", "16", *path])
+        out = tmp_path / "out.csv"
+        assert _run_quietly(argv, out) == (0, "", [])
+        return out.read_text(encoding="utf-8").split("\n")[3:-1]
+
+    together = rows(alphas)
+    assert together == [rows(alpha)[0] for alpha in alphas.split(",")]
+    assert ("FALVA-ERR" in together[0]) == (kind == "action"
+                                            and alphas.startswith("1e-310"))
+
+
 def _with_and_without_bom(tmp_path, name, text, argv_for):
     """The output bytes of one call with the file ``name`` holding ``text``,
     and of the same call with the file led by a UTF-8 byte-order mark."""

@@ -23,6 +23,7 @@ from falva import (
     SlotMismatchError,
     StepFailure,
     action_1d,
+    action_1d_cresson,
     action_2d,
     action_nd,
     direct_minimize,
@@ -142,6 +143,38 @@ def test_path_routes_reject_a_flagged_sample(route, flagged, placeholder):
         with pytest.raises(GridError) as info:
             _FLAGGED_ROUTES[route](q, qdot)
     assert str(info.value) == f"{route} expects an unflagged {flagged}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", _FLAGGED_ROUTES)
+def test_a_raw_qdot_array_with_a_non_finite_value_is_one_grid_error(route, bad):
+    # a raw array is checked where it is taken in, so the error names it and
+    # its first bad node; a NaN at node 2 was "action value is not finite"
+    # from action_1d and "non-finite value at unflagged node 1" from
+    # el_residual_1d, where the central difference had spread it
+    grid = _PATH.grid
+    q = GridFunction(grid, np.sin(grid.nodes))
+    qdot = np.cos(grid.nodes)
+    qdot[2], qdot[5] = bad, math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError) as info:
+            _FLAGGED_ROUTES[route](q, qdot)
+    assert str(info.value) == "qdot sample array holds a non-finite value at node 2"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_raw_tau_array_with_a_non_finite_value_is_one_grid_error(bad):
+    # a NaN was "non-finite value at unflagged node 2" of the output, and an
+    # inf a SingularNodeError against the observer
+    tau = [0.0, 0.1, bad, 0.3, math.nan]
+    g = Grid1D(0.0, 0.4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError) as info:
+            rayleigh(parse(FREE), GridFunction(g, np.ones(5)),
+                     GridFunction(g, np.zeros(5)), 0.5, 1.0, tau=tau)
+    assert str(info.value) == "tau sample array holds a non-finite value at node 2"
 
 
 def test_action_1d_checks_the_order_before_the_path():
@@ -419,6 +452,23 @@ def test_the_3d_residual_holds_at_most_ten_fields():
     peak = _fields_at_peak(lambda: el_residual_nd(L, q, orders, (1.0, 1.0, 1.0)),
                            q.values.shape)
     assert peak <= 10.0
+
+
+@pytest.mark.parametrize("functional, most", [(el_residual_1d_cresson, 11.0),
+                                              (action_1d_cresson, 7.0)])
+def test_a_1d_cresson_call_on_a_kept_path_stays_in_its_bound(functional, most):
+    # the calls of the line1d workload, on a path whose slope spectrum is
+    # kept; the bound is in arrays of 16385 complex entries.  Each block
+    # assembled in place and the complex momentum's spectrum product taken
+    # in chunks brought the residual from 11.78 to 10.78 and the action from
+    # 7.58 to 6.58; without the chunks the residual read 11.78
+    g = Grid1D(0.0, 1.0, 16384)
+    values = 0.9 * g.nodes ** 1.5
+    values.flags.writeable = False
+    q = GridFunction(g, values)
+    orders = OrderSet.for_1d(0.5, 0.5, 0.3 + 0.4j)
+    L = parse("qdot^2/2 - 1.2*q^2/2")
+    assert _fields_at_peak(lambda: functional(L, q, orders), values.shape) <= most
 
 
 def test_results_holding_fields_compare_by_their_fields():

@@ -1,6 +1,9 @@
+import gc
 import math
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from falva import (
     GridFunction,
     GridFunctionND,
     OrderSet,
+    action_1d_cresson,
     axis_cresson,
     cresson,
     el_residual_1d_cresson,
@@ -397,12 +401,15 @@ class TestLineKernel:
         vals = np.random.default_rng(31).normal(size=(5, 65))
         vals[2, -1] = np.inf
         pair, gw, h = (0.35, 0.7), 0.3 + 0.2j, 1.0 / 64
-        out, start, end = fracops._cresson_lines(vals, h, pair, gw)
+        out = np.empty(vals.shape, dtype=np.complex128)
+        start, end = fracops._cresson_lines(vals, h, pair, gw, out)
         weights = 0.5 * (1 + 1j * gw), 0.5 * (1j * gw - 1)
-        ref = fracops._per_side_lines(vals[2:3], h, pair, *weights)[0]
+        ref = np.empty((1, 65), dtype=np.complex128)
+        fracops._per_side_lines(vals[2:3], h, pair, *weights, ref)
         assert np.array_equal(out[2:3], ref, equal_nan=True)
         for i in (0, 1, 3, 4):
-            alone = fracops._cresson_lines(vals[i:i + 1], h, pair, gw)[0]
+            alone = np.empty((1, 65), dtype=np.complex128)
+            fracops._cresson_lines(vals[i:i + 1], h, pair, gw, alone)
             assert np.array_equal(out[i:i + 1], alone)
         assert np.array_equal(start, vals[:, 0] != 0)
         assert np.array_equal(end, vals[:, -1] != 0)
@@ -544,3 +551,137 @@ class TestKernelPlan:
         assert fracops._line_kernel.cache_info().misses == 1
         # the path's line and the complex momentum's two parts
         assert shapes.count(2) == 3
+
+
+def _kept_path(g, values):
+    """A path whose samples are read-only and own their memory, as the
+    command line makes them, so its slope spectrum is kept."""
+    values = np.array(values, dtype=np.float64)
+    values.flags.writeable = False
+    return GridFunction(g, values)
+
+
+def _counted_rfft(monkeypatch):
+    """The list of the np.fft.rfft calls that fracops makes from now on."""
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(fracops.np.fft, "rfft",
+                        lambda *args, **kwargs: calls.append(1)
+                        or rfft(*args, **kwargs))
+    return calls
+
+
+_KEPT_ORDERS = [OrderSet.for_1d(0.25, 0.25, 0.3 - 0.7j),
+                OrderSet.for_1d(0.5, 0.6, 1.5 + 0.2j),
+                OrderSet.for_1d(0.75, 0.4, -2.0)]
+
+
+class TestKeptSpectrum:
+    """The slope spectrum of a read-only path, kept across calls."""
+
+    def test_a_kept_path_is_transformed_once(self, monkeypatch):
+        g = _grid(64)
+        q = _kept_path(g, 1 + g.nodes ** 1.5)
+        for orders in _KEPT_ORDERS:  # the kernel plans
+            cresson(GridFunction(g, q.values.copy()), orders)
+        calls = _counted_rfft(monkeypatch)
+        kept = [cresson(q, orders) for orders in _KEPT_ORDERS]
+        assert len(calls) == 1
+        assert q in fracops._SLOPE_SPECTRA
+        for orders, out in zip(_KEPT_ORDERS, kept):
+            fresh = cresson(GridFunction(g, q.values.copy()), orders)
+            assert out.values.tobytes() == fresh.values.tobytes()
+
+    def test_a_kept_path_gives_the_bits_of_a_writeable_one(self):
+        g = _grid(200)
+        q = _kept_path(g, np.sin(3 * g.nodes) + g.nodes ** 1.5)
+        w = GridFunction(g, q.values.copy())
+        L = parse("qdot^2/2 - 1.3*q^2/2 + tau*q")
+        for orders in _KEPT_ORDERS * 2:
+            for functional in (action_1d_cresson, el_residual_1d_cresson):
+                got, want = functional(L, q, orders), functional(L, w, orders)
+                if functional is action_1d_cresson:
+                    got, want = np.array(got.value), np.array(want.value)
+                else:
+                    got, want = got.residual.values, want.residual.values
+                assert got.tobytes() == want.tobytes()
+        assert q in fracops._SLOPE_SPECTRA and w not in fracops._SLOPE_SPECTRA
+
+    def test_a_writeable_path_is_transformed_on_every_call(self, monkeypatch):
+        g = _grid(64)
+        q = GridFunction(g, 1 + g.nodes ** 1.5)
+        orders = _KEPT_ORDERS[0]
+        first = cresson(q, orders)
+        calls = _counted_rfft(monkeypatch)
+        again = cresson(q, orders)
+        q.values[5] += 0.25
+        changed = cresson(q, orders)
+        assert len(calls) == 2
+        assert q not in fracops._SLOPE_SPECTRA
+        assert again.values.tobytes() == first.values.tobytes()
+        fresh = cresson(GridFunction(g, q.values.copy()), orders)
+        assert changed.values.tobytes() == fresh.values.tobytes()
+        assert changed.values.tobytes() != first.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["read-only view", "complex", "plane"])
+    def test_only_a_real_path_that_owns_read_only_samples_is_kept(self, kind):
+        g = _grid(16)
+        if kind == "read-only view":
+            values = (1 + g.nodes ** 2)[:]
+            values.flags.writeable = False
+            field = GridFunction(g, values)
+        elif kind == "complex":
+            field = _kept_path(g, g.nodes)
+            field = GridFunction(g, field.values + 1j)
+            field.values.flags.writeable = False
+        else:
+            values = np.add.outer(g.nodes, g.nodes)
+            values.flags.writeable = False
+            field = GridFunctionND((g, g), values)
+        assert not field.values.flags.writeable
+        orders = OrderSet(((0.4, 0.6),) * field.ndim, 0.3 + 0.2j)
+        for axis in range(field.ndim):
+            axis_cresson(field, axis, orders)
+        assert field not in fracops._SLOPE_SPECTRA
+
+    def test_the_spectrum_goes_with_its_path(self):
+        fracops._SLOPE_SPECTRA.clear()
+        g = _grid(64)
+        q = _kept_path(g, 1 + g.nodes ** 1.5)
+        cresson(q, _KEPT_ORDERS[0])
+        spectrum = fracops._SLOPE_SPECTRA[q]
+        assert not spectrum.flags.writeable
+        gone = weakref.ref(spectrum)
+        del q, spectrum
+        gc.collect()
+        assert len(fracops._SLOPE_SPECTRA) == 0
+        assert gone() is None
+
+
+def _fields_at_peak(run, shape) -> float:
+    """The tracemalloc peak of ``run()``, in complex128 arrays of ``shape``,
+    with the kernel plans warmed by a first run."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (16 * math.prod(shape))
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", [(257, 257), (65, 57, 49)])
+def test_no_axis_holds_more_than_the_last(shape):
+    # the result is written in C order through a view of its lines, so no
+    # line-major copy of it is made; along axis 0 of a 257 x 257 field the
+    # peak was 2.31 fields against 2.01 along axis 1.  The box's axes
+    # differ in length but share one transform size (128 points), so the
+    # temporaries of a block of lines match and only the layout differs
+    grids = tuple(Grid1D(0.0, 1.0 + k, s - 1) for k, s in enumerate(shape))
+    meshes = np.meshgrid(*[g.nodes for g in grids], indexing="ij")
+    field = GridFunctionND(grids, np.sin(1.3 * meshes[0]) * np.cos(2.1 * meshes[1])
+                           + sum(meshes[2:]) + 0.4)
+    orders = OrderSet(((0.6, 0.5),) * len(shape), 0.3 + 0.2j)
+    peaks = [_fields_at_peak(lambda: axis_cresson(field, axis, orders), shape)
+             for axis in range(len(shape))]
+    assert max(peaks[:-1]) <= peaks[-1] + 0.05, peaks

@@ -11,15 +11,19 @@ of one of them with each tree's ``src`` and diff the outputs:
     python tools/cli_matrix.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
-The list covers every subcommand; 1D, 2D and 3D grids, among them a 3D
-box whose axes differ in length, extent and orders, so that a swap of two
-axes shows; the default, +i, -i and a general gamma; path files and spec
-files; sweeps of every kind, with rows that fail; and calls that fail
+The list covers every subcommand; 1D, 2D and 3D grids, among them a 3D box
+whose axes differ in length, extent and orders, so that a swap of two axes
+shows; the default, +i, -i and a general gamma; path files and spec files;
+sweeps of every kind, with rows that fail, among them 1D Cresson sweeps that
+share the kept slope spectrum of their path (from a path expression or a
+path file, after a first row that fails) or take the per-side route at -i
+and keep none; raw velocity samples that overflow; and calls that fail
 before any output, among them a path file with a NaN node and residuals
-whose step underflows along one axis, which name a node in C order.  The spec and path files led by a UTF-8
-byte-order mark give the bytes of the same files without it.  The calls run
-in a temporary directory that holds the input files, so every path in a
-message is relative and the lines do not depend on where the script runs.
+whose step underflows along one axis, which name a node in C order.  The
+spec and path files led by a UTF-8 byte-order mark give the bytes of the
+same files without it.  The calls run in a temporary directory that holds
+the input files, so every path in a message is relative and the lines do not
+depend on where the script runs.
 """
 
 from __future__ import annotations
@@ -104,6 +108,9 @@ CALLS = (
     ("action-classic-qdot", ["action", *L1, "--alpha", "0.5", "--domain", "0,1",
                              "--n", "16", "--path", "sin(tau)", "--qdot",
                              "cos(tau)"]),
+    ("action-classic-qdot-overflow", ["action", *L1, "--alpha", "0.5", "--domain",
+                                      "0,1", "--n", "16", "--path", "sin(tau)",
+                                      "--qdot", "exp(800*tau)"]),
     ("action-cresson-default", ["action", *L1, "--alpha", "0.5", "--variant",
                                 "cresson", *LINE]),
     ("action-cresson-plus-i", ["action", *L1, "--alpha", "0.5", "--gamma", "i",
@@ -137,6 +144,9 @@ CALLS = (
     ("residual-classic-qdot", ["residual", "--lagrangian", "qdot^2/2 + log(q)",
                                "--alpha", "0.5", "--domain", "0,1", "--n", "16",
                                "--path", "1 + tau", "--qdot", "1"]),
+    ("residual-classic-qdot-overflow", ["residual", *L1, "--alpha", "0.5",
+                                        "--domain", "0,1", "--n", "16", "--path",
+                                        "sin(tau)", "--qdot", "exp(800*tau)"]),
     ("residual-cresson", ["residual", *L1, "--alpha", "0.5", "--gamma", "-i",
                           *LINE]),
     ("residual-sqrt-q", ["residual", "--lagrangian", "qdot^2/2 + sqrt(q)",
@@ -195,6 +205,12 @@ CALLS = (
                                    "--path", "sin(tau)", "--qdot", "cos(tau)"]),
     ("sweep-action-file", ["sweep", *L1, "--alpha", "0.3,0.6", "--domain", "0,1",
                            "--n", "8", "--path-file", "line.csv"]),
+    ("sweep-action-cresson-file", ["sweep", *L1, "--alpha", "0.25,0.5,0.75",
+                                   "--gamma=0.3,-0.7", "--domain", "0,1", "--n",
+                                   "8", "--path-file", "line.csv"]),
+    ("sweep-action-cresson-subnormal", ["sweep", *L1, "--alpha",
+                                        "1e-310,0.5,0.75", "--gamma=0.3,-0.7",
+                                        *LINE]),
     ("sweep-action-file-nan", ["sweep", *L1, "--alpha", "0.25,0.5,0.75",
                                "--gamma=0.3,-0.7", "--domain", "0,1", "--n", "8",
                                "--path-file", "nanline.csv"]),
@@ -240,6 +256,12 @@ CALLS = (
                         "sin(tau)", "--qdot", "cos(tau)"]),
     ("sweep-residual-cresson", ["sweep", "--sweep-kind", "residual", *L1,
                                 "--alpha", "1e-310,0.5", "--gamma", "-i", *LINE]),
+    ("sweep-residual-cresson-minus-i", ["sweep", "--sweep-kind", "residual", *L1,
+                                        "--alpha", "0.25,0.5,0.75", "--gamma=-i",
+                                        *LINE]),
+    ("sweep-residual-cresson-subnormal", ["sweep", "--sweep-kind", "residual",
+                                          *L1, "--alpha", "1e-310,0.5,0.75",
+                                          "--gamma=0.3,-0.7", *LINE]),
     ("sweep-residual-2d", ["sweep", "--sweep-kind", "residual", *L2, "--alpha",
                            "0.3,0.6", "--gamma=0.3,0.2", *PLANE]),
     ("sweep-residual-log", ["sweep", "--sweep-kind", "residual", "--lagrangian",
