@@ -54,11 +54,12 @@ when the path is one real line whose samples are read-only and own their
 memory, as the command line's are: its slopes' spectrum is kept with the
 path (``_slope_spectrum``), so every alpha row of a sweep shares it.  A
 writeable path is transformed on every call, and so is every line of an
-N-dimensional field.  Each block of lines is assembled in place: the
-inverse transform of the real part of D, its boundary terms, written into
-the result's real part, then the same for the imaginary part.  L's
-slope integral is the convolution with the left kernel's spectrum, moved
-one node on by a phase factor; R's is the correlation with the right
+N-dimensional field.  Each block of lines writes the inverse transforms of
+the real and imaginary parts of D into the result; after the last block,
+each side's boundary terms, w_L f(start) or w_R f(end) times the side's
+boundary factor, are added to every line in the result's memory order.
+L's slope integral is the convolution with the left kernel's spectrum,
+moved one node on by a phase factor; R's is the correlation with the right
 kernel, whose spectrum is the conjugate, so no reflected copy is made.
 These values agree with w_L L + w_R R of the one-sided operators to
 rounding, not bit for bit (at most a few 1e-15 of the line's scale on the
@@ -97,7 +98,8 @@ axis) are a few hundred KB and do not add to the peak of a field-sized
 call such as the Euler-Lagrange residual.  The product of a complex
 line's two spectra with the transfer spectra runs ``_PRODUCT_CHUNK`` =
 4096 entries at a time, so on a long line it adds no spectrum-sized
-temporary and the kept spectrum adds nothing to the residual's peak.
+temporary and the kept spectrum adds nothing to the residual's peak; the
+boundary terms run as many entries of the result at a time.
 """
 
 from __future__ import annotations
@@ -219,8 +221,9 @@ _KERNEL_PLANS = 6
 _KERNEL_PLAN_BYTES = 2**29
 
 # Spectrum entries per step of the product of a complex line's spectra
-# with the transfer spectra (``_complex_product``), so that its temporaries
-# stay small next to a long line's spectra.
+# with the transfer spectra (``_complex_product``), and result entries per
+# step of the boundary terms (``_chunks``), so that their temporaries stay
+# small next to a long line's spectra or a field.
 _PRODUCT_CHUNK = 4096
 
 # The slope spectrum of each kept path, by path; an entry goes with its
@@ -480,24 +483,16 @@ def _complex_product(re: np.ndarray, im: np.ndarray, to_re, to_im) -> None:
         r -= tmp
 
 
-def _add_boundary(x: np.ndarray, terms, lbound, rbound) -> None:
-    """Add the boundary terms to ``x``, one part (real or imaginary) of a
-    block of lines of w_left L + w_right R.  ``terms`` holds (start values,
-    end values, left weight, right weight) per part of the lines' values;
-    the start value's term lies past node 0, the end value's before node
-    nseg, and a zero weight is skipped."""
-    # a zero value against an infinite factor (subnormal h) is NaN, which
-    # the caller's non-finite check reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, end, wl, wr in terms:
-            if wl != 0:
-                term = start * lbound
-                term *= wl
-                x[:, 1:] += term
-            if wr != 0:
-                term = end * rbound
-                term *= wr
-                x[:, :-1] += term
+def _chunks(shape):
+    """Index boxes of at most ``_PRODUCT_CHUNK`` entries that cover an
+    array of ``shape`` in C order."""
+    k = next(k for k in range(len(shape))
+             if math.prod(shape[k + 1:]) <= _PRODUCT_CHUNK)
+    step = _PRODUCT_CHUNK // math.prod(shape[k + 1:])
+    for head in np.ndindex(*shape[:k]):
+        for lo in range(0, shape[k], step):
+            yield (*(slice(i, i + 1) for i in head), slice(lo, lo + step),
+                   *(slice(None),) * (len(shape) - k - 1))
 
 
 def _two_sided_lines(out, vals, slopes, rows, h: float, pair, w_left: complex,
@@ -510,28 +505,18 @@ def _two_sided_lines(out, vals, slopes, rows, h: float, pair, w_left: complex,
     the slopes of every line, (lines, cells); those of ``rows`` must be
     finite (the caller's check).
 
-    Each part is assembled in place: its inverse FFT, then its boundary
-    terms, then written to ``out.real`` or ``out.imag``.  Every product of
-    a line with a spectrum broadcasts the spectrum along the line, so a
-    line's bits do not depend on the batch.  When ``rows`` are all the
-    lines, the blocks are slices, not copies.  ``path`` is the one-line
-    field of ``vals`` if its slope spectrum is kept (``_slope_spectrum``),
-    else None.
+    Each block writes the inverse FFTs of the real and imaginary parts of
+    D; then every line gets its boundary terms, so the caller overwrites
+    the lines not in ``rows``.  Every product broadcasts a spectrum or a
+    factor along the lines, so a line's bits do not depend on the batch.
+    When ``rows`` are all the lines, the blocks are slices, not copies.
+    ``path`` is the one-line field of ``vals`` if its slope spectrum is
+    kept (``_slope_spectrum``), else None.
     """
     nseg = slopes.shape[1]
     _, lspec, size, lbound = _line_kernel(nseg, h, pair[0])
     _, rspec, _, rbound = _line_kernel(nseg, h, pair[1])
     to_re, to_im = _transfer_spectra(lspec, rspec, size, w_left, w_right)
-    rbound = rbound[::-1]
-    first, last = vals[..., :1].reshape(-1, 1), vals[..., -1:].reshape(-1, 1)
-    ends, units = [(first, last)], [1.0]
-    if np.iscomplexobj(vals):
-        ends = [(first.real, last.real), (first.imag, last.imag)]
-        units = [1.0, 1j]
-    # the weights of the end values of each part of the lines, in the real
-    # and in the imaginary part of D
-    weights = {name: [(getattr(u * w_left, name), getattr(u * w_right, name))
-                      for u in units] for name in ("real", "imag")}
     whole = rows.size == slopes.shape[0]
     step = max(1, _FFT_BLOCK // size)
     for lo in range(0, rows.size, step):
@@ -546,17 +531,31 @@ def _two_sided_lines(out, vals, slopes, rows, h: float, pair, w_left: complex,
             im = np.multiply(spec, to_im,
                              out=spec if spec.flags.writeable else None)
             del spec
-        # each part of D in turn: its inverse FFT (the spectrum is popped,
-        # so it is freed once transformed), its boundary terms, its place
-        spectra = {"real": re, "imag": im}
-        del re, im
         at = _at(out, sel)
-        for name in ("real", "imag"):
-            x = np.fft.irfft(spectra.pop(name), size, axis=1)[:, :nseg + 1]
-            _add_boundary(x, [(s[sel], e[sel], wl, wr) for (s, e), (wl, wr)
-                              in zip(ends, weights[name])], lbound, rbound)
-            getattr(out, name)[at] = x
-            del x
+        out.real[at] = np.fft.irfft(re, size, axis=1)[:, :nseg + 1]
+        del re  # each spectrum is freed once transformed
+        out.imag[at] = np.fft.irfft(im, size, axis=1)[:, :nseg + 1]
+        del im
+    # the boundary terms of each side, a rank-one update of the C-order
+    # result taken as (outer, nodes, inner) in its memory order; a (lines,
+    # nodes) view whose nodes lie further apart than its lines is axis 0's
+    if out.ndim == 3:
+        out, vals = out.transpose(0, 2, 1), vals.transpose(0, 2, 1)
+    elif out.strides[1] > out.strides[0]:
+        out, vals = out.T[None], vals.T[None]
+    else:
+        out, vals = out[:, :, None], vals[:, :, None]
+    # a zero end value against an infinite factor (subnormal h) is NaN,
+    # which the caller's non-finite check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nodes, coef, factor in ((slice(1, None), w_left * vals[:, :1], lbound),
+                                    (slice(-1), w_right * vals[:, -1:], rbound[::-1])):
+            side = out[:, nodes]
+            for outer, node, inner in _chunks(side.shape):
+                part = side[outer, node, inner]
+                term = np.empty_like(part)
+                np.multiply(coef[outer, :, inner], factor[node, None], out=term)
+                part += term
 
 
 def _per_side_lines(vals: np.ndarray, h: float, pair, w_left: complex,

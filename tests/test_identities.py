@@ -14,7 +14,7 @@ exactly -i and +i.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -109,6 +109,51 @@ def test_2d_matches_nd_bit_for_bit(data, gx, gy, pair, orders, gamma_w):
     assert a2 == an
     _same_residual(el_residual_2d(parse(text_2d), q, orders, observer),
                    el_residual_nd(parse(text_nd), q, orders, observer))
+
+
+@st.composite
+def boxes(draw):
+    """(shape, axis): a 2D or 3D box of unequal sides and one of its axes."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = draw(st.lists(st.integers(3, 40 if ndim == 2 else 14),
+                          min_size=ndim, max_size=ndim, unique=True))
+    return tuple(shape), draw(st.integers(0, ndim - 1))
+
+
+# a box of more than 4096 entries (lines x nodes), so that the boundary
+# terms are added in several chunks, split within the lines; and a middle
+# axis, whose lines are neither rows nor columns of the result
+@PROPERTY
+@given(box=boxes(), pairs=st.lists(st.tuples(ORDER, ORDER), min_size=3, max_size=3),
+       spans=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+                      min_size=3, max_size=3),
+       gamma_w=GAMMA, complex_field=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(box=((80, 61), 0), pairs=[(0.3, 0.6), (0.45, 0.8), (0.5, 0.5)],
+         spans=[(0.0, 1.0), (-0.5, 2.0), (0.0, 1.0)], gamma_w=0.4 - 0.7j,
+         complex_field=True, seed=7)
+@example(box=((3, 70, 65), 1), pairs=[(0.3, 0.6), (0.45, 0.8), (0.7, 0.2)],
+         spans=[(0.0, 1.0), (-0.5, 2.0), (1.0, 0.5)], gamma_w=-1.3 + 0.2j,
+         complex_field=False, seed=11)
+def test_a_line_gives_the_same_bits_inside_any_box(box, pairs, spans, gamma_w,
+                                                  complex_field, seed):
+    # dimensional bit parity along every axis: each line of a field gives
+    # the bits, values and flags, that it gives alone
+    shape, axis = box
+    grids_ = tuple(Grid1D(a, a + width, n - 1) for n, (a, width) in zip(shape, spans))
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-2.0, 2.0, shape)
+    if complex_field:
+        values = values + 1j * rng.uniform(-2.0, 2.0, shape)
+    orders = OrderSet(tuple(pairs[:len(shape)]), gamma_w)
+    out = axis_cresson(GridFunctionND(grids_, values), axis, orders)
+    n = shape[axis]
+    got_values = np.moveaxis(out.values, axis, -1).reshape(-1, n)
+    got_flags = np.moveaxis(out.flags, axis, -1).reshape(-1, n)
+    line_orders = OrderSet((orders.pair(axis),), gamma_w)
+    for k, line in enumerate(np.moveaxis(values, axis, -1).reshape(-1, n)):
+        ref = cresson(GridFunction(grids_[axis], line), line_orders)
+        assert np.array_equal(got_values[k], ref.values), k
+        assert np.array_equal(got_flags[k], ref.flags), k
 
 
 @PROPERTY

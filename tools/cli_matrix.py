@@ -11,6 +11,16 @@ of one of them with each tree's ``src`` and diff the outputs:
     python tools/cli_matrix.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
+``--keep DIR`` also writes each call's output file to ``DIR/<name>.csv``,
+and ``--compare DIR_A DIR_B`` prints one line per call whose kept files
+differ: the largest |a - b| / (1 + max|column of a|) over the numeric
+cells, and whether any other cell differs (text, a non-finite value, or a
+row or cell that only one file has):
+
+    python tools/cli_matrix.py --keep change > change.txt
+    python tools/cli_matrix.py --src ../parent/src --keep parent > parent.txt
+    python tools/cli_matrix.py --compare parent change
+
 The list covers every subcommand; 1D, 2D and 3D grids, among them a 3D box
 whose axes differ in length, extent and orders, so that a swap of two axes
 shows; the default, +i, -i and a general gamma; path files and spec files;
@@ -32,6 +42,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -317,40 +328,121 @@ CALLS = (
 )
 
 
-def run_call(main, argv) -> str:
+def run_call(main, argv, keep=None) -> str:
     """One line for one call of ``main``: sha256 of out.csv, the exit
-    status and stderr, with the output file removed after it."""
+    status and stderr, with the output file removed after it (its bytes
+    written to the path ``keep`` first, if given)."""
     if "--out" not in argv:
         argv = [*argv, "--out", "out.csv"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         status = main(argv)
     out = Path("out.csv")
-    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
-    out.unlink(missing_ok=True)
+    digest = "-"
+    if out.exists():
+        data = out.read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        if keep is not None:
+            keep.write_bytes(data)
+        out.unlink()
     return f"{digest} {status} {err.getvalue()!r}"
 
 
-def run(calls) -> list:
+def run(calls, keep=None) -> list:
     """The line "name sha256 status stderr" of each (name, argv) of
     ``calls``, run through the ``falva.cli.main`` that ``import falva``
-    finds, in a temporary working directory."""
+    finds, in a temporary working directory.  With a directory ``keep``,
+    each output file is also written there as ``<name>.csv``."""
     from falva.cli import main
 
+    if keep is not None:
+        keep = Path(keep).resolve()
+        keep.mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for name, text in FILES.items():
                 Path(name).write_text(text, encoding="utf-8")
-            return [f"{name} {run_call(main, argv)}" for name, argv in calls]
+            lines = []
+            for name, argv in calls:
+                kept = None if keep is None else keep / f"{name}.csv"
+                lines.append(f"{name} {run_call(main, argv, kept)}")
+            return lines
         finally:
             os.chdir(cwd)
+
+
+def _number(cell: str):
+    """The finite float ``cell`` holds, else None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def compare_files(a: bytes, b: bytes):
+    """(worst, other) for two CSV outputs: ``worst`` the largest
+    |a - b| / (1 + max|column of a|) over the cells that hold a finite
+    number in both, ``other`` whether any other cell differs."""
+    rows_a = [line.split(",") for line in a.decode("utf-8").splitlines()]
+    rows_b = [line.split(",") for line in b.decode("utf-8").splitlines()]
+    scale = {}
+    for row in rows_a:
+        for col, cell in enumerate(row):
+            value = _number(cell)
+            if value is not None:
+                scale[col] = max(scale.get(col, 0.0), abs(value))
+    worst, other = 0.0, len(rows_a) != len(rows_b)
+    for row_a, row_b in zip(rows_a, rows_b):
+        other |= len(row_a) != len(row_b)
+        for col, (cell_a, cell_b) in enumerate(zip(row_a, row_b)):
+            if cell_a == cell_b:
+                continue
+            x, y = _number(cell_a), _number(cell_b)
+            if x is None or y is None:
+                other = True
+            else:
+                worst = max(worst, abs(x - y) / (1.0 + scale[col]))
+    return worst, other
+
+
+def compare(dir_a, dir_b) -> list:
+    """One line "name worst other" for each call whose kept files in
+    ``dir_a`` and ``dir_b`` differ (see ``compare_files``); a file that
+    only one directory holds gives "name only in DIR"."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    order = {name: k for k, (name, _) in enumerate(CALLS)}
+    names = {p.stem for d in (dir_a, dir_b) for p in d.glob("*.csv")}
+    lines = []
+    for name in sorted(names, key=lambda n: (order.get(n, len(order)), n)):
+        a, b = dir_a / f"{name}.csv", dir_b / f"{name}.csv"
+        if not (a.exists() and b.exists()):
+            lines.append(f"{name} only in {a.parent if a.exists() else b.parent}")
+            continue
+        data_a, data_b = a.read_bytes(), b.read_bytes()
+        if data_a != data_b:
+            worst, other = compare_files(data_a, data_b)
+            text = "other cells differ" if other else "numeric cells only"
+            lines.append(f"{name} {worst:.3g} {text}")
+    return lines
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory of the falva to run")
-    sys.path.insert(0, str(parser.parse_args().src.resolve()))
-    print("\n".join(run(CALLS)))
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write each call's output file to DIR/<name>.csv")
+    parser.add_argument("--compare", type=Path, nargs=2,
+                        metavar=("DIR_A", "DIR_B"),
+                        help="compare the kept files of two runs instead")
+    args = parser.parse_args()
+    if args.compare:
+        lines = compare(*args.compare)
+    else:
+        sys.path.insert(0, str(args.src.resolve()))
+        lines = run(CALLS, args.keep)
+    for line in lines:
+        print(line)
