@@ -38,6 +38,7 @@ from .fracops import GridFunctionND, OrderSet, axis_cresson
 from .numcore import (
     GridFunction,
     _observer_time,
+    _one_axis,
     _weighted_sum,
     _weights_from_nodes,
     central_diff,
@@ -167,12 +168,15 @@ def _finite_samples(values: np.ndarray, what: str) -> np.ndarray:
 
 def _qdot_samples(q: GridFunction, qdot, caller: str):
     """Velocity samples: supplied analytically or by central differences.
-    The classic 1D route ``caller`` reads every node, so a flagged ``q`` or
-    ``qdot``, which holds a placeholder there, is a GridError, and so is a
-    raw ``qdot`` array with a non-finite value."""
+    The classic 1D route ``caller`` reads every node, so a field ``q`` or
+    ``qdot`` with more than one axis is a GridError, and so are a flagged
+    one, which holds a placeholder there, and a raw ``qdot`` array with a
+    non-finite value."""
     for name, f in (("path", q), ("qdot", qdot)):
-        if isinstance(f, GridFunction) and f.flags.any():
-            raise GridError(f"{caller} expects an unflagged {name}")
+        if isinstance(f, GridFunctionND):
+            _one_axis(f, caller)
+            if f.flags.any():
+                raise GridError(f"{caller} expects an unflagged {name}")
     if qdot is None:
         return central_diff(q.values, q.grid.h), "finite-difference"
     if isinstance(qdot, GridFunction):

@@ -250,10 +250,10 @@ def el_residual_1d(L: LagrangianExpr, q: GridFunction, alpha: float,
     _check_path_problem(L, alpha)
     if np.iscomplexobj(q.values):
         raise DomainError("el_residual_1d expects a real-valued path")
+    qd, _ = _qdot_samples(q, qdot, "el_residual_1d")
     t_obs = q.grid.t if observer is None else _observer_time(observer)
     if t_obs < q.grid.t:
         raise DomainError("observer lies below the path's upper grid limit")
-    qd, _ = _qdot_samples(q, qdot, "el_residual_1d")
     nodes = q.grid.nodes
     h = q.grid.h
     env = {"qdot": qd, "q": q.values, "tau": nodes}

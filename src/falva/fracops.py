@@ -37,16 +37,16 @@ The slope integral is a discrete convolution of each line's slopes with
 the product-integration weights.  It is evaluated for all lines at once
 by a zero-padded real FFT, O(n log n) per line.  Each line is transformed
 on its own, so a line gives the same bits alone as inside any batch (the
-dimensional parity of 1D, 2D and 3D results rests on this).  A line holding
-a non-finite slope (inf or NaN at a flagged node) keeps the direct O(n^2)
-sum, where the value only reaches later nodes; a transform would spread it
-over the whole line.  Against the direct sum the FFT's rounding is
-relative to the line's scale: below 1e-14 of 1 + max|D f| on smooth paths
-and random data at n = 16384.  A node much smaller than the line's maximum
-(an early-time value) can carry a node-wise relative error near 1e-11,
-far below the scheme's O(h^(2-al)) discretisation error there.
+dimensional parity of 1D, 2D and 3D results rests on this).  Against the
+direct sum the FFT's rounding is relative to the line's scale: below
+1e-14 of 1 + max|D f| on smooth paths and random data at n = 16384.  A
+node much smaller than the line's maximum (an early-time value) can carry
+a node-wise relative error near 1e-11, far below the scheme's
+O(h^(2-al)) discretisation error there.
 
-The combined operator with both weights nonzero costs one forward
+Every operator runs through one transform loop (``_transform``) and one
+boundary update (``_add_boundary``), writing straight into the C-order
+result.  The combined operator with both weights nonzero costs one forward
 transform per line (two for a complex line, its real and imaginary parts)
 and one inverse transform each for the real and imaginary parts of D.  The
 forward transform of a path is taken once per path, not once per call,
@@ -63,11 +63,23 @@ moved one node on by a phase factor; R's is the correlation with the right
 kernel, whose spectrum is the conjugate, so no reflected copy is made.
 These values agree with w_L L + w_R R of the one-sided operators to
 rounding, not bit for bit (at most a few 1e-15 of the line's scale on the
-command line's outputs).  The one-sided operators, the collapses at
-gamma_w = -i and +i (one weight exactly zero) and lines holding a
-non-finite slope keep the per-side path, since the mirror and collapse
-identities are exact only there and the direct sum keeps a non-finite
-value local.
+command line's outputs).  A line holding a non-finite slope comes out
+non-finite at every node, as w_L L + w_R R would: L is non-finite from
+that value on and R up to it.
+
+One side alone (``_one_sided``) is the left operator: ``rl_left``, and the
+collapse at gamma_w = -i, where w_R is exactly zero.  Its spectrum is the
+left kernel's times its real weight, with no phase factor, and its slope
+integral is written from node 1 on; node 0 is 0.  The right side alone,
+``rl_right`` and the collapse at +i, is the left side of the reversed lines
+(a view) with the order pair swapped, so the mirror and collapse
+identities hold bit for bit, and its result is written through the
+reversed view; it reads no kept spectrum.  A collapse is 0 + w L, as D with its zero side, so an
+exact zero there is +0.  A real line's collapse takes one inverse
+transform and keeps a zero imaginary part.  For one side alone a line
+holding a non-finite slope (inf or NaN at a flagged node) keeps the
+direct O(n^2) sum, where the value only reaches later nodes; a transform
+would spread it over the whole line.
 
 The kernel of a line depends only on its cell count, its spacing h and the
 order, so it is built once per (nseg, h, order) key as a kernel plan: the
@@ -115,7 +127,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, GridError
-from .numcore import GridFunction, GridFunctionND, gamma
+from .numcore import GridFunction, GridFunctionND, _one_axis, gamma
 
 __all__ = [
     "OrderSet",
@@ -200,13 +212,12 @@ class OrderSet:
 
 
 def as_1d(f: GridFunctionND) -> GridFunction:
-    if f.ndim != 1:
-        raise GridError("as_1d needs a one-axis field")
+    _one_axis(f, "as_1d")
     return GridFunction(f.grids[0], f.values, f.flags)
 
 
 # ---------------------------------------------------------------------------
-# batched 1D kernels; ``vals`` has one line per row
+# batched 1D kernels; ``vals`` and ``out`` are ``_line_view``s of a field
 
 # Transform entries per FFT batch: lines go through the transform at most
 # _FFT_BLOCK // size at a time (at least one), which keeps the temporaries of
@@ -334,85 +345,12 @@ def _line_view(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _at(lines: np.ndarray, rows):
-    """The index of the lines ``rows`` (line numbers: an index array or a
-    slice) in a ``_line_view``."""
+    """The index of the lines ``rows`` (line numbers: a slice, or one
+    number, whose index gives a view of that line) in a ``_line_view``."""
     if lines.ndim == 2:
         return rows
     lead = lines.shape[:-1]
     return np.unravel_index(np.arange(math.prod(lead))[rows], lead)
-
-
-def _rl_left_lines(vals: np.ndarray, h: float, order: float):
-    """Left derivative along the last axis of a (lines, nodes) array.
-
-    Returns (out, start_flags): ``out`` holds the boundary term plus the
-    product-integrated slope convolution; row starts with a nonzero first
-    value are flagged and keep only the integral part (zero) there.
-
-    The kernel, its spectrum and the boundary factor come from the kernel
-    plan ``_line_kernel(nseg, h, order)``, so left and right operators,
-    forward and adjoint sides, equally spaced axes and sweep rows share
-    one build (its sizes and bounds are in the module notes).  The
-    convolution runs as a real FFT of the plan's size, and only its first
-    nseg terms are kept.  Each row is transformed on its own, so its bits
-    do not depend on the batch.  A complex row is transformed as its real
-    and imaginary parts, written straight into the views ``out.real`` and
-    ``out.imag``.  Rows holding a non-finite slope keep the direct
-    ``np.convolve`` sum, which keeps the value local to later nodes; only
-    finite rows reach the transform.  The FFT's rounding against the
-    direct sum is below 1e-14 of 1 + max|out| on smooth and random lines up
-    to n = 16384; see the module notes for small early-time values.
-    """
-    nseg = vals.shape[1] - 1
-    kern, spec, size, boundary = _line_kernel(nseg, h, order)
-    # a slope that overflows is kept: its row takes the direct sum below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slopes = np.diff(vals, axis=1) / h
-    out = np.zeros(vals.shape, dtype=np.result_type(vals.dtype, np.float64))
-    conv = out[:, 1:]
-    finite = np.isfinite(slopes).all(axis=1)
-    for i in np.flatnonzero(~finite):
-        conv[i] = np.convolve(slopes[i], kern)[:nseg]
-    rows = np.flatnonzero(finite)
-    parts = [(slopes, conv)]
-    if np.iscomplexobj(slopes):
-        parts = [(slopes.real, conv.real), (slopes.imag, conv.imag)]
-    step = max(1, _FFT_BLOCK // size)
-    for lo in range(0, rows.size, step):
-        sel = rows[lo:lo + step]
-        for src, dst in parts:
-            prod = np.fft.rfft(src[sel], size, axis=1) * spec
-            dst[sel] = np.fft.irfft(prod, size, axis=1)[:, :nseg]
-    # the boundary term, zero at node 0; past node 0 an infinite start value
-    # meets the infinite first slope (inf - inf): that row has no derivative
-    start = vals[:, :1]
-    lost = ~np.isfinite(start[:, 0])
-    if lost.any():
-        start = np.where(lost[:, None], 0.0, start)
-        out[lost, 1:] = np.nan
-    # a zero start against an infinite factor (subnormal h) is NaN, which
-    # the caller's non-finite check reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[:, 1:] += start * boundary
-    return out, vals[:, 0] != 0
-
-
-def _rl_right_lines(vals: np.ndarray, h: float, order: float):
-    out, fl = _rl_left_lines(vals[:, ::-1], h, order)
-    return out[:, ::-1], fl
-
-
-def _add_weighted(out: np.ndarray, weight: complex, part: np.ndarray) -> None:
-    """out += weight * part.  A real part goes to ``out.real`` and
-    ``out.imag`` separately and skips a zero weight part, so an infinite
-    value at a flagged node stays inf + 0i at gamma_w = -i or +i."""
-    if np.iscomplexobj(part):
-        out += weight * part
-        return
-    if weight.real != 0:
-        out.real += weight.real * part
-    if weight.imag != 0:
-        out.imag += weight.imag * part
 
 
 @functools.lru_cache(maxsize=3)
@@ -495,84 +433,120 @@ def _chunks(shape):
                    *(slice(None),) * (len(shape) - k - 1))
 
 
-def _two_sided_lines(out, vals, slopes, rows, h: float, pair, w_left: complex,
-                     w_right: complex, path=None) -> None:
-    """Write w_left L + w_right R of the lines ``rows`` (flat line numbers)
-    of ``vals`` into the same lines of ``out`` (both ``_line_view``s), from
-    one real FFT of each line's slopes (two for a complex line: its real
-    and imaginary parts) and one inverse FFT each for the real and
-    imaginary parts of the sum (``_transfer_spectra``).  ``slopes`` holds
-    the slopes of every line, (lines, cells); those of ``rows`` must be
-    finite (the caller's check).
+def _slopes(vals: np.ndarray, h: float) -> np.ndarray:
+    """The slopes of the lines of ``vals`` (a ``_line_view``) in line order,
+    (lines, cells); a slope that overflows is kept."""
+    n = vals.shape[-1]
+    slopes = np.empty(vals.shape[:-1] + (n - 1,), dtype=vals.dtype)
+    np.subtract(vals[..., 1:], vals[..., :-1], out=slopes)
+    slopes /= h
+    return slopes.reshape(-1, n - 1)
 
-    Each block writes the inverse FFTs of the real and imaginary parts of
-    D; then every line gets its boundary terms, so the caller overwrites
-    the lines not in ``rows``.  Every product broadcasts a spectrum or a
-    factor along the lines, so a line's bits do not depend on the batch.
-    When ``rows`` are all the lines, the blocks are slices, not copies.
-    ``path`` is the one-line field of ``vals`` if its slope spectrum is
-    kept (``_slope_spectrum``), else None.
+
+def _transform(out, slopes, size: int, to_re, to_im=None, path=None) -> None:
+    """The one transform loop: write the inverse real FFT of each line's
+    slope spectrum times ``to_re`` into ``out.real``, and times ``to_im``
+    into ``out.imag``, the first ``out.shape[-1]`` entries of each.
+
+    ``out`` is a ``_line_view`` and ``slopes`` (lines, cells).  A complex
+    line is transformed as its real and imaginary parts; against a real
+    weight's transfer (``to_im`` None) each part goes to its own part of
+    ``out``, else their product with the transfer spectra gives the parts
+    of D (``_complex_product``).  Lines run ``_FFT_BLOCK // size`` at a
+    time, as slices, and every product broadcasts a spectrum along the
+    lines, so a line's bits do not depend on the batch.  ``path`` is the
+    one-line field of ``slopes`` if its slope spectrum is kept
+    (``_slope_spectrum``), else None.
     """
-    nseg = slopes.shape[1]
-    _, lspec, size, lbound = _line_kernel(nseg, h, pair[0])
-    _, rspec, _, rbound = _line_kernel(nseg, h, pair[1])
-    to_re, to_im = _transfer_spectra(lspec, rspec, size, w_left, w_right)
-    whole = rows.size == slopes.shape[0]
+    m = out.shape[-1]
     step = max(1, _FFT_BLOCK // size)
-    for lo in range(0, rows.size, step):
-        sel = slice(lo, lo + step) if whole else rows[lo:lo + step]
+    for lo in range(0, slopes.shape[0], step):
+        sel = slice(lo, lo + step)
         if np.iscomplexobj(slopes):
             re = np.fft.rfft(slopes.real[sel], size, axis=1)
             im = np.fft.rfft(slopes.imag[sel], size, axis=1)
-            _complex_product(re, im, to_re, to_im)
+            if to_im is None:
+                re *= to_re
+                im *= to_re
+            else:
+                _complex_product(re, im, to_re, to_im)
         else:
             spec = _slope_spectrum(slopes, sel, size, path)
             re = spec * to_re
-            im = np.multiply(spec, to_im,
-                             out=spec if spec.flags.writeable else None)
+            im = None if to_im is None else np.multiply(
+                spec, to_im, out=spec if spec.flags.writeable else None)
             del spec
         at = _at(out, sel)
-        out.real[at] = np.fft.irfft(re, size, axis=1)[:, :nseg + 1]
+        out.real[at] = np.fft.irfft(re, size, axis=1)[:, :m]
         del re  # each spectrum is freed once transformed
-        out.imag[at] = np.fft.irfft(im, size, axis=1)[:, :nseg + 1]
-        del im
-    # the boundary terms of each side, a rank-one update of the C-order
-    # result taken as (outer, nodes, inner) in its memory order; a (lines,
-    # nodes) view whose nodes lie further apart than its lines is axis 0's
-    if out.ndim == 3:
-        out, vals = out.transpose(0, 2, 1), vals.transpose(0, 2, 1)
-    elif out.strides[1] > out.strides[0]:
-        out, vals = out.T[None], vals.T[None]
-    else:
-        out, vals = out[:, :, None], vals[:, :, None]
-    # a zero end value against an infinite factor (subnormal h) is NaN,
-    # which the caller's non-finite check reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        for nodes, coef, factor in ((slice(1, None), w_left * vals[:, :1], lbound),
-                                    (slice(-1), w_right * vals[:, -1:], rbound[::-1])):
-            side = out[:, nodes]
-            for outer, node, inner in _chunks(side.shape):
-                part = side[outer, node, inner]
-                term = np.empty_like(part)
-                np.multiply(coef[outer, :, inner], factor[node, None], out=term)
-                part += term
+        if im is not None:
+            out.imag[at] = np.fft.irfft(im, size, axis=1)[:, :m]
+            del im
 
 
-def _per_side_lines(vals: np.ndarray, h: float, pair, w_left: complex,
-                    w_right: complex, out: np.ndarray):
-    """Write w_left L + w_right R of the lines ``vals``, (lines, nodes),
-    into ``out``, as many lines in a ``_line_view``, with each side applied
-    on its own: returns (start_flags, end_flags).  An operand with an
-    exactly-zero weight is skipped, so its flags do not propagate."""
-    out[...] = 0
-    start = end = np.zeros(vals.shape[0], dtype=bool)
-    if w_left != 0:
-        lvals, start = _rl_left_lines(vals, h, pair[0])
-        _add_weighted(out, w_left, lvals.reshape(out.shape))
-    if w_right != 0:
-        rvals, end = _rl_right_lines(vals, h, pair[1])
-        _add_weighted(out, w_right, rvals.reshape(out.shape))
-    return start, end
+def _add_boundary(out, sides) -> None:
+    """Add each side's boundary terms to ``out``, a ``_line_view``: for
+    each (nodes, coef, factor) of ``sides``, ``coef`` (one value per line,
+    shaped as ``out[..., :1]``) times ``factor`` at the nodes ``nodes`` of
+    every line.
+
+    A rank-one update, run in the result's memory order (the view taken
+    back to (outer, nodes, inner)) in boxes of at most ``_PRODUCT_CHUNK``
+    entries (``_chunks``), each box's temporary from ``np.empty_like`` of
+    its destination.  A (lines, nodes) view whose nodes lie further apart
+    than its lines is axis 0's.
+    """
+    apart = abs(out.strides[-1]) > abs(out.strides[0])
+
+    def order(a):
+        if a.ndim == 2:
+            a = a[None] if apart else a[:, None]
+        return a.transpose(0, 2, 1)
+
+    out = order(out)
+    for nodes, coef, factor in sides:
+        side, coef = out[:, nodes], order(coef)
+        for outer, node, inner in _chunks(side.shape):
+            part = side[outer, node, inner]
+            term = np.empty_like(part)
+            np.multiply(coef[outer, :, inner], factor[node, None], out=term)
+            part += term
+
+
+def _one_sided(out, vals, h: float, order: float, weight=None,
+               path=None) -> None:
+    """Write the left derivative of every line of ``vals`` into the same
+    line of ``out`` (both ``_line_view``s): L itself for ``weight`` None,
+    else 0 + weight L with a real ``weight``, the collapse of D, whose
+    exact zeros are +0.  The right derivative is the left derivative of
+    the reversed lines, a view.
+
+    The slope integral is the convolution with the kernel plan's spectrum
+    (times the weight), written from node 1 on; node 0 is 0.  A line
+    holding a non-finite slope keeps the direct ``np.convolve`` sum, which
+    keeps the value local to later nodes.  Then the boundary term, the
+    (weighted) start value times the plan's boundary factor, is added; past
+    node 0 an infinite start value meets the infinite first slope
+    (inf - inf), so that line has no derivative and is NaN there.  A real
+    line's collapse keeps a zero imaginary part.
+    """
+    if np.iscomplexobj(out) and not np.iscomplexobj(vals):
+        out.imag[...] = 0
+        out = out.real
+    slopes = _slopes(vals, h)
+    nseg = slopes.shape[1]
+    kern, spec, size, boundary = _line_kernel(nseg, h, order)
+    out[..., 0] = 0
+    _transform(out[..., 1:], slopes, size,
+               spec if weight is None else spec * weight, path=path)
+    for i in np.flatnonzero(~np.isfinite(slopes).all(axis=1)):
+        conv = np.convolve(slopes[i], kern)[:nseg]
+        out[_at(out, i)][1:] = conv if weight is None else weight * conv
+    # a collapse adds w f(a) to the zero of its other side, so no -0 is left
+    start = vals[..., :1]
+    _add_boundary(out, ((slice(1, None), start if weight is None
+                         else 0.0 + weight * start, boundary),))
+    out[~np.isfinite(vals[..., 0]), 1:] = np.nan
 
 
 def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex,
@@ -581,35 +555,50 @@ def _cresson_lines(vals: np.ndarray, h: float, pair, gamma_w: complex,
     ``out`` (both ``_line_view``s): returns (start_flags, end_flags), one
     per line.
 
-    At gamma_w = -i or +i one weight is exactly zero, and the other side
-    alone is applied (``_per_side_lines``), so the collapses are exact.
-    Otherwise lines with finite slopes take the two-sided transform
-    (``_two_sided_lines``; ``path`` as there), and a line holding a
-    non-finite slope applies each side on its own, where the direct sum
-    keeps the value local.
+    At gamma_w = -i or +i one weight is exactly zero and the other side is
+    applied alone (``_one_sided``; the right side as the left side of the
+    reversed lines), so the collapses and their flags are exact.  Otherwise
+    every line takes the two-sided transform: the delayed left and the
+    right kernel's spectra, weighted (``_transfer_spectra``), and then both
+    sides' boundary terms, w_left f(start) and w_right f(end) times each
+    side's boundary factor.  A line holding a non-finite slope comes out
+    non-finite at every node, as the weighted sum of its sides would.
+    ``path`` is the field whose slope spectrum is kept, else None.  Every
+    kernel runs with floating-point warnings off: a non-finite value is
+    the caller's non-finite check's to report.
     """
     w_left = 0.5 * (1.0 + 1j * gamma_w)
     w_right = 0.5 * (1j * gamma_w - 1.0)
-    n = vals.shape[-1]
-    if w_left == 0 or w_right == 0:
-        return _per_side_lines(vals.reshape(-1, n), h, pair, w_left, w_right,
-                               out)
-    # the slopes in line order; a slope that overflows is kept: its line
-    # takes the per-side route
-    slopes = np.empty(vals.shape[:-1] + (n - 1,), dtype=vals.dtype)
+    start, end = vals[..., 0] != 0, vals[..., -1] != 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.subtract(vals[..., 1:], vals[..., :-1], out=slopes)
-        slopes /= h
-    slopes = slopes.reshape(-1, n - 1)
-    finite = np.isfinite(slopes).all(axis=1)
-    _two_sided_lines(out, vals, slopes, np.flatnonzero(finite), h, pair,
-                     w_left, w_right, path)
-    rest = np.flatnonzero(~finite)
-    if rest.size:
-        lines = np.empty((rest.size, n), dtype=np.complex128)
-        _per_side_lines(vals[_at(vals, rest)], h, pair, w_left, w_right, lines)
-        out[_at(out, rest)] = lines
-    return vals[..., 0] != 0, vals[..., -1] != 0
+        if w_right == 0:
+            _one_sided(out, vals, h, pair[0], w_left.real, path)
+            return start, np.zeros_like(end)
+        if w_left == 0:
+            _one_sided(out[..., ::-1], vals[..., ::-1], h, pair[1], w_right.real)
+            return np.zeros_like(start), end
+        slopes = _slopes(vals, h)
+        _, lspec, size, lbound = _line_kernel(slopes.shape[1], h, pair[0])
+        _, rspec, _, rbound = _line_kernel(slopes.shape[1], h, pair[1])
+        _transform(out, slopes, size,
+                   *_transfer_spectra(lspec, rspec, size, w_left, w_right),
+                   path=path)
+        _add_boundary(out, ((slice(1, None), w_left * vals[..., :1], lbound),
+                            (slice(-1), w_right * vals[..., -1:], rbound[::-1])))
+    return start, end
+
+
+def _rl(f: GridFunction, order: float, caller: str, nodes: slice) -> GridFunction:
+    """The left derivative of ``f`` with its nodes taken in the order
+    ``nodes`` (reversed: the right derivative), and its flags; the start
+    node of that order is flagged when f there is nonzero."""
+    _one_axis(f, caller)
+    out = np.empty(f.values.shape, dtype=f.values.dtype)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _one_sided(out[None, nodes], f.values[None, nodes], f.grids[0].h, order)
+    flags = f.flags.copy()
+    flags[nodes][0] |= f.values[nodes][0] != 0
+    return GridFunction(f.grids[0], out, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -622,22 +611,14 @@ def rl_left(f: GridFunction, alpha: float) -> GridFunction:
     The start node is flagged singular when f(a) != 0; input flags
     propagate.
     """
-    alpha = _check_order("alpha", alpha)
-    out, fl = _rl_left_lines(f.values[None, :], f.grid.h, alpha)
-    flags = f.flags.copy()
-    flags[0] |= bool(fl[0])
-    return GridFunction(f.grid, out[0], flags)
+    return _rl(f, _check_order("alpha", alpha), "rl_left", slice(None))
 
 
 def rl_right(f: GridFunction, beta: float) -> GridFunction:
     """Right Riemann-Liouville derivative: the exact mirror image of
     rl_left about the interval midpoint.  The end node is flagged when
     f(t) != 0."""
-    beta = _check_order("beta", beta)
-    out, fl = _rl_right_lines(f.values[None, :], f.grid.h, beta)
-    flags = f.flags.copy()
-    flags[-1] |= bool(fl[0])
-    return GridFunction(f.grid, out[0], flags)
+    return _rl(f, _check_order("beta", beta), "rl_right", slice(None, None, -1))
 
 
 def cresson(f: GridFunction, orders: OrderSet) -> GridFunction:

@@ -193,6 +193,13 @@ class GridFunction(GridFunctionND):
         return self.grids[0]
 
 
+def _one_axis(f: GridFunctionND, caller: str) -> None:
+    """A GridError unless the field ``f`` has one axis: ``caller`` takes a
+    path."""
+    if f.ndim != 1:
+        raise GridError(f"{caller} needs a one-axis field")
+
+
 def _weights_from_nodes(nodes: np.ndarray, alpha: float, anchor: float) -> np.ndarray:
     """Node weights w_j with sum_j w_j f_j = int f_lin(tau) (anchor - tau)^(alpha-1) dtau.
 
@@ -250,10 +257,11 @@ def weighted_integral(f: GridFunction, alpha: float, observer: float = None) -> 
     The 1/gamma(alpha) normalisation of the action functionals is *not*
     applied here.  ``f`` must have no flagged nodes.
     """
+    _one_axis(f, "weighted_integral")
     if f.flags.any():
         raise GridError("weighted_integral needs f defined on its full grid "
                         "(flagged singular nodes present)")
-    w = product_weights(f.grid, alpha, observer)
+    w = product_weights(f.grids[0], alpha, observer)
     return complex(_weighted_sum(w, f.values))
 
 

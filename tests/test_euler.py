@@ -35,6 +35,8 @@ from falva import (
     partial,
     product_weights,
     rayleigh,
+    rl_left,
+    rl_right,
     solve_el_bvp,
     solve_el_ivp,
     trapezoid_action,
@@ -175,6 +177,30 @@ def test_a_raw_tau_array_with_a_non_finite_value_is_one_grid_error(bad):
             rayleigh(parse(FREE), GridFunction(g, np.ones(5)),
                      GridFunction(g, np.zeros(5)), 0.5, 1.0, tau=tau)
     assert str(info.value) == "tau sample array holds a non-finite value at node 2"
+
+
+# every route that takes a path (a one-axis field), each as route(path, qdot)
+_ONE_AXIS_ROUTES = {
+    "rl_left": lambda q, qdot: rl_left(q, 0.5),
+    "rl_right": lambda q, qdot: rl_right(q, 0.5),
+    "weighted_integral": lambda q, qdot: weighted_integral(q, 0.5),
+    **_FLAGGED_ROUTES,
+}
+
+
+@pytest.mark.parametrize("route, plane", [
+    *((route, "path") for route in _ONE_AXIS_ROUTES),
+    *((route, "qdot") for route in _FLAGGED_ROUTES),
+])
+def test_a_path_route_rejects_a_field_of_more_axes(route, plane):
+    # a plane was an AttributeError on the grid it lacks ("'GridFunctionND'
+    # object has no attribute 'grid'")
+    grid = _PATH.grid
+    args = {"path": GridFunction(grid, np.sin(grid.nodes)),
+            "qdot": GridFunction(grid, np.cos(grid.nodes)), plane: _PLANE}
+    with pytest.raises(GridError) as info:
+        _ONE_AXIS_ROUTES[route](args["path"], args["qdot"])
+    assert str(info.value) == f"{route} needs a one-axis field"
 
 
 def test_action_1d_checks_the_order_before_the_path():

@@ -396,40 +396,42 @@ class TestLineKernel:
             axis_cresson(GridFunctionND((gx, gy), vals, flags), 1,
                          OrderSet.for_2d(0.5, 0.35, 0.5, 0.7, gamma_w))
 
-    def test_a_non_finite_row_applies_each_side_on_its_own(self):
-        # with both weights nonzero, a line holding an inf keeps the
-        # per-side path, written over the boundary terms that every line
-        # gets once per call; the other lines keep the bits they have
-        # alone.  Along axis 0 the lines are the columns of the C-order
-        # result, so the boundary terms run across them.  At gamma_w = 0.5i
-        # both weights are real, so a per-side line's imaginary part is 0,
-        # where an infinite end value's boundary term would leave NaN
+    @pytest.mark.parametrize("gamma_w", [0.3 + 0.2j, 0.5j])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_non_finite_line_is_non_finite_at_every_node(self, gamma_w, axis):
+        # with both weights nonzero a line holding an inf takes the transform
+        # like every other line.  Its sides applied one by one would leave
+        # no node of it finite either: L is non-finite from the inf on, R up
+        # to it, and an infinite end value makes the reflected side NaN.
+        # The other lines keep the bits they have alone, and along axis 0
+        # the lines are the columns of the C-order result
         vals = np.random.default_rng(31).normal(size=(5, 65))
         vals[2, -1] = np.inf
         vals[3, 0] = -np.inf
+        field = vals if axis == 1 else vals.T.copy()
         pair, h = (0.35, 0.7), 1.0 / 64
-        for gw, (axis, field) in itertools.product(
-                (0.3 + 0.2j, 0.5j), ((1, vals), (0, vals.T.copy()))):
-            weights = 0.5 * (1 + 1j * gw), 0.5 * (1j * gw - 1)
-            result = np.empty(field.shape, dtype=np.complex128)
-            out = fracops._line_view(result, axis)
-            start, end = fracops._cresson_lines(fracops._line_view(field, axis),
-                                                h, pair, gw, out)
-            for i in range(5):
+        result = np.empty(field.shape, dtype=np.complex128)
+        out = fracops._line_view(result, axis)
+        start, end = fracops._cresson_lines(fracops._line_view(field, axis),
+                                            h, pair, gamma_w, out)
+        for i in range(5):
+            if i in (2, 3):
+                assert not np.isfinite(out[i]).any(), i
+            else:
                 alone = np.empty((1, 65), dtype=np.complex128)
-                if i in (2, 3):
-                    fracops._per_side_lines(vals[i:i + 1], h, pair, *weights,
-                                            alone)
-                    # part by part: a complex NaN matches any other
-                    for part in ("real", "imag"):
-                        assert np.array_equal(getattr(out[i], part),
-                                              getattr(alone[0], part),
-                                              equal_nan=True), (gw, axis, i)
-                else:
-                    fracops._cresson_lines(vals[i:i + 1], h, pair, gw, alone)
-                    assert np.array_equal(out[i], alone[0]), (gw, axis, i)
-            assert np.array_equal(start, vals[:, 0] != 0)
-            assert np.array_equal(end, vals[:, -1] != 0)
+                fracops._cresson_lines(vals[i:i + 1], h, pair, gamma_w, alone)
+                assert np.array_equal(out[i], alone[0]), i
+        assert np.array_equal(start, vals[:, 0] != 0)
+        assert np.array_equal(end, vals[:, -1] != 0)
+        # with only the inf nodes flagged, the field's check names the first
+        # unflagged node of those lines in C order: (2, 1) along axis 1,
+        # (1, 2) along axis 0
+        grids = [_grid(4), _grid(4)]
+        grids[axis] = _grid(64)
+        with pytest.raises(GridError, match=r"non-finite value at unflagged "
+                                            rf"node {(131, 7)[1 - axis]}$"):
+            axis_cresson(GridFunctionND(tuple(grids), field, np.isinf(field)),
+                         axis, OrderSet((pair, pair), gamma_w))
 
     def test_import_leaves_fft_unloaded(self):
         code = (
@@ -704,16 +706,20 @@ def test_no_axis_holds_more_than_the_last(shape):
     assert max(peaks[:-1]) <= peaks[-1] + 0.05, peaks
 
 
-def test_every_axis_of_a_box_holds_the_same_temporaries():
+@pytest.mark.parametrize("gamma_w", [0.3 + 0.2j, -1j, 1j])
+def test_every_axis_of_a_box_holds_the_same_temporaries(gamma_w):
     # the boundary terms are added once per call, in the result's memory
     # order and _PRODUCT_CHUNK entries at a time, so no axis's temporaries
     # depend on the shape of its blocks of lines.  Added per block and
     # part, they peaked at 1.876, 1.879 and 1.818 fields here; with
-    # 2^14-entry chunks at 1.930, 1.898 and 1.918
+    # 2^14-entry chunks at 1.930, 1.898 and 1.918.  The collapses at -i
+    # and +i write through the same views (+i through reversed ones); with
+    # a line-major one-sided result added into the field they peaked at
+    # 2.64, 3.15 and 2.63
     shape = (33, 60, 45)
     grids = tuple(Grid1D(0.0, 1.0, s - 1) for s in shape)
     field = GridFunctionND(grids, np.random.default_rng(5).normal(size=shape))
-    orders = OrderSet.for_nd((0.3, 0.5, 0.7), (0.6, 0.4, 0.8), 0.3 + 0.2j)
+    orders = OrderSet.for_nd((0.3, 0.5, 0.7), (0.6, 0.4, 0.8), gamma_w)
     peaks = [_fields_at_peak(lambda: axis_cresson(field, axis, orders), shape)
              for axis in range(3)]
     assert max(peaks) <= 1.80, peaks

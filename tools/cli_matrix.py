@@ -26,8 +26,11 @@ whose axes differ in length, extent and orders, so that a swap of two axes
 shows; the default, +i, -i and a general gamma; path files and spec files;
 sweeps of every kind, with rows that fail, among them 1D Cresson sweeps that
 share the kept slope spectrum of their path (from a path expression or a
-path file, after a first row that fails) or take the per-side route at -i
-and keep none; raw velocity samples that overflow; and calls that fail
+path file, after a first row that fails), at a general gamma and at -i;
+zero paths, whose exact zeros print as 0 (not -0) at +i, -i and through
+the one-sided operators; +i along the first and a middle axis of a 3D box,
+which the right side alone reads through reversed line views; raw velocity
+samples that overflow; and calls that fail
 before any output, among them a path file with a NaN node and residuals
 whose step underflows along one axis, which name a node in C order.  The
 spec and path files led by a UTF-8 byte-order mark give the bytes of the
@@ -69,6 +72,7 @@ FILES["bomline.csv"] = "\ufeff" + FILES["line.csv"]
 
 L1 = ["--lagrangian", "qdot^2/2 - q^2/2"]
 LINE = ["--domain", "0,1", "--n", "16", "--path", "sin(tau) + tau^2"]
+ZERO = ["--domain", "0,1", "--n", "16", "--path", "0"]
 PLANE = ["--domain", "0,1", "--domain", "0,2", "--n", "8", "--n", "6",
          "--path", "sin(x)*cos(y) + x*y"]
 CUBE = ["--domain", "0,1", "--domain", "0,1", "--domain", "0,1", "--n", "4",
@@ -114,6 +118,17 @@ CALLS = (
     ("deriv-3d-z", ["deriv", "--alpha", "0.5", "--axis", "z", *CUBE]),
     ("deriv-2d-left", ["deriv", "--operator", "left", "--alpha", "0.5", *PLANE]),
     ("deriv-axis-range", ["deriv", "--alpha", "0.5", "--axis", "y", *LINE]),
+    # zero paths: every value an exact zero, which prints as 0, not -0
+    ("deriv-1d-zero-plus-i", ["deriv", "--alpha", "0.4", "--beta", "0.7",
+                              "--gamma=i", *ZERO]),
+    ("deriv-1d-zero-minus-i", ["deriv", "--alpha", "0.4", "--gamma=-i", *ZERO]),
+    ("deriv-1d-zero-left", ["deriv", "--operator", "left", "--alpha", "0.3",
+                            *ZERO]),
+    ("deriv-1d-zero-right", ["deriv", "--operator", "right", "--beta", "0.6",
+                             *ZERO]),
+    # +i along the first and a middle axis: reversed views of both layouts
+    ("deriv-3d-plus-i-x", ["deriv", "--axis", "x", "--gamma=i", *BOX[:-1]]),
+    ("deriv-3d-plus-i-y", ["deriv", "--axis", "y", "--gamma=i", *BOX[:-1]]),
     # action
     ("action-classic-fd", ["action", *L1, "--alpha", "0.5", *LINE]),
     ("action-classic-qdot", ["action", *L1, "--alpha", "0.5", "--domain", "0,1",
